@@ -10,9 +10,13 @@ Two strategies explore the same windows in the same order and return
 the same derivations; they differ only in how candidate windows are
 generated.  "active" posts the split as constraints (a concatenation
 constraint plus a membership restriction of the window size to the
-grammar's rule lengths) and enumerates the pruned domains.  "gentest"
-enumerates every arithmetically possible window and tests it after the
-fact, which is the figure the active strategy is measured against.
+grammar's rule lengths) and enumerates the pruned domains.  The
+admissible splits depend only on the sequence length, so each parse
+solves them through the store once per length it reaches and replays
+the recorded (origin, size) pairs at every later node of that length.
+"gentest" enumerates every arithmetically possible window and tests it
+after the fact, which is the figure the active strategy is measured
+against.
 """
 
 from __future__ import annotations
@@ -88,36 +92,46 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
                 return True
         return False
 
-    def _scan_active(seq, steps, unary_seen) -> bool:
+    # Admissible (a1, b1) splits per sequence length, in scan order.  With
+    # the segments unbound, Concat3 prunes the sizes by arithmetic on |s|
+    # alone and its slice bindings cannot fail, so one solve serves every
+    # sequence of that length.  Local to this call, so the store counters
+    # of a call never depend on earlier calls.
+    splits: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def admissible_splits(seq) -> tuple[tuple[int, int], ...]:
         l = len(seq)
+        if l in splits:
+            return splits[l]
         st = Store(trace=trace)
         a1 = st.new_var(range(l + 1), name="a1")
         b1 = st.new_var(range(1, l + 1), name="b1")
         c1 = st.new_var(range(l + 1), name="c1")
         a, b, c = st.new_seq("a"), st.new_seq("b"), st.new_seq("c")
-        stop = False
-        ok = (st.tell(concat3(a, b, c, seq, a1, b1, c1))
-              and st.tell(element(b1, [n for n in lengths if n <= l])))
-        if ok:
+        pairs = []
+        if (st.tell(concat3(a, b, c, seq, a1, b1, c1))
+                and st.tell(element(b1, [n for n in lengths if n <= l]))):
             for va in list(st.domain(a1)):
                 snap_a = st.snapshot()
                 if st.tell(eq(a1, va)):
                     for vb in list(st.domain(b1)):
                         snap_b = st.snapshot()
                         if st.tell(eq(b1, vb)):
-                            stats.windows_tried += 1
-                            stop = try_window(seq, va, st.seq_value(b),
-                                              steps, unary_seen)
+                            pairs.append((va, vb))
                         st.restore(snap_b)
-                        if stop:
-                            break
                 st.restore(snap_a)
-                if stop:
-                    break
         stats.completeness_tests += st.counters.completeness_tests
         stats.propagation_steps += st.counters.propagation_steps
         stats.ask_evaluations += st.counters.ask_evaluations
-        return stop
+        splits[l] = tuple(pairs)
+        return splits[l]
+
+    def _scan_active(seq, steps, unary_seen) -> bool:
+        for va, vb in admissible_splits(seq):
+            stats.windows_tried += 1
+            if try_window(seq, va, seq[va:va + vb], steps, unary_seen):
+                return True
+        return False
 
     def _scan_blind(seq, steps, unary_seen) -> bool:
         l = len(seq)

@@ -22,7 +22,7 @@ from .grammar import Grammar, load_grammar_file
 from .hpsg import parse_hpsg, sign_dump
 
 STAT_KEYS = ("windows_tried", "reductions", "backtracks",
-             "completeness_tests", "ask_evaluations")
+             "completeness_tests", "propagation_steps", "ask_evaluations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,6 +87,7 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
         stats["reductions"] = hs.reductions_applied
         stats["backtracks"] = hs.backtracks
         stats["completeness_tests"] = hs.completeness_tests
+        stats["propagation_steps"] = hs.propagation_steps
         stats["ask_evaluations"] = hs.ask_evaluations
         stats["expansions"] = hs.expansions
         stats["trees_considered"] = hs.trees_considered
@@ -101,6 +102,7 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
         stats["reductions"] += ps.reductions_applied
         stats["backtracks"] += ps.backtracks
         stats["completeness_tests"] += ps.completeness_tests
+        stats["propagation_steps"] += ps.propagation_steps
         stats["ask_evaluations"] += ps.ask_evaluations
         found.extend((cats, d) for d in derivs)
     if dedupe:

@@ -44,6 +44,14 @@ class VarId:
     kind: VarKind
     name: str = field(compare=False, default="")
 
+    def __post_init__(self) -> None:
+        # Every hash of a constraint hashes its handles; compute each
+        # handle's hash once instead of per lookup.
+        object.__setattr__(self, "_hash", hash((self.index, self.store_id, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return self.name or f"_{self.kind.value}{self.index}"
 
@@ -154,7 +162,8 @@ class Relation:
                 self._groups.pop(key, None)
 
         st._trail.append(undo)
-        st._emit("fact", self.name, "-", repr(fact))
+        if st._trace:
+            st._emit("fact", self.name, "-", repr(fact))
         return st._after_model_event(self, key, mark, closure=False)
 
     def close_group(self, *key) -> bool:
@@ -168,7 +177,8 @@ class Relation:
         mark = len(st._trail)
         self._closed.add(key)
         st._trail.append(lambda: self._closed.discard(key))
-        st._emit("close_group", self.name, "open", repr(key))
+        if st._trace:
+            st._emit("close_group", self.name, "open", repr(key))
         return st._after_model_event(self, key, mark, closure=True)
 
 
@@ -222,7 +232,7 @@ class Store:
         self._posted_set: set = set()
         self._watching: dict[int, list] = {}
         self._queue: deque = deque()
-        self._queued: set = set()
+        self._queued: set[int] = set()
         self._asks: dict[object, list[PendingAsk]] = {}
         self._ask_wake: list = []
         self._draining = False
@@ -298,7 +308,8 @@ class Store:
             return True
         state.domain = new
         self._trail.append(lambda: setattr(state, "domain", old))
-        self._emit("prune", v, self._fmt_dom(old), self._fmt_dom(new))
+        if self._trace:
+            self._emit("prune", v, self._fmt_dom(old), self._fmt_dom(new))
         self._touch_var(v)
         return len(new) > 0
 
@@ -318,7 +329,8 @@ class Store:
             return state.seq == value
         state.seq = tuple(value)
         self._trail.append(lambda: setattr(state, "seq", None))
-        self._emit("bind", v, "-", repr(value))
+        if self._trace:
+            self._emit("bind", v, "-", repr(value))
         self._touch_var(v)
         return True
 
@@ -519,9 +531,11 @@ class Store:
     # -- propagation --------------------------------------------------------
 
     def _enqueue(self, c) -> None:
-        if c not in self._queued:
+        # Keyed by identity: every queued constraint is the posted
+        # instance, since tell drops equal reposts.
+        if id(c) not in self._queued:
             self._queue.append(c)
-            self._queued.add(c)
+            self._queued.add(id(c))
 
     def propagate(self) -> bool:
         """Run filtering to fixpoint (FIFO).  False on inconsistency;
@@ -531,7 +545,7 @@ class Store:
                 return False
         while self._queue:
             c = self._queue.popleft()
-            self._queued.discard(c)
+            self._queued.discard(id(c))
             self.counters.propagation_steps += 1
             if not c.filter(self):
                 self._emit("fail", c, "-", "-")

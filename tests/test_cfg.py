@@ -171,3 +171,97 @@ def test_format_and_parse_derivation(toy):
     derivs, _ = parse(SENT7, toy)
     for d in derivs[:5]:
         assert parse_derivation(format_derivation(d)) == d
+
+
+# -- exact counters --------------------------------------------------------
+
+DEAD9 = SENT7 + ("Prep", "Nm")
+
+
+def test_pinned_counters(toy):
+    # windows, reductions and backtracks are fixed by the scan order;
+    # propagation_steps is the store work of one split solve per
+    # sequence length reached (1..7)
+    _, sa = parse(SENT7, toy, strategy="active")
+    _, sg = parse(SENT7, toy, strategy="gentest")
+    assert (sa.windows_tried, sg.windows_tried) == (1680, 2212)
+    assert sa.reductions_applied == sg.reductions_applied == 169
+    assert sa.propagation_steps == 435
+    derivs, sa = parse(DEAD9, toy, strategy="active")
+    assert derivs == ()
+    _, sg = parse(DEAD9, toy, strategy="gentest")
+    assert (sa.windows_tried, sg.windows_tried) == (43197, 60410)
+    assert sa.reductions_applied == sg.reductions_applied == 3733
+
+
+def test_split_solved_once_per_length(toy):
+    lines = []
+    parse(SENT7, toy, strategy="active", trace=lines.append)
+    posts = [ln for ln in lines if ln.startswith("EVENT post Concat3(")]
+    assert len(posts) == len(SENT7)   # lengths 7 down to 1, one solve each
+
+
+# -- the split table on grammars whose rule lengths have gaps ---------------
+
+GAP13 = """start S.
+rule S -> NP V NP.
+rule NP -> N.
+rule NP -> NP P NP.
+rule V -> W."""
+GAP13_SENTS = (("N", "W", "N"), ("N", "W", "N", "P", "N"),
+               ("N", "P", "N", "W", "N"), ("N", "P", "N", "W", "N", "P", "N"))
+
+GAP24 = """start S.
+rule S -> NP VP.
+rule NP -> D N.
+rule VP -> V NP.
+rule VP -> VP PP.
+rule VP -> V NP P NP.
+rule PP -> P NP."""
+GAP24_SENTS = (("D", "N", "V", "D", "N"), ("D", "N", "V", "D", "N", "P", "D", "N"))
+
+
+@pytest.mark.parametrize("text,lengths,sents", [
+    (GAP13, {1, 3}, GAP13_SENTS),
+    (GAP24, {2, 4}, GAP24_SENTS),
+], ids=["lengths13", "lengths24"])
+def test_split_table_properties(text, lengths, sents):
+    g = load_grammar(text)
+    assert g.rhs_lengths() == lengths
+    alphabet = sorted({c for s in sents for c in s})
+    rng = random.Random(len(text))
+    inputs = list(sents) + [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+                            for _ in range(40)]
+    found = 0
+    for cats in inputs:
+        full = {}
+        for strategy in ("active", "gentest"):
+            derivs, stats = parse(cats, g, strategy=strategy)
+            assert parse(cats, g, strategy=strategy) == (derivs, stats)
+            for k in (1, 2, 5) if derivs else ():
+                assert parse(cats, g, strategy=strategy, limit=k)[0] == derivs[:k]
+            full[strategy] = derivs, stats
+        (da, sa), (dg, sg) = full["active"], full["gentest"]
+        assert da == dg == oracle_parse(cats, g)
+        assert sa.reductions_applied == sg.reductions_applied
+        assert sa.backtracks == sg.backtracks
+        assert sa.windows_tried <= sg.windows_tried
+        found += len(da) > 0
+    assert found >= len(sents)
+
+
+@pytest.mark.parametrize("text,lengths", [
+    ("start S. rule S -> A B C. rule S -> A.", {1, 3}),
+    ("start S. rule S -> A B. rule S -> A B C D.", {2, 4}),
+], ids=["lengths13", "lengths24"])
+def test_window_counts_closed_form_without_matches(text, lengths):
+    # no window of C's matches a rule, so only the root node scans
+    g = load_grammar(text)
+    for l in range(1, 9):
+        cats = ("C",) * l
+        derivs, sa = parse(cats, g, strategy="active")
+        _, sg = parse(cats, g, strategy="gentest")
+        assert derivs == ()
+        assert sa.windows_tried == sum(l - n + 1 for n in lengths if n <= l)
+        assert sg.windows_tried == l * (l + 1) // 2
+        assert sa.reductions_applied == sg.reductions_applied == 0

@@ -1,9 +1,13 @@
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
+from clparse.cfg import parse
 from clparse.cli import main
+from clparse.grammar import load_grammar_file
+from clparse.hpsg import parse_hpsg
 
 TOY = "grammars/toy.clg"
 TOY_LEX = "grammars/toy_lex.clg"
@@ -168,3 +172,19 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "<S>, <NP,VP>" in proc.stdout
+
+
+def test_stats_equal_library_counters(capsys):
+    cases = (
+        (("--grammar", TOY, "--input", SENT7),
+         parse(SENT7.split(), load_grammar_file(TOY))[1]),
+        (("--grammar", TOY_LEX, "--mode", "hpsg", "--input", "the cat sleeps"),
+         parse_hpsg("the cat sleeps".split(), load_grammar_file(TOY_LEX))[1]),
+    )
+    for argv, lib_stats in cases:
+        rc, _, err = run(capsys, *argv, "--stats")
+        assert rc == 0
+        want = asdict(lib_stats)
+        want["reductions"] = want.pop("reductions_applied")
+        assert want["propagation_steps"] > 0
+        assert {key: int(value) for key, value in map(str.split, err.splitlines())} == want

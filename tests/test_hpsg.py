@@ -449,6 +449,9 @@ def test_strategies_accept_the_same_signs(toy):
     sg, tg = parse_hpsg(["the", "cat", "sleeps"], toy, strategy="gentest")
     assert [sign_dump(s) for s in sa] == [sign_dump(s) for s in sg]
     assert ta.expansions <= tg.expansions
+    assert (ta.windows_tried, tg.windows_tried) == (21, 23)
+    assert ta.expansions == tg.expansions == 6
+    assert ta.signs_accepted == tg.signs_accepted == 1
 
 
 def test_active_stops_earlier_on_a_lexical_clash(toy):

@@ -15,12 +15,15 @@ from clparse import (
     Bool3,
     Store,
     UsageError,
+    VarId,
     all_distinct,
     daughter,
     element,
     eq,
     in_relation,
+    load_grammar_file,
     neq,
+    parse,
 )
 
 
@@ -405,3 +408,25 @@ def test_trace_events():
     kinds = [ln.split()[1] for ln in lines]
     assert "post" in kinds and "prune" in kinds and "close" in kinds
     assert all(ln.startswith("EVENT ") for ln in lines)
+
+
+def test_untraced_store_formats_no_events(monkeypatch):
+    def boom(dom):
+        raise AssertionError("event text built without a trace sink")
+
+    monkeypatch.setattr(Store, "_fmt_dom", staticmethod(boom))
+    toy = load_grammar_file("grammars/toy.clg")
+    a1 = ("Det", "Nm", "Vb", "Det", "Nm", "Prep", "Nm")
+    derivs, _ = parse(a1, toy, strategy="active")
+    assert len(derivs) == 15
+    with pytest.raises(AssertionError):
+        parse(a1, toy, strategy="active", trace=lambda line: None)
+
+
+def test_var_handles_hash_by_identity_not_name():
+    s = Store()
+    x = s.new_var([1, 2], name="x")
+    twin = VarId(x.index, x.store_id, x.kind, "other")
+    assert twin == x and hash(twin) == hash(x)
+    assert repr(x) == "x" and repr(twin) == "other"
+    assert VarId(x.index, x.store_id + 1, x.kind) != x
