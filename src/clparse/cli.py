@@ -134,6 +134,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    if args.jobs < 1:
+        print("clparse: --jobs must be at least 1", file=sys.stderr)
+        return 2
 
     try:
         g = load_grammar_file(args.grammar)
@@ -158,7 +161,8 @@ def main(argv=None) -> int:
     tasks = [(line, g, args.mode, args.strategy, args.limit,
               args.dedupe_trees, args.trace) for line in lines]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        # fork starts every worker up front: no more than there are lines
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(lines))) as ex:
             results = list(ex.map(_worker, tasks))   # input order kept
     else:
         results = [_worker(t) for t in tasks]

@@ -79,8 +79,8 @@ class Eq(Constraint):
     def filter(self, store):
         if _is_var(self.y):
             allowed = set(store.domain(self.x)) & set(store.domain(self.y))
-            return store._prune(self.x, allowed) and store._prune(self.y, allowed)
-        return store._prune(self.x, {self.y})
+            return store.prune(self.x, allowed) and store.prune(self.y, allowed)
+        return store.prune(self.x, {self.y})
 
     def holds(self, asg, store):
         return asg[self.x] == (asg[self.y] if _is_var(self.y) else self.y)
@@ -96,13 +96,13 @@ class Neq(Constraint):
 
     def filter(self, store):
         if not _is_var(self.y):
-            return store._prune(self.x, set(store.domain(self.x)) - {self.y})
+            return store.prune(self.x, set(store.domain(self.x)) - {self.y})
         ok = True
         xv, yv = store.value(self.x), store.value(self.y)
         if xv is not None:
-            ok = store._prune(self.y, set(store.domain(self.y)) - {xv})
+            ok = store.prune(self.y, set(store.domain(self.y)) - {xv})
         if ok and yv is not None:
-            ok = store._prune(self.x, set(store.domain(self.x)) - {yv})
+            ok = store.prune(self.x, set(store.domain(self.x)) - {yv})
         return ok
 
     def holds(self, asg, store):
@@ -136,7 +136,7 @@ class AllDistinct(Constraint):
         for src, val in pinned:
             for item in self.items:
                 if _is_var(item) and item is not src and store.value(item) != val:
-                    if not store._prune(item, set(store.domain(item)) - {val}):
+                    if not store.prune(item, set(store.domain(item)) - {val}):
                         return False
                 elif _is_var(item) and item is not src and store.value(item) == val:
                     return False
@@ -158,10 +158,10 @@ class Element(Constraint):
         return (self.x,)
 
     def post(self, store):
-        return store._prune(self.x, set(self.allowed))
+        return store.prune(self.x, set(self.allowed))
 
     def filter(self, store):
-        return store._prune(self.x, set(self.allowed))
+        return store.prune(self.x, set(self.allowed))
 
     def holds(self, asg, store):
         return asg[self.x] in self.allowed
@@ -180,7 +180,7 @@ class Size(Constraint):
     def filter(self, store):
         bound = store.seq_value(self.seq)
         if bound is not None:
-            return store._prune(self.size, {len(bound)})
+            return store.prune(self.size, {len(bound)})
         return True
 
     def holds(self, asg, store):
@@ -230,15 +230,15 @@ class Concat3(Constraint):
                 sup_a.add(va)
                 sup_b.add(vb)
                 sup_c.add(vc)
-        if not (store._prune(self.a1, sup_a)
-                and store._prune(self.b1, sup_b)
-                and store._prune(self.c1, sup_c)):
+        if not (store.prune(self.a1, sup_a)
+                and store.prune(self.b1, sup_b)
+                and store.prune(self.c1, sup_c)):
             return False
         va, vb = store.value(self.a1), store.value(self.b1)
         if va is not None and vb is not None:
-            return (store._bind_seq(self.a, self.whole[:va])
-                    and store._bind_seq(self.b, self.whole[va:va + vb])
-                    and store._bind_seq(self.c, self.whole[va + vb:]))
+            return (store.bind_seq(self.a, self.whole[:va])
+                    and store.bind_seq(self.b, self.whole[va:va + vb])
+                    and store.bind_seq(self.c, self.whole[va + vb:]))
         return True
 
     def holds(self, asg, store):
@@ -266,7 +266,7 @@ class BoolConstraint(Constraint):
         return tuple(seen)
 
     def filter(self, store):
-        return enforce(self.formula, True, store.bool_value, store._set_bool)
+        return enforce(self.formula, True, store.bool_value, store.set_bool)
 
     def ask_value(self, store):
         val = eval_formula(self.formula, store.bool_value)
@@ -302,9 +302,9 @@ class Daughter(Constraint):
     def filter(self, store):
         if not self.is_resolvable(store):
             return True
-        if not store._prune(self.y, set(self.relation.group((self.x,)))):
+        if not store.prune(self.y, set(self.relation.group((self.x,)))):
             return False
-        store._mark_complete(self.y)
+        store.mark_complete(self.y)
         return True
 
     def holds(self, asg, store):
@@ -345,9 +345,9 @@ class InRelation(Constraint):
         induced: set = set()
         for key in self.image_keys(store):
             induced.update(self.relation.group(key))
-        if not store._prune(self.u, induced):
+        if not store.prune(self.u, induced):
             return False
-        store._mark_complete(self.u)
+        store.mark_complete(self.u)
         return True
 
     def holds(self, asg, store):

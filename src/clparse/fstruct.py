@@ -9,7 +9,9 @@ Structure sharing is two cells holding the same node reference.
 Each cell's status is a boolean variable in the owning store, so
 implications over feature statuses propagate through the ordinary
 constraint machinery.  All mutations are trailed on the store:
-snapshot/restore rolls the structure back together with the domains.
+snapshot/restore rolls the structure back together with the domains,
+and each public mutation runs as one store transaction, so one that
+fails leaves the structure and the store as they were.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class FeatureStructure:
             self._n_nodes -= 1
             self._groups.pop(idx, None)
 
-        self.store._trail.append(undo)
+        self.store.on_undo(undo)
         return idx
 
     def canon(self, i: int) -> int:
@@ -128,7 +130,7 @@ class FeatureStructure:
             return spec
         var = self.store.new_bool(f"{feature}@{owner}")
         if isinstance(spec, Bool3) and spec.known:
-            self.store._set_bool(var, spec is Bool3.TRUE)
+            self.store.set_bool(var, spec is Bool3.TRUE)
         return var
 
     def _install_cell(self, feature: str, owner: int, value, status) -> Cell:
@@ -146,7 +148,7 @@ class FeatureStructure:
             if not group:
                 self._groups.pop(owner, None)
 
-        self.store._trail.append(undo)
+        self.store.on_undo(undo)
         if value is not None:
             self._notify_value(cell)
         return cell
@@ -157,7 +159,7 @@ class FeatureStructure:
         """Encode a nested description into fresh nodes; returns the
         root index.  Indices are assigned depth-first in declaration
         order, at first entry; a dict object appearing twice becomes a
-        shared node.
+        shared node.  All or nothing: a failed encoding adds no node.
         """
         index_of: dict[int, int] = {}
         on_stack: set[int] = set()
@@ -187,7 +189,8 @@ class FeatureStructure:
                 return tuple(convert(e) for e in raw)
             raise UsageError(f"bad avm value {raw!r}")
 
-        return visit(avm)
+        with self.store.transaction():
+            return visit(avm)
 
     def decode(self, root: int = 1) -> dict:
         """Back to a nested description; shared nodes come out as the
@@ -243,7 +246,7 @@ class FeatureStructure:
     def _set_value(self, cell: Cell, value) -> None:
         old = cell.value
         cell.value = value
-        self.store._trail.append(lambda: setattr(cell, "value", old))
+        self.store.on_undo(lambda: setattr(cell, "value", old))
         if value is not None:
             self._notify_value(cell)
 
@@ -283,59 +286,62 @@ class FeatureStructure:
 
     def unify_nodes(self, i: int, j: int) -> int:
         """Merge two nodes; the smaller index survives as canonical.
-        Same-name features unify recursively, statuses are tied."""
+        Same-name features unify recursively, statuses are tied.  All or
+        nothing: on a clash the structure is left as it was."""
         i, j = self._check_node(i), self._check_node(j)
         if i == j:
             return i
-        keep, drop = (i, j) if i < j else (j, i)
-        self._redirect[drop] = keep
-        self.store._trail.append(lambda: self._redirect.pop(drop))
-        kept = self._groups.setdefault(keep, {})
-        if not kept:
-            # freshly materialized group for a previously empty node
-            self.store._trail.append(lambda g=kept: self._groups.pop(keep, None) if not g else None)
-        for feat, cell in list(self._groups.get(drop, {}).items()):
-            other = kept.get(feat)
-            if other is None:
-                dropped = self._groups[drop]
-                del dropped[feat]
-                kept[feat] = cell
-                old_owner = cell.owner
-                cell.owner = keep
+        with self.store.transaction():
+            keep, drop = (i, j) if i < j else (j, i)
+            self._redirect[drop] = keep
+            self.store.on_undo(lambda: self._redirect.pop(drop))
+            kept = self._groups.setdefault(keep, {})
+            if not kept:
+                # freshly materialized group for a previously empty node
+                self.store.on_undo(lambda g=kept: self._groups.pop(keep, None) if not g else None)
+            # drop's own group is left as it is: nothing reads it while
+            # drop redirects, and an undo finds it intact and in order
+            for feat, cell in list(self._groups.get(drop, {}).items()):
+                other = kept.get(feat)
+                if other is None:
+                    kept[feat] = cell
+                    old_owner = cell.owner
+                    cell.owner = keep
 
-                def undo(c=cell, f=feat, o=old_owner, dg=dropped):
-                    del kept[f]
-                    dg[f] = c
-                    c.owner = o
+                    def undo(c=cell, f=feat, o=old_owner):
+                        del kept[f]
+                        c.owner = o
 
-                self.store._trail.append(undo)
-            else:
-                self._unify_values(other, cell.value)
-                self._tie_statuses(other.status, cell.status)
-        self._assert_acyclic(keep)
-        return keep
+                    self.store.on_undo(undo)
+                else:
+                    self._unify_values(other, cell.value)
+                    self._tie_statuses(other.status, cell.status)
+            self._assert_acyclic(keep)
+            return keep
 
     def add(self, cells) -> None:
         """Install cells ⟨feature, owner, value, status⟩.  A duplicate
         feature unifies with the existing cell instead of duplicating;
         a status given as a variable is used as-is (token identity),
-        as a truth value it forces a fresh variable.
+        as a truth value it forces a fresh variable.  All or nothing:
+        if any cell clashes, none is installed.
         """
-        for feature, owner, value, status in cells:
-            feature = _norm_feat(feature)
-            owner = self._check_node(owner)
-            if isinstance(value, Ref):
-                value = Ref(self._check_node(value.index))
-            existing = self._groups.get(owner, {}).get(feature)
-            if existing is None:
-                self._install_cell(feature, owner, value, status)
-            else:
-                self._unify_values(existing, value)
-                if isinstance(status, VarId):
-                    self._tie_statuses(existing.status, status)
-                elif isinstance(status, Bool3) and status.known:
-                    self._force_status(existing, status)
-            self._assert_acyclic(owner)
+        with self.store.transaction():
+            for feature, owner, value, status in cells:
+                feature = _norm_feat(feature)
+                owner = self._check_node(owner)
+                if isinstance(value, Ref):
+                    value = Ref(self._check_node(value.index))
+                existing = self._groups.get(owner, {}).get(feature)
+                if existing is None:
+                    self._install_cell(feature, owner, value, status)
+                else:
+                    self._unify_values(existing, value)
+                    if isinstance(status, VarId):
+                        self._tie_statuses(existing.status, status)
+                    elif isinstance(status, Bool3) and status.known:
+                        self._force_status(existing, status)
+                self._assert_acyclic(owner)
 
     def share(self, p1, p2, start: int = 1) -> int:
         """Make two paths end at the same node; returns its index."""
@@ -349,37 +355,33 @@ class FeatureStructure:
         have, missing = (t1, p2) if t1 is not None else (t2, p1)
         parts = _as_path(missing)
         idx = self._check_node(start)
-        for feat in parts[:-1]:
-            cell = self._groups.get(idx, {}).get(feat)
+        with self.store.transaction():
+            for feat in parts[:-1]:
+                cell = self._groups.get(idx, {}).get(feat)
+                if cell is None:
+                    cell = self._install_cell(feat, idx, Ref(self.new_node()), Bool3.UNKNOWN)
+                if not isinstance(cell.value, Ref):
+                    raise UsageError(f"path {missing!r} blocked by atom at {feat}")
+                idx = self.canon(cell.value.index)
+            last = parts[-1]
+            cell = self._groups.get(idx, {}).get(last)
             if cell is None:
-                cell = self._install_cell(feat, idx, Ref(self.new_node()), Bool3.UNKNOWN)
-            if not isinstance(cell.value, Ref):
-                raise UsageError(f"path {missing!r} blocked by atom at {feat}")
-            idx = self.canon(cell.value.index)
-        last = parts[-1]
-        cell = self._groups.get(idx, {}).get(last)
-        if cell is None:
-            self._install_cell(last, idx, Ref(have), Bool3.UNKNOWN)
-        else:
-            self._unify_values(cell, Ref(have))
-        self._assert_acyclic(idx)
+                self._install_cell(last, idx, Ref(have), Bool3.UNKNOWN)
+            else:
+                self._unify_values(cell, Ref(have))
+            self._assert_acyclic(idx)
         return self.canon(have)
 
     def _force_status(self, cell: Cell, s: Bool3) -> None:
-        mark = len(self.store._trail)
-        ok = self.store._set_bool(cell.status, s is Bool3.TRUE)
-        if ok:
-            ok = self.store.propagate()
-        if not ok:
-            self.store._undo_to(mark)
-            self.store._queue.clear()
-            self.store._queued.clear()
-            raise InconsistencyError(f"status {s.value} rejected on {cell.feature}")
-        self.store._drain_wakeups()
+        store = self.store
+        with store.transaction():
+            if not (store.set_bool(cell.status, s is Bool3.TRUE) and store.propagate()):
+                raise InconsistencyError(f"status {s.value} rejected on {cell.feature}")
 
     def set_status(self, path, s: Bool3, start: int = 1) -> Cell:
         """Constrain the status of the cell at `path` (creating a
-        valueless placeholder cell for the final step if needed)."""
+        valueless placeholder cell for the final step if needed).  All
+        or nothing: a rejected status leaves no placeholder behind."""
         parts = _as_path(path)
         if len(parts) == 1:
             idx = self._check_node(start)
@@ -388,11 +390,12 @@ class FeatureStructure:
             if not isinstance(parent, int):
                 raise UsageError(f"path {path!r} has no node at {parts[-2]}")
             idx = parent
-        cell = self._groups.get(idx, {}).get(parts[-1])
-        if cell is None:
-            cell = self._install_cell(parts[-1], idx, None, Bool3.UNKNOWN)
-        if s.known:
-            self._force_status(cell, s)
+        with self.store.transaction():
+            cell = self._groups.get(idx, {}).get(parts[-1])
+            if cell is None:
+                cell = self._install_cell(parts[-1], idx, None, Bool3.UNKNOWN)
+            if s.known:
+                self._force_status(cell, s)
         return cell
 
     def status_value(self, path, start: int = 1) -> Bool3:

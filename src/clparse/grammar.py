@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GrammarError, UsageError
 from .fstruct import parse_avm
-from .logic import And, Const, Equiv, Formula, Implies, Not, Or, Var, format_formula
+from .logic import Formula, Implies, Var, format_formula, parse_with_leaves
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,11 @@ class FCR:
     @property
     def formula(self) -> Formula:
         return Implies(self.antecedent, self.consequent)
+
+    @cached_property
+    def features(self) -> frozenset[str]:
+        """Every feature the restriction mentions."""
+        return frozenset(lit.feature for lit in self.formula.leaves())
 
     def __str__(self) -> str:
         return format_formula(self.formula, _format_literal)
@@ -164,92 +170,24 @@ def _format_literal(lit: FcrLiteral) -> str:
     return lit.feature.upper()
 
 
-_FCR_TOKEN = re.compile(
-    r"\s*(<->|->|[~&|()]|\+?[A-Za-z_][\w-]*(?:\[[A-Za-z_][\w-]*\])?)")
-_LIT = re.compile(r"\+?([A-Za-z_][\w-]*)(?:\[([A-Za-z_][\w-]*)\])?$")
+_LIT = re.compile(r"\+?([A-Za-z_][\w-]*)(?:\[([A-Za-z_][\w-]*)\])?")
 
 
-class _FcrParser:
-    """Formula over feature literals; same precedence ladder as the
-    boolean syntax (<-> weakest, then ->, |, &, ~)."""
-
-    def __init__(self, text: str):
-        self.toks: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _FCR_TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise GrammarError(f"bad fcr token at {text[pos:].strip()[:10]!r}")
-                break
-            self.toks.append(m.group(1))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise GrammarError("fcr ends unexpectedly")
-        self.pos += 1
-        return tok
-
-    def formula(self) -> Formula:
-        node = self.impl()
-        if self.peek() == "<->":
-            self.take()
-            node = Equiv(node, self.impl())
-        return node
-
-    def impl(self) -> Formula:
-        node = self.disj()
-        if self.peek() == "->":
-            self.take()
-            node = Implies(node, self.impl())
-        return node
-
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek() == "|":
-            self.take()
-            nxt = self.conj()
-            node = Or(node.args + (nxt,)) if isinstance(node, Or) else Or((node, nxt))
-        return node
-
-    def conj(self) -> Formula:
-        node = self.unary()
-        while self.peek() == "&":
-            self.take()
-            nxt = self.unary()
-            node = And(node.args + (nxt,)) if isinstance(node, And) else And((node, nxt))
-        return node
-
-    def unary(self) -> Formula:
-        tok = self.take()
-        if tok == "~":
-            return Not(self.unary())
-        if tok == "(":
-            node = self.formula()
-            if self.take() != ")":
-                raise GrammarError("fcr: missing )")
-            return node
-        m = _LIT.match(tok)
-        if not m:
-            raise GrammarError(f"fcr: bad literal {tok!r}")
-        feature, value = m.groups()
-        return Var(FcrLiteral(feature.lower(), value.lower() if value else None))
+def _fcr_literal(tok: str) -> Formula:
+    m = _LIT.fullmatch(tok)
+    if not m:
+        raise UsageError(f"bad literal {tok!r}")
+    feature, value = m.groups()
+    return Var(FcrLiteral(feature.lower(), value.lower() if value else None))
 
 
 def parse_fcr(text: str, line: int | None = None) -> FCR:
+    """Parse a restriction: the boolean syntax over feature literals
+    (`NAME`, `+NAME` or `NAME[VALUE]`), which must be an implication."""
     try:
-        p = _FcrParser(text)
-        f = p.formula()
-        if p.peek() is not None:
-            raise GrammarError(f"fcr: trailing {p.peek()!r}")
-    except GrammarError as e:
-        raise GrammarError(e.args[0], line) from None
+        f = parse_with_leaves(text, _LIT.pattern, _fcr_literal)
+    except UsageError as e:
+        raise GrammarError(f"fcr: {e}", line) from None
     if not isinstance(f, Implies):
         raise GrammarError("an fcr must be an implication", line)
     return FCR(f.lhs, f.rhs)

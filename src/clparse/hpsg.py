@@ -256,25 +256,6 @@ def post_subcat(frame, store: Store, wf: dict[str, VarId],
 
 # -- cooccurrence restrictions --------------------------------------------
 
-def _fcr_features(f: FCR) -> frozenset[str]:
-    feats: set[str] = set()
-
-    def walk(node: Formula):
-        if isinstance(node, Var):
-            feats.add(node.ref.feature)
-        elif isinstance(node, Not):
-            walk(node.arg)
-        elif isinstance(node, (And, Or)):
-            for a in node.args:
-                walk(a)
-        else:
-            walk(node.lhs)
-            walk(node.rhs)
-
-    walk(f.formula)
-    return frozenset(feats)
-
-
 def _value_guard(fs: FeatureStructure, node: int, feature: str, value: str) -> VarId:
     """Boolean variable tied to 'the cell's value equals this atom'.
     Bound now if the value is known, or when it later arrives."""
@@ -287,21 +268,15 @@ def _value_guard(fs: FeatureStructure, node: int, feature: str, value: str) -> V
             return
         if cell.feature != feature or fs.canon(cell.owner) != fs.canon(node):
             return
-        mark = len(store._trail)
-        ok = store._set_bool(var, cell.value == value)
-        if ok:
-            ok = store.propagate()
-        if not ok:
-            store._undo_to(mark)
-            store._queue.clear()
-            store._queued.clear()
-            raise InconsistencyError(f"value restriction {feature}[{value}] violated")
+        with store.transaction():
+            if not (store.set_bool(var, cell.value == value) and store.propagate()):
+                raise InconsistencyError(f"value restriction {feature}[{value}] violated")
 
     cell = fs.find(node, feature)
     if cell is not None and cell.value is not None:
         settle(cell)
     fs.value_watchers.append(settle)
-    store._trail.append(lambda: fs.value_watchers.remove(settle))
+    store.on_undo(lambda: fs.value_watchers.remove(settle))
     return var
 
 
@@ -311,7 +286,7 @@ def compile_fcr(f: FCR, fs: FeatureStructure, node: int,
     feature's status variable (a valueless placeholder cell is created
     if the feature is absent), valued literals conjoin a value guard."""
     if alphabet is not None:
-        unknown = _fcr_features(f) - alphabet
+        unknown = f.features - alphabet
         if unknown:
             raise UsageError(f"fcr names unknown features: {sorted(unknown)}")
     node = fs.canon(node)
@@ -381,8 +356,7 @@ def post_fcrs(fs: FeatureStructure, root: int, fcrs,
     carries at least one of its features."""
     for node in _reachable(fs, root):
         for f in fcrs:
-            feats = _fcr_features(f)
-            if any(fs.find(node, feat) is not None for feat in feats):
+            if any(fs.find(node, feat) is not None for feat in f.features):
                 formula = compile_fcr(f, fs, node, alphabet)
                 if not fs.store.tell(BoolConstraint(formula)):
                     raise InconsistencyError(f"cooccurrence restriction {f} violated")
@@ -592,6 +566,8 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: HpsgStats,
             fn()
         if not store.tell(bool_post(Var(root_sign.wf))):
             return None
+        if valency_of(root_sign) != ((), ()):
+            return None     # A6: the root must be saturated
     except (_Rejected, InconsistencyError):
         return None
     finally:

@@ -230,15 +230,14 @@ def enforce(
 #   impl   := or ('->' or)*          (right associative)
 #   or     := and ('|' and)*
 #   and    := unary ('&' unary)*
-#   unary  := '~' unary | '(' expr ')' | 'true' | 'false' | NAME
-
-_TOKEN = re.compile(r"\s*(<->|->|[~&|()]|[A-Za-z_][\w-]*)")
+#   unary  := '~' unary | '(' expr ')' | LEAF    (LEAF: set by a leaf rule)
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str, leaf_pattern: str) -> list[str]:
+    token = re.compile(rf"\s*(<->|->|[~&|()]|{leaf_pattern})")
     out, pos = [], 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             if text[pos:].strip():
                 raise UsageError(f"bad formula syntax near {text[pos:]!r}")
@@ -249,10 +248,10 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], env: dict[str, object]):
+    def __init__(self, tokens: list[str], leaf: Callable[[str], Formula]):
         self.toks = tokens
         self.pos = 0
-        self.env = env
+        self.leaf = leaf
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -303,22 +302,34 @@ class _Parser:
             if self.take() != ")":
                 raise UsageError("missing ')' in formula")
             return node
-        if tok == "true":
-            return Const(True)
-        if tok == "false":
-            return Const(False)
-        if tok in self.env:
-            return Var(self.env[tok])
-        raise UsageError(f"unknown boolean variable {tok!r}")
+        return self.leaf(tok)
 
 
-def parse_formula(text: str, env: dict[str, object]) -> Formula:
-    """Parse the textual boolean syntax; names resolve through `env`."""
-    parser = _Parser(_tokenize(text), env)
+def parse_with_leaves(text: str, leaf_pattern: str,
+                      leaf: Callable[[str], Formula]) -> Formula:
+    """Parse the textual boolean syntax under a leaf rule: tokens
+    matching `leaf_pattern` become `leaf(token)`.  `leaf` also sees any
+    operator token found where a leaf belongs, and must reject it."""
+    parser = _Parser(_tokenize(text, leaf_pattern), leaf)
     node = parser.expr()
     if parser.peek() is not None:
         raise UsageError(f"trailing tokens in formula: {parser.toks[parser.pos:]}")
     return node
+
+
+def parse_formula(text: str, env: dict[str, object]) -> Formula:
+    """Parse the textual boolean syntax; names resolve through `env`."""
+
+    def leaf(tok: str) -> Formula:
+        if tok == "true":
+            return Const(True)
+        if tok == "false":
+            return Const(False)
+        if tok in env:
+            return Var(env[tok])
+        raise UsageError(f"unknown boolean variable {tok!r}")
+
+    return parse_with_leaves(text, r"[A-Za-z_][\w-]*", leaf)
 
 
 def format_formula(f: Formula, name_of: Callable[[object], str] = str) -> str:

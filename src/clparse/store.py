@@ -3,7 +3,7 @@
 The store holds three kinds of variables (finite-domain, boolean status,
 sequence), incrementally described relations that model the structure
 under analysis, a FIFO propagation queue, suspended asks woken by store
-events, and a trail supporting snapshot/restore.
+events, and one trail behind snapshot/restore and transactions.
 
 Domains only shrink; what grows is the model description.  Each domain
 carries a completeness flag: until `close_domain` is called the current
@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -297,9 +298,16 @@ class Store:
     def seq_value(self, v: VarId) -> tuple | None:
         return self._state(v).seq
 
-    # -- low-level mutations (trailed) ----------------------------------
+    # -- propagator API ---------------------------------------------------
+    # Trailed single steps that do not propagate: filters call them,
+    # other layers call them inside `transaction()`.
 
-    def _prune(self, v: VarId, allowed) -> bool:
+    def on_undo(self, fn: Callable[[], None]) -> None:
+        """Trail `fn`: it runs when a restore or rollback unwinds past
+        this point."""
+        self._trail.append(fn)
+
+    def prune(self, v: VarId, allowed) -> bool:
         """Intersect v's domain with `allowed`.  False iff emptied."""
         state = self._state(v)
         old = state.domain
@@ -313,7 +321,7 @@ class Store:
         self._touch_var(v)
         return len(new) > 0
 
-    def _set_bool(self, v: VarId, flag: bool) -> bool:
+    def set_bool(self, v: VarId, flag: bool) -> bool:
         state = self._state(v)
         if state.status.known:
             return state.status is Bool3.of(flag)
@@ -323,7 +331,7 @@ class Store:
         self._touch_var(v)
         return True
 
-    def _bind_seq(self, v: VarId, value: tuple) -> bool:
+    def bind_seq(self, v: VarId, value: tuple) -> bool:
         state = self._state(v)
         if state.seq is not None:
             return state.seq == value
@@ -339,7 +347,7 @@ class Store:
             self._enqueue(c)
         self._ask_wake.append(("v", v.index))
 
-    def _mark_complete(self, v: VarId) -> None:
+    def mark_complete(self, v: VarId) -> None:
         """Flag v's domain complete and fire the closure event, without
         propagating (safe to call from inside a filter)."""
         state = self._state(v)
@@ -352,9 +360,7 @@ class Store:
         self._emit("close", v, "open", "closed")
         for w in list(self._watchers_var.get(v.index, ())):
             w.on_domain_close()
-        for c in self._watching.get(v.index, ()):
-            self._enqueue(c)
-        self._ask_wake.append(("v", v.index))
+        self._touch_var(v)
 
     def close_domain(self, v: VarId) -> bool:
         """Flag v's domain as a complete partial description.
@@ -365,11 +371,9 @@ class Store:
         if self._state(v).complete:
             return True
         mark = len(self._trail)
-        self._mark_complete(v)
+        self.mark_complete(v)
         if not self.propagate():
-            self._undo_to(mark)
-            self._queue.clear()
-            self._queued.clear()
+            self._rollback(mark)
             return False
         self._drain_wakeups()
         return True
@@ -387,9 +391,7 @@ class Store:
                 w.on_model_event()
         self._ask_wake.append(("r", id(rel)))
         if not self.propagate():
-            self._undo_to(mark)
-            self._queue.clear()
-            self._queued.clear()
+            self._rollback(mark)
             return False
         self._drain_wakeups()
         return True
@@ -468,9 +470,7 @@ class Store:
             self._enqueue(c)
             ok = self.propagate()
         if not ok:
-            self._undo_to(mark)
-            self._queue.clear()
-            self._queued.clear()
+            self._rollback(mark)
             self._emit("fail", c, "-", "-")
             return False
         self._drain_wakeups()
@@ -570,14 +570,30 @@ class Store:
             self._snapshots.pop()._live = False
         if not self._snapshots:
             raise UsageError("snapshot not on the live stack")
-        self._undo_to(snap._mark)
-        self._queue.clear()
-        self._queued.clear()
+        self._rollback(snap._mark)
         self._ask_wake.clear()
 
-    def _undo_to(self, mark: int) -> None:
+    def _rollback(self, mark: int) -> None:
+        """Undo the trail down to `mark` and drop pending propagation:
+        the one way a failed mutation is taken back."""
         while len(self._trail) > mark:
             self._trail.pop()()
+        self._queue.clear()
+        self._queued.clear()
+
+    @contextmanager
+    def transaction(self):
+        """All-or-nothing block: if the body raises, every trailed change
+        it made is undone and the exception propagates; otherwise the
+        suspended asks its events woke are re-examined.  Counters are
+        not rolled back."""
+        mark = len(self._trail)
+        try:
+            yield
+            self._drain_wakeups()
+        except BaseException:
+            self._rollback(mark)
+            raise
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
+from clparse import cli
 from clparse.cfg import parse
 from clparse.cli import main
 from clparse.grammar import load_grammar_file
@@ -115,6 +116,40 @@ def test_jobs_keep_input_order(capsys, tmp_path):
     rc1, out1, _ = run(capsys, "--grammar", TOY, "--file", str(f))
     rc2, out2, _ = run(capsys, "--grammar", TOY, "--file", str(f), "--jobs", "3")
     assert (rc1, out1) == (rc2, out2)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_two(capsys, jobs):
+    rc, out, err = run(capsys, "--grammar", TOY, "--input", SENT7, "--jobs", jobs)
+    assert rc == 2
+    assert "--jobs" in err
+    assert out == ""
+
+
+def test_jobs_capped_at_the_number_of_lines(capsys, tmp_path, monkeypatch):
+    # A fake pool: records the worker count and runs the tasks inline,
+    # so the test starts no process.
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    f = tmp_path / "sents.txt"
+    f.write_text("Nm Vb Nm\nDet Nm Vb Nm\n")
+    rc, out, _ = run(capsys, "--grammar", TOY, "--file", str(f), "--jobs", "5000")
+    assert seen == [2]
+    assert (rc, out) == run(capsys, "--grammar", TOY, "--file", str(f))[:2]
 
 
 def test_stats_go_to_stderr(capsys):

@@ -94,7 +94,7 @@ def test_size_follows_binding():
     q = s.new_seq("q")
     n = s.new_var(range(10))
     s.tell(size(q, n))
-    s._bind_seq(q, ("a", "b", "c"))
+    s.bind_seq(q, ("a", "b", "c"))
     assert s.propagate()
     assert s.value(n) == 3
 
@@ -126,7 +126,7 @@ def test_concat3_respects_bound_segments():
     b1 = s.new_var(range(5), closed=True)
     c1 = s.new_var(range(5), closed=True)
     s.tell(concat3(a, b, c, whole, a1, b1, c1))
-    s._bind_seq(b, ("a", "b"))
+    s.bind_seq(b, ("a", "b"))
     assert s.propagate()
     assert s.domain(b1) == (2,)
     assert s.domain(a1) == (0, 2)   # the two positions where "a b" occurs
@@ -182,7 +182,7 @@ def test_bool_ask_three_valued():
     q = s.new_bool("q")
     c = BoolConstraint(Implies(Var(p), Var(q)))
     assert s.ask(c) is AskResult.UNKNOWN
-    s._set_bool(p, False)
+    s.set_bool(p, False)
     assert s.ask(c) is AskResult.ENTAILED
 
 
@@ -266,7 +266,7 @@ def test_parse_bool_forms():
     assert c == BoolConstraint(Not(parse_formula("p | q", env)))
     c = parse_constraint("p <-> q", env)
     s.tell(c)
-    s._set_bool(p := env["p"], True)
+    s.set_bool(p := env["p"], True)
     assert s.propagate()
     assert s.bool_value(env["q"]) is Bool3.TRUE
     assert s.bool_value(p) is Bool3.TRUE

@@ -185,6 +185,13 @@ def test_unify_statuses_clash():
     fs.encode_node(parse_avm("[x: [+maj: n], y: [-maj: n]]"))
     with pytest.raises(InconsistencyError):
         fs.unify_nodes(fs.resolve("x"), fs.resolve("y"))
+    # all or nothing: y clashes after x has been merged and its statuses
+    # tied, and the failed unification takes both steps back
+    fs = encode(parse_avm("[a: [x: p, y: q], b: [x: p, y: r]]"))
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    with pytest.raises(InconsistencyError):
+        fs.unify_nodes(fs.resolve("a"), fs.resolve("b"))
+    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
 
 
 def test_add_fresh_and_duplicate():

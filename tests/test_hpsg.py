@@ -454,6 +454,23 @@ def test_strategies_accept_the_same_signs(toy):
     assert ta.signs_accepted == tg.signs_accepted == 1
 
 
+def test_root_must_be_saturated():
+    # A transitive verb: in "the cat sees" the subject NP can only be
+    # taken as the VP's complement, so the tree's root keeps subj [NP].
+    with open(TOY_LEX) as fh:
+        text = fh.read()
+    text = text.replace("M = {Vb};", "M = {Vb,NP};") + (
+        '\nrule VP -> Vb NP.\n'
+        'lex "sees" Vb [synsem: [loc: [cat: [head: [maj: v, vform: fin]]]]]\n'
+        '    subj [NP] subcat [NP].\n')
+    g = load_grammar(text)
+    for strategy in ("active", "gentest"):
+        signs, stats = parse_hpsg("the cat sees".split(), g, strategy=strategy)
+        assert (stats.trees_considered, stats.signs_accepted, signs) == (1, 0, ())
+        signs, _ = parse_hpsg("the cat sees the cat".split(), g, strategy=strategy)
+        assert [valency_of(s) for s in signs] == [((), ())]
+
+
 def test_active_stops_earlier_on_a_lexical_clash(toy):
     text = open(TOY_LEX).read() + "\nfcr MAJ -> ~CASE.\n"
     g = load_grammar(text)

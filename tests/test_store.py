@@ -8,15 +8,22 @@ closure) and then confirmed by independent simulation before being
 frozen here.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
+import clparse
 from clparse import (
     AskResult,
     Bool3,
+    InconsistencyError,
     Store,
     UsageError,
+    Var,
     VarId,
     all_distinct,
+    bool_post,
     daughter,
     element,
     eq,
@@ -65,15 +72,15 @@ def test_bool_and_seq_vars():
     s = Store()
     b = s.new_bool("b")
     assert s.bool_value(b) is Bool3.UNKNOWN
-    assert s._set_bool(b, True)
+    assert s.set_bool(b, True)
     assert s.bool_value(b) is Bool3.TRUE
-    assert s._set_bool(b, True)      # idempotent
-    assert not s._set_bool(b, False)  # clash
+    assert s.set_bool(b, True)      # idempotent
+    assert not s.set_bool(b, False)  # clash
     q = s.new_seq("q")
     assert s.seq_value(q) is None
-    assert s._bind_seq(q, ("a", "b"))
+    assert s.bind_seq(q, ("a", "b"))
     assert s.seq_value(q) == ("a", "b")
-    assert not s._bind_seq(q, ("a",))
+    assert not s.bind_seq(q, ("a",))
 
 
 def test_close_domain_only_fd():
@@ -430,3 +437,46 @@ def test_var_handles_hash_by_identity_not_name():
     assert twin == x and hash(twin) == hash(x)
     assert repr(x) == "x" and repr(twin) == "other"
     assert VarId(x.index, x.store_id + 1, x.kind) != x
+
+
+def test_transaction_takes_back_everything_on_a_raise():
+    s = Store()
+    x = s.new_var([1, 2, 3], closed=True)
+    b = s.new_bool()
+    undone = []
+    before = s.fingerprint()
+    with pytest.raises(InconsistencyError):
+        with s.transaction():
+            assert s.tell(eq(x, 2))
+            s.new_var([7])
+            with s.transaction():      # an inner block commits into the outer one
+                assert s.set_bool(b, True)
+            s.on_undo(lambda: undone.append("trailed"))
+            raise InconsistencyError("late clash")
+    assert s.fingerprint() == before
+    assert undone == ["trailed"]
+    with s.transaction():              # a clean exit keeps everything
+        assert s.tell(eq(x, 3))
+    assert s.value(x) == 3
+
+
+def test_transaction_wakes_suspended_asks_on_exit():
+    s = Store()
+    b = s.new_bool()
+    fired = []
+    s.post_ask(bool_post(Var(b)), fired.append)
+    with s.transaction():
+        assert s.set_bool(b, True)
+        assert fired == []             # set_bool does not propagate or wake
+    assert fired == [AskResult.ENTAILED]
+
+
+def test_only_the_store_touches_its_internals():
+    # Constraints, feature structures and signs go through the public
+    # propagator API and `transaction()`, never through store._x.
+    src = Path(clparse.__file__).parent
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(src.glob("*.py")) if path.name != "store.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"store\._[a-z]", line)]
+    assert offenders == []
