@@ -22,12 +22,11 @@ against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .constraints import concat3, element, eq
 from .errors import UsageError
 from .grammar import Grammar
-from .store import Store
+from .store import Stats, Store
 
 # One reduction: (lhs, matched window).  A derivation is a step tuple,
 # in reduction order; replaying it over the input yields <start>.
@@ -38,18 +37,8 @@ Derivation = tuple[Step, ...]
 Tree = tuple
 
 
-@dataclass
-class ParseStats:
-    windows_tried: int = 0
-    reductions_applied: int = 0
-    backtracks: int = 0
-    completeness_tests: int = 0
-    propagation_steps: int = 0
-    ask_evaluations: int = 0
-
-
 def parse(cats, g: Grammar, *, limit: int | None = None,
-          strategy: str = "active", trace=None) -> tuple[tuple[Derivation, ...], ParseStats]:
+          strategy: str = "active", trace=None) -> tuple[tuple[Derivation, ...], Stats]:
     """All derivations of the category sequence, with search statistics."""
     cats = tuple(cats)
     if not cats:
@@ -58,7 +47,7 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
         g.category(c)
     if strategy not in ("active", "gentest"):
         raise UsageError(f"unknown strategy {strategy!r}")
-    stats = ParseStats()
+    stats = Stats()
     if limit is not None and limit <= 0:
         return (), stats
     out: list[Derivation] = []
@@ -120,9 +109,7 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
                             pairs.append((va, vb))
                         st.restore(snap_b)
                 st.restore(snap_a)
-        stats.completeness_tests += st.counters.completeness_tests
-        stats.propagation_steps += st.counters.propagation_steps
-        stats.ask_evaluations += st.counters.ask_evaluations
+        stats.merge(st.counters)
         splits[l] = tuple(pairs)
         return splits[l]
 

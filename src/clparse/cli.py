@@ -15,14 +15,13 @@ import io
 import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 from .cfg import derivations_to_tree, format_derivation, parse
 from .errors import GrammarError, UsageError
 from .grammar import Grammar, load_grammar_file
 from .hpsg import parse_hpsg, sign_dump
-
-STAT_KEYS = ("windows_tried", "reductions", "backtracks",
-             "completeness_tests", "propagation_steps", "ask_evaluations")
+from .store import Stats
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,32 +77,18 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
         raise UsageError("empty sentence")
     buf = io.StringIO() if traced else None
     trace = (lambda s: buf.write(s + "\n")) if traced else None
-    stats = dict.fromkeys(STAT_KEYS, 0)
 
     if mode == "hpsg":
-        signs, hs = parse_hpsg(tokens, g, strategy=strategy, limit=limit,
-                               trace=trace)
-        stats["windows_tried"] = hs.windows_tried
-        stats["reductions"] = hs.reductions_applied
-        stats["backtracks"] = hs.backtracks
-        stats["completeness_tests"] = hs.completeness_tests
-        stats["propagation_steps"] = hs.propagation_steps
-        stats["ask_evaluations"] = hs.ask_evaluations
-        stats["expansions"] = hs.expansions
-        stats["trees_considered"] = hs.trees_considered
-        stats["signs_accepted"] = hs.signs_accepted
+        signs, stats = parse_hpsg(tokens, g, strategy=strategy, limit=limit,
+                                  trace=trace)
         text = "\n\n".join(sign_dump(s) for s in signs)
         return text, len(signs), stats, buf.getvalue() if buf else ""
 
+    stats = Stats()
     found = []
     for cats in _taggings(tokens, g):
         derivs, ps = parse(cats, g, strategy=strategy, trace=trace)
-        stats["windows_tried"] += ps.windows_tried
-        stats["reductions"] += ps.reductions_applied
-        stats["backtracks"] += ps.backtracks
-        stats["completeness_tests"] += ps.completeness_tests
-        stats["propagation_steps"] += ps.propagation_steps
-        stats["ask_evaluations"] += ps.ask_evaluations
+        stats.merge(ps)
         found.extend((cats, d) for d in derivs)
     if dedupe:
         trees, kept = [], []
@@ -169,7 +154,7 @@ def main(argv=None) -> int:
 
     headers = len(lines) > 1
     any_empty = False
-    totals: dict[str, int] = {}
+    totals = Stats()
     for line, (status, payload) in zip(lines, results):
         if status == "usage":
             print(f"clparse: {payload}", file=sys.stderr)
@@ -185,11 +170,10 @@ def main(argv=None) -> int:
             print()
         if n == 0:
             any_empty = True
-        for key, value in stats.items():
-            totals[key] = totals.get(key, 0) + value
+        totals.merge(stats)
 
     if args.stats:
-        for key, value in totals.items():
+        for key, value in asdict(totals).items():
             print(f"{key} {value}", file=sys.stderr)
     return 1 if any_empty else 0
 

@@ -29,7 +29,7 @@ from .errors import InconsistencyError, UsageError
 from .fstruct import Bool3, Cell, FeatureStructure, Ref
 from .grammar import FCR, FcrLiteral, Grammar, LexEntry
 from .logic import And, Formula, Implies, Not, Or, Var, conj
-from .store import AskResult, Store, VarId
+from .store import AskResult, Stats, Store, VarId
 
 SLOTS = ("head_dtr", "filler_dtr", "marker_dtr", "subj_dtr",
          "comp_dtrs", "conj_dtrs", "adj_dtrs")
@@ -75,28 +75,20 @@ class DtrsSchema:
     slot_vars: tuple[VarId, ...]
 
 
-@dataclass
-class HpsgStats:
-    windows_tried: int = 0
-    reductions_applied: int = 0
-    backtracks: int = 0
-    trees_considered: int = 0
-    expansions: int = 0
-    signs_accepted: int = 0
-    completeness_tests: int = 0
-    propagation_steps: int = 0
-    ask_evaluations: int = 0
-
-
 # -- valency ------------------------------------------------------------
+
+def _valency(fs: FeatureStructure, node: int) -> tuple[tuple, tuple]:
+    """The subj and comps lists of the sign at `node` (empty when unset)."""
+    out = []
+    for feat in ("subj", "comps"):
+        cell = fs.lookup(CAT_PATH + (feat,), node)
+        out.append(tuple(cell.value) if cell is not None and cell.value else ())
+    return tuple(out)
+
 
 def valency_of(sign: Sign) -> tuple[tuple, tuple]:
     """The sign's current subj and comps lists (empty when unset)."""
-    out = []
-    for feat in ("subj", "comps"):
-        cell = sign.fs.lookup(CAT_PATH + (feat,), sign.root)
-        out.append(tuple(cell.value) if cell is not None and cell.value else ())
-    return tuple(out)
+    return _valency(sign.fs, sign.root)
 
 
 def _cancel(head_list, realized, which: str):
@@ -112,21 +104,22 @@ def _cancel(head_list, realized, which: str):
 
 
 def _split_realized(head_subj, head_comps, sisters):
-    """Assign sister categories to the head's lists, complements first.
-    Returns (realized_subj, realized_comps, mother_subj, mother_comps)."""
+    """Assign the sisters, (category, sign) pairs, to the head's lists,
+    complements first.  Returns (subj_pairs, comp_pairs, mother_subj,
+    mother_comps)."""
     rem_c, rem_s = list(head_comps), list(head_subj)
     comps_r, subj_r = [], []
-    for cat in sisters:
+    for cat, sign in sisters:
         if cat in rem_c:
             rem_c.remove(cat)
-            comps_r.append(cat)
+            comps_r.append((cat, sign))
         elif cat in rem_s:
             rem_s.remove(cat)
-            subj_r.append(cat)
+            subj_r.append((cat, sign))
         else:
             raise InconsistencyError(f"{cat} is not subcategorized by the head")
-    mother_comps = _cancel(head_comps, comps_r, "comps")
-    mother_subj = _cancel(head_subj, subj_r, "subj")
+    mother_comps = _cancel(head_comps, tuple(c for c, _ in comps_r), "comps")
+    mother_subj = _cancel(head_subj, tuple(c for c, _ in subj_r), "subj")
     return tuple(subj_r), tuple(comps_r), mother_subj, mother_comps
 
 
@@ -172,10 +165,9 @@ def check_local_tree(t: LocalTree, g: Grammar) -> TreeCheck:
 
     hi = _head_index(t.root, t.daughters, g)
     if hi is not None and t.daughters[hi][1] is not None:
-        head_subj, head_comps = valency_of(t.daughters[hi][1])
-        sisters = cats[:hi] + cats[hi + 1:]
+        sisters = t.daughters[:hi] + t.daughters[hi + 1:]
         try:
-            _split_realized(head_subj, head_comps, sisters)
+            _split_realized(*valency_of(t.daughters[hi][1]), sisters)
         except InconsistencyError as e:
             violations.append(Violation("valency", str(e)))
 
@@ -412,12 +404,9 @@ def apply_valency(fs: FeatureStructure, root: int, *,
     cat = fs.resolve(CAT_PATH, root)
     if not isinstance(cat, int):
         raise UsageError("mother sign has no category node")
-    lists = []
-    for feat in ("subj", "comps"):
-        cell = fs.lookup(CAT_PATH + (feat,), head)
-        lists.append(tuple(cell.value) if cell is not None and cell.value else ())
-    mother_subj = _cancel(lists[0], tuple(realized_subj), "subj")
-    mother_comps = _cancel(lists[1], tuple(realized_comps), "comps")
+    head_subj, head_comps = _valency(fs, head)
+    mother_subj = _cancel(head_subj, tuple(realized_subj), "subj")
+    mother_comps = _cancel(head_comps, tuple(realized_comps), "comps")
     fs.add((("subj", cat, mother_subj, Bool3.TRUE),
             ("comps", cat, mother_comps, Bool3.TRUE)))
     return fs
@@ -468,7 +457,7 @@ class _Rejected(Exception):
     pass
 
 
-def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: HpsgStats,
+def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
                 alphabet: frozenset[str], trace=None) -> Sign | None:
     store = Store(trace=trace)
     fs = FeatureStructure(store)
@@ -512,30 +501,20 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: HpsgStats,
         if hi is None:
             hi = 0   # headless trees fail the projection gate anyway
         head = dsigns[hi]
-        sisters = [(cat, s) for k, (cat, s) in enumerate(daughters) if k != hi]
-        head_subj, head_comps = valency_of(head)
-        subj_r, comps_r, _, _ = _split_realized(
-            head_subj, head_comps, tuple(cat for cat, _ in sisters))
-        rem_c, rem_s = list(comps_r), list(subj_r)
-        comp_pairs, subj_signs = [], []
-        for cat, s in sisters:
-            if cat in rem_c:
-                rem_c.remove(cat)
-                comp_pairs.append((cat, s))
-            else:
-                rem_s.remove(cat)
-                subj_signs.append(s)
-        comp_signs = [s for _, s in comp_pairs]
+        subj_pairs, comp_pairs, _, _ = _split_realized(
+            *valency_of(head), daughters[:hi] + daughters[hi + 1:])
 
         mother = _mother_sign(fs, label)
         parts.append((label, mother.root, mother.wf))
         schema = attach_daughters(fs, mother, head,
-                                  subj=subj_signs, comps=comp_signs)
+                                  subj=[s for _, s in subj_pairs],
+                                  comps=[s for _, s in comp_pairs])
         if not post_unicity(schema, store):
             raise InconsistencyError("daughter slots are not distinct")
         apply_hfp(fs, mother.root)
         apply_valency(fs, mother.root,
-                      realized_subj=subj_r, realized_comps=comps_r)
+                      realized_subj=tuple(cat for cat, _ in subj_pairs),
+                      realized_comps=tuple(cat for cat, _ in comp_pairs))
 
         frame = g.frames.get(label)
         if frame is not None:
@@ -571,16 +550,14 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: HpsgStats,
     except (_Rejected, InconsistencyError):
         return None
     finally:
-        stats.completeness_tests += store.counters.completeness_tests
-        stats.propagation_steps += store.counters.propagation_steps
-        stats.ask_evaluations += store.counters.ask_evaluations
+        stats.merge(store.counters)
 
     root_sign.parts = tuple(parts)
     return root_sign
 
 
 def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
-               limit: int | None = None, trace=None) -> tuple[tuple[Sign, ...], HpsgStats]:
+               limit: int | None = None, trace=None) -> tuple[tuple[Sign, ...], Stats]:
     """Look words up, parse each tagging, and build signs for every
     distinct tree; returns the consistent root signs."""
     words = tuple(words)
@@ -589,7 +566,7 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
     if strategy not in ("active", "gentest"):
         raise UsageError(f"unknown strategy {strategy!r}")
     if limit is not None and limit <= 0:
-        return (), HpsgStats()
+        return (), Stats()
     choices = []
     for w in words:
         entries = g.entries(w)
@@ -597,18 +574,13 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
             raise UsageError(f"unknown word {w!r}")
         choices.append(entries)
     alphabet = feature_alphabet(g)
-    stats = HpsgStats()
+    stats = Stats()
     signs: list[Sign] = []
 
     for tagging in itertools.product(*choices):
         cats = tuple(e.category for e in tagging)
         derivs, cfg_stats = parse(cats, g, strategy=strategy, trace=trace)
-        stats.windows_tried += cfg_stats.windows_tried
-        stats.reductions_applied += cfg_stats.reductions_applied
-        stats.backtracks += cfg_stats.backtracks
-        stats.completeness_tests += cfg_stats.completeness_tests
-        stats.propagation_steps += cfg_stats.propagation_steps
-        stats.ask_evaluations += cfg_stats.ask_evaluations
+        stats.merge(cfg_stats)
         trees = []
         for d in derivs:
             tree = derivations_to_tree(d, cats)

@@ -13,8 +13,9 @@ once every participating domain is complete; the recursive completeness
 check is instrumented so the documented worst-case re-check schedule can
 be measured exactly.
 
-Counters (completeness tests, propagation steps, ask evaluations) are
-cumulative: restore never rolls them back.
+Work counts (completeness tests, propagation steps, ask evaluations) go
+to `Store.counters`, a `Stats` record, and are cumulative: restore never
+rolls them back.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import enum
 import itertools
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from .errors import UsageError
+from .errors import InconsistencyError, UsageError
 from .logic import Bool3
 
 
@@ -58,13 +59,22 @@ class VarId:
 
 
 @dataclass
-class Counters:
+class Stats:
+    """Work counts of a store, a parse or a sentence; `merge` sums two."""
+
+    windows_tried: int = 0
+    reductions_applied: int = 0
+    backtracks: int = 0
+    trees_considered: int = 0
+    expansions: int = 0
+    signs_accepted: int = 0
     completeness_tests: int = 0
     propagation_steps: int = 0
     ask_evaluations: int = 0
 
-    def copy(self) -> "Counters":
-        return replace(self)
+    def merge(self, other: "Stats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class AskResult(enum.Enum):
@@ -240,7 +250,7 @@ class Store:
         self._watchers_rel: dict[int, list[_ResolvabilityWatcher]] = {}
         self._watchers_var: dict[int, list[_ResolvabilityWatcher]] = {}
         self._resolved: set = set()
-        self.counters = Counters()
+        self.counters = Stats()
         self._trace = trace
 
     # -- variables ----------------------------------------------------
@@ -372,11 +382,7 @@ class Store:
             return True
         mark = len(self._trail)
         self.mark_complete(v)
-        if not self.propagate():
-            self._rollback(mark)
-            return False
-        self._drain_wakeups()
-        return True
+        return self._settle(mark)
 
     # -- relations ------------------------------------------------------
 
@@ -390,11 +396,7 @@ class Store:
             for w in list(self._watchers_rel.get(id(rel), ())):
                 w.on_model_event()
         self._ask_wake.append(("r", id(rel)))
-        if not self.propagate():
-            self._rollback(mark)
-            return False
-        self._drain_wakeups()
-        return True
+        return self._settle(mark)
 
     # -- resolvability ----------------------------------------------------
 
@@ -465,16 +467,14 @@ class Store:
             elif not c.key_vars:
                 watcher.on_model_event()
         self._emit("post", c, "-", "-")
-        ok = c.post(self)
-        if ok:
+        if c.post(self):
             self._enqueue(c)
-            ok = self.propagate()
-        if not ok:
+            if self._settle(mark):
+                return True
+        else:
             self._rollback(mark)
-            self._emit("fail", c, "-", "-")
-            return False
-        self._drain_wakeups()
-        return True
+        self._emit("fail", c, "-", "-")
+        return False
 
     def ask(self, c) -> AskResult:
         """Query entailment without changing the description.
@@ -561,7 +561,7 @@ class Store:
 
     def restore(self, snap: Snapshot) -> None:
         """Rewind to `snap` (which stays live; younger snapshots die).
-        Counters are not rolled back."""
+        The counters are not rolled back."""
         if snap._store is not self:
             raise UsageError("snapshot belongs to a different store")
         if not snap._live:
@@ -572,6 +572,23 @@ class Store:
             raise UsageError("snapshot not on the live stack")
         self._rollback(snap._mark)
         self._ask_wake.clear()
+
+    def _settle(self, mark: int) -> bool:
+        """Propagate, then re-ask the suspended asks woken since trail
+        `mark`.  On inconsistency (a failing filter, or a woken callback
+        raising InconsistencyError) undo to `mark` and return False; any
+        other exception is re-raised after the same undo."""
+        try:
+            if self.propagate():
+                self._drain_wakeups()
+                return True
+        except InconsistencyError:
+            pass
+        except BaseException:
+            self._rollback(mark)
+            raise
+        self._rollback(mark)
+        return False
 
     def _rollback(self, mark: int) -> None:
         """Undo the trail down to `mark` and drop pending propagation:
@@ -585,7 +602,7 @@ class Store:
     def transaction(self):
         """All-or-nothing block: if the body raises, every trailed change
         it made is undone and the exception propagates; otherwise the
-        suspended asks its events woke are re-examined.  Counters are
+        suspended asks its events woke are re-examined.  The counters are
         not rolled back."""
         mark = len(self._trail)
         try:

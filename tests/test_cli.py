@@ -1,14 +1,18 @@
+import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import clparse
 from clparse import cli
 from clparse.cfg import parse
 from clparse.cli import main
 from clparse.grammar import load_grammar_file
 from clparse.hpsg import parse_hpsg
+from clparse.store import Store
 
 TOY = "grammars/toy.clg"
 TOY_LEX = "grammars/toy_lex.clg"
@@ -113,9 +117,17 @@ def test_file_input_with_headers(capsys, tmp_path):
 def test_jobs_keep_input_order(capsys, tmp_path):
     f = tmp_path / "sents.txt"
     f.write_text("Det Nm Vb Det Nm Prep Nm\nNm Vb Nm\nDet Nm Vb Nm\n")
-    rc1, out1, _ = run(capsys, "--grammar", TOY, "--file", str(f))
-    rc2, out2, _ = run(capsys, "--grammar", TOY, "--file", str(f), "--jobs", "3")
+    rc1, out1, err1 = run(capsys, "--grammar", TOY, "--file", str(f), "--stats")
+    rc2, out2, err2 = run(capsys, "--grammar", TOY, "--file", str(f), "--jobs", "3",
+                          "--stats")
     assert (rc1, out1) == (rc2, out2)
+    # --stats sums every field over the lines, in field order, however
+    # many workers parsed them
+    assert err1 == err2
+    g = load_grammar_file(TOY)
+    per_line = [asdict(parse(line.split(), g)[1]) for line in f.read_text().splitlines()]
+    assert err1.splitlines() == [f"{key} {sum(s[key] for s in per_line)}"
+                                 for key in per_line[0]]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -217,9 +229,15 @@ def test_stats_equal_library_counters(capsys):
          parse_hpsg("the cat sleeps".split(), load_grammar_file(TOY_LEX))[1]),
     )
     for argv, lib_stats in cases:
+        assert type(lib_stats) is clparse.Stats
         rc, _, err = run(capsys, *argv, "--stats")
         assert rc == 0
         want = asdict(lib_stats)
-        want["reductions"] = want.pop("reductions_applied")
         assert want["propagation_steps"] > 0
         assert {key: int(value) for key, value in map(str.split, err.splitlines())} == want
+    # one stats type: the store, both parsers and the CLI share it
+    assert type(Store().counters) is clparse.Stats
+    src = Path(clparse.__file__).parent
+    assert [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"ParseStats|HpsgStats|Counters\b|STAT_KEYS", line)] == []

@@ -136,13 +136,13 @@ def test_cancellation_is_suffixwise():
 
 
 def test_split_realized_prefers_complements():
-    split = _split_realized(("NP",), ("Det", "PP"), ("PP", "NP"))
-    assert split == (("NP",), ("PP",), (), ("Det",))
+    split = _split_realized(("NP",), ("Det", "PP"), (("PP", None), ("NP", None)))
+    assert split == ((("NP", None),), (("PP", None),), (), ("Det",))
 
 
 def test_split_realized_rejects_strangers():
     with pytest.raises(InconsistencyError):
-        _split_realized((), (), ("PP",))
+        _split_realized((), (), (("PP", None),))
 
 
 def test_valency_of_defaults_to_empty(toy):
@@ -353,6 +353,30 @@ def test_hfp_waits_for_all_nine_statuses():
     assert st.bool_value(cell.status) is Bool3.TRUE
     assert fs.canon(cell.value.index) == fs.resolve(
         ("dtrs", "head_dtr") + CAT + ("head",), root)
+
+
+def test_a_clash_in_a_woken_share_fails_the_tell():
+    # The mother's cat already has head x, so the share woken by the
+    # ninth guard status clashes inside the ask's callback.  The tell
+    # that woke it returns False and takes everything back, its own
+    # status included.
+    st, fs = fresh()
+    root = fs.encode_node({
+        "synsem": {"loc": {"cat": {"head": "x"}}},
+        "dtrs": {"head_dtr": {"synsem": {"loc": {"cat": {"head": {"maj": "v"}}}}}},
+    }, default_status=Bool3.UNKNOWN)
+    apply_hfp(fs, root)
+    paths = ("synsem", "synsem.loc", "synsem.loc.cat",
+             "dtrs", "dtrs.head_dtr", "dtrs.head_dtr.synsem",
+             "dtrs.head_dtr.synsem.loc", "dtrs.head_dtr.synsem.loc.cat",
+             "dtrs.head_dtr.synsem.loc.cat.head")
+    statuses = [fs.lookup(tuple(path.split(".")), root).status for path in paths]
+    for status in statuses[:-1]:
+        assert st.tell(bool_post(Var(status)))
+    before = st.fingerprint(), fs.dump(statuses=True)
+    assert st.tell(bool_post(Var(statuses[-1]))) is False
+    assert (st.fingerprint(), fs.dump(statuses=True)) == before
+    assert st.bool_value(statuses[-1]) is Bool3.UNKNOWN
 
 
 def test_hfp_does_not_fire_on_a_false_guard():
