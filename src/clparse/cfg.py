@@ -60,8 +60,11 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
             out.append(steps)
             stop = limit is not None and len(out) >= limit
         if not stop:
-            scan = _scan_active if strategy == "active" else _scan_blind
-            stop = scan(seq, steps, unary_seen)
+            for va, vb in windows(seq):
+                stats.windows_tried += 1
+                if try_window(seq, va, seq[va:va + vb], steps, unary_seen):
+                    stop = True
+                    break
         if len(out) == produced:
             stats.backtracks += 1
         return stop
@@ -81,17 +84,23 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
                 return True
         return False
 
-    # Admissible (a1, b1) splits per sequence length, in scan order.  With
-    # the segments unbound, Concat3 prunes the sizes by arithmetic on |s|
-    # alone and its slice bindings cannot fail, so one solve serves every
-    # sequence of that length.  Local to this call, so the store counters
-    # of a call never depend on earlier calls.
-    splits: dict[int, tuple[tuple[int, int], ...]] = {}
+    # The (origin, size) windows per sequence length, in scan order.
+    # Local to this call, so the store counters of a call never depend
+    # on earlier calls.
+    table: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def windows(seq) -> tuple[tuple[int, int], ...]:
+        l = len(seq)
+        if l not in table:
+            table[l] = admissible_splits(seq) if strategy == "active" else tuple(
+                (va, vb) for va in range(l) for vb in range(1, l - va + 1))
+        return table[l]
 
     def admissible_splits(seq) -> tuple[tuple[int, int], ...]:
+        # With the segments unbound, Concat3 prunes the sizes by
+        # arithmetic on |s| alone and its slice bindings cannot fail, so
+        # one solve serves every sequence of that length.
         l = len(seq)
-        if l in splits:
-            return splits[l]
         st = Store(trace=trace)
         a1 = st.new_var(range(l + 1), name="a1")
         b1 = st.new_var(range(1, l + 1), name="b1")
@@ -110,24 +119,7 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
                         st.restore(snap_b)
                 st.restore(snap_a)
         stats.merge(st.counters)
-        splits[l] = tuple(pairs)
-        return splits[l]
-
-    def _scan_active(seq, steps, unary_seen) -> bool:
-        for va, vb in admissible_splits(seq):
-            stats.windows_tried += 1
-            if try_window(seq, va, seq[va:va + vb], steps, unary_seen):
-                return True
-        return False
-
-    def _scan_blind(seq, steps, unary_seen) -> bool:
-        l = len(seq)
-        for va in range(l):
-            for vb in range(1, l - va + 1):
-                stats.windows_tried += 1
-                if try_window(seq, va, seq[va:va + vb], steps, unary_seen):
-                    return True
-        return False
+        return tuple(pairs)
 
     node(cats, (), frozenset())
     return tuple(out), stats
@@ -197,6 +189,15 @@ def derivations_to_tree(derivation, cats) -> Tree:
     if tree is None:
         raise UsageError("derivation does not replay over the input")
     return tree
+
+
+def distinct_trees(derivations, cats) -> dict[Tree, Derivation]:
+    """Each distinct tree of the derivations over `cats`, mapped to the
+    first derivation that gives it, in first-seen order."""
+    trees: dict[Tree, Derivation] = {}
+    for d in derivations:
+        trees.setdefault(derivations_to_tree(d, cats), d)
+    return trees
 
 
 def tree_leaves(tree: Tree) -> tuple[str, ...]:

@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
-from .cfg import derivations_to_tree, format_derivation, parse
+from .cfg import distinct_trees, format_derivation, parse
 from .errors import GrammarError, UsageError
 from .grammar import Grammar, load_grammar_file
 from .hpsg import parse_hpsg, sign_dump
@@ -89,18 +89,11 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
     for cats in _taggings(tokens, g):
         derivs, ps = parse(cats, g, strategy=strategy, trace=trace)
         stats.merge(ps)
-        found.extend((cats, d) for d in derivs)
-    if dedupe:
-        trees, kept = [], []
-        for cats, d in found:
-            tree = derivations_to_tree(d, cats)
-            if tree not in trees:
-                trees.append(tree)
-                kept.append((cats, d))
-        found = kept
+        # a tree's leaves are its tagging, so no tree repeats across taggings
+        found.extend(distinct_trees(derivs, cats).values() if dedupe else derivs)
     if limit is not None:
         found = found[:limit]
-    text = "\n".join(format_derivation(d) for _, d in found)
+    text = "\n".join(format_derivation(d) for d in found)
     return text, len(found), stats, buf.getvalue() if buf else ""
 
 
@@ -119,9 +112,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    if args.jobs < 1:
-        print("clparse: --jobs must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value in (("--jobs", args.jobs), ("--limit", args.limit)):
+        if value is not None and value < 1:
+            print(f"clparse: {flag} must be at least 1", file=sys.stderr)
+            return 2
 
     try:
         g = load_grammar_file(args.grammar)

@@ -78,9 +78,8 @@ class FeatureStructure:
     whatever is encoded first; independent signs live side by side in
     the same structure under their own root indices."""
 
-    def __init__(self, store: Store, list_features=LIST_FEATURES):
+    def __init__(self, store: Store):
         self.store = store
-        self.list_features = frozenset(_norm_feat(f) for f in list_features)
         self._groups: dict[int, dict[str, Cell]] = {}
         self._n_nodes = 0
         self._redirect: dict[int, int] = {}
@@ -138,7 +137,7 @@ class FeatureStructure:
         group = self._groups.setdefault(owner, {})
         if feature in group:
             raise UsageError(f"node {owner} already has {feature}")
-        if isinstance(value, tuple) and feature not in self.list_features:
+        if isinstance(value, tuple) and feature not in LIST_FEATURES:
             raise UsageError(f"{feature} is not list-valued")
         cell = Cell(feature, owner, value, self._new_status(feature, owner, status))
         group[feature] = cell

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .cfg import derivations_to_tree, parse
+from .cfg import distinct_trees, parse
 from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
 from .errors import InconsistencyError, UsageError
 from .fstruct import Bool3, Cell, FeatureStructure, Ref
@@ -181,8 +181,7 @@ def check_local_tree(t: LocalTree, g: Grammar) -> TreeCheck:
 # -- daughter slots -----------------------------------------------------
 
 def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
-                     subj=(), comps=(), filler=None, marker=None,
-                     conj_dtrs=(), adj_dtrs=()) -> DtrsSchema:
+                     subj=(), comps=()) -> DtrsSchema:
     """Build the mother's dtrs node.  Occupied slots get a finite-domain
     variable over the sign's root index so distinctness can be posted
     before anything else looks at the slots."""
@@ -203,20 +202,12 @@ def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
     if subj:
         occupy("subj_dtr", subj[0])
         fs.add((("subj_dtr", dtrs, Ref(subj[0].root), Bool3.TRUE),))
-    if filler is not None:
-        occupy("filler_dtr", filler)
-        fs.add((("filler_dtr", dtrs, Ref(filler.root), Bool3.TRUE),))
-    if marker is not None:
-        occupy("marker_dtr", marker)
-        fs.add((("marker_dtr", dtrs, Ref(marker.root), Bool3.TRUE),))
-    for name, group in (("comp_dtrs", comps), ("conj_dtrs", conj_dtrs),
-                        ("adj_dtrs", adj_dtrs)):
-        if group:
-            slots[name] = tuple(group)
-            for k, sign in enumerate(group):
-                slot_vars.append(store.new_var([fs.canon(sign.root)],
-                                               name=f"dtr:{name}[{k}]"))
-            fs.add(((name, dtrs, tuple(Ref(s.root) for s in group), Bool3.TRUE),))
+    if comps:
+        slots["comp_dtrs"] = tuple(comps)
+        for k, sign in enumerate(comps):
+            slot_vars.append(store.new_var([fs.canon(sign.root)],
+                                           name=f"dtr:comp_dtrs[{k}]"))
+        fs.add((("comp_dtrs", dtrs, tuple(Ref(s.root) for s in comps), Bool3.TRUE),))
     return DtrsSchema(dtrs, slots, tuple(slot_vars))
 
 
@@ -581,12 +572,7 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
         cats = tuple(e.category for e in tagging)
         derivs, cfg_stats = parse(cats, g, strategy=strategy, trace=trace)
         stats.merge(cfg_stats)
-        trees = []
-        for d in derivs:
-            tree = derivations_to_tree(d, cats)
-            if tree not in trees:
-                trees.append(tree)
-        for tree in trees:
+        for tree in distinct_trees(derivs, cats):
             stats.trees_considered += 1
             sign = _build_tree(tree, tagging, g, strategy, stats, alphabet, trace)
             if sign is not None:

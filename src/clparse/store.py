@@ -99,16 +99,17 @@ class Snapshot:
     snapshot taken after it (LIFO unwind); restoring to a dead snapshot
     is a usage error."""
 
-    __slots__ = ("_store", "_mark", "_live")
+    __slots__ = ("_store", "_mark")
 
-    def __init__(self, store: "Store", mark: int):
+    def __init__(self, store: "Store", mark: tuple[int, int]):
         self._store = store
         self._mark = mark
-        self._live = True
 
     @property
     def live(self) -> bool:
-        return self._live
+        # From the top: restored snapshots stay live, so the stack keeps
+        # growing, and a restore's target is near its top.
+        return any(s is self for s in reversed(self._store._snapshots))
 
 
 class PendingAsk:
@@ -137,12 +138,12 @@ class Relation:
         self._store = store
         self.name = name
         self.arity = arity
-        self._facts: set[tuple] = set()
         self._groups: dict[tuple, dict] = {}
         self._closed: set[tuple] = set()
 
     def __contains__(self, fact) -> bool:
-        return tuple(fact) in self._facts
+        fact = tuple(fact)
+        return len(fact) == self.arity and fact[0] in self._groups.get(fact[1:], ())
 
     def group(self, key: tuple) -> tuple:
         return tuple(self._groups.get(tuple(key), ()))
@@ -157,17 +158,15 @@ class Relation:
         key = fact[1:]
         if key in self._closed:
             raise UsageError(f"group {key} of {self.name} is closed")
-        if fact in self._facts:
+        if fact in self:
             return True
         st = self._store
-        mark = len(st._trail)
-        self._facts.add(fact)
+        mark = st._mark()
         bucket = self._groups.setdefault(key, {})
         fresh_bucket = len(bucket) == 0
         bucket[fact[0]] = None
 
         def undo():
-            self._facts.discard(fact)
             bucket.pop(fact[0], None)
             if fresh_bucket:
                 self._groups.pop(key, None)
@@ -175,7 +174,7 @@ class Relation:
         st._trail.append(undo)
         if st._trace:
             st._emit("fact", self.name, "-", repr(fact))
-        return st._after_model_event(self, key, mark, closure=False)
+        return st._after_model_event(self, mark, closure=False)
 
     def close_group(self, *key) -> bool:
         """Declare the image under `key` complete.  Returns consistency."""
@@ -185,12 +184,12 @@ class Relation:
         if key in self._closed:
             return True
         st = self._store
-        mark = len(st._trail)
+        mark = st._mark()
         self._closed.add(key)
         st._trail.append(lambda: self._closed.discard(key))
         if st._trace:
             st._emit("close_group", self.name, "open", repr(key))
-        return st._after_model_event(self, key, mark, closure=True)
+        return st._after_model_event(self, mark, closure=True)
 
 
 class _ResolvabilityWatcher:
@@ -203,12 +202,11 @@ class _ResolvabilityWatcher:
     unless that very closure was the waking event.
     """
 
-    __slots__ = ("store", "constraint", "resolved")
+    __slots__ = ("store", "constraint")
 
     def __init__(self, store: "Store", constraint):
         self.store = store
         self.constraint = constraint
-        self.resolved = False
 
     def on_model_event(self) -> None:
         self._attempt(domain_event=False)
@@ -220,11 +218,9 @@ class _ResolvabilityWatcher:
         # otherwise the induced joint domain is still open: no event yet
 
     def _attempt(self, domain_event: bool) -> None:
-        if self.resolved:
+        if self.constraint in self.store._resolved:
             return
         if self.store._recheck_resolvability(self.constraint, domain_event):
-            self.resolved = True
-            self.store._trail.append(lambda: setattr(self, "resolved", False))
             self.store._resolved.add(self.constraint)
             self.store._trail.append(lambda: self.store._resolved.discard(self.constraint))
             self.store._enqueue(self.constraint)
@@ -239,8 +235,7 @@ class Store:
         self._next_var = itertools.count(1)
         self._trail: list[Callable[[], None]] = []
         self._snapshots: list[Snapshot] = []
-        self.posted: list = []
-        self._posted_set: set = set()
+        self.posted: dict = {}      # insertion-ordered set of constraints
         self._watching: dict[int, list] = {}
         self._queue: deque = deque()
         self._queued: set[int] = set()
@@ -263,6 +258,8 @@ class Store:
         """
         state = _VarState(VarKind.FD)
         state.domain = dict.fromkeys(values)
+        if not state.domain:
+            raise UsageError("a finite-domain variable needs at least one value")
         state.complete = closed
         return self._install(state, name)
 
@@ -380,7 +377,7 @@ class Store:
         """
         if self._state(v).complete:
             return True
-        mark = len(self._trail)
+        mark = self._mark()
         self.mark_complete(v)
         return self._settle(mark)
 
@@ -391,7 +388,7 @@ class Store:
             raise UsageError("relations need arity >= 2")
         return Relation(self, name, arity)
 
-    def _after_model_event(self, rel: Relation, key: tuple, mark: int, closure: bool) -> bool:
+    def _after_model_event(self, rel: Relation, mark: tuple[int, int], closure: bool) -> bool:
         if closure:
             for w in list(self._watchers_rel.get(id(rel), ())):
                 w.on_model_event()
@@ -438,17 +435,11 @@ class Store:
         False comes back.  Reposting an identical constraint is a no-op.
         """
         self._check_vars(c)
-        if c in self._posted_set:
+        if c in self.posted:
             return True
-        mark = len(self._trail)
-        self.posted.append(c)
-        self._posted_set.add(c)
-
-        def undo_post():
-            self.posted.pop()
-            self._posted_set.discard(c)
-
-        self._trail.append(undo_post)
+        mark = self._mark()
+        self.posted[c] = None
+        self._trail.append(lambda: self.posted.pop(c))
         for v in c.vars():
             bucket = self._watching.setdefault(v.index, [])
             bucket.append(c)
@@ -490,7 +481,6 @@ class Store:
     def post_ask(self, c, callback: Callable[[AskResult], None]) -> PendingAsk:
         """Suspend an ask: evaluate now, else re-examine on each event
         touching its variables; fire `callback` once and retire."""
-        self._check_vars(c)
         pa = PendingAsk(c, callback)
         res = self.ask(c)
         if res is not AskResult.UNKNOWN:
@@ -540,9 +530,6 @@ class Store:
     def propagate(self) -> bool:
         """Run filtering to fixpoint (FIFO).  False on inconsistency;
         unlike tell, a bare propagate does not restore anything."""
-        for state in self._vars.values():
-            if state.kind is VarKind.FD and not state.domain:
-                return False
         while self._queue:
             c = self._queue.popleft()
             self._queued.discard(id(c))
@@ -555,7 +542,7 @@ class Store:
     # -- snapshot / restore ---------------------------------------------------
 
     def snapshot(self) -> Snapshot:
-        snap = Snapshot(self, len(self._trail))
+        snap = Snapshot(self, self._mark())
         self._snapshots.append(snap)
         return snap
 
@@ -564,17 +551,14 @@ class Store:
         The counters are not rolled back."""
         if snap._store is not self:
             raise UsageError("snapshot belongs to a different store")
-        if not snap._live:
+        if not snap.live:
             raise UsageError("snapshot is dead (already unwound past)")
-        while self._snapshots and self._snapshots[-1] is not snap:
-            self._snapshots.pop()._live = False
-        if not self._snapshots:
-            raise UsageError("snapshot not on the live stack")
+        while self._snapshots[-1] is not snap:
+            self._snapshots.pop()
         self._rollback(snap._mark)
-        self._ask_wake.clear()
 
-    def _settle(self, mark: int) -> bool:
-        """Propagate, then re-ask the suspended asks woken since trail
+    def _settle(self, mark: tuple[int, int]) -> bool:
+        """Propagate, then re-ask the suspended asks woken since
         `mark`.  On inconsistency (a failing filter, or a woken callback
         raising InconsistencyError) undo to `mark` and return False; any
         other exception is re-raised after the same undo."""
@@ -590,11 +574,17 @@ class Store:
         self._rollback(mark)
         return False
 
-    def _rollback(self, mark: int) -> None:
-        """Undo the trail down to `mark` and drop pending propagation:
-        the one way a failed mutation is taken back."""
-        while len(self._trail) > mark:
+    def _mark(self) -> tuple[int, int]:
+        return len(self._trail), len(self._ask_wake)
+
+    def _rollback(self, mark: tuple[int, int]) -> None:
+        """Undo the trail down to `mark`, drop the ask wake-ups queued
+        since it and all pending propagation: the one way a failed
+        mutation is taken back."""
+        trailed, woken = mark
+        while len(self._trail) > trailed:
             self._trail.pop()()
+        del self._ask_wake[woken:]
         self._queue.clear()
         self._queued.clear()
 
@@ -604,7 +594,7 @@ class Store:
         it made is undone and the exception propagates; otherwise the
         suspended asks its events woke are re-examined.  The counters are
         not rolled back."""
-        mark = len(self._trail)
+        mark = self._mark()
         try:
             yield
             self._drain_wakeups()

@@ -130,11 +130,12 @@ def test_jobs_keep_input_order(capsys, tmp_path):
                                  for key in per_line[0]]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_exit_two(capsys, jobs):
-    rc, out, err = run(capsys, "--grammar", TOY, "--input", SENT7, "--jobs", jobs)
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-3"),
+                                        ("--limit", "0"), ("--limit", "-1")])
+def test_jobs_below_one_exit_two(capsys, flag, value):
+    rc, out, err = run(capsys, "--grammar", TOY, "--input", SENT7, flag, value)
     assert rc == 2
-    assert "--jobs" in err
+    assert f"clparse: {flag} must be at least 1" in err
     assert out == ""
 
 

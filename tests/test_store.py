@@ -15,6 +15,7 @@ import pytest
 
 import clparse
 from clparse import (
+    And,
     AskResult,
     Bool3,
     InconsistencyError,
@@ -170,6 +171,40 @@ def test_post_ask_fires_once_on_closure():
     assert got == [AskResult.ENTAILED]
     s.tell(neq(x, "zzz"))   # later events do not re-fire
     assert got == [AskResult.ENTAILED]
+
+
+def test_failed_tell_leaves_no_wake_ups():
+    s = Store()
+    x = s.new_var([1, 2])
+    z = s.new_var([1, 2], closed=True)
+    s.post_ask(eq(x, 1), lambda res: None)
+    assert s.counters.ask_evaluations == 1
+    assert not s.tell(element(x, [9]))
+    assert s.tell(eq(z, 1))          # unrelated: the ask on x is not re-asked
+    assert s.counters.ask_evaluations == 1
+
+
+def test_failed_nested_tell_keeps_the_outer_wake_ups():
+    # b's callback makes a tell that fails; rolling it back must keep the
+    # wake-up for a that the outer drain has not reached yet.
+    s = Store()
+    a, b = s.new_bool("a"), s.new_bool("b")
+    z = s.new_var([1], closed=True)
+    fired = []
+    s.post_ask(bool_post(Var(a)), lambda res: fired.append("a"))
+
+    def on_b(res):
+        fired.append("b")
+        s.tell(eq(z, 2))             # fails; the False is swallowed
+
+    s.post_ask(bool_post(Var(b)), on_b)
+    assert s.tell(bool_post(And((Var(a), Var(b)))))
+    assert sorted(fired) == ["a", "b"]
+
+
+def test_new_var_needs_a_value():
+    with pytest.raises(UsageError):
+        Store().new_var([])
 
 
 def test_post_ask_immediate_when_decidable():
