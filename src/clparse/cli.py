@@ -87,7 +87,12 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
     stats = Stats()
     found = []
     for cats in _taggings(tokens, g):
-        derivs, ps = parse(cats, g, strategy=strategy, trace=trace)
+        if limit is not None and len(found) >= limit:
+            break
+        # a tree dedupe keeps the first derivation of each tree, so it
+        # needs them all
+        rest = None if dedupe or limit is None else limit - len(found)
+        derivs, ps = parse(cats, g, strategy=strategy, limit=rest, trace=trace)
         stats.merge(ps)
         # a tree's leaves are its tagging, so no tree repeats across taggings
         found.extend(distinct_trees(derivs, cats).values() if dedupe else derivs)

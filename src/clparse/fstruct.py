@@ -24,7 +24,7 @@ from .logic import Bool3, Equiv, Var
 from .store import Store, VarId, VarKind
 
 # features whose cells may carry a sequence of references/atoms
-LIST_FEATURES = frozenset({"subj", "comps", "comp_dtrs", "conj_dtrs", "adj_dtrs"})
+LIST_FEATURES = frozenset({"subj", "comps", "comp_dtrs"})
 
 
 @dataclass(frozen=True)
@@ -464,25 +464,33 @@ class FeatureStructure:
                 return None
         return env
 
-    # -- integrity ------------------------------------------------------------
+    # -- the node graph -------------------------------------------------------
+
+    def _below(self, i: int) -> set[int]:
+        """Canonical nodes at the end of some non-empty path from node i:
+        the one walk over node references."""
+        seen: set[int] = set()
+        stack = [self.canon(i)]
+        while stack:
+            for cell in self._groups.get(stack.pop(), {}).values():
+                for r in self._refs(cell.value):
+                    t = self.canon(r.index)
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+        return seen
+
+    def reachable(self, root: int) -> list[int]:
+        """Canonical nodes reachable from `root`, itself included, ascending."""
+        root = self._check_node(root)
+        return sorted(self._below(root) | {root})
 
     def _assert_acyclic(self, start: int) -> None:
-        stack, seen = [self.canon(start)], set()
-        path: set[int] = set()
-
-        def walk(i: int) -> None:
-            if i in path:
-                raise UsageError("cycle through node references")
-            if i in seen:
-                return
-            seen.add(i)
-            path.add(i)
-            for cell in self._groups.get(i, {}).values():
-                for r in self._refs(cell.value):
-                    walk(self.canon(r.index))
-            path.discard(i)
-
-        walk(stack[0])
+        # Every mutation is checked here and rolled back on failure, so the
+        # structure was acyclic before it: a new cycle must pass through the
+        # node that was mutated.
+        if self.canon(start) in self._below(start):
+            raise UsageError("cycle through node references")
 
     @staticmethod
     def _refs(value):
@@ -497,24 +505,7 @@ class FeatureStructure:
         """Passive check: is y the value of some non-empty path from x?
         (Deliberately not a posted constraint.)"""
         x, y = self._check_node(x), self._check_node(y)
-        seen = set()
-        stack = [x]
-        first = True
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            if i == y and not first:
-                return True
-            first = False
-            for cell in self._groups.get(i, {}).values():
-                for r in self._refs(cell.value):
-                    t = self.canon(r.index)
-                    if t == y:
-                        return True
-                    stack.append(t)
-        return False
+        return y in self._below(x)
 
     # -- output -----------------------------------------------------------------
 

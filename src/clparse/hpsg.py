@@ -31,8 +31,7 @@ from .grammar import FCR, FcrLiteral, Grammar, LexEntry
 from .logic import And, Formula, Implies, Not, Or, Var, conj
 from .store import AskResult, Stats, Store, VarId
 
-SLOTS = ("head_dtr", "filler_dtr", "marker_dtr", "subj_dtr",
-         "comp_dtrs", "conj_dtrs", "adj_dtrs")
+SLOTS = ("head_dtr", "subj_dtr", "comp_dtrs")
 
 CAT_PATH = ("synsem", "loc", "cat")
 
@@ -71,7 +70,6 @@ class TreeCheck:
 @dataclass
 class DtrsSchema:
     node: int
-    slots: dict
     slot_vars: tuple[VarId, ...]
 
 
@@ -188,11 +186,9 @@ def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
     store = fs.store
     dtrs = fs.new_node()
     fs.add((("dtrs", mother.root, Ref(dtrs), Bool3.TRUE),))
-    slots: dict = {}
     slot_vars: list[VarId] = []
 
     def occupy(name: str, sign: Sign):
-        slots[name] = sign
         slot_vars.append(store.new_var([fs.canon(sign.root)], name=f"dtr:{name}"))
 
     occupy("head_dtr", head)
@@ -203,12 +199,10 @@ def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
         occupy("subj_dtr", subj[0])
         fs.add((("subj_dtr", dtrs, Ref(subj[0].root), Bool3.TRUE),))
     if comps:
-        slots["comp_dtrs"] = tuple(comps)
         for k, sign in enumerate(comps):
-            slot_vars.append(store.new_var([fs.canon(sign.root)],
-                                           name=f"dtr:comp_dtrs[{k}]"))
+            occupy(f"comp_dtrs[{k}]", sign)
         fs.add((("comp_dtrs", dtrs, tuple(Ref(s.root) for s in comps), Bool3.TRUE),))
-    return DtrsSchema(dtrs, slots, tuple(slot_vars))
+    return DtrsSchema(dtrs, tuple(slot_vars))
 
 
 def post_unicity(schema: DtrsSchema, store: Store) -> bool:
@@ -317,27 +311,11 @@ def feature_alphabet(g: Grammar) -> frozenset[str]:
     return frozenset(feats)
 
 
-def _reachable(fs: FeatureStructure, root: int) -> list[int]:
-    seen: list[int] = []
-    stack = [fs.canon(root)]
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.append(i)
-        for cell in fs.cells_of(i):
-            vals = cell.value if isinstance(cell.value, tuple) else (cell.value,)
-            for v in vals:
-                if isinstance(v, Ref):
-                    stack.append(fs.canon(v.index))
-    return sorted(seen)
-
-
 def post_fcrs(fs: FeatureStructure, root: int, fcrs,
               alphabet: frozenset[str] | None = None) -> None:
     """Instantiate every restriction at every node of the sign that
     carries at least one of its features."""
-    for node in _reachable(fs, root):
+    for node in fs.reachable(root):
         for f in fcrs:
             if any(fs.find(node, feat) is not None for feat in f.features):
                 formula = compile_fcr(f, fs, node, alphabet)

@@ -96,8 +96,10 @@ class _VarState:
 
 class Snapshot:
     """A restorable mark.  Restoring to it keeps it live and kills every
-    snapshot taken after it (LIFO unwind); restoring to a dead snapshot
-    is a usage error."""
+    snapshot taken after it (LIFO unwind); any rollback that unwinds past
+    it, a failed tell or a raising transaction included, kills it too.
+    Restoring to a dead snapshot is a usage error.  A snapshot taken at
+    the same point as the live top one is that same object."""
 
     __slots__ = ("_store", "_mark")
 
@@ -107,8 +109,7 @@ class Snapshot:
 
     @property
     def live(self) -> bool:
-        # From the top: restored snapshots stay live, so the stack keeps
-        # growing, and a restore's target is near its top.
+        # From the top: a restore's target is near the top of the stack.
         return any(s is self for s in reversed(self._store._snapshots))
 
 
@@ -542,7 +543,12 @@ class Store:
     # -- snapshot / restore ---------------------------------------------------
 
     def snapshot(self) -> Snapshot:
-        snap = Snapshot(self, self._mark())
+        mark = self._mark()
+        if self._snapshots and self._snapshots[-1]._mark == mark:
+            # nothing changed since the top one: a snapshot/restore loop
+            # keeps the stack at one entry
+            return self._snapshots[-1]
+        snap = Snapshot(self, mark)
         self._snapshots.append(snap)
         return snap
 
@@ -579,12 +585,14 @@ class Store:
 
     def _rollback(self, mark: tuple[int, int]) -> None:
         """Undo the trail down to `mark`, drop the ask wake-ups queued
-        since it and all pending propagation: the one way a failed
-        mutation is taken back."""
+        since it, the snapshots taken past it and all pending
+        propagation: the one way a failed mutation is taken back."""
         trailed, woken = mark
         while len(self._trail) > trailed:
             self._trail.pop()()
         del self._ask_wake[woken:]
+        while self._snapshots and self._snapshots[-1]._mark[0] > trailed:
+            self._snapshots.pop()
         self._queue.clear()
         self._queued.clear()
 

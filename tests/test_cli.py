@@ -226,6 +226,9 @@ def test_stats_equal_library_counters(capsys):
     cases = (
         (("--grammar", TOY, "--input", SENT7),
          parse(SENT7.split(), load_grammar_file(TOY))[1]),
+        # --limit bounds the work, not only the output
+        (("--grammar", TOY, "--input", SENT7, "--limit", "1"),
+         parse(SENT7.split(), load_grammar_file(TOY), limit=1)[1]),
         (("--grammar", TOY_LEX, "--mode", "hpsg", "--input", "the cat sleeps"),
          parse_hpsg("the cat sleeps".split(), load_grammar_file(TOY_LEX))[1]),
     )

@@ -304,6 +304,30 @@ def test_has_substructure_passive():
     assert not fs.has_substructure(1, 1)   # path must be non-empty
 
 
+def test_reachable_and_substructure_see_through_a_merge():
+    fs = encode(parse_avm("[x: [h: [maj: n]], y: [h: [case: nom]], z: [k: [l: a]]]"))
+    assert not fs.has_substructure(4, 3)
+    assert fs.unify_nodes(2, 4) == 2         # y.h (5) folds into x.h (3)
+    assert fs.reachable(1) == [1, 2, 3, 6, 7]
+    assert fs.reachable(4) == fs.reachable(2) == [2, 3]
+    assert fs.reachable(5) == [3]
+    assert fs.has_substructure(4, 3) and fs.has_substructure(1, 5)
+    assert not fs.has_substructure(5, 4)
+
+
+@pytest.mark.parametrize("avm, mutate", [
+    ("[f: [g: [h: a]]]", lambda fs: fs.add([("back", 3, Ref(1), Bool3.UNKNOWN)])),
+    ("[f: [g: [h: [k: a]]]]", lambda fs: fs.unify_nodes(2, 4)),
+    ("[f: [g: [h: a]]]", lambda fs: fs.unify_nodes(1, 3)),
+], ids=["leaf-to-root", "parent-grandchild", "root-grandchild"])
+def test_cycles_are_rejected_and_taken_back(avm, mutate):
+    fs = encode(parse_avm(avm))
+    before = fs.dump(statuses=True)
+    with pytest.raises(UsageError, match="cycle through node references"):
+        mutate(fs)
+    assert fs.dump(statuses=True) == before
+
+
 def test_structure_rolls_back_with_store():
     s = Store()
     fs = FeatureStructure(s)

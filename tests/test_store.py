@@ -414,6 +414,43 @@ def test_restore_kills_younger_snapshots():
         s.restore(inner)
 
 
+def test_snapshot_restore_loop_keeps_one_snapshot():
+    s = Store()
+    x = s.new_var([1, 2, 3])
+    first = s.snapshot()
+    for _ in range(20000):
+        snap = s.snapshot()
+        assert s.tell(neq(x, 1))
+        s.restore(snap)
+        assert snap is first
+    assert first.live and s.domain(x) == (1, 2, 3)
+
+
+def test_a_rollback_past_a_snapshot_kills_it():
+    s = Store()
+    with pytest.raises(RuntimeError):
+        with s.transaction():
+            s.new_var([7, 8])
+            snap = s.snapshot()
+            raise RuntimeError
+    assert not snap.live
+    z = s.new_var([1, 2])
+    with pytest.raises(UsageError, match="snapshot is dead"):
+        s.restore(snap)   # it would give a state with z, without the [7, 8] variable
+    assert s.domain(z) == (1, 2)
+    # a failed tell that unwinds past a snapshot kills it as well
+    b = s.new_bool()
+    taken = []
+
+    def fire(res):
+        taken.append(s.snapshot())
+        raise InconsistencyError("late clash")
+
+    s.post_ask(bool_post(Var(b)), fire)
+    assert not s.tell(bool_post(Var(b)))
+    assert len(taken) == 1 and not taken[0].live
+
+
 def test_restore_foreign_snapshot_rejected():
     s1, s2 = Store(), Store()
     snap = s1.snapshot()
@@ -508,10 +545,12 @@ def test_transaction_wakes_suspended_asks_on_exit():
 
 def test_only_the_store_touches_its_internals():
     # Constraints, feature structures and signs go through the public
-    # propagator API and `transaction()`, never through store._x.
+    # propagator API and `transaction()`, never through store._x; signs
+    # go through the public FeatureStructure methods, never through fs._x.
     src = Path(clparse.__file__).parent
-    offenders = [f"{path.name}:{n}: {line.strip()}"
-                 for path in sorted(src.glob("*.py")) if path.name != "store.py"
-                 for n, line in enumerate(path.read_text().splitlines(), 1)
-                 if re.search(r"store\._[a-z]", line)]
-    assert offenders == []
+    for owner, pattern in (("store.py", r"store\._[a-z]"), ("fstruct.py", r"\bfs\._[a-z]")):
+        offenders = [f"{path.name}:{n}: {line.strip()}"
+                     for path in sorted(src.glob("*.py")) if path.name != owner
+                     for n, line in enumerate(path.read_text().splitlines(), 1)
+                     if re.search(pattern, line)]
+        assert offenders == []
