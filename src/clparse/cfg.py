@@ -6,6 +6,20 @@ ascending), the window is matched against rule right-hand sides, and a
 match rewrites the window to the rule's left-hand side.  A derivation
 records the reduction steps until the sequence equals <start>.
 
+A search state is the sequence plus `unary_seen`, the (origin, lhs)
+unary reductions made since the sequence last got shorter, which stops
+a unary cycle from running forever.  The derivations below a state
+depend on nothing else, so the search builds a packed forest (Billot &
+Lang 1989; Johnson 1995): one record per distinct state, with its
+derivation count and its (step, child) edges in scan order.  A state
+met again is not scanned again; its count joins the running total of
+derivations found, and the search stops once that total reaches
+`limit`, so a limit bounds the work and not only the output.  The
+derivations are then read off the forest lazily, in the order of an
+unshared depth-first search.  `windows_tried` and `reductions_applied`
+count the scans of distinct states only, and `backtracks` the distinct
+states without a derivation.
+
 Two strategies explore the same windows in the same order and return
 the same derivations; they differ only in how candidate windows are
 generated.  "active" posts the split as constraints (a concatenation
@@ -13,7 +27,7 @@ constraint plus a membership restriction of the window size to the
 grammar's rule lengths) and enumerates the pruned domains.  The
 admissible splits depend only on the sequence length, so each parse
 solves them through the store once per length it reaches and replays
-the recorded (origin, size) pairs at every later node of that length.
+the recorded (origin, size) pairs at every later state of that length.
 "gentest" enumerates every arithmetically possible window and tests it
 after the fact, which is the figure the active strategy is measured
 against.
@@ -21,7 +35,9 @@ against.
 
 from __future__ import annotations
 
+import math
 import re
+from itertools import islice
 
 from .constraints import concat3, element, eq
 from .errors import UsageError
@@ -50,65 +66,103 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
     stats = Stats()
     if limit is not None and limit <= 0:
         return (), stats
-    out: list[Derivation] = []
-    lengths = sorted(g.rhs_lengths())
+    root = _Search(g, strategy, limit, trace, stats).node(cats, _NO_UNARY)
+    return tuple(islice(_derivations(root), limit)), stats
 
-    def node(seq: tuple[str, ...], steps: Derivation, unary_seen: frozenset) -> bool:
-        produced = len(out)
-        stop = False
-        if seq == (g.start,):
-            out.append(steps)
-            stop = limit is not None and len(out) >= limit
-        if not stop:
-            for va, vb in windows(seq):
-                stats.windows_tried += 1
-                if try_window(seq, va, seq[va:va + vb], steps, unary_seen):
-                    stop = True
-                    break
-        if len(out) == produced:
+
+# A forest record is (count, edges): how many derivations a search state
+# has, and what each of them starts with, in scan order -- None for the
+# empty derivation of <start>, else a (step, child record) pair.  Every
+# dead state shares the one record with no edges.
+_DEAD = (0, ())
+_NO_UNARY: frozenset = frozenset()
+
+
+class _Search:
+    """One call's search, building one forest record per distinct
+    (sequence, unary_seen) state.  Nothing in it refers back to it, so
+    the forest is freed as soon as the call has read it."""
+
+    def __init__(self, g: Grammar, strategy: str, limit, trace, stats: Stats):
+        self.g, self.strategy, self.trace, self.stats = g, strategy, trace, stats
+        self.wanted = math.inf if limit is None else limit
+        self.found = 0          # derivations of the root found so far
+        self.memo: dict = {}    # finished state -> record
+        self.shared: dict = {}  # sequence or unary set -> its one copy
+        self.lengths = sorted(g.rhs_lengths())
+        # The (origin, size) windows per sequence length, in scan order.
+        # Local to this call, so the store counters of a call never
+        # depend on earlier calls.
+        self.table: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def node(self, seq: tuple[str, ...], unary_seen: frozenset) -> tuple:
+        """The record of one state.  A state is scanned on its first
+        visit only; once `limit` derivations are found, the scan stops
+        and returns a partial record, which is never memoized."""
+        key = (seq, unary_seen)
+        record = self.memo.get(key)
+        if record is not None:
+            self.found += record[0]
+            return record
+        # There are far fewer sequences and unary sets than states, so
+        # the memo keeps one copy of each: that more than halves the
+        # forest's peak memory.
+        key = (self.shared.setdefault(seq, seq),
+               self.shared.setdefault(unary_seen, unary_seen))
+        stats, matching = self.stats, self.g.rules_matching
+        count, edges = 0, []
+        if seq == (self.g.start,):
+            count, edges = 1, [None]
+            self.found += 1
+            if self.found >= self.wanted:
+                return count, tuple(edges)
+        for va, vb in self.windows(seq):
+            stats.windows_tried += 1
+            window = seq[va:va + vb]
+            for rule in matching(window):
+                if vb == 1:
+                    mark = (va, rule.lhs)
+                    if mark in unary_seen:
+                        continue
+                    child_seen = unary_seen | {mark}
+                else:
+                    child_seen = _NO_UNARY
+                stats.reductions_applied += 1
+                child = self.node(seq[:va] + (rule.lhs,) + seq[va + vb:], child_seen)
+                if child[0]:
+                    count += child[0]
+                    edges.append(((rule.lhs, window), child))
+                if self.found >= self.wanted:
+                    return count, tuple(edges)
+        if not count:
             stats.backtracks += 1
-        return stop
+        record = (count, tuple(edges)) if count else _DEAD
+        self.memo[key] = record
+        return record
 
-    def try_window(seq, va, window, steps, unary_seen) -> bool:
-        for rule in g.rules_matching(window):
-            if len(window) == 1:
-                key = (va, rule.lhs)
-                if key in unary_seen:
-                    continue
-                child_seen = unary_seen | {key}
-            else:
-                child_seen = frozenset()
-            stats.reductions_applied += 1
-            reduced = seq[:va] + (rule.lhs,) + seq[va + len(window):]
-            if node(reduced, steps + ((rule.lhs, window),), child_seen):
-                return True
-        return False
-
-    # The (origin, size) windows per sequence length, in scan order.
-    # Local to this call, so the store counters of a call never depend
-    # on earlier calls.
-    table: dict[int, tuple[tuple[int, int], ...]] = {}
-
-    def windows(seq) -> tuple[tuple[int, int], ...]:
+    def windows(self, seq) -> tuple[tuple[int, int], ...]:
         l = len(seq)
-        if l not in table:
-            table[l] = admissible_splits(seq) if strategy == "active" else tuple(
-                (va, vb) for va in range(l) for vb in range(1, l - va + 1))
-        return table[l]
+        if l not in self.table:
+            if self.strategy == "active":
+                self.table[l] = self.admissible_splits(seq)
+            else:
+                self.table[l] = tuple((va, vb) for va in range(l)
+                                      for vb in range(1, l - va + 1))
+        return self.table[l]
 
-    def admissible_splits(seq) -> tuple[tuple[int, int], ...]:
+    def admissible_splits(self, seq) -> tuple[tuple[int, int], ...]:
         # With the segments unbound, Concat3 prunes the sizes by
         # arithmetic on |s| alone and its slice bindings cannot fail, so
         # one solve serves every sequence of that length.
         l = len(seq)
-        st = Store(trace=trace)
+        st = Store(trace=self.trace)
         a1 = st.new_var(range(l + 1), name="a1")
         b1 = st.new_var(range(1, l + 1), name="b1")
         c1 = st.new_var(range(l + 1), name="c1")
         a, b, c = st.new_seq("a"), st.new_seq("b"), st.new_seq("c")
         pairs = []
         if (st.tell(concat3(a, b, c, seq, a1, b1, c1))
-                and st.tell(element(b1, [n for n in lengths if n <= l]))):
+                and st.tell(element(b1, [n for n in self.lengths if n <= l]))):
             for va in list(st.domain(a1)):
                 snap_a = st.snapshot()
                 if st.tell(eq(a1, va)):
@@ -118,11 +172,17 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
                             pairs.append((va, vb))
                         st.restore(snap_b)
                 st.restore(snap_a)
-        stats.merge(st.counters)
+        self.stats.merge(st.counters)
         return tuple(pairs)
 
-    node(cats, (), frozenset())
-    return tuple(out), stats
+
+def _derivations(record: tuple, path: Derivation = ()):
+    """The derivations under a record, lazily, in scan order."""
+    for edge in record[1]:
+        if edge is None:
+            yield path
+        else:
+            yield from _derivations(edge[1], path + (edge[0],))
 
 
 def oracle_parse(cats, g: Grammar, *, limit: int | None = None) -> tuple[Derivation, ...]:

@@ -111,6 +111,7 @@ class Grammar:
         self.lexicon: dict[str, list[LexEntry]] = {}
         self._lp_set: set[tuple[str, str]] = set()
         self._categories: dict[str, Category] = {}
+        self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
 
     # -- queries --------------------------------------------------------
 
@@ -128,8 +129,7 @@ class Grammar:
 
     def rules_matching(self, rhs_window) -> tuple[PSRule, ...]:
         """Rules whose right-hand side equals the window, in file order."""
-        window = tuple(rhs_window)
-        return tuple(r for r in self.rules if r.rhs == window)
+        return self._by_rhs.get(tuple(rhs_window), ())
 
     def legal_daughters(self, r: str) -> frozenset[str]:
         """Everything r may immediately dominate: rule right-hand sides
@@ -454,6 +454,8 @@ def load_grammar(text: str) -> Grammar:
         level = "phrasal" if name in phrasal else "lexical"
         g._categories[name] = Category(name, level)
     g._lp_set = {(p.before, p.after) for p in g.lp_pairs}
+    for rule in g.rules:
+        g._by_rhs[rule.rhs] = g._by_rhs.get(rule.rhs, ()) + (rule,)
     return g
 
 

@@ -69,7 +69,6 @@ class TreeCheck:
 
 @dataclass
 class DtrsSchema:
-    node: int
     slot_vars: tuple[VarId, ...]
 
 
@@ -202,7 +201,7 @@ def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
         for k, sign in enumerate(comps):
             occupy(f"comp_dtrs[{k}]", sign)
         fs.add((("comp_dtrs", dtrs, tuple(Ref(s.root) for s in comps), Bool3.TRUE),))
-    return DtrsSchema(dtrs, tuple(slot_vars))
+    return DtrsSchema(tuple(slot_vars))
 
 
 def post_unicity(schema: DtrsSchema, store: Store) -> bool:

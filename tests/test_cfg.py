@@ -1,6 +1,9 @@
+import gc
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clparse.cfg import (
     derivations_to_tree,
@@ -176,22 +179,53 @@ def test_format_and_parse_derivation(toy):
 # -- exact counters --------------------------------------------------------
 
 DEAD9 = SENT7 + ("Prep", "Nm")
+DEAD11 = DEAD9 + ("Prep", "Nm")
 
 
 def test_pinned_counters(toy):
-    # windows, reductions and backtracks are fixed by the scan order;
-    # propagation_steps is the store work of one split solve per
-    # sequence length reached (1..7)
+    # windows and reductions are counted once per distinct
+    # (sequence, unary_seen) state, on its first visit, and backtracks
+    # once per dead state; propagation_steps is the store work of one
+    # split solve per sequence length reached (1..7)
     _, sa = parse(SENT7, toy, strategy="active")
     _, sg = parse(SENT7, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (1680, 2212)
-    assert sa.reductions_applied == sg.reductions_applied == 169
+    assert (sa.windows_tried, sg.windows_tried) == (691, 961)
+    assert sa.reductions_applied == sg.reductions_applied == 82
     assert sa.propagation_steps == 435
     derivs, sa = parse(DEAD9, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD9, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (43197, 60410)
-    assert sa.reductions_applied == sg.reductions_applied == 3733
+    assert (sa.windows_tried, sg.windows_tried) == (4038, 6645)
+    assert sa.reductions_applied == sg.reductions_applied == 488
+    assert sa.backtracks == sg.backtracks == 215
+    derivs, sa = parse(DEAD11, toy, strategy="active")
+    assert derivs == ()
+    _, sg = parse(DEAD11, toy, strategy="gentest")
+    assert (sa.windows_tried, sg.windows_tried) == (21942, 42176)
+    assert sa.reductions_applied == sg.reductions_applied == 2723
+
+
+def test_limit_bounds_the_work(toy):
+    # the search stops as soon as `limit` derivations are found, counting
+    # all of them under a state it meets again
+    for strategy in ("active", "gentest"):
+        derivs, full = parse(SENT7, toy, strategy=strategy)
+        for k in (1, 2, len(derivs)):
+            stats = parse(SENT7, toy, strategy=strategy, limit=k)[1]
+            assert stats.windows_tried < full.windows_tried
+            assert stats.reductions_applied < full.reductions_applied
+
+
+def test_a_parse_leaves_no_garbage(toy):
+    # the forest has no reference cycles, so it goes when parse returns
+    # instead of waiting for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        parse(DEAD9, toy, strategy="gentest")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_split_solved_once_per_length(toy):
@@ -265,3 +299,58 @@ def test_window_counts_closed_form_without_matches(text, lengths):
         assert sa.windows_tried == sum(l - n + 1 for n in lengths if n <= l)
         assert sg.windows_tried == l * (l + 1) // 2
         assert sa.reductions_applied == sg.reductions_applied == 0
+
+
+# -- unary chains and cycles, as a property ----------------------------------
+
+CATS = ("S", "A", "B", "C")
+rhs = st.lists(st.sampled_from(CATS), min_size=1, max_size=3).map(tuple)
+unary_cycle = st.tuples(st.sampled_from(CATS), st.sampled_from(CATS)).filter(
+    lambda pair: pair[0] != pair[1])
+grammars = st.tuples(
+    st.lists(st.tuples(st.sampled_from(CATS), rhs), min_size=1, max_size=5),
+    st.lists(unary_cycle, max_size=2))
+
+
+def _load(rules, cycles):
+    """The rules and, for each pair X, Y, the cycle X -> Y, Y -> X;
+    the first rule's left-hand side is the start."""
+    rules = list(rules) + [r for x, y in cycles for r in (((x, (y,))), (y, (x,)))]
+    return load_grammar(f"start {rules[0][0]}. " + " ".join(
+        f"rule {lhs} -> {' '.join(rhs)}." for lhs, rhs in rules))
+
+
+def _oracle_nodes(cats, g, cap: int) -> int:
+    """How many nodes oracle_parse's unshared search visits, counted up
+    to cap + 1: unary cycles can make it factorial in the length."""
+    count, stack = 0, [(cats, frozenset())]
+    while stack and count <= cap:
+        seq, seen = stack.pop()
+        count += 1
+        for va in range(len(seq)):
+            for vb in range(1, len(seq) - va + 1):
+                for rule in g.rules_matching(seq[va:va + vb]):
+                    mark = (va, rule.lhs)
+                    if vb == 1 and mark not in seen:
+                        stack.append((seq[:va] + (rule.lhs,) + seq[va + 1:], seen | {mark}))
+                    elif vb > 1:
+                        stack.append((seq[:va] + (rule.lhs,) + seq[va + vb:], frozenset()))
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammars, st.data())
+def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
+    g = _load(*grammar)
+    names = [c.name for c in g.categories()]
+    cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
+    assume(_oracle_nodes(cats, g, 500) <= 500)
+    want = oracle_parse(cats, g)
+    windows = {}
+    for strategy in ("active", "gentest"):
+        got, stats = parse(cats, g, strategy=strategy)
+        assert got == want
+        for k in range(1, len(want) + 2):
+            assert parse(cats, g, strategy=strategy, limit=k)[0] == want[:k]
+        windows[strategy] = stats.windows_tried
+    assert windows["active"] <= windows["gentest"]
