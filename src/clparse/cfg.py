@@ -24,7 +24,11 @@ Two strategies explore the same windows in the same order and return
 the same derivations; they differ only in how candidate windows are
 generated.  "active" posts the split as constraints (a concatenation
 constraint plus a membership restriction of the window size to the
-grammar's rule lengths) and enumerates the pruned domains.  The
+grammar's rule lengths), labels the window size first, as the smallest
+domain, and reads the admissible origins of each size off the
+propagated store.  That is exact: the concatenation constraint prunes
+the sizes to exact support and the membership restriction is unary, so
+every origin left once the size is fixed starts a window.  The
 admissible splits depend only on the sequence length, so each parse
 solves them through the store once per length it reaches and replays
 the recorded (origin, size) pairs at every later state of that length.
@@ -153,7 +157,11 @@ class _Search:
     def admissible_splits(self, seq) -> tuple[tuple[int, int], ...]:
         # With the segments unbound, Concat3 prunes the sizes by
         # arithmetic on |s| alone and its slice bindings cannot fail, so
-        # one solve serves every sequence of that length.
+        # one solve serves every sequence of that length.  The solve
+        # labels the smallest domain first: b1, which `element` cuts to
+        # the rule lengths.  Concat3 prunes to exact support and
+        # `element` is unary, so once b1 is fixed every origin left in
+        # a1's domain is admissible and is read off the store unprobed.
         l = len(seq)
         st = Store(trace=self.trace)
         a1 = st.new_var(range(l + 1), name="a1")
@@ -163,17 +171,14 @@ class _Search:
         pairs = []
         if (st.tell(concat3(a, b, c, seq, a1, b1, c1))
                 and st.tell(element(b1, [n for n in self.lengths if n <= l]))):
-            for va in list(st.domain(a1)):
-                snap_a = st.snapshot()
-                if st.tell(eq(a1, va)):
-                    for vb in list(st.domain(b1)):
-                        snap_b = st.snapshot()
-                        if st.tell(eq(b1, vb)):
-                            pairs.append((va, vb))
-                        st.restore(snap_b)
-                st.restore(snap_a)
+            for vb in st.domain(b1):
+                snap = st.snapshot()
+                if st.tell(eq(b1, vb)):
+                    pairs.extend((va, vb) for va in st.domain(a1))
+                st.restore(snap)
         self.stats.merge(st.counters)
-        return tuple(pairs)
+        # scan order: origin ascending, then size ascending
+        return tuple(sorted(pairs))
 
 
 def _derivations(record: tuple, path: Derivation = ()):

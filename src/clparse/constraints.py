@@ -215,17 +215,22 @@ class Concat3(Constraint):
         return bound is None or bound == self.whole[lo:hi]
 
     def filter(self, store):
-        n = len(self.whole)
+        whole = self.whole
+        n = len(whole)
+        seg_a, seg_b, seg_c = (store.seq_value(s) for s in (self.a, self.b, self.c))
+        db = store.domain(self.b1)
         dc = set(store.domain(self.c1))
         sup_a, sup_b, sup_c = set(), set(), set()
         for va in store.domain(self.a1):
-            for vb in store.domain(self.b1):
+            if seg_a is not None and seg_a != whole[:va]:
+                continue
+            for vb in db:
                 vc = n - va - vb
                 if vc < 0 or vc not in dc:
                     continue
-                if not (self._segment_ok(self.a, 0, va, store)
-                        and self._segment_ok(self.b, va, va + vb, store)
-                        and self._segment_ok(self.c, va + vb, n, store)):
+                if seg_b is not None and seg_b != whole[va:va + vb]:
+                    continue
+                if seg_c is not None and seg_c != whole[va + vb:]:
                     continue
                 sup_a.add(va)
                 sup_b.add(vb)

@@ -21,7 +21,9 @@ rolls them back.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -99,18 +101,20 @@ class Snapshot:
     snapshot taken after it (LIFO unwind); any rollback that unwinds past
     it, a failed tell or a raising transaction included, kills it too.
     Restoring to a dead snapshot is a usage error.  A snapshot taken at
-    the same point as the live top one is that same object."""
+    the same point as the live top one is that same object.  It refers
+    to its store weakly, so the store's snapshot stack makes no cycle."""
 
     __slots__ = ("_store", "_mark")
 
     def __init__(self, store: "Store", mark: tuple[int, int]):
-        self._store = store
+        self._store = weakref.ref(store)
         self._mark = mark
 
     @property
     def live(self) -> bool:
+        store = self._store()
         # From the top: a restore's target is near the top of the stack.
-        return any(s is self for s in reversed(self._store._snapshots))
+        return store is not None and any(s is self for s in reversed(store._snapshots))
 
 
 class PendingAsk:
@@ -273,7 +277,10 @@ class Store:
     def _install(self, state: _VarState, name: str) -> VarId:
         idx = next(self._next_var)
         self._vars[idx] = state
-        self._trail.append(lambda: self._vars.pop(idx, None))
+        # The undo entries name the containers, not the store, so a store
+        # is freed by reference counting and never waits for the cyclic
+        # collector.
+        self._trail.append(functools.partial(self._vars.pop, idx, None))
         return VarId(idx, self._id, state.kind, name)
 
     def _state(self, v: VarId) -> _VarState:
@@ -440,7 +447,7 @@ class Store:
             return True
         mark = self._mark()
         self.posted[c] = None
-        self._trail.append(lambda: self.posted.pop(c))
+        self._trail.append(functools.partial(self.posted.pop, c))
         for v in c.vars():
             bucket = self._watching.setdefault(v.index, [])
             bucket.append(c)
@@ -555,7 +562,7 @@ class Store:
     def restore(self, snap: Snapshot) -> None:
         """Rewind to `snap` (which stays live; younger snapshots die).
         The counters are not rolled back."""
-        if snap._store is not self:
+        if snap._store() is not self:
             raise UsageError("snapshot belongs to a different store")
         if not snap.live:
             raise UsageError("snapshot is dead (already unwound past)")

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clparse.cfg import (
+    _Search,
     derivations_to_tree,
     format_derivation,
     oracle_parse,
@@ -15,6 +16,7 @@ from clparse.cfg import (
 )
 from clparse.errors import UsageError
 from clparse.grammar import load_grammar, load_grammar_file
+from clparse.store import Stats
 
 SENT7 = ("Det", "Nm", "Vb", "Det", "Nm", "Prep", "Nm")
 
@@ -186,23 +188,27 @@ def test_pinned_counters(toy):
     # windows and reductions are counted once per distinct
     # (sequence, unary_seen) state, on its first visit, and backtracks
     # once per dead state; propagation_steps is the store work of one
-    # split solve per sequence length reached (1..7)
+    # split solve per sequence length reached (1..7, 1..9, 1..11), each
+    # labelling the window size b1 over the rule lengths that fit and
+    # reading the origins off a1's pruned domain
     _, sa = parse(SENT7, toy, strategy="active")
     _, sg = parse(SENT7, toy, strategy="gentest")
     assert (sa.windows_tried, sg.windows_tried) == (691, 961)
     assert sa.reductions_applied == sg.reductions_applied == 82
-    assert sa.propagation_steps == 435
+    assert sa.propagation_steps == 105
     derivs, sa = parse(DEAD9, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD9, toy, strategy="gentest")
     assert (sa.windows_tried, sg.windows_tried) == (4038, 6645)
     assert sa.reductions_applied == sg.reductions_applied == 488
     assert sa.backtracks == sg.backtracks == 215
+    assert sa.propagation_steps == 137
     derivs, sa = parse(DEAD11, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD11, toy, strategy="gentest")
     assert (sa.windows_tried, sg.windows_tried) == (21942, 42176)
     assert sa.reductions_applied == sg.reductions_applied == 2723
+    assert sa.propagation_steps == 161
 
 
 def test_limit_bounds_the_work(toy):
@@ -217,13 +223,15 @@ def test_limit_bounds_the_work(toy):
 
 
 def test_a_parse_leaves_no_garbage(toy):
-    # the forest has no reference cycles, so it goes when parse returns
-    # instead of waiting for the cyclic collector
+    # neither the forest nor the split solve's stores have reference
+    # cycles, so they go when parse returns instead of waiting for the
+    # cyclic collector
     gc.collect()
     gc.disable()
     try:
-        parse(DEAD9, toy, strategy="gentest")
-        assert gc.collect() == 0
+        for strategy in ("active", "gentest"):
+            parse(DEAD9, toy, strategy=strategy)
+            assert gc.collect() == 0, strategy
     finally:
         gc.enable()
 
@@ -233,6 +241,25 @@ def test_split_solved_once_per_length(toy):
     parse(SENT7, toy, strategy="active", trace=lines.append)
     posts = [ln for ln in lines if ln.startswith("EVENT post Concat3(")]
     assert len(posts) == len(SENT7)   # lengths 7 down to 1, one solve each
+    # each solve labels only the window size: one Eq per rule length
+    # that fits (1, 2, 3), the origins are read off the pruned domain
+    eqs = [ln for ln in lines if ln.startswith("EVENT post Eq(")]
+    assert len(eqs) == sum(n <= l for l in range(1, len(SENT7) + 1)
+                           for n in toy.rhs_lengths()) == 18
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(1, 6), min_size=1), st.integers(1, 10))
+def test_split_table_is_every_window_of_a_rule_length(lengths, l):
+    g = load_grammar("start S. " + " ".join(
+        f"rule S -> {' '.join(['A'] * n)}." for n in sorted(lengths)))
+    seq = ("A",) * l
+    want = tuple(sorted((va, vb) for vb in lengths if vb <= l
+                        for va in range(l - vb + 1)))
+    active = _Search(g, "active", None, None, Stats()).windows(seq)
+    gentest = _Search(g, "gentest", None, None, Stats()).windows(seq)
+    assert active == want
+    assert tuple(w for w in gentest if w[1] in lengths) == want
 
 
 # -- the split table on grammars whose rule lengths have gaps ---------------

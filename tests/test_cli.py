@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -214,10 +215,14 @@ def test_ambiguous_words_try_every_tagging(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the child imports the same clparse as this process, whether or not
+    # PYTHONPATH is set
+    src = str(Path(clparse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "clparse.cli", "--grammar", TOY,
          "--input", "Nm Vb Nm Prep Nm"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "<S>, <NP,VP>" in proc.stdout
 

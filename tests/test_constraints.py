@@ -4,6 +4,8 @@ the textual syntax."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clparse import (
     AskResult,
@@ -157,6 +159,35 @@ def test_concat3_window_enumeration_matches_arithmetic():
         s.restore(top)
         want = {(i, j) for i in range(n + 1) for j in range(n + 1 - i)}
         assert pairs == want
+
+
+_sizes = st.sets(st.integers(0, 7), min_size=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("xy", max_size=6).map(tuple), _sizes, _sizes, _sizes, st.data())
+def test_concat3_filter_matches_brute_force(whole, da, db, dc, data):
+    # each segment is unbound, bound to a random tuple, or bound to a
+    # slice of `whole` that may or may not be its own
+    n = len(whole)
+    segment = (st.none() | st.text("xy", max_size=6).map(tuple)
+               | st.builds(lambda lo, hi: whole[lo:hi], st.integers(0, n), st.integers(0, n)))
+    bound = [data.draw(segment) for _ in range(3)]
+    s = Store()
+    a, b, c = s.new_seq("a"), s.new_seq("b"), s.new_seq("c")
+    a1, b1, c1 = (s.new_var(sorted(d)) for d in (da, db, dc))
+    for seg, value in zip((a, b, c), bound):
+        if value is not None:
+            assert s.bind_seq(seg, value)
+    sols = [(va, vb, vc) for va in da for vb in db for vc in dc
+            if va + vb + vc == n
+            and bound[0] in (None, whole[:va])
+            and bound[1] in (None, whole[va:va + vb])
+            and bound[2] in (None, whole[va + vb:])]
+    assert s.tell(concat3(a, b, c, whole, a1, b1, c1)) == bool(sols)
+    if sols:
+        for var, i in ((a1, 0), (b1, 1), (c1, 2)):
+            assert set(s.domain(var)) == {sol[i] for sol in sols}
 
 
 def test_bool_constraint_propagates():

@@ -8,6 +8,7 @@ closure) and then confirmed by independent simulation before being
 frozen here.
 """
 
+import gc
 import re
 from pathlib import Path
 
@@ -456,6 +457,26 @@ def test_restore_foreign_snapshot_rejected():
     snap = s1.snapshot()
     with pytest.raises(UsageError):
         s2.restore(snap)
+
+
+def test_a_store_leaves_no_garbage():
+    # neither the trail nor a snapshot refers back to the store, so a
+    # store goes as soon as its last reference does
+    gc.collect()
+    gc.disable()
+    try:
+        s = Store()
+        x = s.new_var([1, 2, 3])
+        assert s.tell(neq(x, 2))
+        snap = s.snapshot()
+        assert s.tell(eq(x, 1))
+        s.restore(snap)
+        del s, x
+        assert not snap.live
+        del snap
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_counters_survive_restore():
