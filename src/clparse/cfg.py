@@ -235,25 +235,23 @@ def derivations_to_tree(derivation, cats) -> Tree:
 
     Steps carry no positions, so the replay backtracks over the places a
     step's window may match; the first complete replay wins."""
-    leaves = tuple((c, ()) for c in cats)
-
-    def replay(nodes, steps):
-        if not steps:
-            return nodes[0] if len(nodes) == 1 else None
-        lhs, rhs = steps[0]
-        k = len(rhs)
-        for i in range(len(nodes) - k + 1):
-            if tuple(n[0] for n in nodes[i:i + k]) == tuple(rhs):
-                got = replay(nodes[:i] + ((lhs, nodes[i:i + k]),) + nodes[i + k:],
-                             steps[1:])
-                if got is not None:
-                    return got
-        return None
-
-    tree = replay(leaves, tuple(derivation))
+    tree = _replay(tuple((c, ()) for c in cats), tuple(derivation))
     if tree is None:
         raise UsageError("derivation does not replay over the input")
     return tree
+
+
+def _replay(nodes, steps):
+    if not steps:
+        return nodes[0] if len(nodes) == 1 else None
+    lhs, rhs = steps[0]
+    k = len(rhs)
+    for i in range(len(nodes) - k + 1):
+        if tuple(n[0] for n in nodes[i:i + k]) == tuple(rhs):
+            got = _replay(nodes[:i] + ((lhs, nodes[i:i + k]),) + nodes[i + k:], steps[1:])
+            if got is not None:
+                return got
+    return None
 
 
 def distinct_trees(derivations, cats) -> dict[Tree, Derivation]:

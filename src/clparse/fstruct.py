@@ -11,16 +11,24 @@ implications over feature statuses propagate through the ordinary
 constraint machinery.  All mutations are trailed on the store:
 snapshot/restore rolls the structure back together with the domains,
 and each public mutation runs as one store transaction, so one that
-fails leaves the structure and the store as they were.
+fails leaves the structure and the store as they were.  The undo entries
+name the structure's containers, never the structure, so a structure
+and its store are freed by reference counting.
+
+A structure can be read off as a compiled template, plain tuples over
+relative node numbers, and a template can be installed again on fresh
+nodes of any structure in one step: the sign pipeline compiles each
+lexical entry once per grammar that way.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, UsageError
-from .logic import Bool3, Equiv, Var
+from .logic import MAX_NESTING, Bool3, Equiv, Var
 from .store import Store, VarId, VarKind
 
 # features whose cells may carry a sequence of references/atoms
@@ -80,24 +88,23 @@ class FeatureStructure:
 
     def __init__(self, store: Store):
         self.store = store
-        self._groups: dict[int, dict[str, Cell]] = {}
-        self._n_nodes = 0
+        # the cell group of node i, by feature, at position i (0 unused)
+        self._groups: list[dict[str, Cell]] = [{}]
         self._redirect: dict[int, int] = {}
-        # called with a cell whenever its value becomes known
+        # called with a cell whenever the value of a cell on an existing
+        # node becomes known (`instantiate` only makes fresh nodes)
         self.value_watchers: list = []
 
     # -- nodes ---------------------------------------------------------
 
+    @property
+    def _n_nodes(self) -> int:
+        return len(self._groups) - 1
+
     def new_node(self) -> int:
-        self._n_nodes += 1
-        idx = self._n_nodes
-
-        def undo():
-            self._n_nodes -= 1
-            self._groups.pop(idx, None)
-
-        self.store.on_undo(undo)
-        return idx
+        self._groups.append({})
+        self.store.on_undo(self._groups.pop)
+        return self._n_nodes
 
     def canon(self, i: int) -> int:
         while i in self._redirect:
@@ -115,10 +122,10 @@ class FeatureStructure:
         return [i for i in range(1, self._n_nodes + 1) if i not in dead]
 
     def cells_of(self, i: int) -> tuple[Cell, ...]:
-        return tuple(self._groups.get(self._check_node(i), {}).values())
+        return tuple(self._groups[self._check_node(i)].values())
 
     def find(self, i: int, feature: str) -> Cell | None:
-        return self._groups.get(self._check_node(i), {}).get(_norm_feat(feature))
+        return self._groups[self._check_node(i)].get(_norm_feat(feature))
 
     # -- cell creation --------------------------------------------------
 
@@ -134,20 +141,14 @@ class FeatureStructure:
 
     def _install_cell(self, feature: str, owner: int, value, status) -> Cell:
         feature = _norm_feat(feature)
-        group = self._groups.setdefault(owner, {})
+        group = self._groups[owner]
         if feature in group:
             raise UsageError(f"node {owner} already has {feature}")
         if isinstance(value, tuple) and feature not in LIST_FEATURES:
             raise UsageError(f"{feature} is not list-valued")
         cell = Cell(feature, owner, value, self._new_status(feature, owner, status))
         group[feature] = cell
-
-        def undo():
-            del group[feature]
-            if not group:
-                self._groups.pop(owner, None)
-
-        self.store.on_undo(undo)
+        self.store.on_undo(functools.partial(group.__delitem__, feature))
         if value is not None:
             self._notify_value(cell)
         return cell
@@ -160,58 +161,65 @@ class FeatureStructure:
         order, at first entry; a dict object appearing twice becomes a
         shared node.  All or nothing: a failed encoding adds no node.
         """
-        index_of: dict[int, int] = {}
-        on_stack: set[int] = set()
-
-        def visit(d: dict) -> int:
-            if id(d) in on_stack:
-                raise UsageError("cyclic avm")
-            if id(d) in index_of:
-                return index_of[id(d)]
-            idx = self.new_node()
-            index_of[id(d)] = idx
-            on_stack.add(id(d))
-            for feat, raw in d.items():
-                status = default_status
-                if isinstance(raw, Ann):
-                    status, raw = raw.status, raw.value
-                self._install_cell(feat, idx, convert(raw), status)
-            on_stack.discard(id(d))
-            return idx
-
-        def convert(raw):
-            if raw is None or isinstance(raw, str):
-                return raw
-            if isinstance(raw, dict):
-                return Ref(visit(raw))
-            if isinstance(raw, (list, tuple)):
-                return tuple(convert(e) for e in raw)
-            raise UsageError(f"bad avm value {raw!r}")
-
         with self.store.transaction():
-            return visit(avm)
+            return _Encoder(self, default_status).visit(avm)
+
+    def template(self) -> tuple:
+        """The whole structure as a compiled template `(n_nodes, cells)`
+        of plain tuples.  Each cell is `(feature, node, value, status)`
+        in the order the cells were installed, with nodes numbered from
+        1, a node reference written as its number and the status as
+        True, False or None (unknown).  Needs a structure without merged
+        nodes whose cells each have a status variable of their own, as
+        `encode_node` and placeholder cells make."""
+        if self._redirect:
+            raise UsageError("a structure with merged nodes has no template")
+        cells = sorted((c for group in self._groups for c in group.values()),
+                       key=lambda c: c.status.index)
+        if len({c.status for c in cells}) != len(cells):
+            raise UsageError("cells share a status variable")
+        known = {Bool3.TRUE: True, Bool3.FALSE: False}
+        return self._n_nodes, tuple(
+            (c.feature, c.owner, _relative(c.value), known.get(self.store.bool_value(c.status)))
+            for c in cells)
+
+    def instantiate(self, template: tuple) -> int:
+        """Install a compiled template on fresh nodes numbered after the
+        existing ones; returns the node its node 1 became.  The statuses
+        are allocated in one batch, and one undo entry takes the nodes
+        back.  Value watchers are not called: they watch existing nodes."""
+        n_nodes, cells = template
+        base = self._n_nodes
+        statuses = self.store.new_bools(
+            [(f"{feature}@{base + owner}", status) for feature, owner, _, status in cells])
+        groups: list[dict[str, Cell]] = [{} for _ in range(n_nodes)]
+        for (feature, owner, value, _), status in zip(cells, statuses):
+            groups[owner - 1][feature] = Cell(feature, base + owner,
+                                              _absolute(value, base), status)
+        self._groups.extend(groups)
+        self.store.on_undo(functools.partial(self._groups.__delitem__,
+                                             slice(base + 1, None)))
+        return base + 1
 
     def decode(self, root: int = 1) -> dict:
         """Back to a nested description; shared nodes come out as the
         same dict object."""
-        memo: dict[int, dict] = {}
+        return self._decode_node(self._check_node(root), {})
 
-        def node(i: int) -> dict:
-            i = self.canon(i)
-            if i not in memo:
-                memo[i] = out = {}
-                for cell in self._groups.get(i, {}).values():
-                    out[cell.feature] = value(cell.value)
-            return memo[i]
+    def _decode_node(self, i: int, memo: dict[int, dict]) -> dict:
+        i = self.canon(i)
+        if i not in memo:
+            memo[i] = out = {}
+            for cell in self._groups[i].values():
+                out[cell.feature] = self._decode_value(cell.value, memo)
+        return memo[i]
 
-        def value(v):
-            if isinstance(v, Ref):
-                return node(v.index)
-            if isinstance(v, tuple):
-                return tuple(value(e) for e in v)
-            return v
-
-        return node(self._check_node(root))
+    def _decode_value(self, v, memo: dict[int, dict]):
+        if isinstance(v, Ref):
+            return self._decode_node(v.index, memo)
+        if isinstance(v, tuple):
+            return tuple(self._decode_value(e, memo) for e in v)
+        return v
 
     # -- paths -----------------------------------------------------------
 
@@ -221,7 +229,7 @@ class FeatureStructure:
         idx = self._check_node(start)
         parts = _as_path(path)
         for k, feat in enumerate(parts):
-            cell = self._groups.get(idx, {}).get(feat)
+            cell = self._groups[idx].get(feat)
             if cell is None:
                 return None
             if k == len(parts) - 1:
@@ -243,9 +251,8 @@ class FeatureStructure:
     # -- mutation ----------------------------------------------------------
 
     def _set_value(self, cell: Cell, value) -> None:
-        old = cell.value
+        self.store.on_undo(functools.partial(setattr, cell, "value", cell.value))
         cell.value = value
-        self.store.on_undo(lambda: setattr(cell, "value", old))
         if value is not None:
             self._notify_value(cell)
 
@@ -293,25 +300,17 @@ class FeatureStructure:
         with self.store.transaction():
             keep, drop = (i, j) if i < j else (j, i)
             self._redirect[drop] = keep
-            self.store.on_undo(lambda: self._redirect.pop(drop))
-            kept = self._groups.setdefault(keep, {})
-            if not kept:
-                # freshly materialized group for a previously empty node
-                self.store.on_undo(lambda g=kept: self._groups.pop(keep, None) if not g else None)
+            self.store.on_undo(functools.partial(self._redirect.pop, drop))
+            kept = self._groups[keep]
             # drop's own group is left as it is: nothing reads it while
             # drop redirects, and an undo finds it intact and in order
-            for feat, cell in list(self._groups.get(drop, {}).items()):
+            for feat, cell in list(self._groups[drop].items()):
                 other = kept.get(feat)
                 if other is None:
                     kept[feat] = cell
-                    old_owner = cell.owner
+                    self.store.on_undo(functools.partial(kept.__delitem__, feat))
+                    self.store.on_undo(functools.partial(setattr, cell, "owner", cell.owner))
                     cell.owner = keep
-
-                    def undo(c=cell, f=feat, o=old_owner):
-                        del kept[f]
-                        c.owner = o
-
-                    self.store.on_undo(undo)
                 else:
                     self._unify_values(other, cell.value)
                     self._tie_statuses(other.status, cell.status)
@@ -331,7 +330,7 @@ class FeatureStructure:
                 owner = self._check_node(owner)
                 if isinstance(value, Ref):
                     value = Ref(self._check_node(value.index))
-                existing = self._groups.get(owner, {}).get(feature)
+                existing = self._groups[owner].get(feature)
                 if existing is None:
                     self._install_cell(feature, owner, value, status)
                 else:
@@ -340,7 +339,9 @@ class FeatureStructure:
                         self._tie_statuses(existing.status, status)
                     elif isinstance(status, Bool3) and status.known:
                         self._force_status(existing, status)
-                self._assert_acyclic(owner)
+                # only a node reference adds an edge, and so can close a cycle
+                if next(self._refs(value), None) is not None:
+                    self._assert_acyclic(owner)
 
     def share(self, p1, p2, start: int = 1) -> int:
         """Make two paths end at the same node; returns its index."""
@@ -356,14 +357,14 @@ class FeatureStructure:
         idx = self._check_node(start)
         with self.store.transaction():
             for feat in parts[:-1]:
-                cell = self._groups.get(idx, {}).get(feat)
+                cell = self._groups[idx].get(feat)
                 if cell is None:
                     cell = self._install_cell(feat, idx, Ref(self.new_node()), Bool3.UNKNOWN)
                 if not isinstance(cell.value, Ref):
                     raise UsageError(f"path {missing!r} blocked by atom at {feat}")
                 idx = self.canon(cell.value.index)
             last = parts[-1]
-            cell = self._groups.get(idx, {}).get(last)
+            cell = self._groups[idx].get(last)
             if cell is None:
                 self._install_cell(last, idx, Ref(have), Bool3.UNKNOWN)
             else:
@@ -390,7 +391,7 @@ class FeatureStructure:
                 raise UsageError(f"path {path!r} has no node at {parts[-2]}")
             idx = parent
         with self.store.transaction():
-            cell = self._groups.get(idx, {}).get(parts[-1])
+            cell = self._groups[idx].get(parts[-1])
             if cell is None:
                 cell = self._install_cell(parts[-1], idx, None, Bool3.UNKNOWN)
             if s.known:
@@ -420,13 +421,6 @@ class FeatureStructure:
         """
         env = dict(bindings or {})
 
-        def cell_value(v):
-            if isinstance(v, Ref):
-                return self.canon(v.index)
-            if isinstance(v, tuple):
-                return tuple(cell_value(e) for e in v)
-            return v
-
         def bind(term, actual) -> bool:
             if isinstance(term, str):
                 if term in env:
@@ -444,7 +438,7 @@ class FeatureStructure:
                     # unrooted template: scan nodes in index order
                     hit = None
                     for i in self.node_indices():
-                        if feature in self._groups.get(i, {}):
+                        if feature in self._groups[i]:
                             hit = i
                             break
                     if hit is None:
@@ -455,14 +449,21 @@ class FeatureStructure:
                 idx = owner
             if not isinstance(idx, int):
                 return None
-            cell = self._groups.get(self.canon(idx), {}).get(feature)
+            cell = self._groups[self.canon(idx)].get(feature)
             if cell is None:
                 return None
-            if not bind(value, cell_value(cell.value)):
+            if not bind(value, self._canon_value(cell.value)):
                 return None
             if status is not None and not bind(status, cell.status):
                 return None
         return env
+
+    def _canon_value(self, v):
+        if isinstance(v, Ref):
+            return self.canon(v.index)
+        if isinstance(v, tuple):
+            return tuple(self._canon_value(e) for e in v)
+        return v
 
     # -- the node graph -------------------------------------------------------
 
@@ -472,7 +473,7 @@ class FeatureStructure:
         seen: set[int] = set()
         stack = [self.canon(i)]
         while stack:
-            for cell in self._groups.get(stack.pop(), {}).values():
+            for cell in self._groups[stack.pop()].values():
                 for r in self._refs(cell.value):
                     t = self.canon(r.index)
                     if t not in seen:
@@ -523,13 +524,67 @@ class FeatureStructure:
         lines = []
         for i in self.node_indices():
             parts = []
-            for cell in self._groups.get(i, {}).values():
+            for cell in self._groups[i].values():
                 fields = [cell.feature, str(i), self._fmt_value(cell.value)]
                 if statuses:
                     fields.append(self.store.bool_value(cell.status).value)
                 parts.append("<" + ",".join(fields) + ">")
             lines.append("[" + ", ".join(parts) + "]")
         return "\n".join(lines)
+
+
+class _Encoder:
+    """One `encode_node` call: nodes are numbered at first entry,
+    depth-first in declaration order."""
+
+    def __init__(self, fs: FeatureStructure, default_status: Bool3):
+        self.fs = fs
+        self.default_status = default_status
+        self.index_of: dict[int, int] = {}
+        self.on_stack: set[int] = set()
+
+    def visit(self, d: dict) -> int:
+        if id(d) in self.on_stack:
+            raise UsageError("cyclic avm")
+        if id(d) in self.index_of:
+            return self.index_of[id(d)]
+        idx = self.fs.new_node()
+        self.index_of[id(d)] = idx
+        self.on_stack.add(id(d))
+        for feat, raw in d.items():
+            status = self.default_status
+            if isinstance(raw, Ann):
+                status, raw = raw.status, raw.value
+            self.fs._install_cell(feat, idx, self.convert(raw), status)
+        self.on_stack.discard(id(d))
+        return idx
+
+    def convert(self, raw):
+        if raw is None or isinstance(raw, str):
+            return raw
+        if isinstance(raw, dict):
+            return Ref(self.visit(raw))
+        if isinstance(raw, (list, tuple)):
+            return tuple(self.convert(e) for e in raw)
+        raise UsageError(f"bad avm value {raw!r}")
+
+
+def _relative(value):
+    """A cell value in template form: a node reference as its number."""
+    if isinstance(value, Ref):
+        return value.index
+    if isinstance(value, tuple):
+        return tuple(_relative(e) for e in value)
+    return value
+
+
+def _absolute(value, base: int):
+    """The inverse of `_relative`, for a template installed after node `base`."""
+    if isinstance(value, int):
+        return Ref(base + value)
+    if isinstance(value, tuple):
+        return tuple(_absolute(e, base) for e in value)
+    return value
 
 
 def encode(avm: dict, store: Store | None = None,
@@ -575,6 +630,7 @@ class _AvmParser:
         self.toks = _AVM_TOKEN.findall(text)
         self.pos = 0
         self.tags: dict[str, dict] = {}
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -586,8 +642,15 @@ class _AvmParser:
         self.pos += 1
         return tok
 
+    def nest(self, levels: int) -> None:
+        # each '[' and '<' nests one level
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise UsageError(f"avm syntax: nested deeper than {MAX_NESTING} levels")
+
     def avm(self) -> dict:
         self.take("[")
+        self.nest(1)
         out: dict = {}
         if self.peek() != "]":
             while True:
@@ -596,6 +659,7 @@ class _AvmParser:
                     break
                 self.take(",")
         self.take("]")
+        self.nest(-1)
         return out
 
     def pair(self, out: dict) -> None:
@@ -632,6 +696,7 @@ class _AvmParser:
 
     def seq(self) -> tuple:
         self.take("<")
+        self.nest(1)
         items = []
         if self.peek() != ">":
             while True:
@@ -640,6 +705,7 @@ class _AvmParser:
                     break
                 self.take(",")
         self.take(">")
+        self.nest(-1)
         return tuple(items)
 
     def tag(self):

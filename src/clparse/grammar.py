@@ -112,6 +112,8 @@ class Grammar:
         self._lp_set: set[tuple[str, str]] = set()
         self._categories: dict[str, Category] = {}
         self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
+        # compiled sign templates, filled by the sign pipeline on first use
+        self.sign_templates: dict = {}
 
     # -- queries --------------------------------------------------------
 

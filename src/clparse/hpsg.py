@@ -16,11 +16,22 @@ distinct tree of every lexical tagging is built bottom-up on a fresh
 store.  The active strategy checks each reduction as it is built; the
 generate-and-test strategy builds the whole tree first and runs every
 check at the end.  Both accept exactly the same signs.
+
+Each lexical entry is compiled once per grammar, at its first use: its
+sign as a flat cell list over relative node numbers with the known
+statuses, and the nodes where each cooccurrence restriction applies.
+The phrase skeleton is compiled the same way.  A tree renumbers and
+installs these templates instead of encoding every entry again, and
+instantiates only the restrictions at the recorded sites.  Nothing a
+tree's store holds refers back strongly to its structure, so a rejected
+tree is freed by reference counting, without the cyclic collector.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import weakref
 from dataclasses import dataclass, replace
 
 from .cfg import distinct_trees, parse
@@ -237,23 +248,29 @@ def _value_guard(fs: FeatureStructure, node: int, feature: str, value: str) -> V
     Bound now if the value is known, or when it later arrives."""
     store = fs.store
     var = store.new_bool(f"{feature}[{value}]@{node}")
-    node = fs.canon(node)
-
-    def settle(cell: Cell) -> None:
-        if cell.value is None or isinstance(cell.value, (Ref, tuple)):
-            return
-        if cell.feature != feature or fs.canon(cell.owner) != fs.canon(node):
-            return
-        with store.transaction():
-            if not (store.set_bool(var, cell.value == value) and store.propagate()):
-                raise InconsistencyError(f"value restriction {feature}[{value}] violated")
-
+    # The watcher holds the structure weakly: the store's undo entry
+    # holds the watcher, so a strong reference would make a cycle.
+    settle = functools.partial(_settle_guard, weakref.ref(fs), fs.canon(node),
+                               feature, value, var)
     cell = fs.find(node, feature)
     if cell is not None and cell.value is not None:
         settle(cell)
     fs.value_watchers.append(settle)
-    store.on_undo(lambda: fs.value_watchers.remove(settle))
+    store.on_undo(functools.partial(fs.value_watchers.remove, settle))
     return var
+
+
+def _settle_guard(fs_ref, node: int, feature: str, value: str, var: VarId,
+                  cell: Cell) -> None:
+    fs = fs_ref()
+    if fs is None or cell.value is None or isinstance(cell.value, (Ref, tuple)):
+        return
+    if cell.feature != feature or fs.canon(cell.owner) != fs.canon(node):
+        return
+    store = fs.store
+    with store.transaction():
+        if not (store.set_bool(var, cell.value == value) and store.propagate()):
+            raise InconsistencyError(f"value restriction {feature}[{value}] violated")
 
 
 def compile_fcr(f: FCR, fs: FeatureStructure, node: int,
@@ -276,50 +293,63 @@ def compile_fcr(f: FCR, fs: FeatureStructure, node: int,
             return Var(cell.status)
         return And((Var(cell.status), Var(_value_guard(fs, node, lit.feature, lit.value))))
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Var):
-            return leaf(g.ref)
-        if isinstance(g, Not):
-            return Not(walk(g.arg))
-        if isinstance(g, And):
-            return And(tuple(walk(a) for a in g.args))
-        if isinstance(g, Or):
-            return Or(tuple(walk(a) for a in g.args))
-        return type(g)(walk(g.lhs), walk(g.rhs))
+    return _map_leaves(f.formula, leaf)
 
-    return walk(f.formula)
+
+def _map_leaves(g: Formula, leaf) -> Formula:
+    """The formula with each leaf `Var(x)` replaced by `leaf(x)`, leaves
+    visited left to right."""
+    if isinstance(g, Var):
+        return leaf(g.ref)
+    if isinstance(g, Not):
+        return Not(_map_leaves(g.arg, leaf))
+    if isinstance(g, And):
+        return And(tuple(_map_leaves(a, leaf) for a in g.args))
+    if isinstance(g, Or):
+        return Or(tuple(_map_leaves(a, leaf) for a in g.args))
+    return type(g)(_map_leaves(g.lhs, leaf), _map_leaves(g.rhs, leaf))
 
 
 def feature_alphabet(g: Grammar) -> frozenset[str]:
     feats = {"synsem", "loc", "cat", "head", "subj", "comps", "dtrs", *SLOTS}
-
-    def walk(avm) -> None:
-        if hasattr(avm, "value"):   # status annotation wrapper
-            walk(avm.value)
-        elif isinstance(avm, dict):
-            for k, v in avm.items():
-                feats.add(k)
-                walk(v)
-        elif isinstance(avm, tuple):
-            for v in avm:
-                walk(v)
-
     for entries in g.lexicon.values():
         for entry in entries:
-            walk(entry.avm)
+            _collect_features(entry.avm, feats)
     return frozenset(feats)
+
+
+def _collect_features(avm, feats: set) -> None:
+    if hasattr(avm, "value"):   # status annotation wrapper
+        _collect_features(avm.value, feats)
+    elif isinstance(avm, dict):
+        for k, v in avm.items():
+            feats.add(k)
+            _collect_features(v, feats)
+    elif isinstance(avm, tuple):
+        for v in avm:
+            _collect_features(v, feats)
 
 
 def post_fcrs(fs: FeatureStructure, root: int, fcrs,
               alphabet: frozenset[str] | None = None) -> None:
     """Instantiate every restriction at every node of the sign that
     carries at least one of its features."""
+    for node, k in _fcr_sites(fs, root, fcrs):
+        _post_fcr(fs, node, fcrs[k], alphabet)
+
+
+def _fcr_sites(fs: FeatureStructure, root: int, fcrs):
+    """The (node, index into fcrs) pairs `post_fcrs` instantiates, in its
+    order.  Lazy: a placeholder made at one site can make a later one."""
     for node in fs.reachable(root):
-        for f in fcrs:
+        for k, f in enumerate(fcrs):
             if any(fs.find(node, feat) is not None for feat in f.features):
-                formula = compile_fcr(f, fs, node, alphabet)
-                if not fs.store.tell(BoolConstraint(formula)):
-                    raise InconsistencyError(f"cooccurrence restriction {f} violated")
+                yield node, k
+
+
+def _post_fcr(fs: FeatureStructure, node: int, f: FCR, alphabet) -> None:
+    if not fs.store.tell(BoolConstraint(compile_fcr(f, fs, node, alphabet))):
+        raise InconsistencyError(f"cooccurrence restriction {f} violated")
 
 
 # -- head feature sharing -------------------------------------------------
@@ -351,15 +381,18 @@ def apply_hfp(fs: FeatureStructure, root: int) -> FeatureStructure:
     shared = store.new_bool(f"hfp@{env['M3']}")
     if not store.tell(bool_post(Implies(guard, Var(shared)))):
         raise InconsistencyError("head sharing rejected")
-    target, head_value = env["M3"], env["H"]
-
-    def fire(result: AskResult) -> None:
-        if result is AskResult.ENTAILED:
-            value = Ref(head_value) if isinstance(head_value, int) else head_value
-            fs.add((("head", target, value, shared),))
-
-    store.post_ask(BoolConstraint(guard), fire)
+    head = env["H"]
+    value = Ref(head) if isinstance(head, int) else head
+    # weakly, as the store holds the callback (see _value_guard)
+    store.post_ask(BoolConstraint(guard), functools.partial(
+        _share_head, weakref.ref(fs), env["M3"], value, shared))
     return fs
+
+
+def _share_head(fs_ref, target: int, value, shared: VarId, result: AskResult) -> None:
+    fs = fs_ref()
+    if fs is not None and result is AskResult.ENTAILED:
+        fs.add((("head", target, value, shared),))
 
 
 def apply_valency(fs: FeatureStructure, root: int, *,
@@ -383,22 +416,23 @@ def apply_valency(fs: FeatureStructure, root: int, *,
 # -- sign construction ----------------------------------------------------
 
 def _merge_avm(entry: LexEntry) -> dict:
-    def deep(dst: dict, extra: dict) -> dict:
-        out = dict(dst)
-        for k, v in extra.items():
-            if k in out:
-                cur = out[k]
-                inner = cur.value if hasattr(cur, "value") else cur
-                if not (isinstance(inner, dict) and isinstance(v, dict)):
-                    raise UsageError(f"lexical entry reserves {k!r}")
-                merged = deep(inner, v)
-                out[k] = replace(cur, value=merged) if hasattr(cur, "value") else merged
-            else:
-                out[k] = v
-        return out
-
-    return deep(entry.avm, {"synsem": {"loc": {"cat": {
+    return _deep_merge(entry.avm, {"synsem": {"loc": {"cat": {
         "subj": tuple(entry.subj), "comps": tuple(entry.subcat)}}}})
+
+
+def _deep_merge(dst: dict, extra: dict) -> dict:
+    out = dict(dst)
+    for k, v in extra.items():
+        if k in out:
+            cur = out[k]
+            inner = cur.value if hasattr(cur, "value") else cur
+            if not (isinstance(inner, dict) and isinstance(v, dict)):
+                raise UsageError(f"lexical entry reserves {k!r}")
+            merged = _deep_merge(inner, v)
+            out[k] = replace(cur, value=merged) if hasattr(cur, "value") else merged
+        else:
+            out[k] = v
+    return out
 
 
 def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
@@ -409,14 +443,58 @@ def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
     return Sign(fs, root, entry.category, wf, schema=entry.schema)
 
 
-def _mother_sign(fs: FeatureStructure, category: str) -> Sign:
-    root = fs.encode_node({"synsem": {"loc": {"cat": {}}}},
-                          default_status=Bool3.TRUE)
+def _mother_sign(fs: FeatureStructure, category: str, template: tuple) -> Sign:
+    """A phrase's sign from the compiled skeleton (see _mother_template)."""
+    root = fs.instantiate(template)
+    wf = fs.store.new_bool(f"wf:{category}")
+    return Sign(fs, root, category, wf)
+
+
+# -- templates compiled once per grammar -----------------------------------
+
+def _mother_template() -> tuple:
+    """A phrase's skeleton: synsem.loc.cat realized, with valueless subj
+    and comps placeholders."""
+    fs = FeatureStructure(Store())
+    root = fs.encode_node({"synsem": {"loc": {"cat": {}}}}, default_status=Bool3.TRUE)
     cat = fs.resolve(CAT_PATH, root)
     fs.add((("subj", cat, None, Bool3.UNKNOWN),
             ("comps", cat, None, Bool3.UNKNOWN)))
-    wf = fs.store.new_bool(f"wf:{category}")
-    return Sign(fs, root, category, wf)
+    return fs.template()
+
+
+def _entry_template(entry: LexEntry, fcrs) -> tuple:
+    """`(template, sites)`: the entry's sign as `lexical_sign` encodes
+    it, and the `(node, index into fcrs)` pairs where `post_fcrs`
+    instantiates a restriction on it, over the template's node numbers.
+    The sites come from `post_fcrs`'s own walk over a scratch copy.  A
+    site that fails there fails in every tree, at the latest, so none
+    after it is kept; unknown features are checked in the tree."""
+    fs = FeatureStructure(Store())
+    fs.encode_node(_merge_avm(entry), default_status=Bool3.TRUE)
+    template = fs.template()
+    sites = []
+    try:
+        for node, k in _fcr_sites(fs, 1, fcrs):
+            sites.append((node, k))
+            _post_fcr(fs, node, fcrs[k], None)
+    except (InconsistencyError, UsageError):
+        pass
+    return template, tuple(sites)
+
+
+def _templates(g: Grammar) -> dict:
+    """The grammar's compiled templates, kept on it as plain tuples so a
+    pickled grammar carries them: the feature alphabet and the phrase
+    skeleton, made on the first call, and each lexical entry's
+    `_entry_template` under its `(form, position)` in the lexicon, made
+    when a tree first uses it.  The key is the place, not the entry:
+    `LexEntry` equality ignores the avm."""
+    cache = g.sign_templates
+    if not cache:
+        cache["alphabet"] = feature_alphabet(g)
+        cache["mother"] = _mother_template()
+    return cache
 
 
 # -- pipeline -------------------------------------------------------------
@@ -425,55 +503,89 @@ class _Rejected(Exception):
     pass
 
 
-def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
-                alphabet: frozenset[str], trace=None) -> Sign | None:
-    store = Store(trace=trace)
-    fs = FeatureStructure(store)
-    active = strategy == "active"
-    leaves = iter(tagging)
-    deferred: list = []
-    parts: list[tuple[str, int, VarId]] = []
+def _check(t: LocalTree, g: Grammar) -> None:
+    result = check_local_tree(t, g)
+    if not result.ok:
+        raise _Rejected(result.violations)
 
-    def gate(fn) -> None:
-        if active:
+
+def _post_sites(fs: FeatureStructure, base: int, sites, fcrs, alphabet) -> None:
+    for node, k in sites:
+        _post_fcr(fs, base + node, fcrs[k], alphabet)
+
+
+def _assert_wf(store: Store, sign: Sign) -> None:
+    if not store.tell(bool_post(Var(sign.wf))):
+        raise InconsistencyError(f"{sign.category} entry inconsistent")
+
+
+def _post_frame(frame, store: Store, wf_map, schema, comp_vars) -> None:
+    if not post_subcat(frame, store, wf_map, schema, comp_vars):
+        raise InconsistencyError(f"subcategorization of {frame.phrase} rejected")
+
+
+class _TreeBuild:
+    """One tree's signs, built bottom-up on a fresh store.  The checks
+    it defers are partials over the store and the structure, never over
+    the builder, and what the store holds refers to the structure only
+    weakly, so a tree's store and structure are freed by reference
+    counting."""
+
+    def __init__(self, g: Grammar, tagging, active: bool, stats: Stats, trace):
+        self.g = g
+        self.templates = _templates(g)
+        self.store = Store(trace=trace)
+        self.fs = FeatureStructure(self.store)
+        self.leaves = iter(tagging)
+        self.active = active
+        self.stats = stats
+        self.deferred: list = []
+        self.parts: list[tuple[str, int, VarId]] = []
+
+    def gate(self, fn) -> None:
+        if self.active:
             fn()
         else:
-            deferred.append(fn)
+            self.deferred.append(fn)
 
-    def check(t: LocalTree) -> None:
-        result = check_local_tree(t, g)
-        if not result.ok:
-            raise _Rejected(result.violations)
-
-    def build(node) -> Sign:
+    def sign(self, node) -> Sign:
         label, children = node
         if not children:
-            entry = next(leaves)
-            stats.expansions += 1
-            sign = lexical_sign(fs, entry)
-            parts.append((label, sign.root, sign.wf))
-            gate(lambda: post_fcrs(fs, sign.root, g.fcrs, alphabet))
-            def assert_wf(s=sign):
-                if not store.tell(bool_post(Var(s.wf))):
-                    raise InconsistencyError(f"{s.category} entry inconsistent")
-            gate(assert_wf)
-            return sign
+            return self.lexical(label)
+        dsigns = [self.sign(child) for child in children]
+        self.stats.expansions += 1
+        return self.phrase(label, tuple((child[0], s) for child, s in zip(children, dsigns)))
 
-        dsigns = [build(child) for child in children]
-        stats.expansions += 1
-        daughters = tuple((child[0], s) for child, s in zip(children, dsigns))
-        t = LocalTree(label, daughters)
-        gate(lambda: check(t))
+    def lexical(self, label: str) -> Sign:
+        key, entry = next(self.leaves)
+        self.stats.expansions += 1
+        compiled = self.templates.get(key)
+        if compiled is None:
+            compiled = self.templates[key] = _entry_template(entry, self.g.fcrs)
+        template, sites = compiled
+        fs, store = self.fs, self.store
+        root = fs.instantiate(template)
+        sign = Sign(fs, root, entry.category, store.new_bool(f"wf:{entry.form}"),
+                    schema=entry.schema)
+        self.parts.append((label, root, sign.wf))
+        self.gate(functools.partial(_post_sites, fs, root - 1, sites, self.g.fcrs,
+                                    self.templates["alphabet"]))
+        self.gate(functools.partial(_assert_wf, store, sign))
+        return sign
+
+    def phrase(self, label: str, daughters) -> Sign:
+        g, fs, store = self.g, self.fs, self.store
+        self.gate(functools.partial(_check, LocalTree(label, daughters), g))
 
         hi = _head_index(label, daughters, g)
         if hi is None:
             hi = 0   # headless trees fail the projection gate anyway
-        head = dsigns[hi]
+        head = daughters[hi][1]
         subj_pairs, comp_pairs, _, _ = _split_realized(
             *valency_of(head), daughters[:hi] + daughters[hi + 1:])
 
-        mother = _mother_sign(fs, label)
-        parts.append((label, mother.root, mother.wf))
+        mother = _mother_sign(fs, label, self.templates["mother"])
+        self.parts.append((label, mother.root, mother.wf))
         schema = attach_daughters(fs, mother, head,
                                   subj=[s for _, s in subj_pairs],
                                   comps=[s for _, s in comp_pairs])
@@ -500,16 +612,20 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
                 comp_vars.append(v)
                 if not store.tell(eq(v, cat)):
                     raise InconsistencyError("complement category excluded")
-
-            def booleans():
-                if not post_subcat(frame, store, wf_map, head.schema, comp_vars):
-                    raise InconsistencyError(f"subcategorization of {label} rejected")
-            gate(booleans)
+            self.gate(functools.partial(_post_frame, frame, store, wf_map,
+                                        head.schema, comp_vars))
         return mother
 
+
+def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
+                trace=None) -> Sign | None:
+    """The root sign of one tree, or None if the tree is rejected.
+    `tagging` pairs each leaf's entry with its template key."""
+    build = _TreeBuild(g, tagging, strategy == "active", stats, trace)
+    store = build.store
     try:
-        root_sign = build(tree)
-        for fn in deferred:
+        root_sign = build.sign(tree)
+        for fn in build.deferred:
             fn()
         if not store.tell(bool_post(Var(root_sign.wf))):
             return None
@@ -520,7 +636,7 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
     finally:
         stats.merge(store.counters)
 
-    root_sign.parts = tuple(parts)
+    root_sign.parts = tuple(build.parts)
     return root_sign
 
 
@@ -540,18 +656,17 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
         entries = g.entries(w)
         if not entries:
             raise UsageError(f"unknown word {w!r}")
-        choices.append(entries)
-    alphabet = feature_alphabet(g)
+        choices.append(tuple(((w, k), e) for k, e in enumerate(entries)))
     stats = Stats()
     signs: list[Sign] = []
 
     for tagging in itertools.product(*choices):
-        cats = tuple(e.category for e in tagging)
+        cats = tuple(e.category for _, e in tagging)
         derivs, cfg_stats = parse(cats, g, strategy=strategy, trace=trace)
         stats.merge(cfg_stats)
         for tree in distinct_trees(derivs, cats):
             stats.trees_considered += 1
-            sign = _build_tree(tree, tagging, g, strategy, stats, alphabet, trace)
+            sign = _build_tree(tree, tagging, g, strategy, stats, trace)
             if sign is not None:
                 stats.signs_accepted += 1
                 signs.append(sign)

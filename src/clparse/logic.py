@@ -191,7 +191,21 @@ def enforce(
     so fixpoint behaviour comes from the propagation loop.  Returns False
     on contradiction.
     """
-    cur = eval_formula(f, lookup)
+    return _enforce(f, want, lookup, assign, None)
+
+
+def _enforce(f: Formula, want: bool, lookup, assign, cur: Bool3 | None) -> bool:
+    # `cur`, when given, is f's value computed with no assignment since.
+    # A compound evaluates its arms, derives its own value from theirs,
+    # and hands an arm's value down when nothing was assigned in between.
+    if isinstance(f, (And, Or)):
+        vals = [eval_formula(a, lookup) for a in f.args]
+        cur = and3(*vals) if isinstance(f, And) else or3(*vals)
+    elif isinstance(f, (Implies, Equiv)):
+        va, vb = eval_formula(f.lhs, lookup), eval_formula(f.rhs, lookup)
+        cur = implies3(va, vb) if isinstance(f, Implies) else equiv3(va, vb)
+    elif cur is None:
+        cur = eval_formula(f, lookup)
     if cur is Bool3.of(want):
         return True
     if cur.known:
@@ -199,26 +213,35 @@ def enforce(
     if isinstance(f, Var):
         return assign(f.ref, want)
     if isinstance(f, Not):
-        return enforce(f.arg, not want, lookup, assign)
+        # f is unknown here, so its argument is too
+        return _enforce(f.arg, not want, lookup, assign, Bool3.UNKNOWN)
     if isinstance(f, (And, Or)):
-        # an And forced true (dually an Or forced false) fixes every arm;
+        # an And forced true (dually an Or forced false) fixes every arm,
+        # each evaluated afresh after the arms before it assigned;
         # the opposite polarity only fires once a single arm is left open
-        all_fixed = want if isinstance(f, And) else not want
-        if all_fixed:
-            return all(enforce(a, want, lookup, assign) for a in f.args)
-        open_args = [a for a in f.args if not eval_formula(a, lookup).known]
-        if len(open_args) == 1:
-            return enforce(open_args[0], want, lookup, assign)
+        if want == isinstance(f, And):
+            return all(_enforce(a, want, lookup, assign, None) for a in f.args)
+        open_arms = [(a, v) for a, v in zip(f.args, vals) if not v.known]
+        if len(open_arms) == 1:
+            (arm, value), = open_arms
+            return _enforce(arm, want, lookup, assign, value)
         return True
     if isinstance(f, Implies):
-        return enforce(Or((Not(f.lhs), f.rhs)), want, lookup, assign)
-    if isinstance(f, Equiv):
-        va = eval_formula(f.lhs, lookup)
-        vb = eval_formula(f.rhs, lookup)
+        # the Or of ~lhs and rhs: forced false it fixes both arms, forced
+        # true it fires once a single arm is left open
+        if not want:
+            return (_enforce(f.lhs, True, lookup, assign, va)
+                    and _enforce(f.rhs, False, lookup, assign, None))
         if va.known:
-            return enforce(f.rhs, (va is Bool3.TRUE) == want, lookup, assign)
+            return _enforce(f.rhs, True, lookup, assign, vb)
         if vb.known:
-            return enforce(f.lhs, (vb is Bool3.TRUE) == want, lookup, assign)
+            return _enforce(f.lhs, False, lookup, assign, va)
+        return True
+    if isinstance(f, Equiv):
+        if va.known:
+            return _enforce(f.rhs, (va is Bool3.TRUE) == want, lookup, assign, vb)
+        if vb.known:
+            return _enforce(f.lhs, (vb is Bool3.TRUE) == want, lookup, assign, va)
         return True
     raise UsageError(f"not a formula: {f!r}")
 
@@ -231,6 +254,12 @@ def enforce(
 #   or     := and ('|' and)*
 #   and    := unary ('&' unary)*
 #   unary  := '~' unary | '(' expr ')' | LEAF    (LEAF: set by a leaf rule)
+#
+# Each '~', '(', '->' and '<->' nests one level; text nested deeper than
+# MAX_NESTING is a usage error, so no parse or later walk over the tree
+# runs out of stack.
+
+MAX_NESTING = 100
 
 
 def _tokenize(text: str, leaf_pattern: str) -> list[str]:
@@ -252,6 +281,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.leaf = leaf
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -263,18 +293,29 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nest(self, levels: int = 1) -> None:
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise UsageError(f"formula nested deeper than {MAX_NESTING} levels")
+
     def expr(self) -> Formula:
         node = self.impl()
+        links = 0
         while self.peek() == "<->":
             self.take()
+            self.nest()
+            links += 1
             node = Equiv(node, self.impl())
+        self.nest(-links)
         return node
 
     def impl(self) -> Formula:
         node = self.or_()
         if self.peek() == "->":
             self.take()
-            return Implies(node, self.impl())
+            self.nest()
+            node = Implies(node, self.impl())
+            self.nest(-1)
         return node
 
     def or_(self) -> Formula:
@@ -296,13 +337,17 @@ class _Parser:
     def unary(self) -> Formula:
         tok = self.take()
         if tok == "~":
-            return Not(self.unary())
-        if tok == "(":
+            self.nest()
+            node = Not(self.unary())
+        elif tok == "(":
+            self.nest()
             node = self.expr()
             if self.take() != ")":
                 raise UsageError("missing ')' in formula")
-            return node
-        return self.leaf(tok)
+        else:
+            return self.leaf(tok)
+        self.nest(-1)
+        return node
 
 
 def parse_with_leaves(text: str, leaf_pattern: str,
@@ -334,23 +379,23 @@ def parse_formula(text: str, env: dict[str, object]) -> Formula:
 
 def format_formula(f: Formula, name_of: Callable[[object], str] = str) -> str:
     """Render a formula in the same syntax `parse_formula` accepts."""
+    return _format(f, 0, name_of)
 
-    def walk(g: Formula, parent: int) -> str:
-        # precedence: equiv 0 < implies 1 < or 2 < and 3 < unary 4
-        if isinstance(g, Var):
-            return name_of(g.ref)
-        if isinstance(g, Const):
-            return "true" if g.value else "false"
-        if isinstance(g, Not):
-            return "~" + walk(g.arg, 4)
-        if isinstance(g, And):
-            text, level = " & ".join(walk(a, 3) for a in g.args), 3
-        elif isinstance(g, Or):
-            text, level = " | ".join(walk(a, 2) for a in g.args), 2
-        elif isinstance(g, Implies):
-            text, level = f"{walk(g.lhs, 2)} -> {walk(g.rhs, 1)}", 1
-        else:
-            text, level = f"{walk(g.lhs, 1)} <-> {walk(g.rhs, 1)}", 0
-        return f"({text})" if level < parent else text
 
-    return walk(f, 0)
+def _format(g: Formula, parent: int, name_of) -> str:
+    # precedence: equiv 0 < implies 1 < or 2 < and 3 < unary 4
+    if isinstance(g, Var):
+        return name_of(g.ref)
+    if isinstance(g, Const):
+        return "true" if g.value else "false"
+    if isinstance(g, Not):
+        return "~" + _format(g.arg, 4, name_of)
+    if isinstance(g, And):
+        text, level = " & ".join(_format(a, 3, name_of) for a in g.args), 3
+    elif isinstance(g, Or):
+        text, level = " | ".join(_format(a, 2, name_of) for a in g.args), 2
+    elif isinstance(g, Implies):
+        text, level = f"{_format(g.lhs, 2, name_of)} -> {_format(g.rhs, 1, name_of)}", 1
+    else:
+        text, level = f"{_format(g.lhs, 1, name_of)} <-> {_format(g.rhs, 1, name_of)}", 0
+    return f"({text})" if level < parent else text

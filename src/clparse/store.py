@@ -33,6 +33,11 @@ from .errors import InconsistencyError, UsageError
 from .logic import Bool3
 
 
+def _drop_keys(table: dict, keys) -> None:
+    for k in keys:
+        table.pop(k, None)
+
+
 class VarKind(enum.Enum):
     FD = "fd"
     BOOL = "bool"
@@ -273,6 +278,25 @@ class Store:
 
     def new_seq(self, name: str = "") -> VarId:
         return self._install(_VarState(VarKind.SEQ), name)
+
+    def new_bools(self, specs) -> list[VarId]:
+        """Boolean variables in one batch, one per `(name, status)` pair,
+        a status of True or False set at once; one undo entry takes the
+        batch back.  A fresh variable has no watcher and no suspended
+        ask, so a known status wakes nothing."""
+        out = []
+        for name, status in specs:
+            state = _VarState(VarKind.BOOL)
+            idx = next(self._next_var)
+            self._vars[idx] = state
+            v = VarId(idx, self._id, VarKind.BOOL, name)
+            out.append(v)
+            if status is not None:
+                state.status = Bool3.of(status)
+                if self._trace:
+                    self._emit("status", v, "U", state.status.value)
+        self._trail.append(functools.partial(_drop_keys, self._vars, [v.index for v in out]))
+        return out
 
     def _install(self, state: _VarState, name: str) -> VarId:
         idx = next(self._next_var)

@@ -193,6 +193,41 @@ def test_hpsg_mode_dumps_signs(capsys):
     assert "signs_accepted" in err
 
 
+def test_hpsg_jobs_pickle_the_compiled_templates(capsys, tmp_path, monkeypatch):
+    # A grammar that already holds compiled templates, from a parse in
+    # this process, goes to the workers pickled and parses the same.
+    g = load_grammar_file(TOY_LEX)
+    parse_hpsg("the cat sleeps".split(), g)
+    assert g.sign_templates
+    monkeypatch.setattr(cli, "load_grammar_file", lambda path: g)
+    f = tmp_path / "sents.txt"
+    f.write_text("the cat sleeps\ncat the sleeps\nthe cat sleeps\n")
+    argv = ("--grammar", TOY_LEX, "--mode", "hpsg", "--file", str(f), "--stats")
+    one = run(capsys, *argv)
+    two = run(capsys, *argv, "--jobs", "2")
+    assert one == two
+    assert one[0] == 1 and one[1].count("WF ") == 2
+
+
+@pytest.mark.parametrize("line", [
+    "fcr " + "~" * 3000 + "PFORM -> INDEX.",
+    'lex "deep" Nm ' + "[a: " * 3000 + "b" + "]" * 3000 + " subcat [].",
+])
+def test_deeply_nested_grammar_text_exits_two(tmp_path, line):
+    bad = tmp_path / "deep.clg"
+    bad.write_text(open(TOY_LEX).read() + "\n" + line + "\n")
+    src = str(Path(clparse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clparse.cli", "--grammar", str(bad), "--mode", "hpsg",
+         "--input", "the cat sleeps"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nested deeper than" in proc.stderr
+    assert f"line {len(open(TOY_LEX).read().splitlines()) + 2}" in proc.stderr
+
+
 def test_hpsg_unknown_word_exits_two(capsys):
     rc, _, err = run(capsys, "--grammar", TOY_LEX, "--mode", "hpsg",
                      "--input", "the dog sleeps")

@@ -4,6 +4,8 @@ extraction, statuses, text syntax."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clparse import Bool3, InconsistencyError, Store, UsageError
 from clparse.fstruct import (
@@ -348,6 +350,15 @@ def test_parse_avm_errors():
             parse_avm(bad)
 
 
+def test_deep_avm_text_is_a_usage_error():
+    for text in ["[a: " * 3000 + "b" + "]" * 3000, "[a: <" * 3000 + "b" + ">]" * 3000]:
+        with pytest.raises(UsageError, match="nested deeper"):
+            parse_avm(text)
+    assert parse_avm("[a: " * 100 + "b" + "]" * 100)
+    with pytest.raises(UsageError):
+        parse_avm("[a: " * 101 + "b" + "]" * 101)
+
+
 def test_parse_avm_sharing_forward_reference():
     avm = parse_avm("[x: #1, y: #1 [maj: n]]")
     assert avm["x"] is avm["y"]
@@ -362,3 +373,76 @@ def test_parse_avm_sequences():
     v = fs.lookup("comps").value
     assert len(v) == 2 and all(isinstance(e, Ref) for e in v)
     assert fs.lookup("subj").value == ()
+
+
+# -- compiled templates ---------------------------------------------------------
+
+
+@st.composite
+def avms(draw):
+    """A random avm: dicts made one after another, each free to refer to
+    earlier ones (shared nodes), with status annotations and list values;
+    the last one is the root."""
+    made: list[dict] = []
+    for _ in range(draw(st.integers(1, 6))):
+        item = st.sampled_from(("x", "y", None))
+        if made:
+            item = item | st.sampled_from(made)
+        d = {}
+        for feat in draw(st.lists(st.sampled_from(("a", "b", "head", "subj", "comps")),
+                                  unique=True, max_size=4)):
+            if feat in ("subj", "comps"):
+                value = tuple(draw(st.lists(item, max_size=3)))
+            else:
+                value = draw(item)
+            if draw(st.booleans()):
+                value = Ann(value, draw(st.sampled_from(list(Bool3))))
+            d[feat] = value
+        made.append(d)
+    return made[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(avms(), avms(), st.sampled_from(list(Bool3)))
+def test_instantiated_template_matches_encode_node(avm, prefix, default):
+    scratch = FeatureStructure(Store())
+    scratch.encode_node(avm, default)
+    template = scratch.template()
+    direct, via = FeatureStructure(Store()), FeatureStructure(Store())
+    for fs in (direct, via):
+        fs.encode_node(prefix, default)     # so the template lands at an offset
+    before = via.dump(statuses=True)
+    snap = via.store.snapshot()
+    root = direct.encode_node(avm, default)
+    assert via.instantiate(template) == root > 1
+    assert via.dump(statuses=True) == direct.dump(statuses=True)
+    assert avm_equal(via.decode(root), direct.decode(root))
+    assert avm_equal(via.decode(root), scratch.decode(1))
+    # the same variables, made in the same order, with the same statuses
+    assert via.store.fingerprint() == direct.store.fingerprint()
+    via.store.restore(snap)
+    assert via.dump(statuses=True) == before
+
+
+def test_template_needs_unmerged_nodes_with_own_statuses():
+    fs = encode(parse_avm("[x: [maj: n], y: [maj: n]]"))
+    fs.share("x", "y")
+    with pytest.raises(UsageError):
+        fs.template()
+    fs = encode(parse_avm("[x: a]"))
+    fs.add([("y", 1, "b", fs.lookup("x").status)])
+    with pytest.raises(UsageError):
+        fs.template()
+
+
+def test_add_walks_for_cycles_only_on_a_reference():
+    fs = encode(parse_avm("[x: [maj: n]]"))
+    walks = []
+    below = fs._below
+    fs._below = lambda i: walks.append(i) or below(i)
+    fs.add([("case", 2, "nom", Bool3.TRUE), ("gap", 2, None, Bool3.UNKNOWN)])
+    assert walks == []
+    fs.add([("z", 1, Ref(2), Bool3.TRUE)])
+    assert walks == [1]
+    with pytest.raises(UsageError):
+        fs.add([("up", 2, Ref(1), Bool3.TRUE)])

@@ -192,6 +192,18 @@ def test_lex_avm_errors_carry_line():
     assert "line 2" in str(err.value)
 
 
+def test_deep_nesting_is_a_grammar_error_with_its_line():
+    with pytest.raises(GrammarError, match="nested deeper"):
+        parse_fcr("~" * 3000 + "A")
+    head = "rule S -> A. start S.\n"
+    for line in ("fcr " + "~" * 3000 + "A -> B.",
+                 "fcr (" + " <-> ".join("A" * 3000) + ") -> B.",
+                 'lex "x" A ' + "[a: " * 3000 + "b" + "]" * 3000 + "."):
+        with pytest.raises(GrammarError, match="nested deeper") as err:
+            load_grammar(head + line)
+        assert err.value.line == 2
+
+
 CANONICAL_FCRS = [
     "PFORM -> ~INDEX",
     "VFORM -> MAJ[V]",

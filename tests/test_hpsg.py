@@ -1,3 +1,6 @@
+import gc
+from dataclasses import asdict
+
 import pytest
 
 from clparse.constraints import bool_post, eq
@@ -476,6 +479,73 @@ def test_strategies_accept_the_same_signs(toy):
     assert (ta.windows_tried, tg.windows_tried) == (20, 22)
     assert ta.expansions == tg.expansions == 6
     assert ta.signs_accepted == tg.signs_accepted == 1
+
+
+def test_parse_hpsg_pins_every_counter():
+    # A fresh grammar: the first call compiles the templates, and gives
+    # the same counts as every later call.
+    g = load_grammar_file(TOY_LEX)
+    common = dict(reductions_applied=6, backtracks=0, trees_considered=1,
+                  expansions=6, signs_accepted=1, completeness_tests=0,
+                  ask_evaluations=3)
+    want = {"active": dict(common, windows_tried=20, propagation_steps=67),
+            "gentest": dict(common, windows_tried=22, propagation_steps=38)}
+    for _ in range(2):
+        for strategy, counts in want.items():
+            _, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
+            assert asdict(stats) == counts, strategy
+
+
+def test_parse_hpsg_leaves_no_garbage():
+    # No reference cycles: a tree's store and structure go when the last
+    # reference does, accepted or rejected, on the first call (which
+    # compiles the templates) as on later ones.
+    text = open(TOY_LEX).read()
+    cases = (
+        (load_grammar(text), "the cat sleeps", 1),
+        # rejected by a cooccurrence restriction on "cat"
+        (load_grammar(text + "\nfcr MAJ -> ~CASE.\n"), "the cat sleeps", 0),
+        # an unknown head status leaves head sharing suspended in the store
+        (load_grammar(text.replace('"sleeps" Vb [synsem: [loc: [cat: [head:',
+                                   '"sleeps" Vb [synsem: [loc: [cat: [?head:')),
+         "the cat sleeps", 1),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for g, words, accepted in cases:
+            for strategy in ("active", "gentest", "active"):
+                signs, _ = parse_hpsg(words.split(), g, strategy=strategy)
+                assert len(signs) == accepted
+                del signs
+                assert gc.collect() == 0, (words, strategy)
+    finally:
+        gc.enable()
+
+
+def test_lexical_templates_survive_pickling():
+    import pickle
+
+    g = load_grammar_file(TOY_LEX)
+    before, _ = parse_hpsg("the cat sleeps".split(), g)
+    assert g.sign_templates
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy.sign_templates == g.sign_templates
+    after, _ = parse_hpsg("the cat sleeps".split(), copy)
+    assert [sign_dump(s, statuses=True) for s in after] == \
+        [sign_dump(s, statuses=True) for s in before]
+
+
+def test_unknown_fcr_feature_raises_where_the_restriction_applies(toy):
+    text = open(TOY_LEX).read()
+    # "cat" carries CASE, so the restriction applies to its head
+    g = load_grammar(text + "\nfcr CASE -> NOSUCH.\n")
+    for strategy in ("active", "gentest"):
+        with pytest.raises(UsageError, match="unknown features"):
+            parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
+    # ...but no tree uses it here, and nothing is raised
+    g = load_grammar(text + "\nfcr CASE -> NOSUCH.\n")
+    assert parse_hpsg("the cat the".split(), g)[0] == ()
 
 
 def test_root_must_be_saturated():

@@ -1,6 +1,8 @@
 """Three-valued logic: truth tables, evaluation, unit propagation, syntax."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clparse.logic import (
     And,
@@ -16,6 +18,7 @@ from clparse.logic import (
     disj,
     enforce,
     equiv3,
+    MAX_NESTING,
     eval_formula,
     format_formula,
     implies3,
@@ -177,3 +180,83 @@ def test_format_round_trip():
     for text in ["a & b | c", "~(a | b)", "a -> b -> c", "a <-> ~b", "a & (b | c)"]:
         f = parse_formula(text, env)
         assert parse_formula(format_formula(f), env) == f
+
+
+def test_deep_nesting_is_a_usage_error():
+    env = {"a": "a"}
+    for text in ("~" * 3000 + "a", "(" * 3000 + "a" + ")" * 3000,
+                 " -> ".join("a" * 3000), " <-> ".join("a" * 3000)):
+        with pytest.raises(UsageError, match="nested deeper"):
+            parse_formula(text, env)
+    # the limit itself parses
+    assert parse_formula("~" * MAX_NESTING + "a", env) is not None
+    assert parse_formula("(" * MAX_NESTING + "a" + ")" * MAX_NESTING, env) == Var("a")
+    with pytest.raises(UsageError):
+        parse_formula("~" * (MAX_NESTING + 1) + "a", env)
+
+
+# -- enforce against the evaluate-everything-again original ----------------
+
+
+def _old_enforce(f, want, lookup, assign):
+    """enforce as it was before it passed values down: every call, the
+    Implies rewrite and the Equiv sides evaluate their formula again."""
+    cur = eval_formula(f, lookup)
+    if cur is Bool3.of(want):
+        return True
+    if cur.known:
+        return False
+    if isinstance(f, Var):
+        return assign(f.ref, want)
+    if isinstance(f, Not):
+        return _old_enforce(f.arg, not want, lookup, assign)
+    if isinstance(f, (And, Or)):
+        all_fixed = want if isinstance(f, And) else not want
+        if all_fixed:
+            return all(_old_enforce(a, want, lookup, assign) for a in f.args)
+        open_args = [a for a in f.args if not eval_formula(a, lookup).known]
+        if len(open_args) == 1:
+            return _old_enforce(open_args[0], want, lookup, assign)
+        return True
+    if isinstance(f, Implies):
+        return _old_enforce(Or((Not(f.lhs), f.rhs)), want, lookup, assign)
+    va = eval_formula(f.lhs, lookup)
+    vb = eval_formula(f.rhs, lookup)
+    if va.known:
+        return _old_enforce(f.rhs, (va is Bool3.TRUE) == want, lookup, assign)
+    if vb.known:
+        return _old_enforce(f.lhs, (vb is Bool3.TRUE) == want, lookup, assign)
+    return True
+
+
+class _LoggedEnv(_Env):
+    def __init__(self, vals):
+        super().__init__(**vals)
+        self.log = []
+
+    def assign(self, ref, flag):
+        ok = super().assign(ref, flag)
+        self.log.append((ref, flag, ok))
+        return ok
+
+
+_formulas = st.recursive(
+    st.sampled_from("abcd").map(Var) | st.booleans().map(Const),
+    lambda sub: (sub.map(Not)
+                 | st.lists(sub, min_size=2, max_size=4).map(lambda a: And(tuple(a)))
+                 | st.lists(sub, min_size=2, max_size=4).map(lambda a: Or(tuple(a)))
+                 | st.tuples(sub, sub).map(lambda p: Implies(*p))
+                 | st.tuples(sub, sub).map(lambda p: Equiv(*p))),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas, st.booleans(),
+       st.dictionaries(st.sampled_from("abcd"), st.sampled_from([T, F])))
+def test_enforce_matches_the_original(f, want, vals):
+    # same result, same leaves assigned in the same order with the same
+    # outcomes, so the store's propagation counts cannot move
+    new, old = _LoggedEnv(vals), _LoggedEnv(vals)
+    assert enforce(f, want, new.look, new.assign) == _old_enforce(f, want, old.look, old.assign)
+    assert new.log == old.log
+    assert new.vals == old.vals
