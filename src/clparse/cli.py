@@ -132,10 +132,13 @@ def main(argv=None) -> int:
         raw = [args.input]
     else:
         try:
-            with open(args.file) as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 raw = fh.readlines()
         except OSError as e:
             print(f"clparse: {e}", file=sys.stderr)
+            return 2
+        except UnicodeDecodeError as e:
+            print(f"clparse: {args.file}: not UTF-8 text ({e.reason})", file=sys.stderr)
             return 2
     lines = [s for s in (s.strip() for s in raw) if s]
     if not lines:

@@ -15,10 +15,11 @@ fails leaves the structure and the store as they were.  The undo entries
 name the structure's containers, never the structure, so a structure
 and its store are freed by reference counting.
 
-A structure can be read off as a compiled template, plain tuples over
-relative node numbers, and a template can be installed again on fresh
-nodes of any structure in one step: the sign pipeline compiles each
-lexical entry once per grammar that way.
+A description compiles, without a store, to a template of plain tuples
+over relative node numbers, and `instantiate` installs a template on
+fresh nodes of any structure in one step: that is the one way a
+description's cells reach a structure.  The sign pipeline compiles each
+lexical entry once per grammar.
 """
 
 from __future__ import annotations
@@ -142,8 +143,6 @@ class FeatureStructure:
     def _install_cell(self, feature: str, owner: int, value, status) -> Cell:
         feature = _norm_feat(feature)
         group = self._groups[owner]
-        if feature in group:
-            raise UsageError(f"node {owner} already has {feature}")
         if isinstance(value, tuple) and feature not in LIST_FEATURES:
             raise UsageError(f"{feature} is not list-valued")
         cell = Cell(feature, owner, value, self._new_status(feature, owner, status))
@@ -159,35 +158,16 @@ class FeatureStructure:
         """Encode a nested description into fresh nodes; returns the
         root index.  Indices are assigned depth-first in declaration
         order, at first entry; a dict object appearing twice becomes a
-        shared node.  All or nothing: a failed encoding adds no node.
+        shared node.  All or nothing: a rejected description adds no node.
         """
-        with self.store.transaction():
-            return _Encoder(self, default_status).visit(avm)
-
-    def template(self) -> tuple:
-        """The whole structure as a compiled template `(n_nodes, cells)`
-        of plain tuples.  Each cell is `(feature, node, value, status)`
-        in the order the cells were installed, with nodes numbered from
-        1, a node reference written as its number and the status as
-        True, False or None (unknown).  Needs a structure without merged
-        nodes whose cells each have a status variable of their own, as
-        `encode_node` and placeholder cells make."""
-        if self._redirect:
-            raise UsageError("a structure with merged nodes has no template")
-        cells = sorted((c for group in self._groups for c in group.values()),
-                       key=lambda c: c.status.index)
-        if len({c.status for c in cells}) != len(cells):
-            raise UsageError("cells share a status variable")
-        known = {Bool3.TRUE: True, Bool3.FALSE: False}
-        return self._n_nodes, tuple(
-            (c.feature, c.owner, _relative(c.value), known.get(self.store.bool_value(c.status)))
-            for c in cells)
+        return self.instantiate(compile_avm(avm, default_status))
 
     def instantiate(self, template: tuple) -> int:
-        """Install a compiled template on fresh nodes numbered after the
-        existing ones; returns the node its node 1 became.  The statuses
-        are allocated in one batch, and one undo entry takes the nodes
-        back.  Value watchers are not called: they watch existing nodes."""
+        """Install a compiled template (see `compile_avm`) on fresh nodes
+        numbered after the existing ones; returns the node its node 1
+        became.  The statuses are allocated in one batch, and one undo
+        entry takes the nodes back.  Value watchers are not called: they
+        watch existing nodes."""
         n_nodes, cells = template
         base = self._n_nodes
         statuses = self.store.new_bools(
@@ -533,53 +513,65 @@ class FeatureStructure:
         return "\n".join(lines)
 
 
-class _Encoder:
-    """One `encode_node` call: nodes are numbered at first entry,
-    depth-first in declaration order."""
+def compile_avm(avm: dict, default_status: Bool3 = Bool3.UNKNOWN) -> tuple:
+    """A nested description as a compiled template `(n_nodes, cells)` of
+    plain tuples, for `FeatureStructure.instantiate`.  Nodes are numbered
+    from 1 at first entry, depth-first in declaration order, and a dict
+    object appearing twice is one shared node.  Each cell is `(feature,
+    node, value, status)`; a node's cells come after those of the nodes
+    first reached through them.  A node reference is written as its
+    number, and the status as True, False or None (unknown): the `Ann`
+    status, or `default_status`.  Uses no store: a bad description raises
+    `UsageError` before anything is installed."""
+    if not isinstance(avm, dict):
+        raise UsageError(f"bad avm {avm!r}")
+    index_of: dict[int, int] = {}
+    cells: list[tuple] = []
+    _compile(avm, _template_status(default_status), index_of, set(), cells)
+    return len(index_of), tuple(cells)
 
-    def __init__(self, fs: FeatureStructure, default_status: Bool3):
-        self.fs = fs
-        self.default_status = default_status
-        self.index_of: dict[int, int] = {}
-        self.on_stack: set[int] = set()
 
-    def visit(self, d: dict) -> int:
-        if id(d) in self.on_stack:
-            raise UsageError("cyclic avm")
-        if id(d) in self.index_of:
-            return self.index_of[id(d)]
-        idx = self.fs.new_node()
-        self.index_of[id(d)] = idx
-        self.on_stack.add(id(d))
-        for feat, raw in d.items():
-            status = self.default_status
-            if isinstance(raw, Ann):
-                status, raw = raw.status, raw.value
-            self.fs._install_cell(feat, idx, self.convert(raw), status)
-        self.on_stack.discard(id(d))
-        return idx
-
-    def convert(self, raw):
-        if raw is None or isinstance(raw, str):
-            return raw
-        if isinstance(raw, dict):
-            return Ref(self.visit(raw))
-        if isinstance(raw, (list, tuple)):
-            return tuple(self.convert(e) for e in raw)
+def _compile(raw, default, index_of: dict, on_stack: set, cells: list):
+    """`raw` in template form: a dict is its node number, its cells
+    compiled at first entry.  (At module level, because a nested function
+    that calls itself is a reference cycle.)"""
+    if raw is None or isinstance(raw, str):
+        return raw
+    if isinstance(raw, (list, tuple)):
+        return tuple(_compile(e, default, index_of, on_stack, cells) for e in raw)
+    if not isinstance(raw, dict):
         raise UsageError(f"bad avm value {raw!r}")
+    if id(raw) in on_stack:
+        raise UsageError("cyclic avm")
+    if id(raw) in index_of:
+        return index_of[id(raw)]
+    idx = index_of[id(raw)] = len(index_of) + 1
+    on_stack.add(id(raw))
+    seen: set[str] = set()
+    for feat, value in raw.items():
+        status = default
+        if isinstance(value, Ann):
+            status, value = _template_status(value.status), value.value
+        value = _compile(value, default, index_of, on_stack, cells)
+        feature = _norm_feat(feat)
+        if feature in seen:
+            raise UsageError(f"avm names {feature} twice on one node")
+        if isinstance(value, tuple) and feature not in LIST_FEATURES:
+            raise UsageError(f"{feature} is not list-valued")
+        seen.add(feature)
+        cells.append((feature, idx, value, status))
+    on_stack.discard(id(raw))
+    return idx
 
 
-def _relative(value):
-    """A cell value in template form: a node reference as its number."""
-    if isinstance(value, Ref):
-        return value.index
-    if isinstance(value, tuple):
-        return tuple(_relative(e) for e in value)
-    return value
+def _template_status(s) -> bool | None:
+    if not isinstance(s, Bool3):
+        raise UsageError(f"status {s!r} is not a Bool3")
+    return None if s is Bool3.UNKNOWN else s is Bool3.TRUE
 
 
 def _absolute(value, base: int):
-    """The inverse of `_relative`, for a template installed after node `base`."""
+    """A template value on a structure: node number k is node base + k."""
     if isinstance(value, int):
         return Ref(base + value)
     if isinstance(value, tuple):

@@ -434,22 +434,28 @@ def load_grammar(text: str) -> Grammar:
     for pair, ln in zip(g.lp_pairs, lp_lines):
         order.setdefault(pair.before, set()).add(pair.after)
         pair_line.setdefault((pair.before, pair.after), ln)
+    # A depth-first search with its own stack, so a long chain of pairs
+    # does not run into the recursion limit.
     seen: dict[str, int] = {}   # 1 = on stack, 2 = done
-
-    def visit(n: str) -> None:
-        seen[n] = 1
-        for m_ in order.get(n, ()):
-            state = seen.get(m_)
-            if state == 1:
-                raise GrammarError(f"lp order is cyclic through {m_}",
-                                   pair_line[(n, m_)])
-            if state is None:
-                visit(m_)
-        seen[n] = 2
-
-    for n in list(order):
-        if seen.get(n) is None:
-            visit(n)
+    for root in order:
+        if root in seen:
+            continue
+        seen[root] = 1
+        stack = [(root, iter(order[root]))]
+        while stack:
+            n, succ = stack[-1]
+            for m_ in succ:
+                state = seen.get(m_)
+                if state == 1:
+                    raise GrammarError(f"lp order is cyclic through {m_}",
+                                       pair_line[(n, m_)])
+                if state is None:
+                    seen[m_] = 1
+                    stack.append((m_, iter(order.get(m_, ()))))
+                    break
+            else:
+                seen[n] = 2
+                stack.pop()
 
     phrasal = {r.lhs for r in g.rules} | set(g.frames) | set(g.proj.values())
     for name in sorted(defined):
@@ -462,8 +468,15 @@ def load_grammar(text: str) -> Grammar:
 
 
 def load_grammar_file(path: str) -> Grammar:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
         try:
-            return load_grammar(fh.read())
-        except GrammarError as e:
-            raise GrammarError(f"{path}: {e.args[0] if e.args else e}", None) from None
+            # with the newline translation of a file opened as text
+            text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as e:
+            raise GrammarError(f"not UTF-8 text ({e.reason})",
+                               raw.count(b"\n", 0, e.start) + 1) from None
+        return load_grammar(text)
+    except GrammarError as e:
+        raise GrammarError(f"{path}: {e.args[0] if e.args else e}", None) from None

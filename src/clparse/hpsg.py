@@ -20,11 +20,12 @@ check at the end.  Both accept exactly the same signs.
 Each lexical entry is compiled once per grammar, at its first use: its
 sign as a flat cell list over relative node numbers with the known
 statuses, and the nodes where each cooccurrence restriction applies.
-The phrase skeleton is compiled the same way.  A tree renumbers and
-installs these templates instead of encoding every entry again, and
-instantiates only the restrictions at the recorded sites.  Nothing a
-tree's store holds refers back strongly to its structure, so a rejected
-tree is freed by reference counting, without the cyclic collector.
+The phrase skeleton is a template compiled once, at import.  A tree
+renumbers and installs these templates instead of encoding every entry
+again, and instantiates only the restrictions at the recorded sites.
+Nothing a tree's store holds refers back strongly to its structure, so
+a rejected tree is freed by reference counting, without the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 from .cfg import distinct_trees, parse
 from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
 from .errors import InconsistencyError, UsageError
-from .fstruct import Bool3, Cell, FeatureStructure, Ref
+from .fstruct import Ann, Bool3, Cell, FeatureStructure, Ref, compile_avm
 from .grammar import FCR, FcrLiteral, Grammar, LexEntry
 from .logic import And, Formula, Implies, Not, Or, Var, conj
 from .store import AskResult, Stats, Store, VarId
@@ -443,24 +444,13 @@ def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
     return Sign(fs, root, entry.category, wf, schema=entry.schema)
 
 
-def _mother_sign(fs: FeatureStructure, category: str, template: tuple) -> Sign:
-    """A phrase's sign from the compiled skeleton (see _mother_template)."""
-    root = fs.instantiate(template)
-    wf = fs.store.new_bool(f"wf:{category}")
-    return Sign(fs, root, category, wf)
+# -- compiled templates ------------------------------------------------------
 
-
-# -- templates compiled once per grammar -----------------------------------
-
-def _mother_template() -> tuple:
-    """A phrase's skeleton: synsem.loc.cat realized, with valueless subj
-    and comps placeholders."""
-    fs = FeatureStructure(Store())
-    root = fs.encode_node({"synsem": {"loc": {"cat": {}}}}, default_status=Bool3.TRUE)
-    cat = fs.resolve(CAT_PATH, root)
-    fs.add((("subj", cat, None, Bool3.UNKNOWN),
-            ("comps", cat, None, Bool3.UNKNOWN)))
-    return fs.template()
+# A phrase's skeleton: synsem.loc.cat realized, with valueless subj and
+# comps placeholders.
+_MOTHER = compile_avm({"synsem": {"loc": {"cat": {
+    "subj": Ann(None, Bool3.UNKNOWN), "comps": Ann(None, Bool3.UNKNOWN)}}}},
+    Bool3.TRUE)
 
 
 def _entry_template(entry: LexEntry, fcrs) -> tuple:
@@ -470,9 +460,9 @@ def _entry_template(entry: LexEntry, fcrs) -> tuple:
     The sites come from `post_fcrs`'s own walk over a scratch copy.  A
     site that fails there fails in every tree, at the latest, so none
     after it is kept; unknown features are checked in the tree."""
+    template = compile_avm(_merge_avm(entry), Bool3.TRUE)
     fs = FeatureStructure(Store())
-    fs.encode_node(_merge_avm(entry), default_status=Bool3.TRUE)
-    template = fs.template()
+    fs.instantiate(template)
     sites = []
     try:
         for node, k in _fcr_sites(fs, 1, fcrs):
@@ -485,15 +475,13 @@ def _entry_template(entry: LexEntry, fcrs) -> tuple:
 
 def _templates(g: Grammar) -> dict:
     """The grammar's compiled templates, kept on it as plain tuples so a
-    pickled grammar carries them: the feature alphabet and the phrase
-    skeleton, made on the first call, and each lexical entry's
-    `_entry_template` under its `(form, position)` in the lexicon, made
-    when a tree first uses it.  The key is the place, not the entry:
+    pickled grammar carries them: the feature alphabet, made on the
+    first call, and each lexical entry's `_entry_template` under its
+    `(form, position)` in the lexicon, made when a tree first uses it.  The key is the place, not the entry:
     `LexEntry` equality ignores the avm."""
     cache = g.sign_templates
     if not cache:
         cache["alphabet"] = feature_alphabet(g)
-        cache["mother"] = _mother_template()
     return cache
 
 
@@ -584,7 +572,7 @@ class _TreeBuild:
         subj_pairs, comp_pairs, _, _ = _split_realized(
             *valency_of(head), daughters[:hi] + daughters[hi + 1:])
 
-        mother = _mother_sign(fs, label, self.templates["mother"])
+        mother = Sign(fs, fs.instantiate(_MOTHER), label, store.new_bool(f"wf:{label}"))
         self.parts.append((label, mother.root, mother.wf))
         schema = attach_daughters(fs, mother, head,
                                   subj=[s for _, s in subj_pairs],

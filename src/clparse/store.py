@@ -141,11 +141,13 @@ class Relation:
     argument position under fixed remaining arguments; closing a group
     declares that image complete, after which it accepts no more facts.
     Only closure events (not fact additions) can flip resolvability, so
-    only they wake the resolvability checkers.
+    only they wake the resolvability checkers.  A relation refers to its
+    store weakly and its undo entries name its containers, so a store
+    with relations is freed by reference counting too.
     """
 
     def __init__(self, store: "Store", name: str, arity: int):
-        self._store = store
+        self._store = weakref.ref(store)
         self.name = name
         self.arity = arity
         self._groups: dict[tuple, dict] = {}
@@ -161,6 +163,12 @@ class Relation:
     def group_closed(self, key: tuple) -> bool:
         return tuple(key) in self._closed
 
+    def _live_store(self) -> "Store":
+        st = self._store()
+        if st is None:
+            raise UsageError(f"the store of relation {self.name} is gone")
+        return st
+
     def add(self, *fact) -> bool:
         """Tell one fact.  Returns the store's consistency flag."""
         if len(fact) != self.arity:
@@ -170,18 +178,11 @@ class Relation:
             raise UsageError(f"group {key} of {self.name} is closed")
         if fact in self:
             return True
-        st = self._store
+        st = self._live_store()
         mark = st._mark()
         bucket = self._groups.setdefault(key, {})
-        fresh_bucket = len(bucket) == 0
         bucket[fact[0]] = None
-
-        def undo():
-            bucket.pop(fact[0], None)
-            if fresh_bucket:
-                self._groups.pop(key, None)
-
-        st._trail.append(undo)
+        st._trail.append(functools.partial(_drop_fact, self._groups, key, fact[0]))
         if st._trace:
             st._emit("fact", self.name, "-", repr(fact))
         return st._after_model_event(self, mark, closure=False)
@@ -193,13 +194,22 @@ class Relation:
             raise UsageError(f"{self.name} group keys have arity {self.arity - 1}")
         if key in self._closed:
             return True
-        st = self._store
+        st = self._live_store()
         mark = st._mark()
         self._closed.add(key)
-        st._trail.append(lambda: self._closed.discard(key))
+        st._trail.append(functools.partial(self._closed.discard, key))
         if st._trace:
             st._emit("close_group", self.name, "open", repr(key))
         return st._after_model_event(self, mark, closure=True)
+
+
+def _drop_fact(groups: dict, key: tuple, first) -> None:
+    """Undo one `Relation.add`: the fact goes, and its group with it if
+    the fact was the group's only one."""
+    bucket = groups[key]
+    del bucket[first]
+    if not bucket:
+        del groups[key]
 
 
 class _ResolvabilityWatcher:
@@ -212,10 +222,11 @@ class _ResolvabilityWatcher:
     unless that very closure was the waking event.
     """
 
-    __slots__ = ("store", "constraint")
+    __slots__ = ("_store", "constraint")
 
     def __init__(self, store: "Store", constraint):
-        self.store = store
+        # weakly: the store's watcher tables hold the watcher
+        self._store = weakref.ref(store)
         self.constraint = constraint
 
     def on_model_event(self) -> None:
@@ -223,17 +234,18 @@ class _ResolvabilityWatcher:
 
     def on_domain_close(self) -> None:
         c = self.constraint
-        if all(self.store.is_complete(v) for v in c.key_vars):
+        if all(self._store().is_complete(v) for v in c.key_vars):
             self._attempt(domain_event=True)
         # otherwise the induced joint domain is still open: no event yet
 
     def _attempt(self, domain_event: bool) -> None:
-        if self.constraint in self.store._resolved:
+        store, c = self._store(), self.constraint
+        if c in store._resolved:
             return
-        if self.store._recheck_resolvability(self.constraint, domain_event):
-            self.store._resolved.add(self.constraint)
-            self.store._trail.append(lambda: self.store._resolved.discard(self.constraint))
-            self.store._enqueue(self.constraint)
+        if store._recheck_resolvability(c, domain_event):
+            store._resolved.add(c)
+            store._trail.append(functools.partial(store._resolved.discard, c))
+            store._enqueue(c)
 
 
 class Store:

@@ -38,6 +38,16 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def run_module(*argv):
+    """`python -m clparse.cli` in a child process that imports the same
+    clparse as this one, whether or not PYTHONPATH is set."""
+    src = str(Path(clparse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "clparse.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_single_sentence(capsys):
     rc, out, err = run(capsys, "--grammar", TOY, "--input", SENT7)
     assert rc == 0
@@ -216,16 +226,25 @@ def test_hpsg_jobs_pickle_the_compiled_templates(capsys, tmp_path, monkeypatch):
 def test_deeply_nested_grammar_text_exits_two(tmp_path, line):
     bad = tmp_path / "deep.clg"
     bad.write_text(open(TOY_LEX).read() + "\n" + line + "\n")
-    src = str(Path(clparse.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clparse.cli", "--grammar", str(bad), "--mode", "hpsg",
-         "--input", "the cat sleeps"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_module("--grammar", str(bad), "--mode", "hpsg", "--input", "the cat sleeps")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "nested deeper than" in proc.stderr
     assert f"line {len(open(TOY_LEX).read().splitlines()) + 2}" in proc.stderr
+
+
+@pytest.mark.parametrize("which", ["grammar", "file"])
+def test_text_that_is_not_utf8_exits_two(tmp_path, which):
+    grammar, sentences = tmp_path / "g.clg", tmp_path / "sents.txt"
+    grammar.write_bytes(open(TOY_LEX, "rb").read())
+    sentences.write_bytes(b"the cat sleeps\n")
+    bad = grammar if which == "grammar" else sentences
+    bad.write_bytes(bad.read_bytes() + "% caf\u00e9\n".encode("latin-1"))
+    proc = run_module("--grammar", str(grammar), "--mode", "hpsg", "--file", str(sentences))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"clparse: {bad}: ")
+    assert "not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_hpsg_unknown_word_exits_two(capsys):
@@ -250,14 +269,7 @@ def test_ambiguous_words_try_every_tagging(capsys, tmp_path):
 
 
 def test_module_entry_point():
-    # the child imports the same clparse as this process, whether or not
-    # PYTHONPATH is set
-    src = str(Path(clparse.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clparse.cli", "--grammar", TOY,
-         "--input", "Nm Vb Nm Prep Nm"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_module("--grammar", TOY, "--input", "Nm Vb Nm Prep Nm")
     assert proc.returncode == 0
     assert "<S>, <NP,VP>" in proc.stdout
 

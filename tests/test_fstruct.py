@@ -13,6 +13,7 @@ from clparse.fstruct import (
     FeatureStructure,
     Ref,
     avm_equal,
+    compile_avm,
     encode,
     parse_avm,
 )
@@ -402,37 +403,85 @@ def avms(draw):
     return made[-1]
 
 
+def encode_cell_by_cell(fs: FeatureStructure, avm: dict, default: Bool3) -> int:
+    """The encoder `encode_node` replaced, on the public API: a node is
+    made at first entry, depth-first in declaration order, and each cell
+    is added on its own after the nodes its value reaches first."""
+    index_of: dict[int, int] = {}
+
+    def visit(d: dict) -> int:
+        if id(d) not in index_of:
+            index_of[id(d)] = idx = fs.new_node()
+            for feat, raw in d.items():
+                status = default
+                if isinstance(raw, Ann):
+                    status, raw = raw.status, raw.value
+                fs.add([(feat, idx, convert(raw), status)])
+        return index_of[id(d)]
+
+    def convert(raw):
+        if isinstance(raw, dict):
+            return Ref(visit(raw))
+        if isinstance(raw, tuple):
+            return tuple(convert(e) for e in raw)
+        return raw
+
+    return visit(avm)
+
+
 @settings(max_examples=150, deadline=None)
 @given(avms(), avms(), st.sampled_from(list(Bool3)))
 def test_instantiated_template_matches_encode_node(avm, prefix, default):
-    scratch = FeatureStructure(Store())
-    scratch.encode_node(avm, default)
-    template = scratch.template()
+    # encode_node installs the compiled template in one batch; the
+    # reference adds the same cells one at a time
     direct, via = FeatureStructure(Store()), FeatureStructure(Store())
     for fs in (direct, via):
         fs.encode_node(prefix, default)     # so the template lands at an offset
-    before = via.dump(statuses=True)
+    before = via.dump(statuses=True), via.store.fingerprint()
     snap = via.store.snapshot()
-    root = direct.encode_node(avm, default)
-    assert via.instantiate(template) == root > 1
+    root = encode_cell_by_cell(direct, avm, default)
+    assert via.encode_node(avm, default) == root > 1
     assert via.dump(statuses=True) == direct.dump(statuses=True)
     assert avm_equal(via.decode(root), direct.decode(root))
-    assert avm_equal(via.decode(root), scratch.decode(1))
     # the same variables, made in the same order, with the same statuses
     assert via.store.fingerprint() == direct.store.fingerprint()
     via.store.restore(snap)
-    assert via.dump(statuses=True) == before
+    assert (via.dump(statuses=True), via.store.fingerprint()) == before
 
 
-def test_template_needs_unmerged_nodes_with_own_statuses():
-    fs = encode(parse_avm("[x: [maj: n], y: [maj: n]]"))
-    fs.share("x", "y")
+def _rejected_descriptions():
+    cyclic = {"a": "x"}
+    cyclic["b"] = {"c": cyclic}
+    shared = {"maj": "n"}
+    store = Store()
+    return [
+        cyclic,
+        {"a": {"b": "x"}, "c": 7},                   # bad value, after a node
+        {"a": {"maj": ["n", "v"]}},                  # a list on a non-list feature
+        {"head-dtr": shared, "head_dtr": shared},    # two keys, one feature
+        {"a": {"b": Ann("x", "T")}},                 # a status that is not a Bool3
+        {"a": Ann("x", store.new_bool())},           # ... nor is a variable
+    ]
+
+
+@pytest.mark.parametrize("avm", _rejected_descriptions(), ids=[
+    "cyclic", "bad-value", "list-value", "normalised-duplicate", "text-status",
+    "variable-status"])
+def test_rejected_descriptions_change_nothing(avm):
+    fs = encode(parse_avm("[x: [maj: n], -comps: <>]"))
+    before = fs.dump(statuses=True), fs.store.fingerprint()
     with pytest.raises(UsageError):
-        fs.template()
-    fs = encode(parse_avm("[x: a]"))
-    fs.add([("y", 1, "b", fs.lookup("x").status)])
+        compile_avm(avm)
     with pytest.raises(UsageError):
-        fs.template()
+        fs.encode_node(avm)
+    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+
+
+def test_default_status_must_be_a_bool3():
+    with pytest.raises(UsageError):
+        compile_avm({"a": "x"}, None)
+    with pytest.raises(UsageError):
+        compile_avm("[a: x]")
 
 
 def test_add_walks_for_cycles_only_on_a_reference():

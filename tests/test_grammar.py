@@ -139,6 +139,25 @@ def test_cyclic_lp_rejected():
         load_grammar("rule S -> A B. start S. lp A < A.")
 
 
+def test_long_lp_chain_loads():
+    n = 1500
+    cats = [f"C{k}" for k in range(n)]
+    chain = "".join(f"lp {a} < {b}.\n" for a, b in zip(cats, cats[1:]))
+    g = load_grammar(f"start S.\nrule S -> {' '.join(cats)}.\n" + chain)
+    assert g.lp_ok("C0", "C1") and not g.lp_ok("C1", "C0")
+    # the pair that closes a cycle at the end of the chain is on line n + 2
+    with pytest.raises(GrammarError, match=rf"line {n + 2}: lp order is cyclic"):
+        load_grammar(f"start S.\nrule S -> {' '.join(cats)}.\n" + chain
+                     + f"lp C{n - 1} < C0.\n")
+
+
+def test_grammar_file_that_is_not_utf8_is_a_grammar_error(tmp_path):
+    bad = tmp_path / "latin1.clg"
+    bad.write_bytes(open(TOY, "rb").read() + "% caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(GrammarError, match="not UTF-8"):
+        load_grammar_file(str(bad))
+
+
 def test_missing_start_category_rejected():
     with pytest.raises(GrammarError) as err:
         load_grammar("rule X -> A B.")

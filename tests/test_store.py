@@ -381,13 +381,14 @@ def test_restore_is_exact():
     fp = s.fingerprint()
     s.tell(neq(x, 2))
     r.add(2, "k")
+    r.add(3, "m")
     r.close_group("k")
     s.close_domain(x)
     s.restore(snap)
     assert s.fingerprint() == fp
     assert s.domain(x) == (1, 2, 3)
     assert not s.is_complete(x)
-    assert r.group(("k",)) == (1,)
+    assert r.group(("k",)) == (1,) and r.group(("m",)) == ()
     assert not r.group_closed(("k",))
 
 
@@ -477,6 +478,37 @@ def test_a_store_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_store_with_a_relation_leaves_no_garbage():
+    # a relation and its resolvability watcher refer to the store weakly
+    gc.collect()
+    gc.disable()
+    try:
+        s = Store()
+        r = s.new_relation("dtr", 2)
+        assert r.add("n1", "x")
+        y = s.new_var(["n1", "n2"], name="y")
+        snap = s.snapshot()
+        assert s.tell(daughter(y, "x", r))
+        assert r.close_group("x")
+        assert s.domain(y) == ("n1",) and s.is_complete(y)
+        s.restore(snap)
+        assert r.add("n2", "x") and r.close_group("x")
+        assert s.tell(daughter(y, "x", r))
+        assert s.domain(y) == ("n1", "n2")
+        del s, r, y, snap
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_relation_outliving_its_store_is_a_usage_error():
+    r = Store().new_relation("dtr", 2)
+    with pytest.raises(UsageError):
+        r.add("n1", "x")
+    with pytest.raises(UsageError):
+        r.close_group("x")
 
 
 def test_counters_survive_restore():
