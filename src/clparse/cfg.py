@@ -11,14 +11,22 @@ unary reductions made since the sequence last got shorter, which stops
 a unary cycle from running forever.  The derivations below a state
 depend on nothing else, so the search builds a packed forest (Billot &
 Lang 1989; Johnson 1995): one record per distinct state, with its
-derivation count and its (step, child) edges in scan order.  A state
-met again is not scanned again; its count joins the running total of
-derivations found, and the search stops once that total reaches
-`limit`, so a limit bounds the work and not only the output.  The
-derivations are then read off the forest lazily, in the order of an
-unshared depth-first search.  `windows_tried` and `reductions_applied`
-count the scans of distinct states only, and `backtracks` the distinct
-states without a derivation.
+derivation count and its (step, window origin, child) edges in scan
+order.  A state met again is not scanned again; its count joins the
+running total of derivations found, and the search stops once that
+total reaches `limit`, so a limit bounds the work and not only the
+output.  The derivations are then read off the forest lazily, in the
+order of an unshared depth-first search.  `windows_tried` and
+`reductions_applied` count the scans of distinct states only, and
+`backtracks` the distinct states without a derivation.
+
+A sentence is one search: its taggings are roots of one memo and split
+table, each searched once those before it are read, and `limit` counts
+across them.  Its distinct trees are built along canonical paths, where
+each step's window ends after the previous step's origin: a step wholly
+left of the last could have come first, so a canonical path is its
+tree's first derivation.  A unary cycle makes the order of steps matter
+to `unary_seen`, so then every path is walked and repeats are dropped.
 
 Two strategies explore the same windows in the same order and return
 the same derivations; they differ only in how candidate windows are
@@ -29,7 +37,7 @@ domain, and reads the admissible origins of each size off the
 propagated store.  That is exact: the concatenation constraint prunes
 the sizes to exact support and the membership restriction is unary, so
 every origin left once the size is fixed starts a window.  The
-admissible splits depend only on the sequence length, so each parse
+admissible splits depend only on the sequence length, so each search
 solves them through the store once per length it reaches and replays
 the recorded (origin, size) pairs at every later state of that length.
 "gentest" enumerates every arithmetically possible window and tests it
@@ -70,22 +78,22 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
     stats = Stats()
     if limit is not None and limit <= 0:
         return (), stats
-    root = _Search(g, strategy, limit, trace, stats).node(cats, _NO_UNARY)
-    return tuple(islice(_derivations(root), limit)), stats
+    search = _Search(g, strategy, limit, trace, stats)
+    return tuple(islice(search.derivations(cats), limit)), stats
 
 
 # A forest record is (count, edges): how many derivations a search state
 # has, and what each of them starts with, in scan order -- None for the
-# empty derivation of <start>, else a (step, child record) pair.  Every
-# dead state shares the one record with no edges.
+# empty derivation of <start>, else a (step, window origin, child record)
+# triple.  Every dead state shares the one record with no edges.
 _DEAD = (0, ())
 _NO_UNARY: frozenset = frozenset()
 
 
 class _Search:
-    """One call's search, building one forest record per distinct
-    (sequence, unary_seen) state.  Nothing in it refers back to it, so
-    the forest is freed as soon as the call has read it."""
+    """One sentence's search, building one forest record per distinct
+    (sequence, unary_seen) state of its taggings.  Nothing in it refers
+    back to it, so the forest is freed once the sentence is read."""
 
     def __init__(self, g: Grammar, strategy: str, limit, trace, stats: Stats):
         self.g, self.strategy, self.trace, self.stats = g, strategy, trace, stats
@@ -95,8 +103,8 @@ class _Search:
         self.shared: dict = {}  # sequence or unary set -> its one copy
         self.lengths = sorted(g.rhs_lengths())
         # The (origin, size) windows per sequence length, in scan order.
-        # Local to this call, so the store counters of a call never
-        # depend on earlier calls.
+        # Local to this sentence, so the store counters of a sentence
+        # never depend on earlier ones.
         self.table: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def node(self, seq: tuple[str, ...], unary_seen: frozenset) -> tuple:
@@ -135,7 +143,7 @@ class _Search:
                 child = self.node(seq[:va] + (rule.lhs,) + seq[va + vb:], child_seen)
                 if child[0]:
                     count += child[0]
-                    edges.append(((rule.lhs, window), child))
+                    edges.append(((rule.lhs, window), va, child))
                 if self.found >= self.wanted:
                     return count, tuple(edges)
         if not count:
@@ -143,6 +151,16 @@ class _Search:
         record = (count, tuple(edges)) if count else _DEAD
         self.memo[key] = record
         return record
+
+    def derivations(self, cats):
+        """The tagging's derivations, lazily, in scan order."""
+        yield from _derivations(self.node(cats, _NO_UNARY))
+
+    def trees(self, cats):
+        """The tagging's distinct trees, each with its first derivation,
+        lazily, in scan order of those derivations."""
+        yield from _canonical(self.node(cats, _NO_UNARY), tuple((c, ()) for c in cats),
+                              _has_unary_cycle(self.g), set())
 
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
         l = len(seq)
@@ -187,7 +205,33 @@ def _derivations(record: tuple, path: Derivation = ()):
         if edge is None:
             yield path
         else:
-            yield from _derivations(edge[1], path + (edge[0],))
+            yield from _derivations(edge[2], path + (edge[0],))
+
+
+def _canonical(record: tuple, nodes: tuple, cyclic: bool, seen: set,
+               path: Derivation = (), last: int = 0):
+    """The (tree, derivation) pairs under a record along canonical paths,
+    trees in `seen` left out: `nodes` are the trees over the record's
+    sequence, and `last` is the origin of the step that made it."""
+    for edge in record[1]:
+        if edge is None:
+            if nodes[0] not in seen:
+                seen.add(nodes[0])
+                yield nodes[0], path
+            continue
+        (lhs, window), va, child = edge
+        vb = len(window)
+        if va + vb > last or cyclic:
+            yield from _canonical(child, nodes[:va] + ((lhs, nodes[va:va + vb]),) + nodes[va + vb:],
+                                  cyclic, seen, path + ((lhs, window),), va)
+
+
+def _has_unary_cycle(g: Grammar) -> bool:
+    # drop unary rules into categories no unary rule rewrites; a cycle stays
+    edges = {(r.rhs[0], r.lhs) for r in g.rules if len(r.rhs) == 1}
+    while ends := {b for _, b in edges} - {a for a, _ in edges}:
+        edges = {(a, b) for a, b in edges if b not in ends}
+    return bool(edges)
 
 
 def oracle_parse(cats, g: Grammar, *, limit: int | None = None) -> tuple[Derivation, ...]:
@@ -231,10 +275,11 @@ def oracle_parse(cats, g: Grammar, *, limit: int | None = None) -> tuple[Derivat
 
 
 def derivations_to_tree(derivation, cats) -> Tree:
-    """Replay the steps over the input and return the constituent tree.
+    """Replay derivation text over the input and return the first tree.
 
-    Steps carry no positions, so the replay backtracks over the places a
-    step's window may match; the first complete replay wins."""
+    Steps carry no positions, so text can denote several trees: the replay
+    backtracks over the places a step's window may match and returns the
+    first complete replay."""
     tree = _replay(tuple((c, ()) for c in cats), tuple(derivation))
     if tree is None:
         raise UsageError("derivation does not replay over the input")
@@ -252,15 +297,6 @@ def _replay(nodes, steps):
             if got is not None:
                 return got
     return None
-
-
-def distinct_trees(derivations, cats) -> dict[Tree, Derivation]:
-    """Each distinct tree of the derivations over `cats`, mapped to the
-    first derivation that gives it, in first-seen order."""
-    trees: dict[Tree, Derivation] = {}
-    for d in derivations:
-        trees.setdefault(derivations_to_tree(d, cats), d)
-    return trees
 
 
 def tree_leaves(tree: Tree) -> tuple[str, ...]:

@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
-from .cfg import distinct_trees, format_derivation, parse
+from .cfg import _Search, format_derivation
 from .errors import GrammarError, UsageError
 from .grammar import Grammar, load_grammar_file
 from .hpsg import parse_hpsg, sign_dump
@@ -85,19 +85,12 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
         return text, len(signs), stats, buf.getvalue() if buf else ""
 
     stats = Stats()
-    found = []
-    for cats in _taggings(tokens, g):
-        if limit is not None and len(found) >= limit:
-            break
-        # a tree dedupe keeps the first derivation of each tree, so it
-        # needs them all
-        rest = None if dedupe or limit is None else limit - len(found)
-        derivs, ps = parse(cats, g, strategy=strategy, limit=rest, trace=trace)
-        stats.merge(ps)
-        # a tree's leaves are its tagging, so no tree repeats across taggings
-        found.extend(distinct_trees(derivs, cats).values() if dedupe else derivs)
-    if limit is not None:
-        found = found[:limit]
+    # A tree's first derivation can come after `limit` others, so a dedupe
+    # searches each tagging whole; a tree's leaves are its tagging.
+    search = _Search(g, strategy, None if dedupe else limit, trace, stats)
+    per_tagging = ((d for _, d in search.trees(cats)) if dedupe else search.derivations(cats)
+                   for cats in _taggings(tokens, g))
+    found = list(itertools.islice(itertools.chain.from_iterable(per_tagging), limit))
     text = "\n".join(format_derivation(d) for d in found)
     return text, len(found), stats, buf.getvalue() if buf else ""
 

@@ -531,14 +531,17 @@ def compile_avm(avm: dict, default_status: Bool3 = Bool3.UNKNOWN) -> tuple:
     return len(index_of), tuple(cells)
 
 
-def _compile(raw, default, index_of: dict, on_stack: set, cells: list):
+def _compile(raw, default, index_of: dict, on_stack: set, cells: list, depth: int = 1):
     """`raw` in template form: a dict is its node number, its cells
-    compiled at first entry.  (At module level, because a nested function
-    that calls itself is a reference cycle.)"""
+    compiled at first entry; each dict and list nests a level, as in
+    `parse_avm`.  (At module level: a nested function that calls itself
+    is a reference cycle.)"""
     if raw is None or isinstance(raw, str):
         return raw
+    if depth > MAX_NESTING and id(raw) not in index_of:   # a compiled node is a reference
+        raise UsageError(f"avm nested deeper than {MAX_NESTING} levels")
     if isinstance(raw, (list, tuple)):
-        return tuple(_compile(e, default, index_of, on_stack, cells) for e in raw)
+        return tuple(_compile(e, default, index_of, on_stack, cells, depth + 1) for e in raw)
     if not isinstance(raw, dict):
         raise UsageError(f"bad avm value {raw!r}")
     if id(raw) in on_stack:
@@ -552,7 +555,7 @@ def _compile(raw, default, index_of: dict, on_stack: set, cells: list):
         status = default
         if isinstance(value, Ann):
             status, value = _template_status(value.status), value.value
-        value = _compile(value, default, index_of, on_stack, cells)
+        value = _compile(value, default, index_of, on_stack, cells, depth + 1)
         feature = _norm_feat(feat)
         if feature in seen:
             raise UsageError(f"avm names {feature} twice on one node")
@@ -591,21 +594,23 @@ def avm_equal(a, b) -> bool:
     two avms are equal iff their dict objects correspond one to one."""
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-
-    def walk(x, y) -> bool:
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
         if isinstance(x, dict) and isinstance(y, dict):
-            if fwd.get(id(x)) is not None or bwd.get(id(y)) is not None:
-                return fwd.get(id(x)) == id(y) and bwd.get(id(y)) == id(x)
-            fwd[id(x)] = id(y)
-            bwd[id(y)] = id(x)
-            if x.keys() != y.keys():
+            if id(x) in fwd or id(y) in bwd:
+                if fwd.get(id(x)) != id(y) or bwd.get(id(y)) != id(x):
+                    return False
+            elif x.keys() != y.keys():
                 return False
-            return all(walk(x[k], y[k]) for k in x)
-        if isinstance(x, tuple) and isinstance(y, tuple):
-            return len(x) == len(y) and all(walk(p, q) for p, q in zip(x, y))
-        return x == y
-
-    return walk(a, b)
+            else:
+                fwd[id(x)], bwd[id(y)] = id(y), id(x)
+                todo.extend((x[k], y[k]) for k in x)
+        elif isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y):
+            todo.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
 
 
 # -- avm text syntax ------------------------------------------------------------

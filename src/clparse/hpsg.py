@@ -11,9 +11,10 @@ compile to implications over status variables, head feature sharing
 installs the mother's head as the head daughter's head node (token
 identity), and valency lists cancel realized daughters from the end.
 
-The sentence pipeline drives all of this from the window parser: every
-distinct tree of every lexical tagging is built bottom-up on a fresh
-store.  The active strategy checks each reduction as it is built; the
+The sentence pipeline drives all of this from the window parser: one
+search covers every lexical tagging of the sentence, and each distinct
+tree read off its forest is built bottom-up on a fresh store.  The
+active strategy checks each reduction as it is built; the
 generate-and-test strategy builds the whole tree first and runs every
 check at the end.  Both accept exactly the same signs.
 
@@ -35,7 +36,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, replace
 
-from .cfg import distinct_trees, parse
+from .cfg import _Search
 from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
 from .errors import InconsistencyError, UsageError
 from .fstruct import Ann, Bool3, Cell, FeatureStructure, Ref, compile_avm
@@ -630,8 +631,8 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
 
 def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
                limit: int | None = None, trace=None) -> tuple[tuple[Sign, ...], Stats]:
-    """Look words up, parse each tagging, and build signs for every
-    distinct tree; returns the consistent root signs."""
+    """Look words up, search all taggings at once and build signs for
+    every distinct tree; returns the consistent root signs."""
     words = tuple(words)
     if not words:
         raise UsageError("empty input")
@@ -646,13 +647,11 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
             raise UsageError(f"unknown word {w!r}")
         choices.append(tuple(((w, k), e) for k, e in enumerate(entries)))
     stats = Stats()
+    search = _Search(g, strategy, None, trace, stats)
     signs: list[Sign] = []
 
     for tagging in itertools.product(*choices):
-        cats = tuple(e.category for _, e in tagging)
-        derivs, cfg_stats = parse(cats, g, strategy=strategy, trace=trace)
-        stats.merge(cfg_stats)
-        for tree in distinct_trees(derivs, cats):
+        for tree, _ in search.trees(tuple(e.category for _, e in tagging)):
             stats.trees_considered += 1
             sign = _build_tree(tree, tagging, g, strategy, stats, trace)
             if sign is not None:

@@ -365,6 +365,31 @@ def _oracle_nodes(cats, g, cap: int) -> int:
     return count
 
 
+def _first_derivations(cats, g) -> dict:
+    """Each tree of the unshared search mapped to its first derivation,
+    in depth-first scan order: a brute force over every derivation,
+    building the tree along each one."""
+    out = {}
+
+    def walk(nodes, path, seen):
+        seq = tuple(label for label, _ in nodes)
+        if seq == (g.start,):
+            out.setdefault(nodes[0], path)
+        for va in range(len(seq)):
+            for vb in range(1, len(seq) - va + 1):
+                window = seq[va:va + vb]
+                for rule in g.rules:
+                    mark = (va, rule.lhs)
+                    if rule.rhs != window or (vb == 1 and mark in seen):
+                        continue
+                    walk(nodes[:va] + ((rule.lhs, nodes[va:va + vb]),) + nodes[va + vb:],
+                         path + ((rule.lhs, window),),
+                         seen | {mark} if vb == 1 else frozenset())
+
+    walk(tuple((c, ()) for c in cats), (), frozenset())
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(grammars, st.data())
 def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
@@ -373,6 +398,7 @@ def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
     cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
     assume(_oracle_nodes(cats, g, 500) <= 500)
     want = oracle_parse(cats, g)
+    trees = list(_first_derivations(cats, g).items())
     windows = {}
     for strategy in ("active", "gentest"):
         got, stats = parse(cats, g, strategy=strategy)
@@ -380,4 +406,5 @@ def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
         for k in range(1, len(want) + 2):
             assert parse(cats, g, strategy=strategy, limit=k)[0] == want[:k]
         windows[strategy] = stats.windows_tried
+        assert list(_Search(g, strategy, None, None, Stats()).trees(cats)) == trees
     assert windows["active"] <= windows["gentest"]

@@ -70,6 +70,18 @@ def test_dedupe_trees_collapses_to_one(capsys):
     assert out.splitlines() == [T1_TEXT]
 
 
+def test_dedupe_trees_keeps_every_tree(capsys, tmp_path):
+    # S -> S S over n tokens has Catalan(n - 1) trees, whose derivation
+    # texts carry no positions and all replay to the same first tree
+    f = tmp_path / "binary.clg"
+    f.write_text("start S. rule S -> S S. rule S -> x.")
+    for n, trees in ((3, 2), (4, 5), (5, 14)):
+        rc, out, _ = run(capsys, "--grammar", str(f), "--input", " ".join(["x"] * n),
+                         "--dedupe-trees")
+        assert rc == 0
+        assert len(set(out.splitlines())) == len(out.splitlines()) == trees
+
+
 def test_no_analysis_exits_one(capsys):
     rc, out, _ = run(capsys, "--grammar", TOY, "--input", "Prep")
     assert rc == 1
@@ -266,6 +278,11 @@ def test_ambiguous_words_try_every_tagging(capsys, tmp_path):
     rc, out, _ = run(capsys, "--grammar", str(f), "--input", "x y")
     assert rc == 0
     assert out.splitlines() == ["<<S>, <A,B>>", "<<S>, <C,B>>"]
+    # a limit met in the first tagging searches no later one
+    rc, out, err = run(capsys, "--grammar", str(f), "--input", "x y", "--limit", "1", "--stats")
+    assert out.splitlines() == ["<<S>, <A,B>>"]
+    first = parse(("A", "B"), load_grammar_file(str(f)), limit=1)[1]
+    assert {key: int(value) for key, value in map(str.split, err.splitlines())} == asdict(first)
 
 
 def test_module_entry_point():

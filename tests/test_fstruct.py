@@ -358,6 +358,18 @@ def test_deep_avm_text_is_a_usage_error():
     assert parse_avm("[a: " * 100 + "b" + "]" * 100)
     with pytest.raises(UsageError):
         parse_avm("[a: " * 101 + "b" + "]" * 101)
+    # a description built in code is held to the same depth
+    deep = "b"
+    for _ in range(2000):
+        deep = {"a": deep}
+    with pytest.raises(UsageError, match="nested deeper"):
+        compile_avm(deep)
+    assert avm_equal(deep, deep) and not avm_equal(deep, {"a": deep})
+    # what the text syntax accepts compiles, a deep reference to a
+    # shared node included
+    for text in ["[a: " * 100 + "b" + "]" * 100, "[comps: <" * 50 + "b" + ">]" * 50,
+                 "[t: #1 [m: n], a: " + "[a: " * 99 + "#1" + "]" * 100]:
+        assert compile_avm(parse_avm(text))[0] >= 50
 
 
 def test_parse_avm_sharing_forward_reference():

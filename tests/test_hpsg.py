@@ -481,6 +481,35 @@ def test_strategies_accept_the_same_signs(toy):
     assert ta.signs_accepted == tg.signs_accepted == 1
 
 
+# S -> S S over n words: Catalan(n - 1) trees, every one an X leaf per word
+BINARY_LEX = """start S. rule S -> S S. rule S -> x. rule S -> X. proj X = S.
+lex "x" X [synsem: [loc: [cat: [head: [maj: x]]]]] subcat []."""
+
+
+def test_every_distinct_tree_is_considered():
+    g = load_grammar(BINARY_LEX)
+    for n, trees in ((3, 2), (4, 5), (5, 14)):
+        for strategy in ("active", "gentest"):
+            _, stats = parse_hpsg(["x"] * n, g, strategy=strategy)
+            assert stats.trees_considered == trees, (n, strategy)
+
+
+def test_taggings_share_one_search():
+    # two entries of one category: the sequence is searched once, its
+    # trees are built for each tagging, and a limit met in the first
+    # tagging reads no later one
+    one = load_grammar(BINARY_LEX)
+    two = load_grammar(BINARY_LEX + ' lex "x" X [synsem: [loc: [cat: [head: [maj: y]]]]] subcat [].')
+    signs, single = parse_hpsg(["x"], one)
+    assert len(signs) == single.trees_considered == 1
+    signs, double = parse_hpsg(["x"], two)
+    assert len(signs) == double.trees_considered == 2
+    assert (double.windows_tried, double.reductions_applied) == (
+        single.windows_tried, single.reductions_applied)
+    signs, limited = parse_hpsg(["x"], two, limit=1)
+    assert len(signs) == limited.trees_considered == 1
+
+
 def test_parse_hpsg_pins_every_counter():
     # A fresh grammar: the first call compiles the templates, and gives
     # the same counts as every later call.

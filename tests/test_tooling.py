@@ -30,6 +30,9 @@ def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
     uninstall = tracing.install(tracer, clparse)
     try:
         signs, _ = clparse.hpsg.parse_hpsg("the cat sleeps".split(), g)
+        # the sign pipeline searches without cfg.parse, so call it here
+        # to see its wrapper installed and counted
+        clparse.cfg.parse(("NP", "VP"), g)
     finally:
         uninstall()
     assert len(signs) == 1
