@@ -20,13 +20,9 @@ order of an unshared depth-first search.  `windows_tried` and
 `reductions_applied` count the scans of distinct states only, and
 `backtracks` the distinct states without a derivation.
 
-A sentence is one search: its taggings are roots of one memo and split
-table, each searched once those before it are read, and `limit` counts
-across them.  Its distinct trees are built along canonical paths, where
-each step's window ends after the previous step's origin: a step wholly
-left of the last could have come first, so a canonical path is its
-tree's first derivation.  A unary cycle makes the order of steps matter
-to `unary_seen`, so then every path is walked and repeats are dropped.
+A sentence is one `Search`, its taggings roots of one memo and split
+table, with `limit` counted across them.  A tagging's distinct trees are
+built along its derivations by the origins, each with its first one.
 
 Two strategies explore the same windows in the same order and return
 the same derivations; they differ only in how candidate windows are
@@ -73,13 +69,10 @@ def parse(cats, g: Grammar, *, limit: int | None = None,
         raise UsageError("empty input")
     for c in cats:
         g.category(c)
-    if strategy not in ("active", "gentest"):
-        raise UsageError(f"unknown strategy {strategy!r}")
-    stats = Stats()
+    search = Search(g, strategy, limit=limit, trace=trace)
     if limit is not None and limit <= 0:
-        return (), stats
-    search = _Search(g, strategy, limit, trace, stats)
-    return tuple(islice(search.derivations(cats), limit)), stats
+        return (), search.stats
+    return tuple(islice(search.derivations(cats), limit)), search.stats
 
 
 # A forest record is (count, edges): how many derivations a search state
@@ -90,13 +83,15 @@ _DEAD = (0, ())
 _NO_UNARY: frozenset = frozenset()
 
 
-class _Search:
+class Search:
     """One sentence's search, building one forest record per distinct
     (sequence, unary_seen) state of its taggings.  Nothing in it refers
     back to it, so the forest is freed once the sentence is read."""
 
-    def __init__(self, g: Grammar, strategy: str, limit, trace, stats: Stats):
-        self.g, self.strategy, self.trace, self.stats = g, strategy, trace, stats
+    def __init__(self, g: Grammar, strategy: str = "active", *, limit=None, trace=None):
+        if strategy not in ("active", "gentest"):
+            raise UsageError(f"unknown strategy {strategy!r}")
+        self.g, self.strategy, self.trace, self.stats = g, strategy, trace, Stats()
         self.wanted = math.inf if limit is None else limit
         self.found = 0          # derivations of the root found so far
         self.memo: dict = {}    # finished state -> record
@@ -159,8 +154,7 @@ class _Search:
     def trees(self, cats):
         """The tagging's distinct trees, each with its first derivation,
         lazily, in scan order of those derivations."""
-        yield from _canonical(self.node(cats, _NO_UNARY), tuple((c, ()) for c in cats),
-                              _has_unary_cycle(self.g), set())
+        yield from _trees(self.node(cats, _NO_UNARY), tuple((c, ()) for c in cats), set())
 
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
         l = len(seq)
@@ -208,30 +202,19 @@ def _derivations(record: tuple, path: Derivation = ()):
             yield from _derivations(edge[2], path + (edge[0],))
 
 
-def _canonical(record: tuple, nodes: tuple, cyclic: bool, seen: set,
-               path: Derivation = (), last: int = 0):
-    """The (tree, derivation) pairs under a record along canonical paths,
-    trees in `seen` left out: `nodes` are the trees over the record's
-    sequence, and `last` is the origin of the step that made it."""
+def _trees(record: tuple, nodes: tuple, seen: set, path: Derivation = ()):
+    """The (tree, first derivation) pairs under a record, lazily, trees in
+    `seen` left out: `nodes` are the trees over the record's sequence."""
     for edge in record[1]:
         if edge is None:
             if nodes[0] not in seen:
                 seen.add(nodes[0])
                 yield nodes[0], path
-            continue
-        (lhs, window), va, child = edge
-        vb = len(window)
-        if va + vb > last or cyclic:
-            yield from _canonical(child, nodes[:va] + ((lhs, nodes[va:va + vb]),) + nodes[va + vb:],
-                                  cyclic, seen, path + ((lhs, window),), va)
-
-
-def _has_unary_cycle(g: Grammar) -> bool:
-    # drop unary rules into categories no unary rule rewrites; a cycle stays
-    edges = {(r.rhs[0], r.lhs) for r in g.rules if len(r.rhs) == 1}
-    while ends := {b for _, b in edges} - {a for a, _ in edges}:
-        edges = {(a, b) for a, b in edges if b not in ends}
-    return bool(edges)
+        else:
+            (lhs, window), va, child = edge
+            end = va + len(window)
+            yield from _trees(child, nodes[:va] + ((lhs, nodes[va:end]),) + nodes[end:],
+                              seen, path + ((lhs, window),))
 
 
 def oracle_parse(cats, g: Grammar, *, limit: int | None = None) -> tuple[Derivation, ...]:
@@ -277,9 +260,8 @@ def oracle_parse(cats, g: Grammar, *, limit: int | None = None) -> tuple[Derivat
 def derivations_to_tree(derivation, cats) -> Tree:
     """Replay derivation text over the input and return the first tree.
 
-    Steps carry no positions, so text can denote several trees: the replay
-    backtracks over the places a step's window may match and returns the
-    first complete replay."""
+    Steps carry no positions, so text can denote several trees; the replay
+    backtracks over the places a step's window may match."""
     tree = _replay(tuple((c, ()) for c in cats), tuple(derivation))
     if tree is None:
         raise UsageError("derivation does not replay over the input")

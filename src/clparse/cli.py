@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
-from .cfg import _Search, format_derivation
+from .cfg import Search, format_derivation
 from .errors import GrammarError, UsageError
 from .grammar import Grammar, load_grammar_file
 from .hpsg import parse_hpsg, sign_dump
@@ -84,15 +84,14 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
         text = "\n\n".join(sign_dump(s) for s in signs)
         return text, len(signs), stats, buf.getvalue() if buf else ""
 
-    stats = Stats()
     # A tree's first derivation can come after `limit` others, so a dedupe
     # searches each tagging whole; a tree's leaves are its tagging.
-    search = _Search(g, strategy, None if dedupe else limit, trace, stats)
+    search = Search(g, strategy, limit=None if dedupe else limit, trace=trace)
     per_tagging = ((d for _, d in search.trees(cats)) if dedupe else search.derivations(cats)
                    for cats in _taggings(tokens, g))
     found = list(itertools.islice(itertools.chain.from_iterable(per_tagging), limit))
     text = "\n".join(format_derivation(d) for d in found)
-    return text, len(found), stats, buf.getvalue() if buf else ""
+    return text, len(found), search.stats, buf.getvalue() if buf else ""
 
 
 def _worker(task):

@@ -527,21 +527,30 @@ def compile_avm(avm: dict, default_status: Bool3 = Bool3.UNKNOWN) -> tuple:
         raise UsageError(f"bad avm {avm!r}")
     index_of: dict[int, int] = {}
     cells: list[tuple] = []
-    _compile(avm, _template_status(default_status), index_of, set(), cells)
+    ctx = (_template_status(default_status), index_of, set(), cells)
+    # `_compile` frames on an explicit stack, so any depth compiles
+    frames, value = [_compile(avm, *ctx)], None
+    while frames:
+        try:
+            frames.append(_compile(frames[-1].send(value), *ctx))
+            value = None
+        except StopIteration as done:
+            frames.pop()
+            value = done.value
     return len(index_of), tuple(cells)
 
 
-def _compile(raw, default, index_of: dict, on_stack: set, cells: list, depth: int = 1):
-    """`raw` in template form: a dict is its node number, its cells
-    compiled at first entry; each dict and list nests a level, as in
-    `parse_avm`.  (At module level: a nested function that calls itself
-    is a reference cycle.)"""
+def _compile(raw, default, index_of: dict, on_stack: set, cells: list):
+    """The frame that returns `raw` in template form: a dict is its node
+    number, its cells compiled at first entry.  It yields each value it
+    needs compiled and is sent back that value's template form."""
     if raw is None or isinstance(raw, str):
         return raw
-    if depth > MAX_NESTING and id(raw) not in index_of:   # a compiled node is a reference
-        raise UsageError(f"avm nested deeper than {MAX_NESTING} levels")
     if isinstance(raw, (list, tuple)):
-        return tuple(_compile(e, default, index_of, on_stack, cells, depth + 1) for e in raw)
+        out = []
+        for e in raw:
+            out.append((yield e))
+        return tuple(out)
     if not isinstance(raw, dict):
         raise UsageError(f"bad avm value {raw!r}")
     if id(raw) in on_stack:
@@ -555,7 +564,7 @@ def _compile(raw, default, index_of: dict, on_stack: set, cells: list, depth: in
         status = default
         if isinstance(value, Ann):
             status, value = _template_status(value.status), value.value
-        value = _compile(value, default, index_of, on_stack, cells, depth + 1)
+        value = yield value
         feature = _norm_feat(feat)
         if feature in seen:
             raise UsageError(f"avm names {feature} twice on one node")

@@ -11,12 +11,11 @@ compile to implications over status variables, head feature sharing
 installs the mother's head as the head daughter's head node (token
 identity), and valency lists cancel realized daughters from the end.
 
-The sentence pipeline drives all of this from the window parser: one
-search covers every lexical tagging of the sentence, and each distinct
-tree read off its forest is built bottom-up on a fresh store.  The
-active strategy checks each reduction as it is built; the
-generate-and-test strategy builds the whole tree first and runs every
-check at the end.  Both accept exactly the same signs.
+The sentence pipeline drives all of this from one window-parser search
+over every lexical tagging: each distinct tree off its forest is built
+bottom-up on a fresh store.  The active strategy checks each reduction
+as it is built; the generate-and-test strategy builds the whole tree
+first and runs every check at the end.  Both accept exactly the same signs.
 
 Each lexical entry is compiled once per grammar, at its first use: its
 sign as a flat cell list over relative node numbers with the known
@@ -36,7 +35,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, replace
 
-from .cfg import _Search
+from .cfg import Search
 from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
 from .errors import InconsistencyError, UsageError
 from .fstruct import Ann, Bool3, Cell, FeatureStructure, Ref, compile_avm
@@ -636,18 +635,16 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
     words = tuple(words)
     if not words:
         raise UsageError("empty input")
-    if strategy not in ("active", "gentest"):
-        raise UsageError(f"unknown strategy {strategy!r}")
+    search = Search(g, strategy, trace=trace)
+    stats = search.stats
     if limit is not None and limit <= 0:
-        return (), Stats()
+        return (), stats
     choices = []
     for w in words:
         entries = g.entries(w)
         if not entries:
             raise UsageError(f"unknown word {w!r}")
         choices.append(tuple(((w, k), e) for k, e in enumerate(entries)))
-    stats = Stats()
-    search = _Search(g, strategy, None, trace, stats)
     signs: list[Sign] = []
 
     for tagging in itertools.product(*choices):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clparse.cfg import (
-    _Search,
+    Search,
     derivations_to_tree,
     format_derivation,
     oracle_parse,
@@ -16,7 +16,6 @@ from clparse.cfg import (
 )
 from clparse.errors import UsageError
 from clparse.grammar import load_grammar, load_grammar_file
-from clparse.store import Stats
 
 SENT7 = ("Det", "Nm", "Vb", "Det", "Nm", "Prep", "Nm")
 
@@ -93,6 +92,8 @@ def test_unknown_category_rejected(toy):
         parse(("Det", "Foo"), toy)
     with pytest.raises(UsageError):
         parse((), toy)
+    with pytest.raises(UsageError, match="unknown strategy"):
+        parse(("Det",), toy, strategy="eager")
 
 
 def test_strategies_agree_on_answers(toy):
@@ -256,8 +257,8 @@ def test_split_table_is_every_window_of_a_rule_length(lengths, l):
     seq = ("A",) * l
     want = tuple(sorted((va, vb) for vb in lengths if vb <= l
                         for va in range(l - vb + 1)))
-    active = _Search(g, "active", None, None, Stats()).windows(seq)
-    gentest = _Search(g, "gentest", None, None, Stats()).windows(seq)
+    active = Search(g, "active").windows(seq)
+    gentest = Search(g, "gentest").windows(seq)
     assert active == want
     assert tuple(w for w in gentest if w[1] in lengths) == want
 
@@ -406,5 +407,5 @@ def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
         for k in range(1, len(want) + 2):
             assert parse(cats, g, strategy=strategy, limit=k)[0] == want[:k]
         windows[strategy] = stats.windows_tried
-        assert list(_Search(g, strategy, None, None, Stats()).trees(cats)) == trees
+        assert list(Search(g, strategy).trees(cats)) == trees
     assert windows["active"] <= windows["gentest"]

@@ -82,6 +82,14 @@ def test_dedupe_trees_keeps_every_tree(capsys, tmp_path):
         assert len(set(out.splitlines())) == len(out.splitlines()) == trees
 
 
+def test_unknown_strategy_is_a_usage_error():
+    g = load_grammar_file(TOY_LEX)
+    for mode in ("cfg", "hpsg"):
+        with pytest.raises(cli.UsageError, match="unknown strategy"):
+            cli.analyze_line("the cat sleeps", g, mode=mode, strategy="eager", limit=None,
+                             dedupe=False, traced=False)
+
+
 def test_no_analysis_exits_one(capsys):
     rc, out, _ = run(capsys, "--grammar", TOY, "--input", "Prep")
     assert rc == 1

@@ -358,17 +358,18 @@ def test_deep_avm_text_is_a_usage_error():
     assert parse_avm("[a: " * 100 + "b" + "]" * 100)
     with pytest.raises(UsageError):
         parse_avm("[a: " * 101 + "b" + "]" * 101)
-    # a description built in code is held to the same depth
+    # a description built in code compiles at any depth, innermost cell first
     deep = "b"
     for _ in range(2000):
         deep = {"a": deep}
-    with pytest.raises(UsageError, match="nested deeper"):
-        compile_avm(deep)
+    n, cells = compile_avm(deep)
+    assert n == len(cells) == 2000 and cells[0][1:3] == (2000, "b")
     assert avm_equal(deep, deep) and not avm_equal(deep, {"a": deep})
-    # what the text syntax accepts compiles, a deep reference to a
-    # shared node included
+    # what the text syntax accepts compiles, deep references to a shared
+    # node written before or after them included
     for text in ["[a: " * 100 + "b" + "]" * 100, "[comps: <" * 50 + "b" + ">]" * 50,
-                 "[t: #1 [m: n], a: " + "[a: " * 99 + "#1" + "]" * 100]:
+                 "[t: #1 [m: n], a: " + "[a: " * 99 + "#1" + "]" * 100,
+                 "[a: " + "[a: " * 98 + "#1" + "]" * 98 + ", t: #1 [m: [k: n]]]"]:
         assert compile_avm(parse_avm(text))[0] >= 50
 
 
