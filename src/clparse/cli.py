@@ -78,6 +78,8 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
     buf = io.StringIO() if traced else None
     trace = (lambda s: buf.write(s + "\n")) if traced else None
 
+    if mode not in ("cfg", "hpsg"):
+        raise UsageError(f"unknown mode {mode!r}")
     if mode == "hpsg":
         signs, stats = parse_hpsg(tokens, g, strategy=strategy, limit=limit,
                                   trace=trace)

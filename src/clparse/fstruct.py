@@ -18,8 +18,8 @@ and its store are freed by reference counting.
 A description compiles, without a store, to a template of plain tuples
 over relative node numbers, and `instantiate` installs a template on
 fresh nodes of any structure in one step: that is the one way a
-description's cells reach a structure.  The sign pipeline compiles each
-lexical entry once per grammar.
+description's cells reach a structure.  The grammar loader compiles
+each lexical entry once.
 """
 
 from __future__ import annotations
@@ -183,23 +183,28 @@ class FeatureStructure:
 
     def decode(self, root: int = 1) -> dict:
         """Back to a nested description; shared nodes come out as the
-        same dict object."""
-        return self._decode_node(self._check_node(root), {})
+        same dict object.  A node's dict is made when it is first met
+        and filled from an explicit stack, so any depth decodes."""
+        memo: dict[int, dict] = {}
+        todo: list[int] = []
 
-    def _decode_node(self, i: int, memo: dict[int, dict]) -> dict:
-        i = self.canon(i)
-        if i not in memo:
-            memo[i] = out = {}
-            for cell in self._groups[i].values():
-                out[cell.feature] = self._decode_value(cell.value, memo)
-        return memo[i]
+        def value(v):
+            if isinstance(v, tuple):
+                return tuple(value(e) for e in v)
+            if not isinstance(v, Ref):
+                return v
+            i = self.canon(v.index)
+            if i not in memo:
+                memo[i] = {}
+                todo.append(i)
+            return memo[i]
 
-    def _decode_value(self, v, memo: dict[int, dict]):
-        if isinstance(v, Ref):
-            return self._decode_node(v.index, memo)
-        if isinstance(v, tuple):
-            return tuple(self._decode_value(e, memo) for e in v)
-        return v
+        out = value(Ref(self._check_node(root)))
+        while todo:
+            i = todo.pop()
+            memo[i].update((cell.feature, value(cell.value))
+                           for cell in self._groups[i].values())
+        return out
 
     # -- paths -----------------------------------------------------------
 

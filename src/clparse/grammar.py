@@ -14,17 +14,20 @@ Declarations:
 Comments run from % to end of line.  Frames may omit O (then O = M - C)
 and the closing brace ends the statement; everything else ends with a
 dot.  A grammar is immutable once loaded.
+Each lexical entry compiles to its sign's template as it is read, so an
+entry that cannot become a sign is a `GrammarError` on its line; once
+every statement is read, it records where the restrictions apply.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import GrammarError, UsageError
-from .fstruct import parse_avm
-from .logic import Formula, Implies, Var, format_formula, parse_with_leaves
+from .fstruct import _norm_feat, compile_avm, parse_avm
+from .logic import Bool3, Formula, Implies, Var, format_formula, parse_with_leaves
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,53 @@ class FCR:
         return format_formula(self.formula, _format_literal)
 
 
+def fcr_sites(nodes, fcrs):
+    """The `(node, index into fcrs)` pairs where the restrictions apply,
+    given `(node, features)` pairs in walk order: a restriction applies
+    at every node that carries one of its features, and after that the
+    node carries all of them."""
+    for node, feats in nodes:
+        feats = set(feats)
+        for k, f in enumerate(fcrs):
+            if not feats.isdisjoint(f.features):
+                feats |= f.features
+                yield node, k
+
+
 @dataclass(frozen=True)
 class LexEntry:
+    """`template`, the compiled sign, is made from the other fields when
+    not given; `sites` are its `fcr_sites` under the grammar's fcrs."""
+
     form: str
     category: str
     avm: dict = field(default_factory=dict, hash=False, compare=False)
     subj: tuple[str, ...] = ()
     subcat: tuple[str, ...] = ()
     schema: frozenset[str] | None = None
+    template: tuple = field(default=None, hash=False, compare=False, repr=False)
+    sites: tuple = field(default=(), hash=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.template is None:
+            avm = _deep_merge(self.avm, {"synsem": {"loc": {"cat": {
+                "subj": tuple(self.subj), "comps": tuple(self.subcat)}}}})
+            object.__setattr__(self, "template", compile_avm(avm, Bool3.TRUE))
+
+
+def _deep_merge(dst: dict, extra: dict) -> dict:
+    out = dict(dst)
+    for k, v in extra.items():
+        if k in out:
+            cur = out[k]
+            inner = cur.value if hasattr(cur, "value") else cur
+            if not (isinstance(inner, dict) and isinstance(v, dict)):
+                raise UsageError(f"lexical entry reserves {k!r}")
+            merged = _deep_merge(inner, v)
+            out[k] = replace(cur, value=merged) if hasattr(cur, "value") else merged
+        else:
+            out[k] = v
+    return out
 
 
 class Grammar:
@@ -112,8 +154,8 @@ class Grammar:
         self._lp_set: set[tuple[str, str]] = set()
         self._categories: dict[str, Category] = {}
         self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
-        # compiled sign templates, filled by the sign pipeline on first use
-        self.sign_templates: dict = {}
+        # every feature the lexical entries' templates name
+        self.lexicon_features: frozenset[str] = frozenset()
 
     # -- queries --------------------------------------------------------
 
@@ -180,7 +222,7 @@ def _fcr_literal(tok: str) -> Formula:
     if not m:
         raise UsageError(f"bad literal {tok!r}")
     feature, value = m.groups()
-    return Var(FcrLiteral(feature.lower(), value.lower() if value else None))
+    return Var(FcrLiteral(_norm_feat(feature), value.lower() if value else None))
 
 
 def parse_fcr(text: str, line: int | None = None) -> FCR:
@@ -352,7 +394,10 @@ def _parse_lex(body: str, line: int) -> LexEntry:
             rest = sm.group(2).strip()
             continue
         raise GrammarError(f"bad lex clause {rest[:20]!r}", line)
-    return LexEntry(form, cat, avm, subj, subcat, schema)
+    try:
+        return LexEntry(form, cat, avm, subj, subcat, schema)
+    except UsageError as e:
+        raise GrammarError(f"lex {form!r}: {e}", line) from None
 
 
 def load_grammar(text: str) -> Grammar:
@@ -464,6 +509,15 @@ def load_grammar(text: str) -> Grammar:
     g._lp_set = {(p.before, p.after) for p in g.lp_pairs}
     for rule in g.rules:
         g._by_rhs[rule.rhs] = g._by_rhs.get(rule.rhs, ()) + (rule,)
+    feats: set[str] = set()
+    for entries in g.lexicon.values():
+        for i, e in enumerate(entries):
+            nodes: list[set[str]] = [set() for _ in range(e.template[0])]
+            for feature, node, _, _ in e.template[1]:
+                nodes[node - 1].add(feature)
+            entries[i] = replace(e, sites=tuple(fcr_sites(enumerate(nodes, 1), g.fcrs)))
+            feats.update(*nodes)
+    g.lexicon_features = frozenset(feats)
     return g
 
 

@@ -17,12 +17,12 @@ bottom-up on a fresh store.  The active strategy checks each reduction
 as it is built; the generate-and-test strategy builds the whole tree
 first and runs every check at the end.  Both accept exactly the same signs.
 
-Each lexical entry is compiled once per grammar, at its first use: its
-sign as a flat cell list over relative node numbers with the known
-statuses, and the nodes where each cooccurrence restriction applies.
-The phrase skeleton is a template compiled once, at import.  A tree
-renumbers and installs these templates instead of encoding every entry
-again, and instantiates only the restrictions at the recorded sites.
+Each lexical entry arrives compiled from the grammar loader: its sign
+as a flat cell list over relative node numbers with the known statuses,
+and the nodes where each cooccurrence restriction applies.  The phrase
+skeleton is a template compiled once, at import.  A tree installs these
+templates instead of encoding every entry again, and instantiates only
+the restrictions at the recorded sites.
 Nothing a tree's store holds refers back strongly to its structure, so
 a rejected tree is freed by reference counting, without the cyclic
 collector.
@@ -33,13 +33,13 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cfg import Search
 from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
 from .errors import InconsistencyError, UsageError
 from .fstruct import Ann, Bool3, Cell, FeatureStructure, Ref, compile_avm
-from .grammar import FCR, FcrLiteral, Grammar, LexEntry
+from .grammar import FCR, FcrLiteral, Grammar, LexEntry, fcr_sites
 from .logic import And, Formula, Implies, Not, Or, Var, conj
 from .store import AskResult, Stats, Store, VarId
 
@@ -311,41 +311,21 @@ def _map_leaves(g: Formula, leaf) -> Formula:
     return type(g)(_map_leaves(g.lhs, leaf), _map_leaves(g.rhs, leaf))
 
 
+_SKELETON = frozenset({"synsem", "loc", "cat", "head", "subj", "comps", "dtrs", *SLOTS})
+
+
 def feature_alphabet(g: Grammar) -> frozenset[str]:
-    feats = {"synsem", "loc", "cat", "head", "subj", "comps", "dtrs", *SLOTS}
-    for entries in g.lexicon.values():
-        for entry in entries:
-            _collect_features(entry.avm, feats)
-    return frozenset(feats)
-
-
-def _collect_features(avm, feats: set) -> None:
-    if hasattr(avm, "value"):   # status annotation wrapper
-        _collect_features(avm.value, feats)
-    elif isinstance(avm, dict):
-        for k, v in avm.items():
-            feats.add(k)
-            _collect_features(v, feats)
-    elif isinstance(avm, tuple):
-        for v in avm:
-            _collect_features(v, feats)
+    """Every feature a sign of the grammar can carry."""
+    return g.lexicon_features | _SKELETON
 
 
 def post_fcrs(fs: FeatureStructure, root: int, fcrs,
               alphabet: frozenset[str] | None = None) -> None:
-    """Instantiate every restriction at every node of the sign that
-    carries at least one of its features."""
-    for node, k in _fcr_sites(fs, root, fcrs):
+    """Instantiate the restrictions at the `fcr_sites` of the nodes
+    reachable from `root`, in ascending order."""
+    nodes = ((n, [c.feature for c in fs.cells_of(n)]) for n in fs.reachable(root))
+    for node, k in fcr_sites(nodes, fcrs):
         _post_fcr(fs, node, fcrs[k], alphabet)
-
-
-def _fcr_sites(fs: FeatureStructure, root: int, fcrs):
-    """The (node, index into fcrs) pairs `post_fcrs` instantiates, in its
-    order.  Lazy: a placeholder made at one site can make a later one."""
-    for node in fs.reachable(root):
-        for k, f in enumerate(fcrs):
-            if any(fs.find(node, feat) is not None for feat in f.features):
-                yield node, k
 
 
 def _post_fcr(fs: FeatureStructure, node: int, f: FCR, alphabet) -> None:
@@ -416,73 +396,19 @@ def apply_valency(fs: FeatureStructure, root: int, *,
 
 # -- sign construction ----------------------------------------------------
 
-def _merge_avm(entry: LexEntry) -> dict:
-    return _deep_merge(entry.avm, {"synsem": {"loc": {"cat": {
-        "subj": tuple(entry.subj), "comps": tuple(entry.subcat)}}}})
-
-
-def _deep_merge(dst: dict, extra: dict) -> dict:
-    out = dict(dst)
-    for k, v in extra.items():
-        if k in out:
-            cur = out[k]
-            inner = cur.value if hasattr(cur, "value") else cur
-            if not (isinstance(inner, dict) and isinstance(v, dict)):
-                raise UsageError(f"lexical entry reserves {k!r}")
-            merged = _deep_merge(inner, v)
-            out[k] = replace(cur, value=merged) if hasattr(cur, "value") else merged
-        else:
-            out[k] = v
-    return out
-
-
 def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
-    """Insert one lexical entry; entry features are realized (status
-    true) unless the entry text says otherwise."""
-    root = fs.encode_node(_merge_avm(entry), default_status=Bool3.TRUE)
-    wf = fs.store.new_bool(f"wf:{entry.form}")
-    return Sign(fs, root, entry.category, wf, schema=entry.schema)
+    """Install one lexical entry's template; entry features are realized
+    (status true) unless the entry text says otherwise."""
+    root = fs.instantiate(entry.template)
+    return Sign(fs, root, entry.category, fs.store.new_bool(f"wf:{entry.form}"),
+                schema=entry.schema)
 
-
-# -- compiled templates ------------------------------------------------------
 
 # A phrase's skeleton: synsem.loc.cat realized, with valueless subj and
 # comps placeholders.
 _MOTHER = compile_avm({"synsem": {"loc": {"cat": {
     "subj": Ann(None, Bool3.UNKNOWN), "comps": Ann(None, Bool3.UNKNOWN)}}}},
     Bool3.TRUE)
-
-
-def _entry_template(entry: LexEntry, fcrs) -> tuple:
-    """`(template, sites)`: the entry's sign as `lexical_sign` encodes
-    it, and the `(node, index into fcrs)` pairs where `post_fcrs`
-    instantiates a restriction on it, over the template's node numbers.
-    The sites come from `post_fcrs`'s own walk over a scratch copy.  A
-    site that fails there fails in every tree, at the latest, so none
-    after it is kept; unknown features are checked in the tree."""
-    template = compile_avm(_merge_avm(entry), Bool3.TRUE)
-    fs = FeatureStructure(Store())
-    fs.instantiate(template)
-    sites = []
-    try:
-        for node, k in _fcr_sites(fs, 1, fcrs):
-            sites.append((node, k))
-            _post_fcr(fs, node, fcrs[k], None)
-    except (InconsistencyError, UsageError):
-        pass
-    return template, tuple(sites)
-
-
-def _templates(g: Grammar) -> dict:
-    """The grammar's compiled templates, kept on it as plain tuples so a
-    pickled grammar carries them: the feature alphabet, made on the
-    first call, and each lexical entry's `_entry_template` under its
-    `(form, position)` in the lexicon, made when a tree first uses it.  The key is the place, not the entry:
-    `LexEntry` equality ignores the avm."""
-    cache = g.sign_templates
-    if not cache:
-        cache["alphabet"] = feature_alphabet(g)
-    return cache
 
 
 # -- pipeline -------------------------------------------------------------
@@ -521,7 +447,7 @@ class _TreeBuild:
 
     def __init__(self, g: Grammar, tagging, active: bool, stats: Stats, trace):
         self.g = g
-        self.templates = _templates(g)
+        self.alphabet = feature_alphabet(g)
         self.store = Store(trace=trace)
         self.fs = FeatureStructure(self.store)
         self.leaves = iter(tagging)
@@ -545,20 +471,13 @@ class _TreeBuild:
         return self.phrase(label, tuple((child[0], s) for child, s in zip(children, dsigns)))
 
     def lexical(self, label: str) -> Sign:
-        key, entry = next(self.leaves)
+        entry = next(self.leaves)
         self.stats.expansions += 1
-        compiled = self.templates.get(key)
-        if compiled is None:
-            compiled = self.templates[key] = _entry_template(entry, self.g.fcrs)
-        template, sites = compiled
-        fs, store = self.fs, self.store
-        root = fs.instantiate(template)
-        sign = Sign(fs, root, entry.category, store.new_bool(f"wf:{entry.form}"),
-                    schema=entry.schema)
-        self.parts.append((label, root, sign.wf))
-        self.gate(functools.partial(_post_sites, fs, root - 1, sites, self.g.fcrs,
-                                    self.templates["alphabet"]))
-        self.gate(functools.partial(_assert_wf, store, sign))
+        sign = lexical_sign(self.fs, entry)
+        self.parts.append((label, sign.root, sign.wf))
+        self.gate(functools.partial(_post_sites, self.fs, sign.root - 1, entry.sites,
+                                    self.g.fcrs, self.alphabet))
+        self.gate(functools.partial(_assert_wf, self.store, sign))
         return sign
 
     def phrase(self, label: str, daughters) -> Sign:
@@ -589,7 +508,7 @@ class _TreeBuild:
             wf_map = {label: mother.wf}
             realized = {cat: s.wf for cat, s in daughters}
             comp_vars = []
-            for member in frame.m:
+            for member in sorted(frame.m):
                 wf_map[member] = realized.get(member) or store.new_bool(f"wf:{member}?")
                 if member not in realized:
                     if not store.tell(bool_post(Not(Var(wf_map[member])))):
@@ -608,7 +527,7 @@ class _TreeBuild:
 def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
                 trace=None) -> Sign | None:
     """The root sign of one tree, or None if the tree is rejected.
-    `tagging` pairs each leaf's entry with its template key."""
+    `tagging` holds each leaf's entry."""
     build = _TreeBuild(g, tagging, strategy == "active", stats, trace)
     store = build.store
     try:
@@ -639,16 +558,14 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
     stats = search.stats
     if limit is not None and limit <= 0:
         return (), stats
-    choices = []
-    for w in words:
-        entries = g.entries(w)
+    choices = [g.entries(w) for w in words]
+    for w, entries in zip(words, choices):
         if not entries:
             raise UsageError(f"unknown word {w!r}")
-        choices.append(tuple(((w, k), e) for k, e in enumerate(entries)))
     signs: list[Sign] = []
 
     for tagging in itertools.product(*choices):
-        for tree, _ in search.trees(tuple(e.category for _, e in tagging)):
+        for tree, _ in search.trees(tuple(e.category for e in tagging)):
             stats.trees_considered += 1
             sign = _build_tree(tree, tagging, g, strategy, stats, trace)
             if sign is not None:

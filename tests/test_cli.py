@@ -88,6 +88,9 @@ def test_unknown_strategy_is_a_usage_error():
         with pytest.raises(cli.UsageError, match="unknown strategy"):
             cli.analyze_line("the cat sleeps", g, mode=mode, strategy="eager", limit=None,
                              dedupe=False, traced=False)
+    with pytest.raises(cli.UsageError, match="unknown mode"):
+        cli.analyze_line("the cat sleeps", g, mode="hpgs", strategy="active", limit=None,
+                         dedupe=False, traced=False)
 
 
 def test_no_analysis_exits_one(capsys):
@@ -213,6 +216,25 @@ def test_trace_goes_to_stderr(capsys):
     assert "EVENT" not in out
 
 
+def test_trace_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # a frame with several unrealized members makes one boolean for each
+    grammar = tmp_path / "frame.clg"
+    grammar.write_text(
+        "start S. rule S -> NP VP. rule NP -> Nm. rule VP -> Vb.\n"
+        "frame NP { M = {Nm,Det,Adj,PP}; C = {Nm}; head = Nm; }\n"
+        "proj Nm = NP. proj Vb = VP. proj VP = S.\n"
+        'lex "dogs" Nm [synsem: [loc: [cat: [head: [maj: n]]]]] subcat [].\n'
+        'lex "bark" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP] subcat [].\n')
+    traces = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = run_module("--grammar", str(grammar), "--mode", "hpsg",
+                          "--input", "dogs bark", "--trace")
+        assert proc.returncode == 0
+        traces.append(proc.stderr)
+    assert "wf:Adj?" in traces[0] and traces[0] == traces[1]
+
+
 def test_hpsg_mode_dumps_signs(capsys):
     rc, out, err = run(capsys, "--grammar", TOY_LEX, "--mode", "hpsg",
                        "--input", "the cat sleeps", "--stats")
@@ -224,11 +246,12 @@ def test_hpsg_mode_dumps_signs(capsys):
 
 
 def test_hpsg_jobs_pickle_the_compiled_templates(capsys, tmp_path, monkeypatch):
-    # A grammar that already holds compiled templates, from a parse in
-    # this process, goes to the workers pickled and parses the same.
+    # The grammar's lexical entries hold their compiled templates and
+    # restriction sites; the grammar goes to the workers pickled and
+    # parses the same.
     g = load_grammar_file(TOY_LEX)
-    parse_hpsg("the cat sleeps".split(), g)
-    assert g.sign_templates
+    entries = [e for es in g.lexicon.values() for e in es]
+    assert all(e.template for e in entries) and any(e.sites for e in entries)
     monkeypatch.setattr(cli, "load_grammar_file", lambda path: g)
     f = tmp_path / "sents.txt"
     f.write_text("the cat sleeps\ncat the sleeps\nthe cat sleeps\n")

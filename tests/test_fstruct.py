@@ -358,13 +358,19 @@ def test_deep_avm_text_is_a_usage_error():
     assert parse_avm("[a: " * 100 + "b" + "]" * 100)
     with pytest.raises(UsageError):
         parse_avm("[a: " * 101 + "b" + "]" * 101)
-    # a description built in code compiles at any depth, innermost cell first
+    # a description built in code compiles and decodes at any depth,
+    # innermost cell first
     deep = "b"
     for _ in range(2000):
         deep = {"a": deep}
     n, cells = compile_avm(deep)
     assert n == len(cells) == 2000 and cells[0][1:3] == (2000, "b")
     assert avm_equal(deep, deep) and not avm_equal(deep, {"a": deep})
+    deeper = {"a": deep, "b": deep}
+    for _ in range(1000):
+        deeper = {"a": deeper}
+    back = encode(deeper).decode()
+    assert avm_equal(back, deeper)
     # what the text syntax accepts compiles, deep references to a shared
     # node written before or after them included
     for text in ["[a: " * 100 + "b" + "]" * 100, "[comps: <" * 50 + "b" + ">]" * 50,

@@ -7,6 +7,7 @@ from clparse.grammar import (
     Frame,
     LexEntry,
     PSRule,
+    fcr_sites,
     load_grammar,
     load_grammar_file,
     parse_fcr,
@@ -209,6 +210,24 @@ def test_lex_avm_errors_carry_line():
     with pytest.raises(GrammarError) as err:
         load_grammar('rule S -> A. start S.\nlex "x" A [maj: n, maj: v].')
     assert "line 2" in str(err.value)
+
+
+def test_lex_entry_that_cannot_become_a_sign_is_a_grammar_error_with_its_line():
+    text = open(TOY_LEX).read()
+    with pytest.raises(GrammarError, match="reserves 'synsem'") as err:
+        load_grammar(text + '\nlex "bad" Nm [synsem: x] subcat [].\n')
+    assert err.value.line == len(text.splitlines()) + 2
+
+
+def test_fcr_sites_apply_where_a_feature_occurs_and_then_carry_all():
+    fcrs = [parse_fcr("PFORM -> ~INDEX"), parse_fcr("INDEX -> NUM")]
+    nodes = [(1, {"maj"}), (2, {"pform"}), (3, {"num"})]
+    assert list(fcr_sites(nodes, fcrs)) == [(2, 0), (2, 1), (3, 1)]
+    # an entry's sites are the rule over its template's nodes, and an fcr
+    # after the lex lines counts
+    g = load_grammar('rule S -> A. start S.\nlex "x" A [synsem: [pform: p]] subcat [].\n'
+                     'fcr PFORM -> ~INDEX.')
+    assert g.entries("x")[0].sites == ((2, 0),)
 
 
 def test_deep_nesting_is_a_grammar_error_with_its_line():

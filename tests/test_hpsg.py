@@ -555,14 +555,27 @@ def test_parse_hpsg_leaves_no_garbage():
 def test_lexical_templates_survive_pickling():
     import pickle
 
+    def compiled(g):
+        return [(e.template, e.sites) for es in g.lexicon.values() for e in es]
+
     g = load_grammar_file(TOY_LEX)
     before, _ = parse_hpsg("the cat sleeps".split(), g)
-    assert g.sign_templates
+    assert all(t for t, _ in compiled(g)) and any(s for _, s in compiled(g))
     copy = pickle.loads(pickle.dumps(g))
-    assert copy.sign_templates == g.sign_templates
+    assert compiled(copy) == compiled(g)
     after, _ = parse_hpsg("the cat sleeps".split(), copy)
     assert [sign_dump(s, statuses=True) for s in after] == \
         [sign_dump(s, statuses=True) for s in before]
+
+
+def test_fcr_feature_names_are_normalized_as_avm_names_are():
+    text = open(TOY_LEX).read()
+    dumps = []
+    for spelling in ("HEAD-DTR", "HEAD_DTR", "head_dtr"):
+        g = load_grammar(text + f"\nfcr VFORM -> ~{spelling}.\n")
+        signs, _ = parse_hpsg("the cat sleeps".split(), g)
+        dumps.append([sign_dump(s, statuses=True) for s in signs])
+    assert len(dumps[0]) == 1 and dumps[0] == dumps[1] == dumps[2]
 
 
 def test_unknown_fcr_feature_raises_where_the_restriction_applies(toy):

@@ -37,6 +37,7 @@ def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
         uninstall()
     assert len(signs) == 1
     assert tracer.calls["hpsg.parse_hpsg"] == 1
+    assert tracer.calls["hpsg.lexical_sign"] == 3
     assert tracer.calls["cfg.parse"] == 1
     assert tracer.calls["store.new"] > 0
     assert {name: getattr(clparse.hpsg, name) for name in originals} == originals
