@@ -1,9 +1,9 @@
 """Indexed flat representation of attribute-value matrices.
 
 A structure is a sequence of cells ⟨feature, owner, value, status⟩
-grouped by owner node.  Values are atoms, node references, reference
-sequences (for the designated list-valued features), or absent; there
-is no deeper nesting, so every complex value is one indirection away.
+grouped by owner node.  Values are atoms, node references, flat sequences
+of both (on the designated list-valued features), or absent; `compile_avm`
+and `add` refuse deeper nesting, so every complex value is one indirection away.
 Structure sharing is two cells holding the same node reference.
 
 Each cell's status is a boolean variable in the owning store, so
@@ -141,10 +141,7 @@ class FeatureStructure:
         return var
 
     def _install_cell(self, feature: str, owner: int, value, status) -> Cell:
-        feature = _norm_feat(feature)
         group = self._groups[owner]
-        if isinstance(value, tuple) and feature not in LIST_FEATURES:
-            raise UsageError(f"{feature} is not list-valued")
         cell = Cell(feature, owner, value, self._new_status(feature, owner, status))
         group[feature] = cell
         self.store.on_undo(functools.partial(group.__delitem__, feature))
@@ -188,9 +185,7 @@ class FeatureStructure:
         memo: dict[int, dict] = {}
         todo: list[int] = []
 
-        def value(v):
-            if isinstance(v, tuple):
-                return tuple(value(e) for e in v)
+        def element(v):
             if not isinstance(v, Ref):
                 return v
             i = self.canon(v.index)
@@ -199,10 +194,11 @@ class FeatureStructure:
                 todo.append(i)
             return memo[i]
 
-        out = value(Ref(self._check_node(root)))
+        out = element(Ref(self._check_node(root)))
         while todo:
             i = todo.pop()
-            memo[i].update((cell.feature, value(cell.value))
+            memo[i].update((cell.feature, tuple(map(element, cell.value))
+                            if isinstance(cell.value, tuple) else element(cell.value))
                            for cell in self._groups[i].values())
         return out
 
@@ -306,14 +302,21 @@ class FeatureStructure:
         """Install cells ⟨feature, owner, value, status⟩.  A duplicate
         feature unifies with the existing cell instead of duplicating;
         a status given as a variable is used as-is (token identity),
-        as a truth value it forces a fresh variable.  All or nothing:
-        if any cell clashes, none is installed.
+        as a truth value it forces a fresh variable.  All or nothing: if
+        any cell clashes or has a malformed value, none is installed.
         """
         with self.store.transaction():
             for feature, owner, value, status in cells:
                 feature = _norm_feat(feature)
                 owner = self._check_node(owner)
-                if isinstance(value, Ref):
+                if isinstance(value, tuple):
+                    if feature not in LIST_FEATURES:
+                        raise UsageError(f"{feature} is not list-valued")
+                    if any(isinstance(e, tuple) for e in value):
+                        raise UsageError(f"{feature} holds a sequence inside a sequence")
+                    value = tuple(Ref(self._check_node(e.index)) if isinstance(e, Ref) else e
+                                  for e in value)
+                elif isinstance(value, Ref):
                     value = Ref(self._check_node(value.index))
                 existing = self._groups[owner].get(feature)
                 if existing is None:
@@ -325,7 +328,7 @@ class FeatureStructure:
                     elif isinstance(status, Bool3) and status.known:
                         self._force_status(existing, status)
                 # only a node reference adds an edge, and so can close a cycle
-                if next(self._refs(value), None) is not None:
+                if self._refs(value):
                     self._assert_acyclic(owner)
 
     def share(self, p1, p2, start: int = 1) -> int:
@@ -444,11 +447,9 @@ class FeatureStructure:
         return env
 
     def _canon_value(self, v):
-        if isinstance(v, Ref):
-            return self.canon(v.index)
         if isinstance(v, tuple):
-            return tuple(self._canon_value(e) for e in v)
-        return v
+            return tuple(self.canon(e.index) if isinstance(e, Ref) else e for e in v)
+        return self.canon(v.index) if isinstance(v, Ref) else v
 
     # -- the node graph -------------------------------------------------------
 
@@ -481,11 +482,10 @@ class FeatureStructure:
     @staticmethod
     def _refs(value):
         if isinstance(value, Ref):
-            yield value
-        elif isinstance(value, tuple):
-            for e in value:
-                if isinstance(e, Ref):
-                    yield e
+            return (value,)
+        if isinstance(value, tuple):
+            return [e for e in value if isinstance(e, Ref)]
+        return ()
 
     def has_substructure(self, x: int, y: int) -> bool:
         """Passive check: is y the value of some non-empty path from x?
@@ -496,13 +496,10 @@ class FeatureStructure:
     # -- output -----------------------------------------------------------------
 
     def _fmt_value(self, v) -> str:
-        if v is None:
-            return "-"
-        if isinstance(v, Ref):
-            return str(self.canon(v.index))
+        v = self._canon_value(v)
         if isinstance(v, tuple):
-            return "<" + ",".join(self._fmt_value(e) for e in v) + ">"
-        return str(v)
+            return "<" + ",".join("-" if e is None else str(e) for e in v) + ">"
+        return "-" if v is None else str(v)
 
     def dump(self, statuses: bool = False) -> str:
         """One group per line in tuple notation, nodes in index order."""
@@ -554,6 +551,8 @@ def _compile(raw, default, index_of: dict, on_stack: set, cells: list):
     if isinstance(raw, (list, tuple)):
         out = []
         for e in raw:
+            if isinstance(e, (list, tuple)):
+                raise UsageError("a sequence inside a sequence")
             out.append((yield e))
         return tuple(out)
     if not isinstance(raw, dict):
@@ -592,7 +591,7 @@ def _absolute(value, base: int):
     if isinstance(value, int):
         return Ref(base + value)
     if isinstance(value, tuple):
-        return tuple(_absolute(e, base) for e in value)
+        return tuple(Ref(base + e) if isinstance(e, int) else e for e in value)
     return value
 
 

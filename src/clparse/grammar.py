@@ -14,9 +14,9 @@ Declarations:
 Comments run from % to end of line.  Frames may omit O (then O = M - C)
 and the closing brace ends the statement; everything else ends with a
 dot.  A grammar is immutable once loaded.
-Each lexical entry compiles to its sign's template as it is read, so an
-entry that cannot become a sign is a `GrammarError` on its line; once
-every statement is read, it records where the restrictions apply.
+Each lexical entry compiles to its sign's template as it is read.  An
+entry that cannot become a sign, or an fcr naming a feature no sign can
+carry, is a `GrammarError` on its line; entries record their fcr sites.
 """
 
 from __future__ import annotations
@@ -154,8 +154,6 @@ class Grammar:
         self._lp_set: set[tuple[str, str]] = set()
         self._categories: dict[str, Category] = {}
         self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
-        # every feature the lexical entries' templates name
-        self.lexicon_features: frozenset[str] = frozenset()
 
     # -- queries --------------------------------------------------------
 
@@ -205,8 +203,6 @@ class Grammar:
     def rhs_lengths(self) -> frozenset[int]:
         return frozenset(len(r.rhs) for r in self.rules)
 
-    # -- construction (loader only) -----------------------------------------
-
 
 def _format_literal(lit: FcrLiteral) -> str:
     if lit.value:
@@ -215,6 +211,9 @@ def _format_literal(lit: FcrLiteral) -> str:
 
 
 _LIT = re.compile(r"\+?([A-Za-z_][\w-]*)(?:\[([A-Za-z_][\w-]*)\])?")
+# a phrase skeleton's features, which an fcr may name besides the lexicon's
+_SKELETON = frozenset({"synsem", "loc", "cat", "head", "subj", "comps", "dtrs",
+                       "head_dtr", "subj_dtr", "comp_dtrs"})
 
 
 def _fcr_literal(tok: str) -> Formula:
@@ -405,6 +404,7 @@ def load_grammar(text: str) -> Grammar:
     defined: set[str] = set()          # categories introduced by declarations
     referenced: dict[str, int] = {}    # name -> first referencing line
     lp_lines: list[int] = []
+    fcr_lines: list[int] = []
     start_line = None
 
     for line, stmt in _statements(text):
@@ -451,6 +451,7 @@ def load_grammar(text: str) -> Grammar:
             defined.add(target)
         elif head == "fcr":
             g.fcrs.append(parse_fcr(stmt[3:].strip(), line))
+            fcr_lines.append(line)
         elif head == "lex":
             entry = _parse_lex(stmt, line)
             g.lexicon.setdefault(entry.form, []).append(entry)
@@ -509,7 +510,7 @@ def load_grammar(text: str) -> Grammar:
     g._lp_set = {(p.before, p.after) for p in g.lp_pairs}
     for rule in g.rules:
         g._by_rhs[rule.rhs] = g._by_rhs.get(rule.rhs, ()) + (rule,)
-    feats: set[str] = set()
+    feats = set(_SKELETON)
     for entries in g.lexicon.values():
         for i, e in enumerate(entries):
             nodes: list[set[str]] = [set() for _ in range(e.template[0])]
@@ -517,7 +518,10 @@ def load_grammar(text: str) -> Grammar:
                 nodes[node - 1].add(feature)
             entries[i] = replace(e, sites=tuple(fcr_sites(enumerate(nodes, 1), g.fcrs)))
             feats.update(*nodes)
-    g.lexicon_features = frozenset(feats)
+    for f, line in zip(g.fcrs, fcr_lines):
+        unknown = f.features - feats
+        if unknown:
+            raise GrammarError(f"fcr names unknown features: {sorted(unknown)}", line)
     return g
 
 

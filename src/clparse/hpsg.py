@@ -14,8 +14,11 @@ identity), and valency lists cancel realized daughters from the end.
 The sentence pipeline drives all of this from one window-parser search
 over every lexical tagging: each distinct tree off its forest is built
 bottom-up on a fresh store.  The active strategy checks each reduction
-as it is built; the generate-and-test strategy builds the whole tree
-first and runs every check at the end.  Both accept exactly the same signs.
+as it is built.  The generate-and-test strategy defers the local-tree
+checks, the entries' well-formedness and restrictions, and
+subcategorization to the end of the tree, but builds what each mother
+is made from (valency split, daughter slots, head sharing), and so
+checks it, as it goes.  Both accept exactly the same signs.
 
 Each lexical entry arrives compiled from the grammar loader: its sign
 as a flat cell list over relative node numbers with the known statuses,
@@ -42,8 +45,6 @@ from .fstruct import Ann, Bool3, Cell, FeatureStructure, Ref, compile_avm
 from .grammar import FCR, FcrLiteral, Grammar, LexEntry, fcr_sites
 from .logic import And, Formula, Implies, Not, Or, Var, conj
 from .store import AskResult, Stats, Store, VarId
-
-SLOTS = ("head_dtr", "subj_dtr", "comp_dtrs")
 
 CAT_PATH = ("synsem", "loc", "cat")
 
@@ -129,6 +130,8 @@ def _split_realized(head_subj, head_comps, sisters):
             raise InconsistencyError(f"{cat} is not subcategorized by the head")
     mother_comps = _cancel(head_comps, tuple(c for c, _ in comps_r), "comps")
     mother_subj = _cancel(head_subj, tuple(c for c, _ in subj_r), "subj")
+    if len(subj_r) > 1:
+        raise InconsistencyError("at most one subject daughter")
     return tuple(subj_r), tuple(comps_r), mother_subj, mother_comps
 
 
@@ -274,15 +277,10 @@ def _settle_guard(fs_ref, node: int, feature: str, value: str, var: VarId,
             raise InconsistencyError(f"value restriction {feature}[{value}] violated")
 
 
-def compile_fcr(f: FCR, fs: FeatureStructure, node: int,
-                alphabet: frozenset[str] | None = None) -> Formula:
-    """Instantiate the restriction at one node: bare literals become the
-    feature's status variable (a valueless placeholder cell is created
-    if the feature is absent), valued literals conjoin a value guard."""
-    if alphabet is not None:
-        unknown = f.features - alphabet
-        if unknown:
-            raise UsageError(f"fcr names unknown features: {sorted(unknown)}")
+def compile_fcr(f: FCR, fs: FeatureStructure, node: int) -> Formula:
+    """Instantiate a restriction the loader checked at one node: bare
+    literals become the feature's status variable (a valueless placeholder
+    cell if it is absent), valued literals conjoin a value guard."""
     node = fs.canon(node)
 
     def leaf(lit: FcrLiteral) -> Formula:
@@ -311,26 +309,21 @@ def _map_leaves(g: Formula, leaf) -> Formula:
     return type(g)(_map_leaves(g.lhs, leaf), _map_leaves(g.rhs, leaf))
 
 
-_SKELETON = frozenset({"synsem", "loc", "cat", "head", "subj", "comps", "dtrs", *SLOTS})
-
-
-def feature_alphabet(g: Grammar) -> frozenset[str]:
-    """Every feature a sign of the grammar can carry."""
-    return g.lexicon_features | _SKELETON
-
-
-def post_fcrs(fs: FeatureStructure, root: int, fcrs,
-              alphabet: frozenset[str] | None = None) -> None:
+def post_fcrs(fs: FeatureStructure, root: int, fcrs) -> None:
     """Instantiate the restrictions at the `fcr_sites` of the nodes
     reachable from `root`, in ascending order."""
     nodes = ((n, [c.feature for c in fs.cells_of(n)]) for n in fs.reachable(root))
-    for node, k in fcr_sites(nodes, fcrs):
-        _post_fcr(fs, node, fcrs[k], alphabet)
+    _post_sites(fs, 0, fcr_sites(nodes, fcrs), fcrs)
 
 
-def _post_fcr(fs: FeatureStructure, node: int, f: FCR, alphabet) -> None:
-    if not fs.store.tell(BoolConstraint(compile_fcr(f, fs, node, alphabet))):
+def _post_fcr(fs: FeatureStructure, node: int, f: FCR) -> None:
+    if not fs.store.tell(BoolConstraint(compile_fcr(f, fs, node))):
         raise InconsistencyError(f"cooccurrence restriction {f} violated")
+
+
+def _post_sites(fs: FeatureStructure, base: int, sites, fcrs) -> None:
+    for node, k in sites:
+        _post_fcr(fs, base + node, fcrs[k])
 
 
 # -- head feature sharing -------------------------------------------------
@@ -423,11 +416,6 @@ def _check(t: LocalTree, g: Grammar) -> None:
         raise _Rejected(result.violations)
 
 
-def _post_sites(fs: FeatureStructure, base: int, sites, fcrs, alphabet) -> None:
-    for node, k in sites:
-        _post_fcr(fs, base + node, fcrs[k], alphabet)
-
-
 def _assert_wf(store: Store, sign: Sign) -> None:
     if not store.tell(bool_post(Var(sign.wf))):
         raise InconsistencyError(f"{sign.category} entry inconsistent")
@@ -447,7 +435,6 @@ class _TreeBuild:
 
     def __init__(self, g: Grammar, tagging, active: bool, stats: Stats, trace):
         self.g = g
-        self.alphabet = feature_alphabet(g)
         self.store = Store(trace=trace)
         self.fs = FeatureStructure(self.store)
         self.leaves = iter(tagging)
@@ -476,7 +463,7 @@ class _TreeBuild:
         sign = lexical_sign(self.fs, entry)
         self.parts.append((label, sign.root, sign.wf))
         self.gate(functools.partial(_post_sites, self.fs, sign.root - 1, entry.sites,
-                                    self.g.fcrs, self.alphabet))
+                                    self.g.fcrs))
         self.gate(functools.partial(_assert_wf, self.store, sign))
         return sign
 

@@ -117,6 +117,14 @@ def test_broken_grammar_exits_two(capsys, tmp_path):
     rc, _, err = run(capsys, "--grammar", str(bad), "--input", "Nm")
     assert rc == 2
     assert "right-hand side" in err
+    # an fcr over a feature no sign can carry, in either mode
+    text = Path(TOY_LEX).read_text() + "fcr CASE -> NOSUCH.\n"
+    bad.write_text(text)
+    for mode in ("cfg", "hpsg"):
+        rc, out, err = run(capsys, "--grammar", str(bad), "--mode", mode,
+                           "--input", "the cat sleeps")
+        assert (rc, out) == (2, "")
+        assert f"line {text.count(chr(10))}: fcr names unknown features" in err
 
 
 def test_empty_input_exits_two(capsys):

@@ -70,6 +70,16 @@ def test_list_values_only_on_designated_features():
     assert fs.lookup("comps").value == ("np", "pp")
     with pytest.raises(UsageError):
         encode({"maj": ("n", "v")})
+    # `add` checks a sequence value once: flat, naming nodes, on a list
+    # feature; a refused one changes nothing
+    before = fs.dump(statuses=True)
+    for value, feature in (((Ref(99),), "subj"), ((("np",),), "subj"),
+                           (("n", "v"), "maj"), (("np",), "maj")):
+        with pytest.raises(UsageError):
+            fs.add([(feature, 1, value, Bool3.TRUE)])
+        with pytest.raises(UsageError):
+            fs.add([("comp_dtrs", 1, (), Bool3.TRUE), (feature, 1, value, Bool3.TRUE)])
+        assert fs.dump(statuses=True) == before
 
 
 def test_decode_round_trip_random_corpus():
@@ -480,12 +490,13 @@ def _rejected_descriptions():
         {"head-dtr": shared, "head_dtr": shared},    # two keys, one feature
         {"a": {"b": Ann("x", "T")}},                 # a status that is not a Bool3
         {"a": Ann("x", store.new_bool())},           # ... nor is a variable
+        parse_avm("[comps: <<[a: b]>>]"),            # a list inside a list
     ]
 
 
 @pytest.mark.parametrize("avm", _rejected_descriptions(), ids=[
     "cyclic", "bad-value", "list-value", "normalised-duplicate", "text-status",
-    "variable-status"])
+    "variable-status", "nested-list"])
 def test_rejected_descriptions_change_nothing(avm):
     fs = encode(parse_avm("[x: [maj: n], -comps: <>]"))
     before = fs.dump(statuses=True), fs.store.fingerprint()

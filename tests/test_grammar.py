@@ -226,7 +226,7 @@ def test_fcr_sites_apply_where_a_feature_occurs_and_then_carry_all():
     # an entry's sites are the rule over its template's nodes, and an fcr
     # after the lex lines counts
     g = load_grammar('rule S -> A. start S.\nlex "x" A [synsem: [pform: p]] subcat [].\n'
-                     'fcr PFORM -> ~INDEX.')
+                     'lex "y" A [index: i] subcat [].\nfcr PFORM -> ~INDEX.')
     assert g.entries("x")[0].sites == ((2, 0),)
 
 

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import pytest
 
 from clparse.constraints import bool_post, eq
-from clparse.errors import InconsistencyError, UsageError
+from clparse.errors import GrammarError, InconsistencyError, UsageError
 from clparse.fstruct import Bool3, FeatureStructure, Ref
 from clparse.grammar import load_grammar, load_grammar_file, parse_fcr
 from clparse.hpsg import (
@@ -18,7 +18,6 @@ from clparse.hpsg import (
     attach_daughters,
     check_local_tree,
     compile_fcr,
-    feature_alphabet,
     lexical_sign,
     parse_hpsg,
     post_fcrs,
@@ -146,6 +145,8 @@ def test_split_realized_prefers_complements():
 def test_split_realized_rejects_strangers():
     with pytest.raises(InconsistencyError):
         _split_realized((), (), (("PP", None),))
+    with pytest.raises(InconsistencyError, match="one subject"):
+        _split_realized(("NP", "NP"), (), (("NP", None), ("NP", None)))
 
 
 def test_valency_of_defaults_to_empty(toy):
@@ -283,11 +284,16 @@ def test_fcr_value_guard_waits_for_the_value():
 
 
 def test_fcr_unknown_feature_is_a_compile_error():
+    # no sign of this grammar can carry INDEX: the grammar does not load
+    head = 'rule S -> A. start S.\nlex "x" A [synsem: [pform: p]] subcat [].\n'
+    with pytest.raises(GrammarError, match=r"line 3: fcr names unknown features: \['index'\]"):
+        load_grammar(head + "fcr PFORM -> ~INDEX.")
+    g = load_grammar(head.replace("pform: p", "pform: p, cont: [index: i]")
+                     + "fcr PFORM -> ~INDEX.")
     st, fs = fresh()
-    node = fs.encode_node({"pform": "with"}, default_status=Bool3.TRUE)
-    f = parse_fcr("PFORM -> ~INDEX")
-    with pytest.raises(UsageError):
-        compile_fcr(f, fs, node, alphabet=frozenset({"pform"}))
+    sign = lexical_sign(fs, g.entries("x")[0])
+    assert st.tell(bool_post(compile_fcr(g.fcrs[0], fs, sign.root + 1)))
+    assert fs.status_value("index", sign.root + 1) is Bool3.FALSE
 
 
 @pytest.mark.parametrize("text", [
@@ -304,16 +310,18 @@ def test_canonical_restrictions_compile_and_post(text):
 def test_post_fcrs_instantiates_only_where_features_occur(toy):
     st, fs = fresh()
     sign = entry_sign(toy, "with", fs)
-    post_fcrs(fs, sign.root, toy.fcrs, feature_alphabet(toy))
+    post_fcrs(fs, sign.root, toy.fcrs)
     head = fs.resolve(CAT + ("head",), sign.root)
     assert fs.status_value("index", head) is Bool3.FALSE
 
 
-def test_feature_alphabet_collects_lexicon_and_skeleton(toy):
-    feats = feature_alphabet(toy)
+def test_fcr_may_name_any_lexicon_or_skeleton_feature():
+    text = open(TOY_LEX).read()
     for name in ("pform", "index", "maj", "vform", "case", "num", "cont",
-                 "dtrs", "head_dtr", "comp_dtrs", "subj", "comps"):
-        assert name in feats
+                 "dtrs", "head_dtr", "subj_dtr", "comp_dtrs", "subj", "comps"):
+        load_grammar(text + f"\nfcr {name.upper()} -> MAJ.\n")
+    # the features a phrase's skeleton adds count without any lexicon
+    load_grammar("rule S -> A. start S.\nfcr HEAD_DTR -> SUBJ_DTR | COMP_DTRS.")
 
 
 # -- head feature sharing ------------------------------------------------------
@@ -578,16 +586,15 @@ def test_fcr_feature_names_are_normalized_as_avm_names_are():
     assert len(dumps[0]) == 1 and dumps[0] == dumps[1] == dumps[2]
 
 
-def test_unknown_fcr_feature_raises_where_the_restriction_applies(toy):
+def test_unknown_fcr_feature_is_a_grammar_error_on_its_line():
     text = open(TOY_LEX).read()
-    # "cat" carries CASE, so the restriction applies to its head
-    g = load_grammar(text + "\nfcr CASE -> NOSUCH.\n")
-    for strategy in ("active", "gentest"):
-        with pytest.raises(UsageError, match="unknown features"):
-            parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
-    # ...but no tree uses it here, and nothing is raised
-    g = load_grammar(text + "\nfcr CASE -> NOSUCH.\n")
-    assert parse_hpsg("the cat the".split(), g)[0] == ()
+    line = text.count("\n") + 2
+    with pytest.raises(GrammarError, match="unknown features") as err:
+        load_grammar(text + "\nfcr CASE -> NOSUCH.\n")
+    assert err.value.line == line
+    # an fcr may come before the lexical entries that name its features
+    g = load_grammar("fcr NOSUCH -> MAJ.\n" + text + '\nlex "x" Nm [nosuch: y].\n')
+    assert len(g.fcrs) == 3
 
 
 def test_root_must_be_saturated():
@@ -605,6 +612,18 @@ def test_root_must_be_saturated():
         assert (stats.trees_considered, stats.signs_accepted, signs) == (1, 0, ())
         signs, _ = parse_hpsg("the cat sees the cat".split(), g, strategy=strategy)
         assert [valency_of(s) for s in signs] == [((), ())]
+
+
+def test_two_subject_sisters_reject_the_tree():
+    with open(TOY_LEX) as fh:
+        text = fh.read()
+    text = text.replace("M = {Vb};", "M = {Vb,NP};") + (
+        '\nrule VP -> NP NP Vb.\n'
+        'lex "x" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP, NP, NP] subcat [].\n')
+    g = load_grammar(text)
+    for strategy in ("active", "gentest"):
+        signs, stats = parse_hpsg("the cat the cat the cat x".split(), g, strategy=strategy)
+        assert (signs, stats.trees_considered) == ((), 1)
 
 
 def test_active_stops_earlier_on_a_lexical_clash(toy):

@@ -1,27 +1,47 @@
-"""The benchmark's span tracer against the package: every name
-`bench/tracing.py` wraps must exist, so a rename fails here rather than
-in a traced benchmark run.  The test reads `bench/` and edits nothing."""
+"""The benchmark against the package: every name `bench/tracing.py`
+wraps must exist, every committed grammar must load, and the
+`hpsg-signs` workload's own run and check must pass, so that a change
+to the package fails here rather than in a benchmark run.  The tests
+read `bench/` and edit nothing."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import clparse
 from clparse.grammar import load_grammar_file
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY_LEX = str(ROOT / "grammars" / "toy_lex.clg")
+GRAMMARS = sorted((ROOT / "grammars").glob("*.clg")) + sorted((ROOT / "bench").glob("*.clg"))
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", ROOT / "bench" / "tracing.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.mark.parametrize("path", GRAMMARS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_committed_grammar_loads(path):
+    assert load_grammar_file(str(path)).rules
+
+
+def test_hpsg_signs_workload_runs_and_checks():
+    w = _bench_module("workloads").WORKLOADS["hpsg-signs"]
+    g = load_grammar_file(str(ROOT / w.grammar))
+    assert len(w.inputs) == 20
+    for words in w.inputs:
+        output, stats = w.run(clparse, g, words)
+        assert w.check(clparse, g, words, output, stats) is None, words
+
+
 def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
-    tracing = _tracing()
+    tracing = _bench_module("tracing")
     originals = {name: getattr(clparse.hpsg, name)
                  for name in ("parse_hpsg",) + tracing.HPSG_STEPS}
     encode_node = clparse.fstruct.FeatureStructure.encode_node
