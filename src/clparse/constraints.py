@@ -23,9 +23,15 @@ from .store import AskResult, Relation, Store, VarId, VarKind
 
 
 class Constraint:
-    """Base: subclasses are frozen dataclasses, so identical posts dedupe."""
+    """Base: subclasses are frozen dataclasses, so identical posts dedupe.
+
+    A constraint is `idempotent` when one run of its filter always
+    reaches the filter's own fixpoint: a second run straight after it
+    prunes nothing.  The store then does not wake it for the events of
+    its own run (Schulte & Stuckey 2008)."""
 
     model_gated = False
+    idempotent = False
 
     def vars(self) -> tuple[VarId, ...]:
         raise NotImplementedError
@@ -70,8 +76,14 @@ def _is_var(x) -> bool:
 
 @dataclass(frozen=True)
 class Eq(Constraint):
+    """x equals y, a variable or a constant.  Idempotent: the filter
+    leaves both domains equal to their intersection, which a second run
+    finds again."""
+
     x: VarId
     y: object  # variable or constant
+
+    idempotent = True
 
     def vars(self):
         return (self.x, self.y) if _is_var(self.y) else (self.x,)
@@ -149,10 +161,13 @@ class AllDistinct(Constraint):
 
 @dataclass(frozen=True)
 class Element(Constraint):
-    """Membership restriction: the variable ranges over `allowed`."""
+    """Membership restriction: the variable ranges over `allowed`.
+    Idempotent: the filter is one intersection with a fixed set."""
 
     x: VarId
     allowed: tuple
+
+    idempotent = True
 
     def vars(self):
         return (self.x,)
@@ -169,10 +184,14 @@ class Element(Constraint):
 
 @dataclass(frozen=True)
 class Size(Constraint):
-    """Ties a sequence variable to its length."""
+    """Ties a sequence variable to its length.  Idempotent: the filter
+    only prunes the size, to the length of the bound sequence, which its
+    own prune leaves as it is."""
 
     seq: VarId
     size: VarId
+
+    idempotent = True
 
     def vars(self):
         return (self.seq, self.size)
@@ -197,6 +216,13 @@ class Concat3(Constraint):
     any already-bound segment) and binds the segment variables to slices
     once the split is determined.  Enumerating the supported (a1, b1)
     pairs enumerates exactly the window positions over `whole`.
+
+    Idempotent: the filter prunes all three sizes at once to exact
+    support, so every value left keeps the triple that supported it,
+    and it binds the segments only to the slices of that support, which
+    a second run finds consistent.  Not so when a size variable is named
+    twice: the filter checks the two places independently, and a second
+    run can prune more, so such a constraint wakes itself.
     """
 
     a: VarId
@@ -206,6 +232,12 @@ class Concat3(Constraint):
     a1: VarId
     b1: VarId
     c1: VarId
+
+    idempotent = True
+
+    def __post_init__(self) -> None:
+        if len({self.a1, self.b1, self.c1}) < 3:
+            object.__setattr__(self, "idempotent", False)
 
     def vars(self):
         return (self.a, self.b, self.c, self.a1, self.b1, self.c1)
@@ -264,11 +296,18 @@ class BoolConstraint(Constraint):
 
     formula: Formula
 
+    def __post_init__(self) -> None:
+        # Every tell hashes the constraint and reads its variables; walk
+        # the formula for both once, as VarId computes its hash once.
+        # Equality stays structural.
+        object.__setattr__(self, "_vars", tuple(dict.fromkeys(self.formula.leaves())))
+        object.__setattr__(self, "_hash", hash((self.formula,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def vars(self):
-        seen: dict[VarId, None] = {}
-        for ref in self.formula.leaves():
-            seen.setdefault(ref)
-        return tuple(seen)
+        return self._vars
 
     def filter(self, store):
         return enforce(self.formula, True, store.bool_value, store.set_bool)

@@ -334,7 +334,8 @@ class FeatureStructure:
     def share(self, p1, p2, start: int = 1) -> int:
         """Make two paths end at the same node; returns its index."""
         t1, t2 = self.resolve(p1, start), self.resolve(p2, start)
-        if isinstance(t1, str) or isinstance(t2, str):
+        # an atom or a sequence value is not a node
+        if not all(t is None or isinstance(t, int) for t in (t1, t2)):
             raise UsageError("share needs node-valued paths")
         if t1 is None and t2 is None:
             raise UsageError("neither path resolves to a node")

@@ -13,6 +13,15 @@ once every participating domain is complete; the recursive completeness
 check is instrumented so the documented worst-case re-check schedule can
 be measured exactly.
 
+An event on a variable queues every constraint watching it, once.  The
+one exception is the constraint whose filter made the event: an
+idempotent one (`Eq`, `Element`, `Size`, `Concat3` over three distinct
+size variables), whose single run already reaches its own fixpoint, is
+not woken by its own prunes (Schulte & Stuckey, "Efficient constraint
+propagation engines", 2008).
+`Neq`, `AllDistinct`, `BoolConstraint`, `Daughter` and `InRelation`
+are woken by every event on their variables, their own included.
+
 Work counts (completeness tests, propagation steps, ask evaluations) go
 to `Store.counters`, a `Stats` record, and are cumulative: restore never
 rolls them back.
@@ -80,8 +89,11 @@ class Stats:
     ask_evaluations: int = 0
 
     def merge(self, other: "Stats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _STAT_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+_STAT_NAMES = tuple(f.name for f in fields(Stats))
 
 
 class AskResult(enum.Enum):
@@ -267,6 +279,7 @@ class Store:
         self._watchers_rel: dict[int, list[_ResolvabilityWatcher]] = {}
         self._watchers_var: dict[int, list[_ResolvabilityWatcher]] = {}
         self._resolved: set = set()
+        self._running = None        # the constraint whose filter runs
         self.counters = Stats()
         self._trace = trace
 
@@ -320,6 +333,12 @@ class Store:
         return VarId(idx, self._id, state.kind, name)
 
     def _state(self, v: VarId) -> _VarState:
+        # fast path: a live handle of this store
+        try:
+            if v.store_id == self._id:
+                return self._vars[v.index]
+        except (AttributeError, KeyError):
+            pass
         if not isinstance(v, VarId) or v.store_id != self._id:
             raise UsageError(f"{v!r} does not belong to this store")
         state = self._vars.get(v.index)
@@ -359,14 +378,15 @@ class Store:
         self._trail.append(fn)
 
     def prune(self, v: VarId, allowed) -> bool:
-        """Intersect v's domain with `allowed`.  False iff emptied."""
+        """Intersect v's domain with the set `allowed`.  False iff
+        emptied."""
         state = self._state(v)
         old = state.domain
-        new = {val: None for val in old if val in allowed}
-        if len(new) == len(old):
+        if old.keys() <= allowed:
             return True
+        new = {val: None for val in old if val in allowed}
         state.domain = new
-        self._trail.append(lambda: setattr(state, "domain", old))
+        self._trail.append(functools.partial(setattr, state, "domain", old))
         if self._trace:
             self._emit("prune", v, self._fmt_dom(old), self._fmt_dom(new))
         self._touch_var(v)
@@ -377,7 +397,7 @@ class Store:
         if state.status.known:
             return state.status is Bool3.of(flag)
         state.status = Bool3.of(flag)
-        self._trail.append(lambda: setattr(state, "status", Bool3.UNKNOWN))
+        self._trail.append(functools.partial(setattr, state, "status", Bool3.UNKNOWN))
         self._emit("status", v, "U", state.status.value)
         self._touch_var(v)
         return True
@@ -387,16 +407,22 @@ class Store:
         if state.seq is not None:
             return state.seq == value
         state.seq = tuple(value)
-        self._trail.append(lambda: setattr(state, "seq", None))
+        self._trail.append(functools.partial(setattr, state, "seq", None))
         if self._trace:
             self._emit("bind", v, "-", repr(value))
         self._touch_var(v)
         return True
 
     def _touch_var(self, v: VarId) -> None:
+        running = self._running
         for c in self._watching.get(v.index, ()):
-            self._enqueue(c)
-        self._ask_wake.append(("v", v.index))
+            # an idempotent filter is at its own fixpoint once it returns,
+            # so its own prunes do not wake it
+            if c is not running or not c.idempotent:
+                self._enqueue(c)
+        key = ("v", v.index)
+        if self._asks.get(key):
+            self._ask_wake.append(key)
 
     def mark_complete(self, v: VarId) -> None:
         """Flag v's domain complete and fire the closure event, without
@@ -407,7 +433,7 @@ class Store:
         if state.complete:
             return
         state.complete = True
-        self._trail.append(lambda: setattr(state, "complete", False))
+        self._trail.append(functools.partial(setattr, state, "complete", False))
         self._emit("close", v, "open", "closed")
         for w in list(self._watchers_var.get(v.index, ())):
             w.on_domain_close()
@@ -478,25 +504,28 @@ class Store:
         store is restored to its pre-tell state (counters excepted) and
         False comes back.  Reposting an identical constraint is a no-op.
         """
-        self._check_vars(c)
+        cvars = c.vars()
+        for v in cvars:
+            self._state(v)
         if c in self.posted:
             return True
         mark = self._mark()
+        trail = self._trail
         self.posted[c] = None
-        self._trail.append(functools.partial(self.posted.pop, c))
-        for v in c.vars():
+        trail.append(functools.partial(self.posted.pop, c))
+        for v in cvars:
             bucket = self._watching.setdefault(v.index, [])
             bucket.append(c)
-            self._trail.append(lambda b=bucket: b.pop())
-        if getattr(c, "model_gated", False):
+            trail.append(bucket.pop)
+        if c.model_gated:
             watcher = _ResolvabilityWatcher(self, c)
             rel_bucket = self._watchers_rel.setdefault(id(c.relation), [])
             rel_bucket.append(watcher)
-            self._trail.append(lambda: rel_bucket.pop())
+            trail.append(rel_bucket.pop)
             for v in c.key_vars:
                 var_bucket = self._watchers_var.setdefault(v.index, [])
                 var_bucket.append(watcher)
-                self._trail.append(lambda b=var_bucket: b.pop())
+                trail.append(var_bucket.pop)
             if c.key_vars and all(self.is_complete(v) for v in c.key_vars):
                 watcher.on_model_event()  # late post: domains already closed
             elif not c.key_vars:
@@ -518,7 +547,8 @@ class Store:
         admit, disentailed iff under none; unknown otherwise, including
         whenever some involved domain is not yet complete.
         """
-        self._check_vars(c)
+        for v in c.vars():
+            self._state(v)
         self.counters.ask_evaluations += 1
         return c.ask_value(self)
 
@@ -558,10 +588,6 @@ class Store:
         finally:
             self._draining = False
 
-    def _check_vars(self, c) -> None:
-        for v in c.vars():
-            self._state(v)
-
     # -- propagation --------------------------------------------------------
 
     def _enqueue(self, c) -> None:
@@ -574,14 +600,19 @@ class Store:
     def propagate(self) -> bool:
         """Run filtering to fixpoint (FIFO).  False on inconsistency;
         unlike tell, a bare propagate does not restore anything."""
-        while self._queue:
-            c = self._queue.popleft()
-            self._queued.discard(id(c))
-            self.counters.propagation_steps += 1
-            if not c.filter(self):
-                self._emit("fail", c, "-", "-")
-                return False
-        return True
+        queue, queued, counters = self._queue, self._queued, self.counters
+        try:
+            while queue:
+                c = queue.popleft()
+                queued.discard(id(c))
+                counters.propagation_steps += 1
+                self._running = c
+                if not c.filter(self):
+                    self._emit("fail", c, "-", "-")
+                    return False
+            return True
+        finally:
+            self._running = None
 
     # -- snapshot / restore ---------------------------------------------------
 
@@ -638,6 +669,7 @@ class Store:
             self._snapshots.pop()
         self._queue.clear()
         self._queued.clear()
+        self._running = None
 
     @contextmanager
     def transaction(self):

@@ -144,6 +144,19 @@ def test_share_atom_clash():
         fs.share("x", "y")
 
 
+def test_share_refuses_a_sequence_value():
+    # a sequence value is no node, as an atom is not: refused before
+    # anything changes, against a fresh path or a node alike
+    fs = encode(parse_avm("[comps: <np>, y: [w: v]]"))
+    before = fs.dump()
+    for other in ("x", "y"):
+        with pytest.raises(UsageError, match="node-valued"):
+            fs.share("comps", other)
+        with pytest.raises(UsageError, match="node-valued"):
+            fs.share(other, "comps")
+        assert fs.dump() == before
+
+
 def test_share_persistence_token_identity():
     fs = encode(parse_avm("[x: [head: [maj: n]], y: [head: [maj: n]]]"))
     fs.share("x.head", "y.head")

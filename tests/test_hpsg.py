@@ -525,8 +525,8 @@ def test_parse_hpsg_pins_every_counter():
     common = dict(reductions_applied=6, backtracks=0, trees_considered=1,
                   expansions=6, signs_accepted=1, completeness_tests=0,
                   ask_evaluations=3)
-    want = {"active": dict(common, windows_tried=20, propagation_steps=67),
-            "gentest": dict(common, windows_tried=22, propagation_steps=38)}
+    want = {"active": dict(common, windows_tried=20, propagation_steps=57),
+            "gentest": dict(common, windows_tried=22, propagation_steps=37)}
     for _ in range(2):
         for strategy, counts in want.items():
             _, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)

@@ -10,15 +10,19 @@ frozen here.
 
 import gc
 import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clparse
 from clparse import (
     And,
     AskResult,
     Bool3,
+    Constraint,
     InconsistencyError,
     Store,
     UsageError,
@@ -26,6 +30,7 @@ from clparse import (
     VarId,
     all_distinct,
     bool_post,
+    concat3,
     daughter,
     element,
     eq,
@@ -33,6 +38,7 @@ from clparse import (
     load_grammar_file,
     neq,
     parse,
+    size,
 )
 
 
@@ -124,6 +130,91 @@ def test_propagation_reaches_fixpoint():
     # two elimination rounds to a wipe-out inside a single tell
     assert not s.tell(eq(x, 1))
     assert s.domain(x) == (1, 2) and s.domain(y) == (1, 2) and s.domain(z) == (1, 2)
+
+
+WHOLE = ("a", "b", "a", "c")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_propagation_stops_where_no_posted_filter_prunes(data):
+    # Idempotent constraints are not woken by their own events.  Run
+    # every posted filter once more after each tell: none may change
+    # the store, so the store stopped at the fixpoint that re-running
+    # every propagator would reach.
+    n = data.draw(st.integers(1, len(WHOLE)), label="n")
+    whole = WHOLE[:n]
+    s = Store()
+    fd = [s.new_var(range(n + 1), name=f"x{i}") for i in range(4)]
+    seqs = [s.new_seq(f"s{i}") for i in range(3)]
+    with s.transaction():
+        for seq in seqs:
+            if data.draw(st.booleans(), label="pre-bound"):
+                i = data.draw(st.integers(0, n))
+                s.bind_seq(seq, whole[i:data.draw(st.integers(i, n))])
+    var, val, seq = st.sampled_from(fd), st.integers(0, n), st.sampled_from(seqs)
+    post = st.one_of(
+        st.builds(eq, var, st.one_of(var, val)),
+        st.builds(neq, var, st.one_of(var, val)),
+        st.builds(element, var, st.lists(val, max_size=n + 1)),
+        st.lists(st.one_of(var, val), min_size=2, max_size=4).map(lambda xs: all_distinct(*xs)),
+        st.builds(size, seq, var),
+        # size variables may repeat
+        st.tuples(seq, seq, seq, var, var, var).map(
+            lambda t: concat3(t[0], t[1], t[2], whole, *t[3:])),
+    )
+    for c in data.draw(st.lists(post, min_size=1, max_size=8), label="posts"):
+        if not s.tell(c):
+            continue
+        before = s.fingerprint()
+        for posted in s.posted:
+            snap = s.snapshot()
+            assert posted.filter(s), posted
+            assert s.fingerprint() == before, posted
+            s.restore(snap)
+
+
+@dataclass(frozen=True)
+class _Tripwire(Constraint):
+    """Eq's filter, idempotent as Eq is, that raises once when armed."""
+
+    x: VarId
+    y: VarId
+    armed: list = field(compare=False)
+
+    idempotent = True
+
+    def vars(self):
+        return (self.x, self.y)
+
+    def filter(self, store):
+        if self.armed:
+            self.armed.pop()
+            raise InconsistencyError("tripped")
+        allowed = set(store.domain(self.x)) & set(store.domain(self.y))
+        return store.prune(self.x, allowed) and store.prune(self.y, allowed)
+
+
+def test_a_raising_filter_leaves_later_events_waking_it():
+    s = Store()
+    x, y, z = (s.new_var(range(4)) for _ in range(3))
+    armed = []
+    assert s.tell(eq(x, z)) and s.tell(_Tripwire(x, y, armed))
+    # raised by tell's propagation: the tell fails and is rolled back
+    armed.append(True)
+    assert not s.tell(element(x, [0, 1, 2]))
+    assert s.domain(x) == s.domain(y) == s.domain(z) == (0, 1, 2, 3)
+    # `element` prunes x as it is posted: both idempotent constraints wake
+    assert s.tell(element(x, [0, 1, 2]))
+    assert s.domain(y) == s.domain(z) == (0, 1, 2)
+    # raised by a bare propagate, which restores nothing
+    armed.append(True)
+    assert s.prune(x, {1, 2})
+    with pytest.raises(InconsistencyError):
+        s.propagate()
+    assert s.domain(y) == (0, 1, 2)
+    assert s.tell(element(x, [2]))
+    assert s.domain(y) == s.domain(z) == (2,)
 
 
 def test_all_distinct_pigeonhole_two_values():

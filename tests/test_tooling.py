@@ -1,8 +1,8 @@
 """The benchmark against the package: every name `bench/tracing.py`
-wraps must exist, every committed grammar must load, and the
-`hpsg-signs` workload's own run and check must pass, so that a change
-to the package fails here rather than in a benchmark run.  The tests
-read `bench/` and edit nothing."""
+wraps must exist, every committed grammar must load, and every
+workload's own run and check must pass on its sentences (the capped
+11-token one aside), so that a change to the package fails here rather
+than in a benchmark run.  The tests read `bench/` and edit nothing."""
 
 import importlib.util
 import sys
@@ -38,6 +38,19 @@ def test_hpsg_signs_workload_runs_and_checks():
     for words in w.inputs:
         output, stats = w.run(clparse, g, words)
         assert w.check(clparse, g, words, output, stats) is None, words
+
+
+@pytest.mark.parametrize("name", ["cfg-active", "cfg-dead-ends"])
+def test_cfg_workload_runs_and_checks(name):
+    # every sentence but the capped one, whose oracle alone takes
+    # seconds; test_cfg.py::test_pinned_counters pins its counters
+    workloads = _bench_module("workloads")
+    w = workloads.WORKLOADS[name]
+    g = load_grammar_file(str(ROOT / w.grammar))
+    inputs = [s for s in w.inputs if s != workloads.CAPPED]
+    for cats in inputs:
+        output, stats = w.run(clparse, g, cats)
+        assert w.check(clparse, g, cats, output, stats) is None, cats
 
 
 def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
