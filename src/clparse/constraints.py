@@ -2,10 +2,11 @@
 
 Standard finite-domain constraints (eq, neq, all_distinct, element) and
 boolean formulas are always resolvable: their filters run as soon as
-they are posted.  Structural constraints over incrementally described
-relations (daughter, in_relation) are model-gated: they filter nothing
-until the completeness machinery declares them resolvable, at which
-point they induce a complete domain on their first argument.
+they are posted.  Membership in an incrementally described relation
+(`InRelation`, made by in_relation, and by daughter with the mother node
+as its one fixed key) is model-gated: it filters nothing until the
+completeness machinery declares it resolvable, at which point it
+induces a complete domain on its first argument.
 
 Sequence variables appear only inside concat3/size, which tie three
 window segments and their sizes to a ground sequence.
@@ -100,8 +101,15 @@ class Eq(Constraint):
 
 @dataclass(frozen=True)
 class Neq(Constraint):
+    """x differs from y, a variable or a constant.  Idempotent: a prune
+    only removes the other side's single value, so a side it leaves
+    single holds a value unlike that one, and a second run removes
+    nothing."""
+
     x: VarId
     y: object
+
+    idempotent = True
 
     def vars(self):
         return (self.x, self.y) if _is_var(self.y) else (self.x,)
@@ -322,42 +330,9 @@ class BoolConstraint(Constraint):
 
 
 @dataclass(frozen=True)
-class Daughter(Constraint):
-    """y is an immediate daughter of the fixed node x in the described
-    structure.  Resolvable once x's daughter set is closed; the filter
-    then induces a complete domain on y."""
-
-    y: VarId
-    x: object
-    relation: Relation
-
-    model_gated = True
-    key_vars: tuple = ()
-
-    def vars(self):
-        return (self.y,)
-
-    def image_keys(self, store):
-        return ((self.x,),)
-
-    def is_resolvable(self, store):
-        return store.is_resolved(self) or self.relation.group_closed((self.x,))
-
-    def filter(self, store):
-        if not self.is_resolvable(store):
-            return True
-        if not store.prune(self.y, set(self.relation.group((self.x,)))):
-            return False
-        store.mark_complete(self.y)
-        return True
-
-    def holds(self, asg, store):
-        return (asg[self.y], self.x) in self.relation
-
-
-@dataclass(frozen=True)
 class InRelation(Constraint):
-    """(u, k1[, k2]) is a fact of the relation.
+    """(u, k1[, k2]) is a fact of the relation.  Each key is a variable
+    or a fixed value, a fixed key being its own one image value.
 
     The induced partial domain of u is complete exactly when every key
     domain is complete and every image group over the current key values
@@ -366,16 +341,21 @@ class InRelation(Constraint):
     """
 
     u: VarId
-    key_vars: tuple
+    keys: tuple
     relation: Relation
 
     model_gated = True
+
+    @property
+    def key_vars(self) -> tuple:
+        return tuple(k for k in self.keys if _is_var(k))
 
     def vars(self):
         return (self.u, *self.key_vars)
 
     def image_keys(self, store):
-        return list(itertools.product(*(store.domain(v) for v in self.key_vars)))
+        return list(itertools.product(
+            *(store.domain(k) if _is_var(k) else (k,) for k in self.keys)))
 
     def is_resolvable(self, store):
         if store.is_resolved(self):
@@ -384,7 +364,7 @@ class InRelation(Constraint):
                 and all(self.relation.group_closed(k) for k in self.image_keys(store)))
 
     def filter(self, store):
-        if not store.is_resolved(self) and not self.is_resolvable(store):
+        if not self.is_resolvable(store):
             return True
         induced: set = set()
         for key in self.image_keys(store):
@@ -395,7 +375,7 @@ class InRelation(Constraint):
         return True
 
     def holds(self, asg, store):
-        return (asg[self.u], *(asg[v] for v in self.key_vars)) in self.relation
+        return (asg[self.u], *(asg[k] if _is_var(k) else k for k in self.keys)) in self.relation
 
 
 # -- convenience constructors ------------------------------------------------
@@ -428,8 +408,10 @@ def bool_post(formula: Formula) -> BoolConstraint:
     return BoolConstraint(formula)
 
 
-def daughter(y: VarId, x, relation: Relation) -> Daughter:
-    return Daughter(y, x, relation)
+def daughter(y: VarId, x, relation: Relation) -> InRelation:
+    """y is an immediate daughter of the fixed node x: the relation
+    with x as its one fixed key."""
+    return InRelation(y, (x,), relation)
 
 
 def in_relation(u: VarId, key_vars, relation: Relation) -> InRelation:

@@ -93,7 +93,8 @@ class FeatureStructure:
         self._groups: list[dict[str, Cell]] = [{}]
         self._redirect: dict[int, int] = {}
         # called with a cell whenever the value of a cell on an existing
-        # node becomes known (`instantiate` only makes fresh nodes)
+        # node becomes known, also by a merge onto a cell that has one
+        # (`instantiate` only makes fresh nodes)
         self.value_watchers: list = []
 
     # -- nodes ---------------------------------------------------------
@@ -293,6 +294,9 @@ class FeatureStructure:
                     self.store.on_undo(functools.partial(setattr, cell, "owner", cell.owner))
                     cell.owner = keep
                 else:
+                    if cell.value is None and other.value is not None:
+                        # drop's cell learns keep's value: its watchers hear it
+                        self._notify_value(other)
                     self._unify_values(other, cell.value)
                     self._tie_statuses(other.status, cell.status)
             self._assert_acyclic(keep)

@@ -240,15 +240,20 @@ def parse_fcr(text: str, line: int | None = None) -> FCR:
 
 def _statements(text: str):
     """Yield (line_number, statement_text).  Statements end at a dot at
-    top level, or at the closing brace of a frame block."""
-    src = re.sub(r"%[^\n]*", lambda m: " " * len(m.group()), text)
+    top level, or at the closing brace of a frame block.  A `%` starts a
+    comment to the end of its line; a quoted form, which ends on its own
+    line, is plain text to both."""
     buf: list[str] = []
     depth = 0
     line = 1
     start_line = None
     i = 0
-    while i < len(src):
-        ch = src[i]
+    while i < len(text):
+        ch = text[i]
+        if ch == "%":
+            end = text.find("\n", i)
+            i = len(text) if end < 0 else end
+            continue
         if ch == "\n":
             line += 1
         if not buf and (ch.isspace()):
@@ -256,6 +261,13 @@ def _statements(text: str):
             continue
         if start_line is None:
             start_line = line
+        if ch == '"':
+            end = text.find('"', i + 1)
+            if end < 0 or "\n" in text[i:end]:
+                raise GrammarError("unterminated quote", line)
+            buf.extend(text[i:end + 1])
+            i = end + 1
+            continue
         if ch in "{[":
             depth += 1
         elif ch in "}]":
@@ -267,9 +279,9 @@ def _statements(text: str):
                 stmt = "".join(buf).strip()
                 # eat an optional trailing dot
                 j = i + 1
-                while j < len(src) and src[j] in " \t":
+                while j < len(text) and text[j] in " \t":
                     j += 1
-                if j < len(src) and src[j] == ".":
+                if j < len(text) and text[j] == ".":
                     i = j
                 yield start_line, stmt
                 buf, start_line = [], None

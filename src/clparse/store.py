@@ -15,12 +15,12 @@ be measured exactly.
 
 An event on a variable queues every constraint watching it, once.  The
 one exception is the constraint whose filter made the event: an
-idempotent one (`Eq`, `Element`, `Size`, `Concat3` over three distinct
-size variables), whose single run already reaches its own fixpoint, is
-not woken by its own prunes (Schulte & Stuckey, "Efficient constraint
-propagation engines", 2008).
-`Neq`, `AllDistinct`, `BoolConstraint`, `Daughter` and `InRelation`
-are woken by every event on their variables, their own included.
+idempotent one (`Eq`, `Neq`, `Element`, `Size`, `Concat3` over three
+distinct size variables), whose single run already reaches its own
+fixpoint, is not woken by its own prunes (Schulte & Stuckey, "Efficient
+constraint propagation engines", 2008).  `AllDistinct`, `BoolConstraint`
+and `InRelation` are woken by every event on their variables, their own
+included.
 
 Work counts (completeness tests, propagation steps, ask evaluations) go
 to `Store.counters`, a `Stats` record, and are cumulative: restore never
@@ -153,9 +153,9 @@ class Relation:
     argument position under fixed remaining arguments; closing a group
     declares that image complete, after which it accepts no more facts.
     Only closure events (not fact additions) can flip resolvability, so
-    only they wake the resolvability checkers.  A relation refers to its
-    store weakly and its undo entries name its containers, so a store
-    with relations is freed by reference counting too.
+    only they re-check the model-gated constraints.  A relation refers
+    to its store weakly and its undo entries name its containers, so a
+    store with relations is freed by reference counting too.
     """
 
     def __init__(self, store: "Store", name: str, arity: int):
@@ -224,42 +224,6 @@ def _drop_fact(groups: dict, key: tuple, first) -> None:
         del groups[key]
 
 
-class _ResolvabilityWatcher:
-    """Event-driven completeness checker for one model-gated constraint.
-
-    Wakes on group-closure events of the constraint's relation and on
-    the closure of the last of its key-variable domains; every re-check
-    walks the image groups in domain order, counting one completeness
-    test per group consulted, plus one test for the (joint) domain flag
-    unless that very closure was the waking event.
-    """
-
-    __slots__ = ("_store", "constraint")
-
-    def __init__(self, store: "Store", constraint):
-        # weakly: the store's watcher tables hold the watcher
-        self._store = weakref.ref(store)
-        self.constraint = constraint
-
-    def on_model_event(self) -> None:
-        self._attempt(domain_event=False)
-
-    def on_domain_close(self) -> None:
-        c = self.constraint
-        if all(self._store().is_complete(v) for v in c.key_vars):
-            self._attempt(domain_event=True)
-        # otherwise the induced joint domain is still open: no event yet
-
-    def _attempt(self, domain_event: bool) -> None:
-        store, c = self._store(), self.constraint
-        if c in store._resolved:
-            return
-        if store._recheck_resolvability(c, domain_event):
-            store._resolved.add(c)
-            store._trail.append(functools.partial(store._resolved.discard, c))
-            store._enqueue(c)
-
-
 class Store:
     _ids = itertools.count(1)
 
@@ -276,8 +240,9 @@ class Store:
         self._asks: dict[object, list[PendingAsk]] = {}
         self._ask_wake: list = []
         self._draining = False
-        self._watchers_rel: dict[int, list[_ResolvabilityWatcher]] = {}
-        self._watchers_var: dict[int, list[_ResolvabilityWatcher]] = {}
+        # the posted model-gated constraints, by relation and key variable
+        self._watchers_rel: dict[int, list] = {}
+        self._watchers_var: dict[int, list] = {}
         self._resolved: set = set()
         self._running = None        # the constraint whose filter runs
         self.counters = Stats()
@@ -435,8 +400,10 @@ class Store:
         state.complete = True
         self._trail.append(functools.partial(setattr, state, "complete", False))
         self._emit("close", v, "open", "closed")
-        for w in list(self._watchers_var.get(v.index, ())):
-            w.on_domain_close()
+        for c in self._watchers_var.get(v.index, ()):
+            # the joint key domain closes with the last of its variables
+            if all(self.is_complete(k) for k in c.key_vars):
+                self._attempt(c, domain_event=True)
         self._touch_var(v)
 
     def close_domain(self, v: VarId) -> bool:
@@ -460,12 +427,21 @@ class Store:
 
     def _after_model_event(self, rel: Relation, mark: tuple[int, int], closure: bool) -> bool:
         if closure:
-            for w in list(self._watchers_rel.get(id(rel), ())):
-                w.on_model_event()
+            for c in self._watchers_rel.get(id(rel), ()):
+                self._attempt(c, domain_event=False)
         self._ask_wake.append(("r", id(rel)))
         return self._settle(mark)
 
     # -- resolvability ----------------------------------------------------
+    # A model-gated constraint is re-checked on the group closures of its
+    # relation and on the closure of the last of its key-variable
+    # domains; once resolvable it is queued, and its filter runs.
+
+    def _attempt(self, c, domain_event: bool) -> None:
+        if c not in self._resolved and self._recheck_resolvability(c, domain_event):
+            self._resolved.add(c)
+            self._trail.append(functools.partial(self._resolved.discard, c))
+            self._enqueue(c)
 
     def _recheck_resolvability(self, c, domain_event: bool) -> bool:
         """One run of the completeness recursion over c's image groups.
@@ -486,7 +462,7 @@ class Store:
 
     def resolvability_check(self, c) -> tuple[bool, int]:
         """One-shot resolvability test.  Returns (resolvable, tests_run)."""
-        if not getattr(c, "model_gated", False):
+        if not c.model_gated:
             return True, 0
         before = self.counters.completeness_tests
         ok = self._recheck_resolvability(c, domain_event=False)
@@ -504,9 +480,7 @@ class Store:
         store is restored to its pre-tell state (counters excepted) and
         False comes back.  Reposting an identical constraint is a no-op.
         """
-        cvars = c.vars()
-        for v in cvars:
-            self._state(v)
+        cvars = self._check_owned(c)
         if c in self.posted:
             return True
         mark = self._mark()
@@ -518,18 +492,13 @@ class Store:
             bucket.append(c)
             trail.append(bucket.pop)
         if c.model_gated:
-            watcher = _ResolvabilityWatcher(self, c)
-            rel_bucket = self._watchers_rel.setdefault(id(c.relation), [])
-            rel_bucket.append(watcher)
-            trail.append(rel_bucket.pop)
-            for v in c.key_vars:
-                var_bucket = self._watchers_var.setdefault(v.index, [])
-                var_bucket.append(watcher)
-                trail.append(var_bucket.pop)
-            if c.key_vars and all(self.is_complete(v) for v in c.key_vars):
-                watcher.on_model_event()  # late post: domains already closed
-            elif not c.key_vars:
-                watcher.on_model_event()
+            key_vars = c.key_vars
+            for bucket in (self._watchers_rel.setdefault(id(c.relation), []),
+                           *(self._watchers_var.setdefault(v.index, []) for v in key_vars)):
+                bucket.append(c)
+                trail.append(bucket.pop)
+            if all(self.is_complete(v) for v in key_vars):
+                self._attempt(c, domain_event=False)  # late post: no closure to wait for
         self._emit("post", c, "-", "-")
         if c.post(self):
             self._enqueue(c)
@@ -540,6 +509,16 @@ class Store:
         self._emit("fail", c, "-", "-")
         return False
 
+    def _check_owned(self, c) -> tuple:
+        """c's variables, once they and c's relation, if it has one, are
+        found to belong to this store."""
+        cvars = c.vars()
+        for v in cvars:
+            self._state(v)
+        if c.model_gated and c.relation._store() is not self:
+            raise UsageError(f"relation {c.relation.name} does not belong to this store")
+        return cvars
+
     def ask(self, c) -> AskResult:
         """Query entailment without changing the description.
 
@@ -547,8 +526,7 @@ class Store:
         admit, disentailed iff under none; unknown otherwise, including
         whenever some involved domain is not yet complete.
         """
-        for v in c.vars():
-            self._state(v)
+        self._check_owned(c)
         self.counters.ask_evaluations += 1
         return c.ask_value(self)
 
@@ -562,7 +540,7 @@ class Store:
             callback(res)
             return pa
         keys = [("v", v.index) for v in c.vars()]
-        if getattr(c, "model_gated", False):
+        if c.model_gated:
             keys.append(("r", id(c.relation)))
         for key in keys:
             bucket = self._asks.setdefault(key, [])

@@ -199,6 +199,18 @@ def test_lexicon_entries():
     assert g.entries("dog") == ()
 
 
+def test_quoted_forms_may_hold_dots_and_percent_signs():
+    base = open(TOY_LEX).read()
+    g = load_grammar(base + '\nlex "Mr." Nm [maj: n] subcat [].  % "a quote"\n'
+                     'lex "50%" Nm [maj: n] subcat [].\n')
+    assert [e.category for e in g.entries("Mr.")] == ["Nm"]
+    assert [e.category for e in g.entries("50%")] == ["Nm"]
+    line = base.count("\n") + 2
+    for bad in ('lex "Mr. Nm [maj: n] subcat [].', 'lex "Mr.\n" Nm [maj: n] subcat [].'):
+        with pytest.raises(GrammarError, match=f"line {line}: unterminated quote"):
+            load_grammar(base + "\n" + bad)
+
+
 def test_ambiguous_form_keeps_file_order():
     g = load_grammar('rule S -> A B. start S.\n'
                      'lex "run" A [] subcat [].\n'

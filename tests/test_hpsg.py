@@ -5,7 +5,7 @@ import pytest
 
 from clparse.constraints import bool_post, eq
 from clparse.errors import GrammarError, InconsistencyError, UsageError
-from clparse.fstruct import Bool3, FeatureStructure, Ref
+from clparse.fstruct import Bool3, FeatureStructure, Ref, parse_avm
 from clparse.grammar import load_grammar, load_grammar_file, parse_fcr
 from clparse.hpsg import (
     DtrsSchema,
@@ -281,6 +281,23 @@ def test_fcr_value_guard_waits_for_the_value():
     late = fs2.encode_node({"vform": "fin", "maj": None}, default_status=Bool3.TRUE)
     assert st2.tell(bool_post(compile_fcr(f, fs2, late)))
     fs2.add((("maj", late, "v", Bool3.TRUE),))   # the sanctioned atom is fine
+
+
+@pytest.mark.parametrize("guarded_first", [False, True])
+def test_fcr_value_guard_hears_a_value_its_node_is_merged_onto(guarded_first):
+    # the guarded node is dropped by the merge when it has the higher
+    # index, and then only the surviving cell carries the value
+    st, fs = fresh()
+    if guarded_first:
+        b = fs.encode_node(parse_avm("[?index]"))
+        a = fs.encode_node(parse_avm("[+case: nom]"))
+    else:
+        a = fs.encode_node(parse_avm("[+case: nom]"))
+        b = fs.encode_node(parse_avm("[?index]"))
+    assert st.tell(bool_post(compile_fcr(parse_fcr("CASE[NOM] -> ~INDEX"), fs, b)))
+    assert fs.status_value("index", b) is Bool3.UNKNOWN
+    fs.unify_nodes(a, b)
+    assert fs.status_value("index", b) is Bool3.FALSE
 
 
 def test_fcr_unknown_feature_is_a_compile_error():

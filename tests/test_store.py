@@ -351,6 +351,25 @@ def test_daughter_resolves_on_group_closure():
     assert s.ask(c) is AskResult.ENTAILED
 
 
+def test_a_relation_of_another_store_is_refused_before_any_change():
+    owner, s = Store(), Store()
+    r = owner.new_relation("r", 2)
+    u = s.new_var(range(5), name="u")
+    v = s.new_var([0], name="v", closed=True)
+    r.add(1, 0)
+    r.add(2, 0)
+    before = s.fingerprint()
+    fired = []
+    for c in (in_relation(u, (v,), r), daughter(u, 0, r)):
+        with pytest.raises(UsageError, match="relation r does not belong"):
+            s.tell(c)
+        with pytest.raises(UsageError, match="relation r does not belong"):
+            s.post_ask(c, fired.append)
+    assert s.fingerprint() == before and not s.posted
+    assert r.close_group(0)
+    assert s.domain(u) == tuple(range(5)) and not s.is_complete(u) and not fired
+
+
 def test_fact_additions_do_not_wake_resolvability():
     s = Store()
     u = s.new_var(range(10), name="u")
@@ -572,7 +591,7 @@ def test_a_store_leaves_no_garbage():
 
 
 def test_a_store_with_a_relation_leaves_no_garbage():
-    # a relation and its resolvability watcher refer to the store weakly
+    # a relation refers to the store weakly
     gc.collect()
     gc.disable()
     try:

@@ -76,3 +76,9 @@ def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
     assert {name: getattr(clparse.hpsg, name) for name in originals} == originals
     assert clparse.fstruct.FeatureStructure.encode_node is encode_node
     assert clparse.parse_hpsg is originals["parse_hpsg"]
+
+
+def test_every_exported_name_resolves_once():
+    missing = [name for name in clparse.__all__ if not hasattr(clparse, name)]
+    assert not missing
+    assert len(clparse.__all__) == len(set(clparse.__all__))
