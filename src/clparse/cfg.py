@@ -39,12 +39,16 @@ the recorded (origin, size) pairs at every later state of that length.
 "gentest" enumerates every arithmetically possible window and tests it
 after the fact, which is the figure the active strategy is measured
 against.
+
+A derivation is a tuple of (lhs, window) steps.  `format_derivation`
+writes the paper's text form, <<NP>, <Det,Nm>, ...>, which the CLI
+prints; nothing reads that form back.  `derivations_to_tree` replays a
+derivation over the input categories and returns its first tree.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from itertools import islice
 
 from .constraints import concat3, element, eq
@@ -258,10 +262,10 @@ def oracle_parse(cats, g: Grammar, *, limit: int | None = None) -> tuple[Derivat
 
 
 def derivations_to_tree(derivation, cats) -> Tree:
-    """Replay derivation text over the input and return the first tree.
+    """Replay a derivation over the input and return the first tree.
 
-    Steps carry no positions, so text can denote several trees; the replay
-    backtracks over the places a step's window may match."""
+    Steps carry no positions, so a derivation can denote several trees;
+    the replay backtracks over the places a step's window may match."""
     tree = _replay(tuple((c, ()) for c in cats), tuple(derivation))
     if tree is None:
         raise UsageError("derivation does not replay over the input")
@@ -281,30 +285,7 @@ def _replay(nodes, steps):
     return None
 
 
-def tree_leaves(tree: Tree) -> tuple[str, ...]:
-    label, children = tree
-    if not children:
-        return (label,)
-    return tuple(leaf for child in children for leaf in tree_leaves(child))
-
-
 def format_derivation(d: Derivation) -> str:
     """<<NP>, <Det,Nm>, ...> with lhs and window alternating."""
     inner = ", ".join(f"<{lhs}>, <{','.join(rhs)}>" for lhs, rhs in d)
     return f"<{inner}>"
-
-
-def parse_derivation(text: str) -> Derivation:
-    body = text.strip()
-    if not (body.startswith("<") and body.endswith(">")):
-        raise UsageError("derivation text must be <...>")
-    parts = []
-    for m in re.finditer(r"<([^<>]*)>", body[1:-1]):
-        parts.append(tuple(s.strip() for s in m.group(1).split(",") if s.strip()))
-    if len(parts) % 2:
-        raise UsageError("derivation text must alternate lhs and window")
-    pairs = [(parts[i], parts[i + 1]) for i in range(0, len(parts), 2)]
-    for lhs, _ in pairs:
-        if len(lhs) != 1:
-            raise UsageError("derivation lhs must be a single category")
-    return tuple((lhs[0], rhs) for lhs, rhs in pairs)

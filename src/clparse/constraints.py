@@ -10,16 +10,18 @@ induces a complete domain on its first argument.
 
 Sequence variables appear only inside concat3/size, which tie three
 window segments and their sizes to a ground sequence.
+
+Constraints are built in code, through the classes or the constructors
+at the end of this module.  A boolean formula written as text goes
+through `logic.parse_formula` and is posted with bool_post.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
-from .errors import UsageError
-from .logic import Bool3, Formula, Not, eval_formula, enforce, parse_formula
+from .logic import Bool3, Formula, eval_formula, enforce
 from .store import AskResult, Relation, Store, VarId, VarKind
 
 
@@ -416,58 +418,3 @@ def daughter(y: VarId, x, relation: Relation) -> InRelation:
 
 def in_relation(u: VarId, key_vars, relation: Relation) -> InRelation:
     return InRelation(u, tuple(key_vars), relation)
-
-
-# -- textual syntax -----------------------------------------------------------
-#
-#   alldistinct(x,y,z)        element(x,[NP,VP])
-#   x = NP    x != y          x & y = true    x -> ~y    ~(a | b) = false
-
-_CALL = re.compile(r"^(alldistinct|element)\s*\((.*)\)$", re.S)
-
-
-def _operand(tok: str, env: dict[str, object]):
-    tok = tok.strip()
-    if tok in env:
-        return env[tok]
-    return tok
-
-
-def parse_constraint(text: str, env: dict[str, object]) -> Constraint:
-    """Parse one constraint in the textual syntax.  Names resolve
-    through `env`; unresolved names are constants (for finite-domain
-    positions) or errors (for boolean formulas)."""
-    text = text.strip().rstrip(".")
-    m = _CALL.match(text)
-    if m:
-        head, body = m.groups()
-        if head == "alldistinct":
-            return AllDistinct(tuple(_operand(t, env) for t in body.split(",") if t.strip()))
-        var_part, _, list_part = body.partition(",")
-        lm = re.match(r"^\s*\[(.*)\]\s*$", list_part, re.S)
-        if not lm:
-            raise UsageError(f"element needs a [..] list: {text!r}")
-        allowed = tuple(t.strip() for t in lm.group(1).split(",") if t.strip())
-        x = _operand(var_part, env)
-        if not _is_var(x):
-            raise UsageError(f"element needs a variable: {var_part!r}")
-        return Element(x, allowed)
-    if "!=" in text:
-        lhs, rhs = (t.strip() for t in text.split("!=", 1))
-        x = _operand(lhs, env)
-        if not _is_var(x):
-            raise UsageError(f"left side of != must be a variable: {lhs!r}")
-        return Neq(x, _operand(rhs, env))
-    # a single bare '=' separates either an fd equation or a boolean
-    # formula from its true/false polarity
-    parts = re.split(r"(?<![<>!])=(?!=)", text)
-    if len(parts) == 2:
-        lhs, rhs = parts[0].strip(), parts[1].strip()
-        if rhs in ("true", "false"):
-            f = parse_formula(lhs, env)
-            return BoolConstraint(f if rhs == "true" else Not(f))
-        x = _operand(lhs, env)
-        if not _is_var(x):
-            raise UsageError(f"left side of = must be a variable: {lhs!r}")
-        return Eq(x, _operand(rhs, env))
-    return BoolConstraint(parse_formula(text, env))

@@ -406,8 +406,9 @@ class FeatureStructure:
         Strings in owner/value/status positions are variables; anything
         else is a constant (pre-bind a variable to force a constant
         value).  Owners must be bound by the time their template is
-        tried.  A variable bound twice must see the same thing, which
-        is how a repeated index variable expresses token identity.
+        tried; an owner that names no node is a UsageError.  A variable
+        bound twice must see the same thing, which is how a repeated
+        index variable expresses token identity.
         Returns the bindings, or None if some required cell is absent;
         with several candidates for a fully free template the first
         node in index order wins.
@@ -442,7 +443,7 @@ class FeatureStructure:
                 idx = owner
             if not isinstance(idx, int):
                 return None
-            cell = self._groups[self.canon(idx)].get(feature)
+            cell = self._groups[self._check_node(idx)].get(feature)
             if cell is None:
                 return None
             if not bind(value, self._canon_value(cell.value)):

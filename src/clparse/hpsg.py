@@ -541,14 +541,14 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
     words = tuple(words)
     if not words:
         raise UsageError("empty input")
-    search = Search(g, strategy, trace=trace)
-    stats = search.stats
-    if limit is not None and limit <= 0:
-        return (), stats
     choices = [g.entries(w) for w in words]
     for w, entries in zip(words, choices):
         if not entries:
             raise UsageError(f"unknown word {w!r}")
+    search = Search(g, strategy, trace=trace)
+    stats = search.stats
+    if limit is not None and limit <= 0:
+        return (), stats
     signs: list[Sign] = []
 
     for tagging in itertools.product(*choices):

@@ -151,15 +151,6 @@ def conj(parts) -> Formula:
     return And(parts)
 
 
-def disj(parts) -> Formula:
-    parts = tuple(parts)
-    if not parts:
-        return Const(False)
-    if len(parts) == 1:
-        return parts[0]
-    return Or(parts)
-
-
 def eval_formula(f: Formula, lookup: Callable[[object], Bool3]) -> Bool3:
     """Kleene evaluation under the given leaf valuation."""
     if isinstance(f, Var):

@@ -460,14 +460,6 @@ class Store:
                 return False
         return True
 
-    def resolvability_check(self, c) -> tuple[bool, int]:
-        """One-shot resolvability test.  Returns (resolvable, tests_run)."""
-        if not c.model_gated:
-            return True, 0
-        before = self.counters.completeness_tests
-        ok = self._recheck_resolvability(c, domain_event=False)
-        return ok, self.counters.completeness_tests - before
-
     def is_resolved(self, c) -> bool:
         return c in self._resolved
 

@@ -11,8 +11,6 @@ from clparse.cfg import (
     format_derivation,
     oracle_parse,
     parse,
-    parse_derivation,
-    tree_leaves,
 )
 from clparse.errors import UsageError
 from clparse.grammar import load_grammar, load_grammar_file
@@ -55,7 +53,12 @@ def test_one_tree_many_derivations(toy):
     assert len(trees) == 1
     (tree,) = trees
     assert tree[0] == "S"
-    assert tree_leaves(tree) == SENT7
+
+    def leaves(node):
+        label, children = node
+        return (label,) if not children else sum(map(leaves, children), ())
+
+    assert leaves(tree) == SENT7
 
 
 def test_reductions_can_begin_anywhere(toy):
@@ -172,11 +175,10 @@ def test_replay_backtracks_over_positions(toy):
 
 
 def test_format_and_parse_derivation(toy):
+    # the text form the CLI prints for the first answer of parse
     assert format_derivation(T1) == T1_TEXT
-    assert parse_derivation(T1_TEXT) == T1
     derivs, _ = parse(SENT7, toy)
-    for d in derivs[:5]:
-        assert parse_derivation(format_derivation(d)) == d
+    assert format_derivation(derivs[0]) == T1_TEXT
 
 
 # -- exact counters --------------------------------------------------------

@@ -1,9 +1,7 @@
-"""Constraint vocabulary: filtering strength, entailment answers, and
-the textual syntax."""
+"""Constraint vocabulary: filtering strength and entailment answers."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +11,6 @@ from clparse import (
     Implies,
     Not,
     Store,
-    UsageError,
     Var,
     all_distinct,
     bool_post,
@@ -22,11 +19,9 @@ from clparse import (
     eq,
     in_relation,
     neq,
-    parse_constraint,
-    parse_formula,
     size,
 )
-from clparse.constraints import BoolConstraint, Element, Eq, Neq
+from clparse.constraints import BoolConstraint
 
 
 def test_eq_var_var_intersects_both():
@@ -244,69 +239,3 @@ def test_in_relation_entailment_after_resolution():
     s.tell(c)
     r.close_group("k")
     assert s.ask(c) is AskResult.ENTAILED
-
-
-# -- textual syntax -----------------------------------------------------------
-
-def _env(store, names, values=("a", "b", "c")):
-    return {n: store.new_var(values, name=n) for n in names.split()}
-
-
-def test_parse_alldistinct():
-    s = Store()
-    env = _env(s, "x y")
-    c = parse_constraint("alldistinct(x,y,a)", env)
-    assert c.items == (env["x"], env["y"], "a")
-    s.tell(c)
-    s.tell(eq(env["x"], "b"))
-    assert s.domain(env["y"]) == ("c",)
-
-
-def test_parse_element():
-    s = Store()
-    env = {"x": s.new_var(["NP", "VP", "S"], name="x")}
-    c = parse_constraint("element(x,[NP, VP])", env)
-    assert isinstance(c, Element) and c.allowed == ("NP", "VP")
-    with pytest.raises(UsageError):
-        parse_constraint("element(NP,[NP])", {})
-    with pytest.raises(UsageError):
-        parse_constraint("element(x, NP)", env)
-
-
-def test_parse_eq_neq():
-    s = Store()
-    env = _env(s, "x y")
-    c = parse_constraint("x = y", env)
-    assert c == Eq(env["x"], env["y"])
-    c = parse_constraint("x = NP", env)
-    assert c == Eq(env["x"], "NP")
-    c = parse_constraint("x != b", env)
-    assert c == Neq(env["x"], "b")
-    with pytest.raises(UsageError):
-        parse_constraint("NP = x", env)
-
-
-def test_parse_bool_forms():
-    s = Store()
-    env = {"p": s.new_bool("p"), "q": s.new_bool("q")}
-    c = parse_constraint("p -> ~q", env)
-    assert c == BoolConstraint(parse_formula("p -> ~q", env))
-    c = parse_constraint("p & q = true", env)
-    assert c == BoolConstraint(parse_formula("p & q", env))
-    c = parse_constraint("p | q = false", env)
-    assert c == BoolConstraint(Not(parse_formula("p | q", env)))
-    c = parse_constraint("p <-> q", env)
-    s.tell(c)
-    s.set_bool(p := env["p"], True)
-    assert s.propagate()
-    assert s.bool_value(env["q"]) is Bool3.TRUE
-    assert s.bool_value(p) is Bool3.TRUE
-
-
-def test_parsed_constraints_dedupe():
-    s = Store()
-    env = _env(s, "x y")
-    assert s.tell(parse_constraint("x != y", env))
-    n = len(s.posted)
-    assert s.tell(parse_constraint("x != y", env))
-    assert len(s.posted) == n

@@ -313,6 +313,14 @@ def test_delta_first_match_by_node_order():
     assert env["o"] == fs.resolve("a")
 
 
+def test_delta_owner_must_name_a_node():
+    fs = encode(parse_avm("[a: [x: v]]"))
+    assert fs.delta([("x", 2, "t", None)]) == {"t": "v"}
+    for owner, bindings in ((-1, None), (0, None), (7, None), ("o", {"o": 7})):
+        with pytest.raises(UsageError, match="no node"):
+            fs.delta([("x", owner, "t", None)], bindings)
+
+
 def test_flatness_and_referential_integrity():
     fs = encode(parse_avm(CASE_MATRIX))
     for i in fs.node_indices():

@@ -496,6 +496,14 @@ def test_limit_caps_accepted_signs(toy):
     assert len(signs) == 1
 
 
+def test_limit_zero_still_checks_the_words(toy):
+    # as cfg.parse checks its categories before honouring limit=0
+    with pytest.raises(UsageError, match="unknown word 'zzz'"):
+        parse_hpsg(["zzz"], toy, limit=0)
+    with pytest.raises(UsageError):
+        parse_hpsg(["the", "dog"], toy, limit=0)
+
+
 def test_strategies_accept_the_same_signs(toy):
     sa, ta = parse_hpsg(["the", "cat", "sleeps"], toy, strategy="active")
     sg, tg = parse_hpsg(["the", "cat", "sleeps"], toy, strategy="gentest")

@@ -464,6 +464,7 @@ def test_late_post_resolves_immediately():
 
 
 def test_resolvability_check_one_shot():
+    # each event runs the completeness recursion once; count its tests
     s = Store()
     u = s.new_var(range(10))
     v = s.new_var([0, 1], closed=True)
@@ -472,12 +473,18 @@ def test_resolvability_check_one_shot():
     r.add(4, 1)
     r.close_group(0)
     c = in_relation(u, (v,), r)
-    ok, tests = s.resolvability_check(c)
-    assert not ok and tests == 2          # group 0 closed, group 1 open
-    r.close_group(1)
-    ok, tests = s.resolvability_check(c)
-    assert ok and tests == 3              # both groups + domain flag
-    assert s.resolvability_check(eq(u, 3)) == (True, 0)
+
+    def tests_run(action):
+        before = s.counters.completeness_tests
+        action()
+        return s.counters.completeness_tests - before
+
+    assert tests_run(lambda: s.tell(c)) == 2        # group 0 closed, group 1 open
+    assert not s.is_resolved(c)
+    assert tests_run(lambda: r.close_group(1)) == 3  # both groups + domain flag
+    assert s.is_resolved(c)
+    assert s.domain(u) == (3, 4)
+    assert tests_run(lambda: s.tell(eq(u, 3))) == 0  # not model-gated
 
 
 # -- snapshots ----------------------------------------------------------------

@@ -2,8 +2,10 @@
 wraps must exist, every committed grammar must load, and every
 workload's own run and check must pass on its sentences (the capped
 11-token one aside), so that a change to the package fails here rather
-than in a benchmark run.  The tests read `bench/` and edit nothing."""
+than in a benchmark run.  The tests read `bench/` and edit nothing.
+Last, no module of the package may import a name it never uses."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -82,3 +84,23 @@ def test_every_exported_name_resolves_once():
     missing = [name for name in clparse.__all__ if not hasattr(clparse, name)]
     assert not missing
     assert len(clparse.__all__) == len(set(clparse.__all__))
+
+
+# __init__ imports to re-export; every other module imports to use
+MODULES = sorted(p for p in (ROOT / "src" / "clparse").glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"
