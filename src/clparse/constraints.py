@@ -39,10 +39,6 @@ class Constraint:
     def vars(self) -> tuple[VarId, ...]:
         raise NotImplementedError
 
-    def post(self, store: Store) -> bool:
-        """One-time work at tell time (e.g. an initial intersection)."""
-        return True
-
     def filter(self, store: Store) -> bool:
         """Prune to per-constraint local consistency.  False on wipe-out."""
         return True
@@ -181,9 +177,6 @@ class Element(Constraint):
 
     def vars(self):
         return (self.x,)
-
-    def post(self, store):
-        return store.prune(self.x, set(self.allowed))
 
     def filter(self, store):
         return store.prune(self.x, set(self.allowed))

@@ -20,6 +20,9 @@ over relative node numbers, and `instantiate` installs a template on
 fresh nodes of any structure in one step: that is the one way a
 description's cells reach a structure.  The grammar loader compiles
 each lexical entry once.
+
+`parse_avm` reads the bracketed text syntax through `logic.Cursor`, so
+any text it has no token for is a `UsageError`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, UsageError
-from .logic import MAX_NESTING, Bool3, Equiv, Var
+from .logic import Bool3, Cursor, Equiv, Var
 from .store import Store, VarId, VarKind
 
 # features whose cells may carry a sequence of references/atoms
@@ -638,35 +641,15 @@ def avm_equal(a, b) -> bool:
 #   sharing:   [head: #1 [maj: n], subj_head: #1]
 #   sequences: [comps: <#2, #3>]      statuses:  [+vform: pas, -index, ?gen: masc]
 
-_AVM_TOKEN = re.compile(r"\s*(#\d+|[\[\]<>,:+?-]|[A-Za-z_][\w-]*)")
-
-
-class _AvmParser:
+class _AvmParser(Cursor):
+    # each '[' and '<' nests one level
     def __init__(self, text: str):
-        self.toks = _AVM_TOKEN.findall(text)
-        self.pos = 0
+        super().__init__(text, r"#\d+|[\[\]<>,:+?-]|[A-Za-z_][\w-]*", "avm")
         self.tags: dict[str, dict] = {}
-        self.depth = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, want: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or (want is not None and tok != want):
-            raise UsageError(f"avm syntax: expected {want or 'token'}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def nest(self, levels: int) -> None:
-        # each '[' and '<' nests one level
-        self.depth += levels
-        if self.depth > MAX_NESTING:
-            raise UsageError(f"avm syntax: nested deeper than {MAX_NESTING} levels")
 
     def avm(self) -> dict:
         self.take("[")
-        self.nest(1)
+        self.nest()
         out: dict = {}
         if self.peek() != "]":
             while True:
@@ -684,14 +667,14 @@ class _AvmParser:
             status = {"+": Bool3.TRUE, "-": Bool3.FALSE, "?": Bool3.UNKNOWN}[self.take()]
         name = self.take()
         if not re.fullmatch(r"[A-Za-z_][\w-]*", name):
-            raise UsageError(f"avm syntax: bad feature name {name!r}")
+            self.fail(f"bad feature name {name!r}")
         value = None
         if self.peek() == ":":
             self.take(":")
             value = self.value()
         key = _norm_feat(name)
         if key in out:
-            raise UsageError(f"avm syntax: duplicate feature {name!r}")
+            self.fail(f"duplicate feature {name!r}")
         out[key] = value if status is None else Ann(value, status)
 
     def value(self):
@@ -707,12 +690,12 @@ class _AvmParser:
             return self.tag()
         name = self.take()
         if not re.fullmatch(r"[A-Za-z_][\w-]*", name):
-            raise UsageError(f"avm syntax: bad value {name!r}")
+            self.fail(f"bad value {name!r}")
         return name.lower()
 
     def seq(self) -> tuple:
         self.take("<")
-        self.nest(1)
+        self.nest()
         items = []
         if self.peek() != ">":
             while True:
@@ -731,7 +714,7 @@ class _AvmParser:
             filled = self.avm()
             for k, v in filled.items():
                 if k in node:
-                    raise UsageError(f"avm syntax: tag {label} redefines {k}")
+                    self.fail(f"tag {label} redefines {k}")
                 node[k] = v
         return node
 
@@ -741,6 +724,5 @@ def parse_avm(text: str) -> dict:
     become shared dict objects, annotations become Ann wrappers)."""
     p = _AvmParser(text)
     avm = p.avm()
-    if p.peek() is not None:
-        raise UsageError(f"avm syntax: trailing {p.peek()!r}")
+    p.end()
     return avm

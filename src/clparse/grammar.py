@@ -13,7 +13,11 @@ Declarations:
 
 Comments run from % to end of line.  Frames may omit O (then O = M - C)
 and the closing brace ends the statement; everything else ends with a
-dot.  A grammar is immutable once loaded.
+dot.  Any text outside the syntax is a `GrammarError` on its line: a
+lexical entry's avm is read by the avm reader, which stops after its
+closing bracket and leaves the clauses after it to the loader.  The
+LP pairs must form a strict partial order; a cycle is reported on the
+line of its latest-declared pair.  A grammar is immutable once loaded.
 Each lexical entry compiles to its sign's template as it is read.  An
 entry that cannot become a sign, or an fcr naming a feature no sign can
 carry, is a `GrammarError` on its line; entries record their fcr sites.
@@ -21,12 +25,13 @@ carry, is a `GrammarError` on its line; entries record their fcr sites.
 
 from __future__ import annotations
 
+import graphlib
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import GrammarError, UsageError
-from .fstruct import _norm_feat, compile_avm, parse_avm
+from .fstruct import _AvmParser, _norm_feat, compile_avm
 from .logic import Bool3, Formula, Implies, Var, format_formula, parse_with_leaves
 
 
@@ -44,12 +49,6 @@ class PSRule:
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {' '.join(self.rhs)}"
-
-
-@dataclass(frozen=True)
-class LPPair:
-    before: str
-    after: str
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,11 @@ class Grammar:
     def __init__(self):
         self.start = "S"
         self.rules: list[PSRule] = []
-        self.lp_pairs: list[LPPair] = []
+        self.lp: dict[tuple[str, str], int] = {}   # (before, after) -> first line
         self.frames: dict[str, Frame] = {}
         self.proj: dict[str, str] = {}
         self.fcrs: list[FCR] = []
         self.lexicon: dict[str, list[LexEntry]] = {}
-        self._lp_set: set[tuple[str, str]] = set()
         self._categories: dict[str, Category] = {}
         self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
 
@@ -192,7 +190,7 @@ class Grammar:
     def lp_ok(self, x: str, y: str) -> bool:
         """Undeclared pairs are unordered; only a declared y < x order
         forbids the sequence x y."""
-        return (y, x) not in self._lp_set
+        return (y, x) not in self.lp
 
     def projection(self, x: str) -> str | None:
         return self.proj.get(x)
@@ -275,15 +273,8 @@ def _statements(text: str):
             if depth < 0:
                 raise GrammarError("unbalanced brackets", line)
             buf.append(ch)
-            if depth == 0 and buf and buf[0:5] == list("frame"):
-                stmt = "".join(buf).strip()
-                # eat an optional trailing dot
-                j = i + 1
-                while j < len(text) and text[j] in " \t":
-                    j += 1
-                if j < len(text) and text[j] == ".":
-                    i = j
-                yield start_line, stmt
+            if depth == 0 and buf[0:5] == list("frame"):
+                yield start_line, "".join(buf).strip()
                 buf, start_line = [], None
             i += 1
             continue
@@ -309,20 +300,6 @@ def _split_names(body: str, line: int) -> list[str]:
     return names
 
 
-def _brace_set(text: str, line: int) -> list[str]:
-    m = re.fullmatch(r"\{(.*)\}", text.strip(), re.S)
-    if not m:
-        raise GrammarError(f"expected {{..}}, got {text.strip()!r}", line)
-    return _split_names(m.group(1), line)
-
-
-def _bracket_list(text: str, line: int) -> list[str]:
-    m = re.fullmatch(r"\[(.*)\]", text.strip(), re.S)
-    if not m:
-        raise GrammarError(f"expected [..], got {text.strip()!r}", line)
-    return _split_names(m.group(1), line)
-
-
 def _parse_frame(body: str, line: int) -> Frame:
     m = re.fullmatch(rf"frame\s+({_NAME})\s*\{{(.*)\}}", body.strip(), re.S)
     if not m:
@@ -334,20 +311,20 @@ def _parse_frame(body: str, line: int) -> Frame:
     for clause in (c.strip() for c in inner.split(";")):
         if not clause:
             continue
-        cm = re.fullmatch(r"([MCO])\s*=\s*(\{.*\})", clause, re.S)
+        cm = re.fullmatch(r"([MCO])\s*=\s*\{(.*)\}", clause, re.S)
         if cm:
             key = cm.group(1)
             if key in sets:
                 raise GrammarError(f"duplicate {key} in frame {phrase}", line)
-            sets[key] = _brace_set(cm.group(2), line)
+            sets[key] = _split_names(cm.group(2), line)
             continue
         hm = re.fullmatch(rf"head\s*=\s*({_NAME})", clause)
         if hm:
             head = hm.group(1)
             continue
-        sm = re.fullmatch(r"schema\s*(\{.*\})", clause, re.S)
+        sm = re.fullmatch(r"schema\s*\{(.*)\}", clause, re.S)
         if sm:
-            schemata.append(frozenset(_brace_set(sm.group(1), line)))
+            schemata.append(frozenset(_split_names(sm.group(1), line)))
             continue
         raise GrammarError(f"bad frame clause {clause!r}", line)
     if "M" not in sets or "C" not in sets or head is None:
@@ -373,35 +350,28 @@ def _parse_lex(body: str, line: int) -> LexEntry:
     form, cat, rest = m.group(1), m.group(2), m.group(3).strip()
     avm: dict = {}
     if rest.startswith("["):
-        depth = 0
-        for k, ch in enumerate(rest):
-            depth += ch == "["
-            depth -= ch == "]"
-            if depth == 0:
-                break
-        else:
-            raise GrammarError("unterminated avm", line)
+        reader = _AvmParser(rest)   # reads the avm and stops after it
         try:
-            avm = parse_avm(rest[:k + 1])
+            avm = reader.avm()
         except UsageError as e:
             raise GrammarError(str(e), line) from None
-        rest = rest[k + 1:].strip()
+        rest = rest[reader.pos:].strip()
     subj: tuple[str, ...] = ()
     subcat: tuple[str, ...] = ()
     schema: frozenset[str] | None = None
     while rest:
-        km = re.match(r"(subj|subcat)\s*(\[[^\]]*\])\s*(.*)$", rest, re.S)
+        km = re.match(r"(subj|subcat)\s*\[([^\]]*)\]\s*(.*)$", rest, re.S)
         if km:
-            value = tuple(_bracket_list(km.group(2), line))
+            value = tuple(_split_names(km.group(2), line))
             if km.group(1) == "subj":
                 subj = value
             else:
                 subcat = value
             rest = km.group(3).strip()
             continue
-        sm = re.match(r"schema\s*(\{[^}]*\})\s*(.*)$", rest, re.S)
+        sm = re.match(r"schema\s*\{([^}]*)\}\s*(.*)$", rest, re.S)
         if sm:
-            schema = frozenset(_brace_set(sm.group(1), line))
+            schema = frozenset(_split_names(sm.group(1), line))
             rest = sm.group(2).strip()
             continue
         raise GrammarError(f"bad lex clause {rest[:20]!r}", line)
@@ -415,7 +385,6 @@ def load_grammar(text: str) -> Grammar:
     g = Grammar()
     defined: set[str] = set()          # categories introduced by declarations
     referenced: dict[str, int] = {}    # name -> first referencing line
-    lp_lines: list[int] = []
     fcr_lines: list[int] = []
     start_line = None
 
@@ -440,8 +409,7 @@ def load_grammar(text: str) -> Grammar:
             x, y = m.groups()
             if x == y:
                 raise GrammarError("lp pair must be irreflexive", line)
-            g.lp_pairs.append(LPPair(x, y))
-            lp_lines.append(line)
+            g.lp.setdefault((x, y), line)
             referenced.setdefault(x, line)
             referenced.setdefault(y, line)
         elif head == "frame" or stmt.startswith("frame"):
@@ -486,40 +454,22 @@ def load_grammar(text: str) -> Grammar:
     if (g.rules or g.frames) and g.start not in defined:
         raise GrammarError(f"start category {g.start!r} undefined", start_line)
 
-    # LP order must be a strict partial order: no cycles through pairs
-    order: dict[str, set[str]] = {}
-    pair_line: dict[tuple[str, str], int] = {}
-    for pair, ln in zip(g.lp_pairs, lp_lines):
-        order.setdefault(pair.before, set()).add(pair.after)
-        pair_line.setdefault((pair.before, pair.after), ln)
-    # A depth-first search with its own stack, so a long chain of pairs
-    # does not run into the recursion limit.
-    seen: dict[str, int] = {}   # 1 = on stack, 2 = done
-    for root in order:
-        if root in seen:
-            continue
-        seen[root] = 1
-        stack = [(root, iter(order[root]))]
-        while stack:
-            n, succ = stack[-1]
-            for m_ in succ:
-                state = seen.get(m_)
-                if state == 1:
-                    raise GrammarError(f"lp order is cyclic through {m_}",
-                                       pair_line[(n, m_)])
-                if state is None:
-                    seen[m_] = 1
-                    stack.append((m_, iter(order.get(m_, ()))))
-                    break
-            else:
-                seen[n] = 2
-                stack.pop()
+    # LP order must be a strict partial order: no cycle through the pairs,
+    # one reported on the line of its latest-declared pair
+    order = graphlib.TopologicalSorter()
+    for before, after in g.lp:
+        order.add(after, before)
+    try:
+        order.prepare()
+    except graphlib.CycleError as e:
+        cycle = e.args[1]
+        raise GrammarError(f"lp order is cyclic: {' < '.join(cycle)}",
+                           max(map(g.lp.get, zip(cycle, cycle[1:])))) from None
 
     phrasal = {r.lhs for r in g.rules} | set(g.frames) | set(g.proj.values())
     for name in sorted(defined):
         level = "phrasal" if name in phrasal else "lexical"
         g._categories[name] = Category(name, level)
-    g._lp_set = {(p.before, p.after) for p in g.lp_pairs}
     for rule in g.rules:
         g._by_rhs[rule.rhs] = g._by_rhs.get(rule.rhs, ()) + (rule,)
     feats = set(_SKELETON)

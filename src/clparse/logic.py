@@ -5,6 +5,9 @@ connectives: UNKNOWN absorbs exactly where a classical value would not
 already decide the result.  Formulas are immutable trees over leaf
 references (store variables) and constants; `enforce` implements
 unit-propagation-strength inference used by the boolean propagator.
+`Cursor` is the package's one tokenizer, shared by the formula reader
+here and the avm reader in `fstruct`: text it has no token for is a
+`UsageError`, never skipped.
 """
 
 from __future__ import annotations
@@ -253,41 +256,56 @@ def _enforce(f: Formula, want: bool, lookup, assign, cur: Bool3 | None) -> bool:
 MAX_NESTING = 100
 
 
-def _tokenize(text: str, leaf_pattern: str) -> list[str]:
-    token = re.compile(rf"\s*(<->|->|[~&|()]|{leaf_pattern})")
-    out, pos = [], 0
-    while pos < len(text):
-        m = token.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise UsageError(f"bad formula syntax near {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+class Cursor:
+    """The one tokenizer of the text syntaxes.  It reads `text` one
+    token at a time, only when asked; a token is one of the regex
+    alternatives `tokens`, after optional blanks.  Non-blank text where
+    a token is due is a `UsageError` ("<what> syntax: ..."), never
+    skipped.  `pos` is the offset just past the last token taken: a
+    reader that stops early leaves the rest there for its caller.
+    `nest` counts open levels against MAX_NESTING."""
 
-
-class _Parser:
-    def __init__(self, tokens: list[str], leaf: Callable[[str], Formula]):
-        self.toks = tokens
+    def __init__(self, text: str, tokens: str, what: str):
+        self.text, self.what = text, what
+        self.token = re.compile(rf"\s*({tokens})")
         self.pos = 0
-        self.leaf = leaf
         self.depth = 0
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def _match(self) -> re.Match | None:
+        m = self.token.match(self.text, self.pos)
+        if m is None and self.text[self.pos:].strip():
+            self.fail(f"bad text at {self.text[self.pos:].strip()!r}")
+        return m
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise UsageError("unexpected end of formula")
-        self.pos += 1
-        return tok
+    def fail(self, problem: str):
+        raise UsageError(f"{self.what} syntax: {problem}")
+
+    def peek(self) -> str | None:
+        m = self._match()
+        return m and m.group(1)
+
+    def take(self, want: str | None = None) -> str:
+        m = self._match()
+        if m is None or want not in (None, m.group(1)):
+            self.fail(f"expected {want and repr(want) or 'more'}, "
+                      f"got {m and repr(m.group(1)) or 'end of text'}")
+        self.pos = m.end()
+        return m.group(1)
 
     def nest(self, levels: int = 1) -> None:
         self.depth += levels
         if self.depth > MAX_NESTING:
-            raise UsageError(f"formula nested deeper than {MAX_NESTING} levels")
+            self.fail(f"nested deeper than {MAX_NESTING} levels")
+
+    def end(self) -> None:
+        if self.peek() is not None:
+            self.fail(f"trailing {self.text[self.pos:].strip()!r}")
+
+
+class _Parser(Cursor):
+    def __init__(self, text: str, leaf_pattern: str, leaf: Callable[[str], Formula]):
+        super().__init__(text, rf"<->|->|[~&|()]|{leaf_pattern}", "formula")
+        self.leaf = leaf
 
     def expr(self) -> Formula:
         node = self.impl()
@@ -333,8 +351,7 @@ class _Parser:
         elif tok == "(":
             self.nest()
             node = self.expr()
-            if self.take() != ")":
-                raise UsageError("missing ')' in formula")
+            self.take(")")
         else:
             return self.leaf(tok)
         self.nest(-1)
@@ -346,10 +363,9 @@ def parse_with_leaves(text: str, leaf_pattern: str,
     """Parse the textual boolean syntax under a leaf rule: tokens
     matching `leaf_pattern` become `leaf(token)`.  `leaf` also sees any
     operator token found where a leaf belongs, and must reject it."""
-    parser = _Parser(_tokenize(text, leaf_pattern), leaf)
+    parser = _Parser(text, leaf_pattern, leaf)
     node = parser.expr()
-    if parser.peek() is not None:
-        raise UsageError(f"trailing tokens in formula: {parser.toks[parser.pos:]}")
+    parser.end()
     return node
 
 

@@ -492,12 +492,9 @@ class Store:
             if all(self.is_complete(v) for v in key_vars):
                 self._attempt(c, domain_event=False)  # late post: no closure to wait for
         self._emit("post", c, "-", "-")
-        if c.post(self):
-            self._enqueue(c)
-            if self._settle(mark):
-                return True
-        else:
-            self._rollback(mark)
+        self._enqueue(c)
+        if self._settle(mark):
+            return True
         self._emit("fail", c, "-", "-")
         return False
 

@@ -9,8 +9,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from clparse import Bool3, InconsistencyError, Store, UsageError
 from clparse.cfg import derivations_to_tree, oracle_parse, parse
 from clparse.constraints import (

@@ -2,6 +2,7 @@
 extraction, statuses, text syntax."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,25 @@ def test_list_values_only_on_designated_features():
         with pytest.raises(UsageError):
             fs.add([("comp_dtrs", 1, (), Bool3.TRUE), (feature, 1, value, Bool3.TRUE)])
         assert fs.dump(statuses=True) == before
+
+
+def test_sequence_values_unify_element_by_element():
+    fs = encode(parse_avm("[comps: <#1 [maj: n], #2 [case: nom]>, subj: <np, pp>, "
+                          "x: [maj: n], y: [case: acc], z: [num: sg]]"))
+    x, y, z = (fs.resolve(f) for f in "xyz")
+    before = fs.dump(statuses=True)
+    for feature, value in (("comps", (Ref(x),)),          # length clash
+                           ("subj", ("np", "vp")),         # atom clash
+                           ("comps", (Ref(x), "pp")),      # an atom against a node
+                           ("comps", (Ref(x), Ref(y)))):   # nom against acc inside the nodes
+        with pytest.raises(InconsistencyError):
+            fs.add([(feature, 1, value, Bool3.UNKNOWN)])
+        assert fs.dump(statuses=True) == before
+    fs.add([("comps", 1, (Ref(x), Ref(z)), Bool3.UNKNOWN), ("subj", 1, ("np", "pp"), Bool3.UNKNOWN)])
+    first, second = fs.lookup("comps").value
+    assert (fs.canon(first.index), fs.canon(second.index)) == (fs.canon(x), fs.canon(z))
+    assert fs.lookup("z.case").value == "nom" and fs.lookup("x.maj").value == "n"
+    assert fs.lookup("subj").value == ("np", "pp")
 
 
 def test_decode_round_trip_random_corpus():
@@ -377,9 +397,28 @@ def test_structure_rolls_back_with_store():
 
 
 def test_parse_avm_errors():
-    for bad in ["[a: b", "[a b]", "a: b", "[a: ]", "[#1: x]", "[a: [x: 1] extra]"]:
+    for bad in ["[a: b", "[a b]", "a: b", "[a: ]", "[#1: x]", "[a: [x: 1] extra]",
+                # text the avm syntax has no token for
+                "[a: b$]", "[a: @b]", "[a: 1b]", "[a: b ! , c: d]", "[a: b] ;"]:
         with pytest.raises(UsageError):
             parse_avm(bad)
+
+
+VALID_AVMS = [CASE_MATRIX, "[x: #1, y: #1 [maj: n]]", "[comps: <#1 [maj: n], #2 [maj: p]>, subj: <>]",
+              "[+vform: pas, -index, ?gen: masc, x: -]", "[a-b: [c_d: e], f: <g, #3>]"]
+AVM_TOKEN = re.compile(r"#\d+|[\[\]<>,:+?-]|[A-Za-z_][\w-]*")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VALID_AVMS), st.data(),
+       st.characters(exclude_categories=("Cs",)).filter(
+           lambda c: not re.fullmatch(r"[\w\s\[\]<>,:+?#-]", c)))
+def test_a_character_outside_the_avm_syntax_is_a_usage_error(text, data, stray):
+    parse_avm(text)
+    cuts = sorted({k for m in AVM_TOKEN.finditer(text) for k in m.span()} | {0, len(text)})
+    k = data.draw(st.sampled_from(cuts))
+    with pytest.raises(UsageError, match="avm syntax"):
+        parse_avm(text[:k] + stray + text[k:])
 
 
 def test_deep_avm_text_is_a_usage_error():

@@ -1,18 +1,22 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clparse.errors import GrammarError, UsageError
 from clparse.grammar import (
     FCR,
     FcrLiteral,
     Frame,
-    LexEntry,
     PSRule,
     fcr_sites,
     load_grammar,
     load_grammar_file,
     parse_fcr,
 )
-from clparse.logic import Implies, Not, Or, Var
+from clparse.fstruct import parse_avm
+from clparse.logic import Not, Or, Var, parse_formula
 
 TOY = "grammars/toy.clg"
 TOY_LEX = "grammars/toy_lex.clg"
@@ -136,6 +140,11 @@ def test_cyclic_lp_rejected():
         load_grammar("rule S -> A B C. start S.\n"
                      "lp A < B.\nlp B < C.\nlp C < A.")
     assert "cyclic" in str(err.value)
+    # a cycle is reported on the line of its latest-declared pair, which
+    # a repeated pair does not move
+    with pytest.raises(GrammarError, match="^line 4: lp order is cyclic: "):
+        load_grammar("rule S -> A B C. start S.\n"
+                     "lp B < C.\nlp C < A.\nlp A < B.\nlp B < C.")
     with pytest.raises(GrammarError):
         load_grammar("rule S -> A B. start S. lp A < A.")
 
@@ -184,6 +193,38 @@ def test_comments_and_multiline_statements():
 def test_statement_missing_dot_rejected():
     with pytest.raises(GrammarError):
         load_grammar("rule S -> NP VP")
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    ("rule S A.", "bad rule"),
+    ("rule S -> A 1B.", "bad category name '1B'"),
+    ("lp A B.", "bad lp declaration"),
+    ("lp A < A.", "lp pair must be irreflexive"),
+    ("proj A.", "bad proj declaration"),
+    ("start S T.", "bad start declaration"),
+    ("foo bar.", "unknown declaration 'foo'"),
+    ("frame { M = {A}; C = {A}; head = A; }", "bad frame declaration"),
+    ("frame S { M = {A}; M = {A}; C = {A}; head = A; }", "duplicate M in frame S"),
+    ("frame S { M = {A}; C = {A}; head = A; tail = A; }", "bad frame clause 'tail = A'"),
+    ('lex x A [].', "bad lex declaration"),
+    ('lex "x" A [] subcat.', "bad lex clause 'subcat'"),
+    ('lex "x" A [maj: n] subcat [1A].', "bad category name '1A'"),
+    ("rule S -> A].", "unbalanced brackets"),
+    ("rule S -> A", "statement missing final dot"),
+    ('lex "x" A [maj: n$].', "avm syntax: bad text at '$]'"),
+    ('lex "x" A [maj: n] $.', "bad lex clause '$'"),
+])
+def test_every_loader_error_names_its_line(bad, fragment):
+    with pytest.raises(GrammarError, match=f"^line 3: {re.escape(fragment)}") as err:
+        load_grammar("rule S -> A. start S.\n% the third line is bad\n" + bad)
+    assert err.value.line == 3
+
+
+def test_a_dot_after_a_frame_is_an_empty_statement():
+    frame = "frame S { M = {A}; C = {A}; head = A; }"
+    for text in (f"{frame}.", f"{frame} .", f"{frame}\n.", f"rule S -> A.. {frame}"):
+        g = load_grammar(f"rule S -> A.\n{text}\nstart S.")
+        assert g.frames["S"].head == "A" and g.start == "S"
 
 
 def test_lexicon_entries():
@@ -319,3 +360,21 @@ def test_load_grammar_file_prefixes_path(tmp_path):
     with pytest.raises(GrammarError) as err:
         load_grammar_file(str(p))
     assert str(p) in str(err.value)
+
+
+# the characters of the text syntaxes, a few outside them, and their keywords
+PIECES = list("aZ_1 \n[]<>{}(),:;.+-?#~&|%\"*=$@!") + [
+    "rule ", "lex ", "lp ", "frame ", "proj ", "start ", "fcr ", "subj ", "subcat ",
+    "schema ", "->", "<->", "M = ", "C = ", "head = ", '"x" ']
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+def test_text_readers_raise_only_their_own_errors(text):
+    readers = (parse_avm, lambda t: parse_formula(t, {"a": 1, "Z": 2}), parse_fcr,
+               load_grammar, lambda t: load_grammar(f'rule S -> A. start S. lex "x" A {t}.'))
+    for read in readers:
+        try:
+            read(text)
+        except (UsageError, GrammarError):
+            pass

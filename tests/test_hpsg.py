@@ -5,7 +5,7 @@ import pytest
 
 from clparse.constraints import bool_post, eq
 from clparse.errors import GrammarError, InconsistencyError, UsageError
-from clparse.fstruct import Bool3, FeatureStructure, Ref, parse_avm
+from clparse.fstruct import Bool3, FeatureStructure, parse_avm
 from clparse.grammar import load_grammar, load_grammar_file, parse_fcr
 from clparse.hpsg import (
     DtrsSchema,

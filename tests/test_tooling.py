@@ -3,7 +3,8 @@ wraps must exist, every committed grammar must load, and every
 workload's own run and check must pass on its sentences (the capped
 11-token one aside), so that a change to the package fails here rather
 than in a benchmark run.  The tests read `bench/` and edit nothing.
-Last, no module of the package may import a name it never uses."""
+Last, no module of the package or of its tests may import a name it
+never uses."""
 
 import ast
 import importlib.util
@@ -86,8 +87,10 @@ def test_every_exported_name_resolves_once():
     assert len(clparse.__all__) == len(set(clparse.__all__))
 
 
-# __init__ imports to re-export; every other module imports to use
+# __init__ imports to re-export; every other module, tests included,
+# imports to use
 MODULES = sorted(p for p in (ROOT / "src" / "clparse").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
