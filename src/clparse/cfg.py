@@ -20,25 +20,24 @@ order of an unshared depth-first search.  `windows_tried` and
 `reductions_applied` count the scans of distinct states only, and
 `backtracks` the distinct states without a derivation.
 
-A sentence is one `Search`, its taggings roots of one memo and split
-table, with `limit` counted across them.  A tagging's distinct trees are
-built along its derivations by the origins, each with its first one.
+A sentence is one `Search`, its taggings roots of one memo, with
+`limit` counted across them.  A tagging's distinct trees are built along
+its derivations by the origins, each with its first one.
 
-Two strategies explore the same windows in the same order and return
-the same derivations; they differ only in how candidate windows are
-generated.  "active" posts the split as constraints (a concatenation
-constraint plus a membership restriction of the window size to the
-grammar's rule lengths), labels the window size first, as the smallest
-domain, and reads the admissible origins of each size off the
-propagated store.  That is exact: the concatenation constraint prunes
-the sizes to exact support and the membership restriction is unary, so
-every origin left once the size is fixed starts a window.  The
-admissible splits depend only on the sequence length, so each search
-solves them through the store once per length it reaches and replays
-the recorded (origin, size) pairs at every later state of that length.
-"gentest" enumerates every arithmetically possible window and tests it
-after the fact, which is the figure the active strategy is measured
-against.
+Two strategies make the same reductions in the same order and return
+the same derivations; they differ only in which windows they try.
+"active" posts what the window must spell: one store per search holds
+a variable w over the (origin, size) windows of a rule length that fit
+the root, in scan order, and at each state scanned a `Spells` constraint
+prunes w to the windows whose slice is a rule's right-hand side, by a
+walk over the grammar's trie of right-hand sides from each origin
+(Pesant 2004: the right-hand sides are a finite regular language).  Each
+scan restores the store to the snapshot taken after w was made, tells
+`Spells` for its sequence and reads the windows off w's domain; the
+store counts into the search's `Stats` as it works, and a longer root
+makes a new store.  "gentest" enumerates every arithmetically possible
+window, once per sequence length, and tests it after the fact, which is
+the figure the active strategy is measured against.
 
 A derivation is a tuple of (lhs, window) steps.  `format_derivation`
 writes the paper's text form, <<NP>, <Det,Nm>, ...>, which the CLI
@@ -51,7 +50,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .constraints import concat3, element, eq
+from .constraints import spells
 from .errors import UsageError
 from .grammar import Grammar
 from .store import Stats, Store
@@ -101,10 +100,14 @@ class Search:
         self.memo: dict = {}    # finished state -> record
         self.shared: dict = {}  # sequence or unary set -> its one copy
         self.lengths = sorted(g.rhs_lengths())
-        # The (origin, size) windows per sequence length, in scan order.
-        # Local to this sentence, so the store counters of a sentence
-        # never depend on earlier ones.
+        # gentest: the (origin, size) windows per sequence length, in
+        # scan order
         self.table: dict[int, tuple[tuple[int, int], ...]] = {}
+        # active: one store per search, made at its first scan, counting
+        # into `stats`; `w` ranges over the windows of a rule length that
+        # fit the longest root scanned, `size`, and `base` is the
+        # snapshot every scan restores to
+        self.size, self.store, self.w, self.base = 0, None, None, None
 
     def node(self, seq: tuple[str, ...], unary_seen: frozenset) -> tuple:
         """The record of one state.  A state is scanned on its first
@@ -162,39 +165,31 @@ class Search:
 
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
         l = len(seq)
-        if l not in self.table:
-            if self.strategy == "active":
-                self.table[l] = self.admissible_splits(seq)
-            else:
+        if self.strategy == "gentest":
+            if l not in self.table:
                 self.table[l] = tuple((va, vb) for va in range(l)
                                       for vb in range(1, l - va + 1))
-        return self.table[l]
+            return self.table[l]
+        if l > self.size:
+            self._new_store(l)
+        st = self.store
+        if st is None:
+            return ()
+        st.restore(self.base)
+        if not st.tell(spells(self.w, seq, self.g.rhs_trie)):
+            return ()
+        return st.domain(self.w)
 
-    def admissible_splits(self, seq) -> tuple[tuple[int, int], ...]:
-        # With the segments unbound, Concat3 prunes the sizes by
-        # arithmetic on |s| alone and its slice bindings cannot fail, so
-        # one solve serves every sequence of that length.  The solve
-        # labels the smallest domain first: b1, which `element` cuts to
-        # the rule lengths.  Concat3 prunes to exact support and
-        # `element` is unary, so once b1 is fixed every origin left in
-        # a1's domain is admissible and is read off the store unprobed.
-        l = len(seq)
-        st = Store(trace=self.trace)
-        a1 = st.new_var(range(l + 1), name="a1")
-        b1 = st.new_var(range(1, l + 1), name="b1")
-        c1 = st.new_var(range(l + 1), name="c1")
-        a, b, c = st.new_seq("a"), st.new_seq("b"), st.new_seq("c")
-        pairs = []
-        if (st.tell(concat3(a, b, c, seq, a1, b1, c1))
-                and st.tell(element(b1, [n for n in self.lengths if n <= l]))):
-            for vb in st.domain(b1):
-                snap = st.snapshot()
-                if st.tell(eq(b1, vb)):
-                    pairs.extend((va, vb) for va in st.domain(a1))
-                st.restore(snap)
-        self.stats.merge(st.counters)
-        # scan order: origin ascending, then size ascending
-        return tuple(sorted(pairs))
+    def _new_store(self, l: int) -> None:
+        # Every state below a root is no longer than it, so its windows
+        # are among the root's; a longer root needs a wider domain.
+        self.size = l
+        fits = [(va, vb) for va in range(l) for vb in self.lengths if va + vb <= l]
+        if fits:
+            self.store = Store(trace=self.trace)
+            self.store.counters = self.stats
+            self.w = self.store.new_var(fits, name="w")
+            self.base = self.store.snapshot()
 
 
 def _derivations(record: tuple, path: Derivation = ()):

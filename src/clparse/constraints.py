@@ -9,7 +9,10 @@ completeness machinery declares it resolvable, at which point it
 induces a complete domain on its first argument.
 
 Sequence variables appear only inside concat3/size, which tie three
-window segments and their sizes to a ground sequence.
+window segments and their sizes to a ground sequence.  `Spells` ties a
+window to a ground sequence by content: one variable over (origin, size)
+windows, kept to those whose slice is a word of a trie (Pesant 2004, for
+the finite language of a grammar's right-hand sides).
 
 Constraints are built in code, through the classes or the constructors
 at the end of this module.  A boolean formula written as text goes
@@ -19,7 +22,7 @@ through `logic.parse_formula` and is posted with bool_post.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .logic import Bool3, Formula, eval_formula, enforce
 from .store import AskResult, Relation, Store, VarId, VarKind
@@ -292,6 +295,55 @@ class Concat3(Constraint):
 
 
 @dataclass(frozen=True)
+class Spells(Constraint):
+    """w ranges over (origin, size) windows of `whole` that spell a word
+    of `trie`: a dict from each first symbol to the pair (the values at
+    the words that end there, the trie of what may follow), as
+    `Grammar.rhs_trie`, whose values are the rules.  The trie is left out
+    of equality, hashing and repr: a trace line names the sequence.
+
+    The filter walks the trie from each origin of `whole` and prunes w
+    to the windows whose walk ends at a word.  Idempotent: the walk
+    depends on `whole` alone, so a second run finds the same windows
+    and prunes nothing."""
+
+    w: VarId
+    whole: tuple
+    trie: dict = field(compare=False, repr=False)
+
+    idempotent = True
+
+    def vars(self):
+        return (self.w,)
+
+    def filter(self, store):
+        whole, trie, n = self.whole, self.trie, len(self.whole)
+        spelled = set()
+        for va, cat in enumerate(whole):
+            entry, end = trie.get(cat), va + 1
+            while entry is not None:
+                words, node = entry
+                if words:
+                    spelled.add((va, end - va))
+                if end == n:
+                    break
+                entry, end = node.get(whole[end]), end + 1
+        return store.prune(self.w, spelled)
+
+    def holds(self, asg, store):
+        va, vb = asg[self.w]
+        if not (0 <= va and 0 < vb and va + vb <= len(self.whole)):
+            return False
+        node = self.trie
+        for cat in self.whole[va:va + vb]:
+            entry = node.get(cat)
+            if entry is None:
+                return False
+            words, node = entry
+        return bool(words)
+
+
+@dataclass(frozen=True)
 class BoolConstraint(Constraint):
     """Asserts a three-valued formula true, at unit-propagation strength:
     whenever all but one leaf of a decisive context is fixed, the
@@ -397,6 +449,10 @@ def size(seq: VarId, size_var: VarId) -> Size:
 
 def concat3(a, b, c, whole, a1, b1, c1) -> Concat3:
     return Concat3(a, b, c, tuple(whole), a1, b1, c1)
+
+
+def spells(w: VarId, whole, trie: dict) -> Spells:
+    return Spells(w, tuple(whole), trie)
 
 
 def bool_post(formula: Formula) -> BoolConstraint:

@@ -152,6 +152,10 @@ class Grammar:
         self.lexicon: dict[str, list[LexEntry]] = {}
         self._categories: dict[str, Category] = {}
         self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
+        # The right-hand sides as a trie: each category maps to the rules
+        # whose right-hand side ends there, in file order, and the trie
+        # of the categories that may follow it.
+        self.rhs_trie: dict[str, tuple[tuple[PSRule, ...], dict]] = {}
 
     # -- queries --------------------------------------------------------
 
@@ -472,6 +476,11 @@ def load_grammar(text: str) -> Grammar:
         g._categories[name] = Category(name, level)
     for rule in g.rules:
         g._by_rhs[rule.rhs] = g._by_rhs.get(rule.rhs, ()) + (rule,)
+        node = g.rhs_trie
+        for cat in rule.rhs[:-1]:
+            node = node.setdefault(cat, ((), {}))[1]
+        rules, children = node.get(rule.rhs[-1], ((), {}))
+        node[rule.rhs[-1]] = (rules + (rule,), children)
     feats = set(_SKELETON)
     for entries in g.lexicon.values():
         for i, e in enumerate(entries):

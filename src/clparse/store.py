@@ -15,12 +15,12 @@ be measured exactly.
 
 An event on a variable queues every constraint watching it, once.  The
 one exception is the constraint whose filter made the event: an
-idempotent one (`Eq`, `Neq`, `Element`, `Size`, `Concat3` over three
-distinct size variables), whose single run already reaches its own
-fixpoint, is not woken by its own prunes (Schulte & Stuckey, "Efficient
-constraint propagation engines", 2008).  `AllDistinct`, `BoolConstraint`
-and `InRelation` are woken by every event on their variables, their own
-included.
+idempotent one (`Eq`, `Neq`, `Element`, `Size`, `Spells`, `Concat3`
+over three distinct size variables), whose single run already reaches
+its own fixpoint, is not woken by its own prunes (Schulte & Stuckey,
+"Efficient constraint propagation engines", 2008).  `AllDistinct`,
+`BoolConstraint` and `InRelation` are woken by every event on their
+variables, their own included.
 
 Work counts (completeness tests, propagation steps, ask evaluations) go
 to `Store.counters`, a `Stats` record, and are cumulative: restore never
@@ -491,7 +491,8 @@ class Store:
                 trail.append(bucket.pop)
             if all(self.is_complete(v) for v in key_vars):
                 self._attempt(c, domain_event=False)  # late post: no closure to wait for
-        self._emit("post", c, "-", "-")
+        if self._trace:
+            self._emit("post", c, "-", "-")
         self._enqueue(c)
         if self._settle(mark):
             return True
@@ -611,7 +612,8 @@ class Store:
         other exception is re-raised after the same undo."""
         try:
             if self.propagate():
-                self._drain_wakeups()
+                if self._ask_wake:
+                    self._drain_wakeups()
                 return True
         except InconsistencyError:
             pass

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clparse import cfg
 from clparse.cfg import (
     Search,
     derivations_to_tree,
@@ -14,6 +15,7 @@ from clparse.cfg import (
 )
 from clparse.errors import UsageError
 from clparse.grammar import load_grammar, load_grammar_file
+from clparse.store import Store
 
 SENT7 = ("Det", "Nm", "Vb", "Det", "Nm", "Prep", "Nm")
 
@@ -113,13 +115,13 @@ def test_strategies_agree_on_answers(toy):
 
 
 def test_window_counts_by_hand(toy):
-    # <NP,VP>: root scan tries (0,1),(0,2),(1,1); the reduced <S> node
-    # tries (0,1); 4 in both strategies since every size <= 3 is a rule
-    # length
-    for strategy in ("active", "gentest"):
+    # <NP,VP>: gentest's root scan tries (0,1),(0,2),(1,1) and the
+    # reduced <S> node tries (0,1), 4 in all; active tries only (0,2),
+    # the one window that spells a right-hand side, and none at <S>
+    for strategy, windows in (("active", 1), ("gentest", 4)):
         derivs, stats = parse(("NP", "VP"), toy, strategy=strategy)
         assert derivs == ((("S", ("NP", "VP")),),)
-        assert stats.windows_tried == 4
+        assert stats.windows_tried == windows
         assert stats.reductions_applied == 1
         assert stats.backtracks == 0
 
@@ -190,29 +192,32 @@ DEAD11 = DEAD9 + ("Prep", "Nm")
 def test_pinned_counters(toy):
     # windows and reductions are counted once per distinct
     # (sequence, unary_seen) state, on its first visit, and backtracks
-    # once per dead state; propagation_steps is the store work of one
-    # split solve per sequence length reached (1..7, 1..9, 1..11), each
-    # labelling the window size b1 over the rule lengths that fit and
-    # reading the origins off a1's pruned domain; Concat3, Eq and
-    # Element are idempotent, so their own prunes do not wake them
+    # once per dead state.  Active tries only the windows that spell a
+    # right-hand side, and no two toy rules share one, so its windows
+    # are its reductions.  Its propagation_steps is one Spells filter
+    # run per scanned state: Spells is idempotent, so its own prune does
+    # not wake it.  On the dead ends every state is dead, so that is
+    # the backtrack count.
     _, sa = parse(SENT7, toy, strategy="active")
     _, sg = parse(SENT7, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (691, 961)
+    assert (sa.windows_tried, sg.windows_tried) == (82, 961)
     assert sa.reductions_applied == sg.reductions_applied == 82
-    assert sa.propagation_steps == 70
+    assert sa.backtracks == sg.backtracks == 33
+    assert sa.propagation_steps == 51
     derivs, sa = parse(DEAD9, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD9, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (4038, 6645)
+    assert (sa.windows_tried, sg.windows_tried) == (488, 6645)
     assert sa.reductions_applied == sg.reductions_applied == 488
     assert sa.backtracks == sg.backtracks == 215
-    assert sa.propagation_steps == 91
+    assert sa.propagation_steps == 215
     derivs, sa = parse(DEAD11, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD11, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (21942, 42176)
+    assert (sa.windows_tried, sg.windows_tried) == (2723, 42176)
     assert sa.reductions_applied == sg.reductions_applied == 2723
-    assert sa.propagation_steps == 107
+    assert sa.backtracks == sg.backtracks == 909
+    assert sa.propagation_steps == 909
 
 
 def test_limit_bounds_the_work(toy):
@@ -227,9 +232,9 @@ def test_limit_bounds_the_work(toy):
 
 
 def test_a_parse_leaves_no_garbage(toy):
-    # neither the forest nor the split solve's stores have reference
-    # cycles, so they go when parse returns instead of waiting for the
-    # cyclic collector
+    # neither the forest nor the search's store has reference cycles,
+    # so they go when parse returns instead of waiting for the cyclic
+    # collector
     gc.collect()
     gc.disable()
     try:
@@ -240,33 +245,81 @@ def test_a_parse_leaves_no_garbage(toy):
         gc.enable()
 
 
-def test_split_solved_once_per_length(toy):
+def _store_work(lines: list) -> tuple[int, int]:
+    """Spells and Concat3 posts in a trace."""
+    return (sum(ln.startswith("EVENT post Spells(") for ln in lines),
+            sum(ln.startswith("EVENT post Concat3(") for ln in lines))
+
+
+def _count_stores(monkeypatch) -> list:
+    """The stores cfg makes from now on."""
+    stores = []
+    monkeypatch.setattr(cfg, "Store", lambda **kw: stores.append(Store(**kw)) or stores[-1])
+    return stores
+
+
+def test_one_window_post_per_scanned_state(toy, monkeypatch):
+    # active makes one store per search and posts one Spells, naming the
+    # state's sequence, per distinct state scanned; no Concat3
+    stores = _count_stores(monkeypatch)
     lines = []
-    parse(SENT7, toy, strategy="active", trace=lines.append)
-    posts = [ln for ln in lines if ln.startswith("EVENT post Concat3(")]
-    assert len(posts) == len(SENT7)   # lengths 7 down to 1, one solve each
-    # each solve labels only the window size: one Eq per rule length
-    # that fits (1, 2, 3), the origins are read off the pruned domain
-    eqs = [ln for ln in lines if ln.startswith("EVENT post Eq(")]
-    assert len(eqs) == sum(n <= l for l in range(1, len(SENT7) + 1)
-                           for n in toy.rhs_lengths()) == 18
+    search = Search(toy, "active", trace=lines.append)
+    assert tuple(search.derivations(SENT7)) == oracle_parse(SENT7, toy)
+    assert len(stores) == 1
+    assert _store_work(lines) == (len(search.memo), 0) == (51, 0)
+    assert search.stats.propagation_steps == 51
+    assert f"EVENT post Spells(w=w, whole={SENT7!r}) - -" in lines
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sets(st.integers(1, 6), min_size=1), st.integers(1, 10))
-def test_split_table_is_every_window_of_a_rule_length(lengths, l):
-    g = load_grammar("start S. " + " ".join(
-        f"rule S -> {' '.join(['A'] * n)}." for n in sorted(lengths)))
-    seq = ("A",) * l
-    want = tuple(sorted((va, vb) for vb in lengths if vb <= l
-                        for va in range(l - vb + 1)))
-    active = Search(g, "active").windows(seq)
-    gentest = Search(g, "gentest").windows(seq)
-    assert active == want
-    assert tuple(w for w in gentest if w[1] in lengths) == want
+def test_limited_parse_counts_the_store_work_done(toy):
+    # the store counts into the search's stats as it works, so a parse
+    # stopped by `limit` reports the posts made before it stopped
+    full = parse(SENT7, toy)[1].propagation_steps
+    for k in (1, 2, 3):
+        lines = []
+        derivs, stats = parse(SENT7, toy, limit=k, trace=lines.append)
+        assert len(derivs) == k
+        assert 0 < stats.propagation_steps == _store_work(lines)[0] < full
 
 
-# -- the split table on grammars whose rule lengths have gaps ---------------
+def test_a_search_reused_with_a_longer_root(toy, monkeypatch):
+    # a longer root widens the window domain with a new store; a shorter
+    # one reuses the store it has
+    stores = _count_stores(monkeypatch)
+    search = Search(toy, "active")
+    for cats, made in ((("NP", "VP"), 1), (SENT7, 2), (("Det", "Nm", "VP"), 2),
+                       (DEAD9, 3), (("Nm", "Vb", "Nm", "Prep", "Det", "Adj", "Nm"), 3)):
+        assert tuple(search.derivations(cats)) == oracle_parse(cats, toy), cats
+        assert len(stores) == made
+
+
+def _spelled(seq, rhss) -> tuple:
+    """Every (origin, size) whose slice is in rhss, in scan order."""
+    return tuple((va, vb) for va in range(len(seq)) for vb in range(1, len(seq) - va + 1)
+                 if seq[va:va + vb] in rhss)
+
+
+words = st.lists(st.sampled_from("ABC"), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(words, min_size=1, max_size=5), st.data())
+def test_active_windows_are_those_that_spell_a_rule(drawn, data):
+    # a prefix of each drawn right-hand side is one too, so the words
+    # share prefixes; one search scans a sequence, two shorter ones and
+    # a longer one
+    rhss = set(drawn) | {r[:data.draw(st.integers(1, len(r)))] for r in drawn}
+    g = load_grammar("start S. " + " ".join(f"rule S -> {' '.join(r)}." for r in sorted(rhss)))
+    seq = tuple(data.draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=9)))
+    active, gentest = Search(g, "active"), Search(g, "gentest")
+    for cats in (seq, seq[1:], seq[:-1], seq + seq[:3]):
+        if cats:
+            assert active.windows(cats) == _spelled(cats, rhss)
+            assert tuple(w for w in gentest.windows(cats)
+                         if cats[w[0]:w[0] + w[1]] in rhss) == _spelled(cats, rhss)
+
+
+# -- the windows on grammars whose rule lengths have gaps --------------------
 
 GAP13 = """start S.
 rule S -> NP V NP.
@@ -320,14 +373,18 @@ def test_split_table_properties(text, lengths, sents):
     ("start S. rule S -> A B. rule S -> A B C D.", {2, 4}),
 ], ids=["lengths13", "lengths24"])
 def test_window_counts_closed_form_without_matches(text, lengths):
-    # no window of C's matches a rule, so only the root node scans
+    # no window of C's matches a rule, so only the root node scans, and
+    # active tries none of its windows: no right-hand side has a C, so
+    # the root's one Spells post wipes the window domain out (no store
+    # is made while no rule length fits)
     g = load_grammar(text)
+    assert g.rhs_lengths() == lengths
     for l in range(1, 9):
         cats = ("C",) * l
         derivs, sa = parse(cats, g, strategy="active")
         _, sg = parse(cats, g, strategy="gentest")
         assert derivs == ()
-        assert sa.windows_tried == sum(l - n + 1 for n in lengths if n <= l)
+        assert (sa.windows_tried, sa.propagation_steps) == (0, int(l >= min(lengths)))
         assert sg.windows_tried == l * (l + 1) // 2
         assert sa.reductions_applied == sg.reductions_applied == 0
 

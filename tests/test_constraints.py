@@ -21,7 +21,8 @@ from clparse import (
     neq,
     size,
 )
-from clparse.constraints import BoolConstraint
+from clparse.constraints import BoolConstraint, spells
+from clparse.grammar import load_grammar
 
 
 def test_eq_var_var_intersects_both():
@@ -183,6 +184,47 @@ def test_concat3_filter_matches_brute_force(whole, da, db, dc, data):
     if sols:
         for var, i in ((a1, 0), (b1, 1), (c1, 2)):
             assert set(s.domain(var)) == {sol[i] for sol in sols}
+
+
+# Words sharing prefixes: A, A B, A B C, B A, C
+WORDS = load_grammar("start S. rule S -> A. rule S -> A B. rule S -> A B C. "
+                     "rule S -> B A. rule T -> A B. rule T -> C.").rhs_trie
+
+
+def test_spells_keeps_the_windows_that_spell_a_word():
+    s = Store()
+    whole = ("A", "B", "C", "A")
+    w = s.new_var([(va, vb) for va in range(4) for vb in range(1, 5 - va)], name="w")
+    assert s.tell(spells(w, whole, WORDS))
+    assert s.domain(w) == ((0, 1), (0, 2), (0, 3), (2, 1), (3, 1))
+    assert not s.tell(spells(w, ("B", "B", "B", "B"), WORDS))
+    assert s.domain(w) == ((0, 1), (0, 2), (0, 3), (2, 1), (3, 1))
+
+
+def test_spells_leaves_the_trie_out_of_equality_and_repr():
+    s = Store()
+    w = s.new_var([(0, 1)], name="w")
+    other = load_grammar("start S. rule S -> Q.").rhs_trie
+    c = spells(w, ["A"], WORDS)
+    assert c == spells(w, ("A",), other) and hash(c) == hash(spells(w, ("A",), other))
+    assert c != spells(w, ("B",), WORDS)
+    assert repr(c) == "Spells(w=w, whole=('A',))"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("ABC"), max_size=6).map(tuple),
+       st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1))
+def test_spells_filter_matches_brute_force(whole, windows):
+    # the domain may hold windows past the end of `whole` and empty ones
+    s = Store()
+    w = s.new_var(sorted(windows), name="w")
+    c = spells(w, whole, WORDS)
+    kept = [x for x in sorted(windows) if c.holds({w: x}, s)]
+    assert kept == [(va, vb) for va, vb in sorted(windows)
+                    if vb and va + vb <= len(whole) and whole[va:va + vb] in
+                    {("A",), ("A", "B"), ("A", "B", "C"), ("B", "A"), ("C",)}]
+    assert s.tell(c) == bool(kept)
+    assert s.domain(w) == (tuple(kept) if kept else tuple(sorted(windows)))
 
 
 def test_bool_constraint_propagates():

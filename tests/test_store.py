@@ -35,11 +35,13 @@ from clparse import (
     element,
     eq,
     in_relation,
+    load_grammar,
     load_grammar_file,
     neq,
     parse,
     size,
 )
+from clparse.constraints import spells
 
 
 def binary_worst_case(m: int) -> int:
@@ -133,6 +135,7 @@ def test_propagation_reaches_fixpoint():
 
 
 WHOLE = ("a", "b", "a", "c")
+WORDS = load_grammar("start S. rule S -> a. rule S -> a b. rule S -> b a c.").rhs_trie
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,6 +150,7 @@ def test_propagation_stops_where_no_posted_filter_prunes(data):
     s = Store()
     fd = [s.new_var(range(n + 1), name=f"x{i}") for i in range(4)]
     seqs = [s.new_seq(f"s{i}") for i in range(3)]
+    win = s.new_var([(va, vb) for va in range(n) for vb in range(1, n - va + 1)], name="w")
     with s.transaction():
         for seq in seqs:
             if data.draw(st.booleans(), label="pre-bound"):
@@ -162,6 +166,10 @@ def test_propagation_stops_where_no_posted_filter_prunes(data):
         # size variables may repeat
         st.tuples(seq, seq, seq, var, var, var).map(
             lambda t: concat3(t[0], t[1], t[2], whole, *t[3:])),
+        # the windows of a suffix of `whole` that spell a word, in a
+        # domain disequalities may have thinned
+        st.builds(neq, st.just(win), st.sampled_from(s.domain(win))),
+        st.integers(0, n).map(lambda i: spells(win, whole[i:], WORDS)),
     )
     for c in data.draw(st.lists(post, min_size=1, max_size=8), label="posts"):
         if not s.tell(c):
