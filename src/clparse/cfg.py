@@ -28,16 +28,20 @@ Two strategies make the same reductions in the same order and return
 the same derivations; they differ only in which windows they try.
 "active" posts what the window must spell: one store per search holds
 a variable w over the (origin, size) windows of a rule length that fit
-the root, in scan order, and at each state scanned a `Spells` constraint
-prunes w to the windows whose slice is a rule's right-hand side, by a
-walk over the grammar's trie of right-hand sides from each origin
-(Pesant 2004: the right-hand sides are a finite regular language).  Each
-scan restores the store to the snapshot taken after w was made, tells
-`Spells` for its sequence and reads the windows off w's domain; the
-store counts into the search's `Stats` as it works, and a longer root
-makes a new store.  "gentest" enumerates every arithmetically possible
-window, once per sequence length, and tests it after the fact, which is
-the figure the active strategy is measured against.
+the root, in scan order, and at each distinct sequence scanned a
+`Spells` constraint prunes w to the windows whose slice is a rule's
+right-hand side, by a walk over the grammar's trie of right-hand sides
+from each origin (Pesant 2004: the right-hand sides are a finite regular
+language).  Each solve restores the store to the snapshot taken after w
+was made, tells `Spells` for its sequence and reads the windows off w's
+domain; the store counts into the search's `Stats` as it works, and a
+longer root makes a new store.  The answer depends on the sequence
+alone, so the search tables it by sequence, and every later state with
+that sequence reads it from the table instead of solving again
+(Schulte & Stuckey 2008: a propagator whose input did not change is
+not run again).  "gentest" enumerates every arithmetically possible
+window, tabled by sequence length, and tests it after the fact, which
+is the figure the active strategy is measured against.
 
 A derivation is a tuple of (lhs, window) steps.  `format_derivation`
 writes the paper's text form, <<NP>, <Det,Nm>, ...>, which the CLI
@@ -100,13 +104,14 @@ class Search:
         self.memo: dict = {}    # finished state -> record
         self.shared: dict = {}  # sequence or unary set -> its one copy
         self.lengths = sorted(g.rhs_lengths())
-        # gentest: the (origin, size) windows per sequence length, in
-        # scan order
-        self.table: dict[int, tuple[tuple[int, int], ...]] = {}
-        # active: one store per search, made at its first scan, counting
+        # the (origin, size) windows to try, in scan order, keyed by what
+        # they depend on: gentest's by the sequence length, active's by
+        # the sequence itself, its copy in `shared`
+        self.table: dict = {}
+        # active: one store per search, made at its first solve, counting
         # into `stats`; `w` ranges over the windows of a rule length that
-        # fit the longest root scanned, `size`, and `base` is the
-        # snapshot every scan restores to
+        # fit the longest root solved, `size`, and `base` is the snapshot
+        # every solve restores to
         self.size, self.store, self.w, self.base = 0, None, None, None
 
     def node(self, seq: tuple[str, ...], unary_seen: frozenset) -> tuple:
@@ -130,7 +135,7 @@ class Search:
             self.found += 1
             if self.found >= self.wanted:
                 return count, tuple(edges)
-        for va, vb in self.windows(seq):
+        for va, vb in self.windows(key[0]):
             stats.windows_tried += 1
             window = seq[va:va + vb]
             for rule in matching(window):
@@ -164,12 +169,16 @@ class Search:
         yield from _trees(self.node(cats, _NO_UNARY), tuple((c, ()) for c in cats), set())
 
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
+        key = len(seq) if self.strategy == "gentest" else seq
+        got = self.table.get(key)
+        if got is None:
+            got = self.table[key] = self._solve(seq)
+        return got
+
+    def _solve(self, seq) -> tuple[tuple[int, int], ...]:
         l = len(seq)
         if self.strategy == "gentest":
-            if l not in self.table:
-                self.table[l] = tuple((va, vb) for va in range(l)
-                                      for vb in range(1, l - va + 1))
-            return self.table[l]
+            return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
         if l > self.size:
             self._new_store(l)
         st = self.store

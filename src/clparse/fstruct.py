@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, UsageError
-from .logic import Bool3, Cursor, Equiv, Var
+from .logic import NAME, Bool3, Cursor, Equiv, Var
 from .store import Store, VarId, VarKind
 
 # features whose cells may carry a sequence of references/atoms
@@ -644,7 +644,7 @@ def avm_equal(a, b) -> bool:
 class _AvmParser(Cursor):
     # each '[' and '<' nests one level
     def __init__(self, text: str):
-        super().__init__(text, r"#\d+|[\[\]<>,:+?-]|[A-Za-z_][\w-]*", "avm")
+        super().__init__(text, rf"#\d+|[\[\]<>,:+?-]|{NAME}", "avm")
         self.tags: dict[str, dict] = {}
 
     def avm(self) -> dict:
@@ -666,7 +666,7 @@ class _AvmParser(Cursor):
         if self.peek() in ("+", "-", "?"):
             status = {"+": Bool3.TRUE, "-": Bool3.FALSE, "?": Bool3.UNKNOWN}[self.take()]
         name = self.take()
-        if not re.fullmatch(r"[A-Za-z_][\w-]*", name):
+        if not re.fullmatch(NAME, name):
             self.fail(f"bad feature name {name!r}")
         value = None
         if self.peek() == ":":
@@ -689,7 +689,7 @@ class _AvmParser(Cursor):
         if tok is not None and tok.startswith("#"):
             return self.tag()
         name = self.take()
-        if not re.fullmatch(r"[A-Za-z_][\w-]*", name):
+        if not re.fullmatch(NAME, name):
             self.fail(f"bad value {name!r}")
         return name.lower()
 

@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .errors import GrammarError, UsageError
 from .fstruct import _AvmParser, _norm_feat, compile_avm
-from .logic import Bool3, Formula, Implies, Var, format_formula, parse_with_leaves
+from .logic import NAME, Bool3, Formula, Implies, Var, format_formula, parse_with_leaves
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def _format_literal(lit: FcrLiteral) -> str:
     return lit.feature.upper()
 
 
-_LIT = re.compile(r"\+?([A-Za-z_][\w-]*)(?:\[([A-Za-z_][\w-]*)\])?")
+_LIT = re.compile(rf"\+?({NAME})(?:\[({NAME})\])?")
 # a phrase skeleton's features, which an fcr may name besides the lexicon's
 _SKELETON = frozenset({"synsem", "loc", "cat", "head", "subj", "comps", "dtrs",
                        "head_dtr", "subj_dtr", "comp_dtrs"})
@@ -293,19 +293,16 @@ def _statements(text: str):
         raise GrammarError("statement missing final dot", start_line)
 
 
-_NAME = r"[A-Za-z_][\w-]*"
-
-
 def _split_names(body: str, line: int) -> list[str]:
     names = [s.strip() for s in body.split(",") if s.strip()]
     for n in names:
-        if not re.fullmatch(_NAME, n):
+        if not re.fullmatch(NAME, n):
             raise GrammarError(f"bad category name {n!r}", line)
     return names
 
 
 def _parse_frame(body: str, line: int) -> Frame:
-    m = re.fullmatch(rf"frame\s+({_NAME})\s*\{{(.*)\}}", body.strip(), re.S)
+    m = re.fullmatch(rf"frame\s+({NAME})\s*\{{(.*)\}}", body.strip(), re.S)
     if not m:
         raise GrammarError("bad frame declaration", line)
     phrase, inner = m.group(1), m.group(2)
@@ -322,7 +319,7 @@ def _parse_frame(body: str, line: int) -> Frame:
                 raise GrammarError(f"duplicate {key} in frame {phrase}", line)
             sets[key] = _split_names(cm.group(2), line)
             continue
-        hm = re.fullmatch(rf"head\s*=\s*({_NAME})", clause)
+        hm = re.fullmatch(rf"head\s*=\s*({NAME})", clause)
         if hm:
             head = hm.group(1)
             continue
@@ -348,7 +345,7 @@ def _parse_frame(body: str, line: int) -> Frame:
 
 
 def _parse_lex(body: str, line: int) -> LexEntry:
-    m = re.match(rf'lex\s+"([^"]*)"\s+({_NAME})\s*(.*)$', body.strip(), re.S)
+    m = re.match(rf'lex\s+"([^"]*)"\s+({NAME})\s*(.*)$', body.strip(), re.S)
     if not m:
         raise GrammarError("bad lex declaration", line)
     form, cat, rest = m.group(1), m.group(2), m.group(3).strip()
@@ -395,19 +392,19 @@ def load_grammar(text: str) -> Grammar:
     for line, stmt in _statements(text):
         head = stmt.split(None, 1)[0] if stmt else ""
         if head in ("rule", "rule*"):
-            m = re.fullmatch(rf"rule(\*?)\s+({_NAME})\s*->(.*)", stmt, re.S)
+            m = re.fullmatch(rf"rule(\*?)\s+({NAME})\s*->(.*)", stmt, re.S)
             if not m:
                 raise GrammarError("bad rule", line)
             rhs = tuple(m.group(3).split())
             for n in (m.group(2),) + rhs:
-                if not re.fullmatch(_NAME, n):
+                if not re.fullmatch(NAME, n):
                     raise GrammarError(f"bad category name {n!r}", line)
             if not rhs:
                 raise GrammarError("empty right-hand side", line)
             g.rules.append(PSRule(m.group(2), rhs, distinct_daughters=not m.group(1)))
             defined.update((m.group(2),) + rhs)
         elif head == "lp":
-            m = re.fullmatch(rf"lp\s+({_NAME})\s*<\s*({_NAME})", stmt)
+            m = re.fullmatch(rf"lp\s+({NAME})\s*<\s*({NAME})", stmt)
             if not m:
                 raise GrammarError("bad lp declaration", line)
             x, y = m.groups()
@@ -424,7 +421,7 @@ def load_grammar(text: str) -> Grammar:
             defined.add(frame.phrase)
             defined.update(frame.m)
         elif head == "proj":
-            m = re.fullmatch(rf"proj\s+({_NAME})\s*=\s*({_NAME})", stmt)
+            m = re.fullmatch(rf"proj\s+({NAME})\s*=\s*({NAME})", stmt)
             if not m:
                 raise GrammarError("bad proj declaration", line)
             x, target = m.groups()
@@ -443,7 +440,7 @@ def load_grammar(text: str) -> Grammar:
             for n in entry.subj + entry.subcat:
                 referenced.setdefault(n, line)
         elif head == "start":
-            m = re.fullmatch(rf"start\s+({_NAME})", stmt)
+            m = re.fullmatch(rf"start\s+({NAME})", stmt)
             if not m:
                 raise GrammarError("bad start declaration", line)
             g.start = m.group(1)

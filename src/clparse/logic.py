@@ -255,6 +255,11 @@ def _enforce(f: Formula, want: bool, lookup, assign, cur: Bool3 | None) -> bool:
 
 MAX_NESTING = 100
 
+# A name in every text syntax: a letter or underscore, then word
+# characters, with a hyphen only between two of them, so that `a->b`
+# reads as `a`, `->`, `b`.
+NAME = r"[A-Za-z_]\w*(?:-\w+)*"
+
 
 class Cursor:
     """The one tokenizer of the text syntaxes.  It reads `text` one
@@ -381,7 +386,7 @@ def parse_formula(text: str, env: dict[str, object]) -> Formula:
             return Var(env[tok])
         raise UsageError(f"unknown boolean variable {tok!r}")
 
-    return parse_with_leaves(text, r"[A-Za-z_][\w-]*", leaf)
+    return parse_with_leaves(text, NAME, leaf)
 
 
 def format_formula(f: Formula, name_of: Callable[[object], str] = str) -> str:
@@ -395,6 +400,9 @@ def _format(g: Formula, parent: int, name_of) -> str:
         return name_of(g.ref)
     if isinstance(g, Const):
         return "true" if g.value else "false"
+    if isinstance(g, (And, Or)) and not g.args:
+        # the empty conjunction is true, the empty disjunction false
+        return "true" if isinstance(g, And) else "false"
     if isinstance(g, Not):
         return "~" + _format(g.arg, 4, name_of)
     if isinstance(g, And):

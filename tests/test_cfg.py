@@ -1,4 +1,7 @@
+import ast
+import functools
 import gc
+import math
 import random
 
 import pytest
@@ -195,29 +198,29 @@ def test_pinned_counters(toy):
     # once per dead state.  Active tries only the windows that spell a
     # right-hand side, and no two toy rules share one, so its windows
     # are its reductions.  Its propagation_steps is one Spells filter
-    # run per scanned state: Spells is idempotent, so its own prune does
-    # not wake it.  On the dead ends every state is dead, so that is
-    # the backtrack count.
+    # run per distinct sequence scanned: Spells is idempotent, so its own
+    # prune does not wake it, and the states that share a sequence share
+    # its windows.
     _, sa = parse(SENT7, toy, strategy="active")
     _, sg = parse(SENT7, toy, strategy="gentest")
     assert (sa.windows_tried, sg.windows_tried) == (82, 961)
     assert sa.reductions_applied == sg.reductions_applied == 82
     assert sa.backtracks == sg.backtracks == 33
-    assert sa.propagation_steps == 51
+    assert sa.propagation_steps == 32
     derivs, sa = parse(DEAD9, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD9, toy, strategy="gentest")
     assert (sa.windows_tried, sg.windows_tried) == (488, 6645)
     assert sa.reductions_applied == sg.reductions_applied == 488
     assert sa.backtracks == sg.backtracks == 215
-    assert sa.propagation_steps == 215
+    assert sa.propagation_steps == 96
     derivs, sa = parse(DEAD11, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD11, toy, strategy="gentest")
     assert (sa.windows_tried, sg.windows_tried) == (2723, 42176)
     assert sa.reductions_applied == sg.reductions_applied == 2723
     assert sa.backtracks == sg.backtracks == 909
-    assert sa.propagation_steps == 909
+    assert sa.propagation_steps == 288
 
 
 def test_limit_bounds_the_work(toy):
@@ -258,17 +261,42 @@ def _count_stores(monkeypatch) -> list:
     return stores
 
 
-def test_one_window_post_per_scanned_state(toy, monkeypatch):
-    # active makes one store per search and posts one Spells, naming the
-    # state's sequence, per distinct state scanned; no Concat3
+def _posted(lines: list) -> list:
+    """The sequences named by the Spells posts in a trace, in order."""
+    head, tail = "EVENT post Spells(w=w, whole=", ") - -"
+    return [ast.literal_eval(ln[len(head):-len(tail)]) for ln in lines if ln.startswith(head)]
+
+
+def test_one_window_post_per_distinct_sequence(toy, monkeypatch):
+    # active makes one store per search and posts one Spells, naming a
+    # sequence, per distinct sequence scanned: the 51 states scanned hold
+    # 32 sequences, and a state whose sequence was solved before reads
+    # its windows from the search's table; no Concat3
     stores = _count_stores(monkeypatch)
     lines = []
     search = Search(toy, "active", trace=lines.append)
     assert tuple(search.derivations(SENT7)) == oracle_parse(SENT7, toy)
     assert len(stores) == 1
-    assert _store_work(lines) == (len(search.memo), 0) == (51, 0)
-    assert search.stats.propagation_steps == 51
+    assert len(search.memo) == 51
+    assert _store_work(lines) == (len({seq for seq, _ in search.memo}), 0) == (32, 0)
+    assert search.stats.propagation_steps == 32
     assert f"EVENT post Spells(w=w, whole={SENT7!r}) - -" in lines
+
+
+@pytest.mark.parametrize("cats,sequences", [(SENT7, 32), (DEAD9, 96), (DEAD11, 288)],
+                         ids=["A1", "dead9", "dead11"])
+def test_spells_posts_are_the_distinct_sequences_scanned(toy, cats, sequences):
+    # every state is scanned once (no limit), so the memo holds them all;
+    # each of their sequences is posted exactly once, at its first scan
+    lines = []
+    search = Search(toy, "active", trace=lines.append)
+    tuple(search.derivations(cats))
+    posted = _posted(lines)
+    assert len(posted) == search.stats.propagation_steps == sequences
+    assert sorted(posted) == sorted({seq for seq, _ in search.memo})
+    # the table holds each sequence once, by the copy the memo keeps
+    kept = {id(seq) for seq, _ in search.memo}
+    assert all(id(seq) in kept for seq in search.table)
 
 
 def test_limited_parse_counts_the_store_work_done(toy):
@@ -469,3 +497,70 @@ def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
         windows[strategy] = stats.windows_tried
         assert list(Search(g, strategy).trees(cats)) == trees
     assert windows["active"] <= windows["gentest"]
+
+
+def _scan_order(cats, g, limit) -> list:
+    """The states whose scan begins, in order, when the search stops once
+    `limit` derivations are found: a plain depth-first walk in scan
+    order that counts a finished state's derivations instead of walking
+    it again, with the counts from a recursion of its own."""
+    def children(state):
+        seq, seen = state
+        for va in range(len(seq)):
+            for vb in range(1, len(seq) - va + 1):
+                for rule in g.rules:
+                    mark = (va, rule.lhs)
+                    if rule.rhs == seq[va:va + vb] and not (vb == 1 and mark in seen):
+                        yield (seq[:va] + (rule.lhs,) + seq[va + vb:],
+                               seen | {mark} if vb == 1 else frozenset())
+
+    @functools.cache
+    def count(state):
+        return (state[0] == (g.start,)) + sum(map(count, children(state)))
+
+    wanted = math.inf if limit is None else limit
+    done, order, found = set(), [], 0
+
+    def visit(state) -> bool:
+        nonlocal found
+        if state in done:
+            found += count(state)
+            return found >= wanted
+        if state[0] == (g.start,):
+            found += 1
+            if found >= wanted:
+                return True
+        order.append(state)
+        if any(visit(child) for child in children(state)):
+            return True
+        done.add(state)
+        return False
+
+    visit((cats, frozenset()))
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammars, st.data())
+def test_active_solves_each_distinct_sequence_once(grammar, data):
+    # the windows of a sequence are solved at its first scan and read
+    # from the search's table by every later state with that sequence;
+    # with a limit, a state the search stops at before its scan posts
+    # nothing (no store is made while no rule length fits the root)
+    g = _load(*grammar)
+    names = [c.name for c in g.categories()]
+    cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
+    assume(_oracle_nodes(cats, g, 500) <= 500)
+    want = oracle_parse(cats, g)
+    rhss = {r.rhs for r in g.rules}
+    stored = len(cats) >= min(g.rhs_lengths())
+    for limit in (None, *range(1, len(want) + 2)):
+        lines = []
+        got, stats = parse(cats, g, limit=limit, trace=lines.append)
+        assert got == want[:limit]
+        order = _scan_order(cats, g, limit)
+        sequences = list(dict.fromkeys(seq for seq, _ in order)) if stored else []
+        assert _posted(lines) == sequences
+        assert stats.propagation_steps == len(sequences)
+        if limit is None:
+            assert stats.windows_tried == sum(len(_spelled(seq, rhss)) for seq, _ in order)

@@ -404,6 +404,14 @@ def test_parse_avm_errors():
             parse_avm(bad)
 
 
+def test_a_hyphen_in_a_name_sits_between_word_characters():
+    assert parse_avm("[a-b: c-d-2, e: <np, vp-x>]") == {"a_b": "c-d-2", "e": ("np", "vp-x")}
+    # a trailing or doubled hyphen is not part of the name before it
+    for bad in ("[comps: <np->]", "[a: np-]", "[a-: b]", "[a: b--c]"):
+        with pytest.raises(UsageError, match="avm syntax"):
+            parse_avm(bad)
+
+
 VALID_AVMS = [CASE_MATRIX, "[x: #1, y: #1 [maj: n]]", "[comps: <#1 [maj: n], #2 [maj: p]>, subj: <>]",
               "[+vform: pas, -index, ?gen: masc, x: -]", "[a-b: [c_d: e], f: <g, #3>]"]
 AVM_TOKEN = re.compile(r"#\d+|[\[\]<>,:+?-]|[A-Za-z_][\w-]*")

@@ -324,6 +324,15 @@ def test_fcr_plus_prefix_is_cosmetic():
     assert parse_fcr("+PRD -> ~INDEX") == parse_fcr("PRD -> ~INDEX")
 
 
+def test_an_arrow_may_follow_a_name_without_a_blank():
+    text = open(TOY_LEX).read()
+    spaced = load_grammar(text + "\nfcr PFORM -> ~INDEX.\nfcr CASE[NOM] -> INDEX.\n")
+    tight = load_grammar(text + "\nfcr PFORM->~INDEX.\nfcr CASE[NOM]->INDEX.\n")
+    assert tight.fcrs == spaced.fcrs
+    assert parse_fcr("PFORM->~INDEX") == parse_fcr("PFORM -> ~INDEX")
+    assert load_grammar("rule S->A B. start S.").rules == [PSRule("S", ("A", "B"))]
+
+
 def test_fcr_must_be_implication():
     with pytest.raises(GrammarError):
         parse_fcr("PFORM & INDEX")

@@ -174,6 +174,28 @@ def test_parse_constants_and_errors():
         parse_formula("(a", env)
 
 
+def test_a_hyphen_in_a_name_sits_between_word_characters():
+    env = {n: n for n in ("a", "b", "a-b", "c-d-2", "a-", "a--b")}
+    assert parse_formula("a->b", env) == Implies(Var("a"), Var("b"))
+    assert parse_formula("a-b->c-d-2", env) == Implies(Var("a-b"), Var("c-d-2"))
+    assert parse_formula("a-b<->~a", env) == Equiv(Var("a-b"), Not(Var("a")))
+    for bad in ("a- > b", "a-", "-a", "a--b"):
+        with pytest.raises(UsageError, match="bad text"):
+            parse_formula(bad, env)
+
+
+def test_empty_connectives_format_as_constants():
+    # the empty conjunction is true and the empty disjunction false, in
+    # text that parse_formula reads back
+    assert format_formula(And(())) == "true"
+    assert format_formula(Or(())) == "false"
+    assert format_formula(Not(Or(()))) == "~false"
+    assert format_formula(And((Or(()), Var("a")))) == "false & a"
+    assert parse_formula(format_formula(Or(())), {}) == Const(False)
+    assert parse_formula(format_formula(Implies(And(()), Or(()))), {}) == \
+        Implies(Const(True), Const(False))
+
+
 def test_format_round_trip():
     env = {n: n for n in "abc"}
     for text in ["a & b | c", "~(a | b)", "a -> b -> c", "a <-> ~b", "a & (b | c)"]:
@@ -259,3 +281,32 @@ def test_enforce_matches_the_original(f, want, vals):
     assert enforce(f, want, new.look, new.assign) == _old_enforce(f, want, old.look, old.assign)
     assert new.log == old.log
     assert new.vals == old.vals
+
+
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,2}(?:-[A-Za-z0-9_]{1,2}){0,2}",
+                       fullmatch=True).filter(lambda n: n not in ("true", "false"))
+# And and Or with no arm or at least two: one arm prints as the arm alone
+_arms = st.sampled_from((0, 2, 3))
+_named_formulas = st.recursive(
+    _names.map(Var) | st.booleans().map(Const),
+    lambda sub: (sub.map(Not)
+                 | _arms.flatmap(lambda n: st.lists(sub, min_size=n, max_size=n))
+                   .map(lambda a: And(tuple(a)))
+                 | _arms.flatmap(lambda n: st.lists(sub, min_size=n, max_size=n))
+                   .map(lambda a: Or(tuple(a)))
+                 | st.tuples(sub, sub).map(lambda p: Implies(*p))
+                 | st.tuples(sub, sub).map(lambda p: Equiv(*p))),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_named_formulas, st.data())
+def test_format_then_parse_round_trips(f, data):
+    # the text reads back to a formula that prints as the same text and
+    # has the same Kleene value under every valuation drawn
+    env = {ref: ref for ref in f.leaves()}
+    text = format_formula(f)
+    back = parse_formula(text, env)
+    assert format_formula(back) == text
+    vals = data.draw(st.fixed_dictionaries({n: st.sampled_from([T, F, U]) for n in env}))
+    assert eval_formula(back, vals.__getitem__) is eval_formula(f, vals.__getitem__)
