@@ -1,10 +1,14 @@
 """Bottom-up window parser over category sequences.
 
-The input sequence is split into a.b.c; the middle part is the window.
-Window sizes and origins are enumerated (origin ascending, then size
-ascending), the window is matched against rule right-hand sides, and a
-match rewrites the window to the rule's left-hand side.  A derivation
-records the reduction steps until the sequence equals <start>.
+The input sequence is split into a.b.c; the middle part b is the
+window.  A window is the pair (origin, size), origin = |a| and size =
+|b|, with c the rest of the sequence, so the active strategy below
+posts the split as one store variable over such pairs, not as three
+sequence variables.  Windows are enumerated (origin ascending, then
+size ascending), the window is matched against rule right-hand sides,
+and a match rewrites the window to the rule's left-hand side.  A
+derivation records the reduction steps until the sequence equals
+<start>.
 
 A search state is the sequence plus `unary_seen`, the (origin, lhs)
 unary reductions made since the sequence last got shorter, which stops

@@ -8,11 +8,14 @@ as its one fixed key) is model-gated: it filters nothing until the
 completeness machinery declares it resolvable, at which point it
 induces a complete domain on its first argument.
 
-Sequence variables appear only inside concat3/size, which tie three
-window segments and their sizes to a ground sequence.  `Spells` ties a
-window to a ground sequence by content: one variable over (origin, size)
-windows, kept to those whose slice is a word of a trie (Pesant 2004, for
-the finite language of a grammar's right-hand sides).
+`Spells` ties a window to a ground sequence by content: one variable
+over (origin, size) windows, kept to those whose slice is a word of a
+trie (Pesant 2004, for the finite language of a grammar's right-hand
+sides).
+
+Every constraint but `BoolConstraint` is over finite-domain variables;
+`var_kind` names the kind, and the store refuses a tell or an ask whose
+variables are of the other kind.
 
 Constraints are built in code, through the classes or the constructors
 at the end of this module.  A boolean formula written as text goes
@@ -38,6 +41,7 @@ class Constraint:
 
     model_gated = False
     idempotent = False
+    var_kind = VarKind.FD
 
     def vars(self) -> tuple[VarId, ...]:
         raise NotImplementedError
@@ -57,14 +61,12 @@ class Constraint:
         domain is complete; unknown before that."""
         if not self.is_resolvable(store):
             return AskResult.UNKNOWN
-        fd = [v for v in self.vars() if v.kind is VarKind.FD]
-        if any(not store.is_complete(v) for v in fd):
-            return AskResult.UNKNOWN
-        if any(v.kind is VarKind.SEQ and store.seq_value(v) is None for v in self.vars()):
+        vs = self.vars()
+        if any(not store.is_complete(v) for v in vs):
             return AskResult.UNKNOWN
         truths: set[bool] = set()
-        for combo in itertools.product(*(store.domain(v) for v in fd)):
-            truths.add(self.holds(dict(zip(fd, combo)), store))
+        for combo in itertools.product(*(store.domain(v) for v in vs)):
+            truths.add(self.holds(dict(zip(vs, combo)), store))
             if len(truths) == 2:
                 return AskResult.UNKNOWN
         if truths == {True}:
@@ -189,112 +191,6 @@ class Element(Constraint):
 
 
 @dataclass(frozen=True)
-class Size(Constraint):
-    """Ties a sequence variable to its length.  Idempotent: the filter
-    only prunes the size, to the length of the bound sequence, which its
-    own prune leaves as it is."""
-
-    seq: VarId
-    size: VarId
-
-    idempotent = True
-
-    def vars(self):
-        return (self.seq, self.size)
-
-    def filter(self, store):
-        bound = store.seq_value(self.seq)
-        if bound is not None:
-            return store.prune(self.size, {len(bound)})
-        return True
-
-    def holds(self, asg, store):
-        bound = store.seq_value(self.seq)
-        return bound is not None and len(bound) == asg[self.size]
-
-
-@dataclass(frozen=True)
-class Concat3(Constraint):
-    """whole = a . b . c with size variables a1, b1, c1.
-
-    The ground sequence is known; the constraint keeps the three size
-    domains mutually supported (a1 + b1 + c1 = |whole|, consistent with
-    any already-bound segment) and binds the segment variables to slices
-    once the split is determined.  Enumerating the supported (a1, b1)
-    pairs enumerates exactly the window positions over `whole`.
-
-    Idempotent: the filter prunes all three sizes at once to exact
-    support, so every value left keeps the triple that supported it,
-    and it binds the segments only to the slices of that support, which
-    a second run finds consistent.  Not so when a size variable is named
-    twice: the filter checks the two places independently, and a second
-    run can prune more, so such a constraint wakes itself.
-    """
-
-    a: VarId
-    b: VarId
-    c: VarId
-    whole: tuple
-    a1: VarId
-    b1: VarId
-    c1: VarId
-
-    idempotent = True
-
-    def __post_init__(self) -> None:
-        if len({self.a1, self.b1, self.c1}) < 3:
-            object.__setattr__(self, "idempotent", False)
-
-    def vars(self):
-        return (self.a, self.b, self.c, self.a1, self.b1, self.c1)
-
-    def _segment_ok(self, seg: VarId, lo: int, hi: int, store) -> bool:
-        bound = store.seq_value(seg)
-        return bound is None or bound == self.whole[lo:hi]
-
-    def filter(self, store):
-        whole = self.whole
-        n = len(whole)
-        seg_a, seg_b, seg_c = (store.seq_value(s) for s in (self.a, self.b, self.c))
-        db = store.domain(self.b1)
-        dc = set(store.domain(self.c1))
-        sup_a, sup_b, sup_c = set(), set(), set()
-        for va in store.domain(self.a1):
-            if seg_a is not None and seg_a != whole[:va]:
-                continue
-            for vb in db:
-                vc = n - va - vb
-                if vc < 0 or vc not in dc:
-                    continue
-                if seg_b is not None and seg_b != whole[va:va + vb]:
-                    continue
-                if seg_c is not None and seg_c != whole[va + vb:]:
-                    continue
-                sup_a.add(va)
-                sup_b.add(vb)
-                sup_c.add(vc)
-        if not (store.prune(self.a1, sup_a)
-                and store.prune(self.b1, sup_b)
-                and store.prune(self.c1, sup_c)):
-            return False
-        va, vb = store.value(self.a1), store.value(self.b1)
-        if va is not None and vb is not None:
-            return (store.bind_seq(self.a, self.whole[:va])
-                    and store.bind_seq(self.b, self.whole[va:va + vb])
-                    and store.bind_seq(self.c, self.whole[va + vb:]))
-        return True
-
-    def holds(self, asg, store):
-        n = len(self.whole)
-        va, vb, vc = asg[self.a1], asg[self.b1], asg[self.c1]
-        if va + vb + vc != n:
-            return False
-        return (self._segment_ok(self.a, 0, va, store)
-                and self._segment_ok(self.b, va, va + vb, store)
-                and self._segment_ok(self.c, va + vb, n, store))
-
-
-@dataclass(frozen=True)
 class Spells(Constraint):
     """w ranges over (origin, size) windows of `whole` that spell a word
     of `trie`: a dict from each first symbol to the pair (the values at
@@ -350,6 +246,8 @@ class BoolConstraint(Constraint):
     remaining status is forced."""
 
     formula: Formula
+
+    var_kind = VarKind.BOOL
 
     def __post_init__(self) -> None:
         # Every tell hashes the constraint and reads its variables; walk
@@ -441,14 +339,6 @@ def all_distinct(*items) -> AllDistinct:
 
 def element(x: VarId, allowed) -> Element:
     return Element(x, tuple(allowed))
-
-
-def size(seq: VarId, size_var: VarId) -> Size:
-    return Size(seq, size_var)
-
-
-def concat3(a, b, c, whole, a1, b1, c1) -> Concat3:
-    return Concat3(a, b, c, tuple(whole), a1, b1, c1)
 
 
 def spells(w: VarId, whole, trie: dict) -> Spells:

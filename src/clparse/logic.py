@@ -374,8 +374,14 @@ def parse_with_leaves(text: str, leaf_pattern: str,
     return node
 
 
+_CONSTANTS = ("true", "false")
+
+
 def parse_formula(text: str, env: dict[str, object]) -> Formula:
-    """Parse the textual boolean syntax; names resolve through `env`."""
+    """Parse the textual boolean syntax; names resolve through `env`,
+    which may not name a constant."""
+    if any(const in env for const in _CONSTANTS):
+        raise UsageError("true and false are constants, not variable names")
 
     def leaf(tok: str) -> Formula:
         if tok == "true":
@@ -390,14 +396,20 @@ def parse_formula(text: str, env: dict[str, object]) -> Formula:
 
 
 def format_formula(f: Formula, name_of: Callable[[object], str] = str) -> str:
-    """Render a formula in the same syntax `parse_formula` accepts."""
+    """Render a formula in the same syntax `parse_formula` accepts.  A
+    name that could never read back -- empty, with a blank, or a
+    constant -- is a `UsageError`."""
     return _format(f, 0, name_of)
 
 
 def _format(g: Formula, parent: int, name_of) -> str:
     # precedence: equiv 0 < implies 1 < or 2 < and 3 < unary 4
     if isinstance(g, Var):
-        return name_of(g.ref)
+        name = name_of(g.ref)
+        # one word, neither empty nor holding a blank
+        if name.split() != [name] or name in _CONSTANTS:
+            raise UsageError(f"{name!r} cannot be written as a variable name")
+        return name
     if isinstance(g, Const):
         return "true" if g.value else "false"
     if isinstance(g, (And, Or)) and not g.args:

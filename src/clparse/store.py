@@ -1,9 +1,11 @@
 """Finite-domain ask/tell constraint store with three-valued statuses.
 
-The store holds three kinds of variables (finite-domain, boolean status,
-sequence), incrementally described relations that model the structure
+The store holds two kinds of variables, finite-domain and boolean
+status, incrementally described relations that model the structure
 under analysis, a FIFO propagation queue, suspended asks woken by store
-events, and one trail behind snapshot/restore and transactions.
+events, and one trail behind snapshot/restore and transactions.  Each
+constraint names the kind of its variables; a tell, an ask or a read
+that meets a variable of the other kind is a `UsageError`.
 
 Domains only shrink; what grows is the model description.  Each domain
 carries a completeness flag: until `close_domain` is called the current
@@ -15,12 +17,11 @@ be measured exactly.
 
 An event on a variable queues every constraint watching it, once.  The
 one exception is the constraint whose filter made the event: an
-idempotent one (`Eq`, `Neq`, `Element`, `Size`, `Spells`, `Concat3`
-over three distinct size variables), whose single run already reaches
-its own fixpoint, is not woken by its own prunes (Schulte & Stuckey,
-"Efficient constraint propagation engines", 2008).  `AllDistinct`,
-`BoolConstraint` and `InRelation` are woken by every event on their
-variables, their own included.
+idempotent one (`Eq`, `Neq`, `Element`, `Spells`), whose single run
+already reaches its own fixpoint, is not woken by its own prunes
+(Schulte & Stuckey, "Efficient constraint propagation engines", 2008).
+`AllDistinct`, `BoolConstraint` and `InRelation` are woken by every
+event on their variables, their own included.
 
 Work counts (completeness tests, propagation steps, ask evaluations) go
 to `Store.counters`, a `Stats` record, and are cumulative: restore never
@@ -50,7 +51,10 @@ def _drop_keys(table: dict, keys) -> None:
 class VarKind(enum.Enum):
     FD = "fd"
     BOOL = "bool"
-    SEQ = "seq"
+
+
+# module names for the kinds: a lookup on an enum class is slow
+_FD, _BOOL = VarKind.FD, VarKind.BOOL
 
 
 @dataclass(frozen=True)
@@ -103,14 +107,13 @@ class AskResult(enum.Enum):
 
 
 class _VarState:
-    __slots__ = ("kind", "domain", "complete", "status", "seq")
+    __slots__ = ("kind", "domain", "complete", "status")
 
     def __init__(self, kind: VarKind):
         self.kind = kind
         self.domain: dict | None = None  # ordered set for FD vars
         self.complete = False
         self.status = Bool3.UNKNOWN
-        self.seq: tuple | None = None
 
 
 class Snapshot:
@@ -256,7 +259,7 @@ class Store:
         The domain starts incomplete -- a partial description that later
         information may be measured against -- unless `closed` is set.
         """
-        state = _VarState(VarKind.FD)
+        state = _VarState(_FD)
         state.domain = dict.fromkeys(values)
         if not state.domain:
             raise UsageError("a finite-domain variable needs at least one value")
@@ -264,10 +267,7 @@ class Store:
         return self._install(state, name)
 
     def new_bool(self, name: str = "") -> VarId:
-        return self._install(_VarState(VarKind.BOOL), name)
-
-    def new_seq(self, name: str = "") -> VarId:
-        return self._install(_VarState(VarKind.SEQ), name)
+        return self._install(_VarState(_BOOL), name)
 
     def new_bools(self, specs) -> list[VarId]:
         """Boolean variables in one batch, one per `(name, status)` pair,
@@ -276,10 +276,10 @@ class Store:
         ask, so a known status wakes nothing."""
         out = []
         for name, status in specs:
-            state = _VarState(VarKind.BOOL)
+            state = _VarState(_BOOL)
             idx = next(self._next_var)
             self._vars[idx] = state
-            v = VarId(idx, self._id, VarKind.BOOL, name)
+            v = VarId(idx, self._id, _BOOL, name)
             out.append(v)
             if status is not None:
                 state.status = Bool3.of(status)
@@ -297,11 +297,15 @@ class Store:
         self._trail.append(functools.partial(self._vars.pop, idx, None))
         return VarId(idx, self._id, state.kind, name)
 
-    def _state(self, v: VarId) -> _VarState:
-        # fast path: a live handle of this store
+    def _state(self, v: VarId, kind: VarKind) -> _VarState:
+        """v's state, once v is found to be a live variable of this
+        store and of that kind."""
+        # fast path: a live handle of this store, of the kind asked for
         try:
             if v.store_id == self._id:
-                return self._vars[v.index]
+                state = self._vars[v.index]
+                if state.kind is kind:
+                    return state
         except (AttributeError, KeyError):
             pass
         if not isinstance(v, VarId) or v.store_id != self._id:
@@ -309,29 +313,23 @@ class Store:
         state = self._vars.get(v.index)
         if state is None:
             raise UsageError(f"{v!r} no longer exists (restored away?)")
-        return state
+        raise UsageError(f"{v!r} is a {state.kind.value} variable, not {kind.value}")
 
     def domain(self, v: VarId) -> tuple:
-        return tuple(self._state(v).domain)
+        return tuple(self._state(v, _FD).domain)
 
     def value(self, v: VarId):
         """The single remaining value, or None if not yet determined."""
-        dom = self._state(v).domain
+        dom = self._state(v, _FD).domain
         if len(dom) == 1:
             return next(iter(dom))
         return None
 
     def is_complete(self, v: VarId) -> bool:
-        return self._state(v).complete
+        return self._state(v, _FD).complete
 
     def bool_value(self, v: VarId) -> Bool3:
-        state = self._state(v)
-        if state.kind is not VarKind.BOOL:
-            raise UsageError(f"{v!r} is not a boolean variable")
-        return state.status
-
-    def seq_value(self, v: VarId) -> tuple | None:
-        return self._state(v).seq
+        return self._state(v, _BOOL).status
 
     # -- propagator API ---------------------------------------------------
     # Trailed single steps that do not propagate: filters call them,
@@ -345,7 +343,7 @@ class Store:
     def prune(self, v: VarId, allowed) -> bool:
         """Intersect v's domain with the set `allowed`.  False iff
         emptied."""
-        state = self._state(v)
+        state = self._state(v, _FD)
         old = state.domain
         if old.keys() <= allowed:
             return True
@@ -358,23 +356,12 @@ class Store:
         return len(new) > 0
 
     def set_bool(self, v: VarId, flag: bool) -> bool:
-        state = self._state(v)
+        state = self._state(v, _BOOL)
         if state.status.known:
             return state.status is Bool3.of(flag)
         state.status = Bool3.of(flag)
         self._trail.append(functools.partial(setattr, state, "status", Bool3.UNKNOWN))
         self._emit("status", v, "U", state.status.value)
-        self._touch_var(v)
-        return True
-
-    def bind_seq(self, v: VarId, value: tuple) -> bool:
-        state = self._state(v)
-        if state.seq is not None:
-            return state.seq == value
-        state.seq = tuple(value)
-        self._trail.append(functools.partial(setattr, state, "seq", None))
-        if self._trace:
-            self._emit("bind", v, "-", repr(value))
         self._touch_var(v)
         return True
 
@@ -392,9 +379,7 @@ class Store:
     def mark_complete(self, v: VarId) -> None:
         """Flag v's domain complete and fire the closure event, without
         propagating (safe to call from inside a filter)."""
-        state = self._state(v)
-        if state.kind is not VarKind.FD:
-            raise UsageError("only finite-domain variables can be closed")
+        state = self._state(v, _FD)
         if state.complete:
             return
         state.complete = True
@@ -412,7 +397,7 @@ class Store:
         This is the event that lets suspended asks and resolvability
         checks over v fire.  Returns the store's consistency flag.
         """
-        if self._state(v).complete:
+        if self._state(v, _FD).complete:
             return True
         mark = self._mark()
         self.mark_complete(v)
@@ -501,10 +486,11 @@ class Store:
 
     def _check_owned(self, c) -> tuple:
         """c's variables, once they and c's relation, if it has one, are
-        found to belong to this store."""
-        cvars = c.vars()
+        found to belong to this store, and the variables to be of c's
+        kind."""
+        cvars, kind = c.vars(), c.var_kind
         for v in cvars:
-            self._state(v)
+            self._state(v, kind)
         if c.model_gated and c.relation._store() is not self:
             raise UsageError(f"relation {c.relation.name} does not belong to this store")
         return cvars
@@ -662,12 +648,10 @@ class Store:
         rows = []
         for idx in sorted(self._vars):
             state = self._vars[idx]
-            if state.kind is VarKind.FD:
+            if state.kind is _FD:
                 rows.append((idx, tuple(state.domain), state.complete))
-            elif state.kind is VarKind.BOOL:
-                rows.append((idx, state.status.value))
             else:
-                rows.append((idx, state.seq))
+                rows.append((idx, state.status.value))
         return tuple(rows), len(self.posted)
 
     @staticmethod

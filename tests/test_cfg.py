@@ -248,10 +248,9 @@ def test_a_parse_leaves_no_garbage(toy):
         gc.enable()
 
 
-def _store_work(lines: list) -> tuple[int, int]:
-    """Spells and Concat3 posts in a trace."""
-    return (sum(ln.startswith("EVENT post Spells(") for ln in lines),
-            sum(ln.startswith("EVENT post Concat3(") for ln in lines))
+def _store_work(lines: list) -> int:
+    """Spells posts in a trace."""
+    return sum(ln.startswith("EVENT post Spells(") for ln in lines)
 
 
 def _count_stores(monkeypatch) -> list:
@@ -271,14 +270,14 @@ def test_one_window_post_per_distinct_sequence(toy, monkeypatch):
     # active makes one store per search and posts one Spells, naming a
     # sequence, per distinct sequence scanned: the 51 states scanned hold
     # 32 sequences, and a state whose sequence was solved before reads
-    # its windows from the search's table; no Concat3
+    # its windows from the search's table
     stores = _count_stores(monkeypatch)
     lines = []
     search = Search(toy, "active", trace=lines.append)
     assert tuple(search.derivations(SENT7)) == oracle_parse(SENT7, toy)
     assert len(stores) == 1
     assert len(search.memo) == 51
-    assert _store_work(lines) == (len({seq for seq, _ in search.memo}), 0) == (32, 0)
+    assert _store_work(lines) == len({seq for seq, _ in search.memo}) == 32
     assert search.stats.propagation_steps == 32
     assert f"EVENT post Spells(w=w, whole={SENT7!r}) - -" in lines
 
@@ -307,7 +306,7 @@ def test_limited_parse_counts_the_store_work_done(toy):
         lines = []
         derivs, stats = parse(SENT7, toy, limit=k, trace=lines.append)
         assert len(derivs) == k
-        assert 0 < stats.propagation_steps == _store_work(lines)[0] < full
+        assert 0 < stats.propagation_steps == _store_work(lines) < full
 
 
 def test_a_search_reused_with_a_longer_root(toy, monkeypatch):

@@ -1,7 +1,5 @@
 """Constraint vocabulary: filtering strength and entailment answers."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +12,10 @@ from clparse import (
     Var,
     all_distinct,
     bool_post,
-    concat3,
     element,
     eq,
     in_relation,
     neq,
-    size,
 )
 from clparse.constraints import BoolConstraint, spells
 from clparse.grammar import load_grammar
@@ -85,105 +81,6 @@ def test_element_restricts_at_post():
     assert s.tell(element(x, ["NP", "VP"]))
     assert s.domain(x) == ("NP", "VP")
     assert not s.tell(element(x, ["S"]))
-
-
-def test_size_follows_binding():
-    s = Store()
-    q = s.new_seq("q")
-    n = s.new_var(range(10))
-    s.tell(size(q, n))
-    s.bind_seq(q, ("a", "b", "c"))
-    assert s.propagate()
-    assert s.value(n) == 3
-
-
-def test_concat3_supported_splits():
-    s = Store()
-    whole = ("the", "cat", "sleeps")
-    a, b, c = s.new_seq("a"), s.new_seq("b"), s.new_seq("c")
-    a1 = s.new_var(range(4), closed=True)
-    b1 = s.new_var(range(4), closed=True)
-    c1 = s.new_var(range(4), closed=True)
-    assert s.tell(concat3(a, b, c, whole, a1, b1, c1))
-    # every split with a1 + b1 + c1 = 3 survives
-    assert s.domain(a1) == (0, 1, 2, 3)
-    s.tell(eq(b1, 2))
-    assert s.domain(a1) == (0, 1)
-    s.tell(eq(a1, 1))
-    assert s.value(c1) == 0
-    assert s.seq_value(a) == ("the",)
-    assert s.seq_value(b) == ("cat", "sleeps")
-    assert s.seq_value(c) == ()
-
-
-def test_concat3_respects_bound_segments():
-    s = Store()
-    whole = ("a", "b", "a", "b")
-    a, b, c = s.new_seq(), s.new_seq(), s.new_seq()
-    a1 = s.new_var(range(5), closed=True)
-    b1 = s.new_var(range(5), closed=True)
-    c1 = s.new_var(range(5), closed=True)
-    s.tell(concat3(a, b, c, whole, a1, b1, c1))
-    s.bind_seq(b, ("a", "b"))
-    assert s.propagate()
-    assert s.domain(b1) == (2,)
-    assert s.domain(a1) == (0, 2)   # the two positions where "a b" occurs
-
-
-def test_concat3_window_enumeration_matches_arithmetic():
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randrange(0, 7)
-        whole = tuple(rng.choice("xy") for _ in range(n))
-        s = Store()
-        a, b, c = s.new_seq(), s.new_seq(), s.new_seq()
-        a1 = s.new_var(range(n + 1), closed=True)
-        b1 = s.new_var(range(n + 1), closed=True)
-        c1 = s.new_var(range(n + 1), closed=True)
-        assert s.tell(concat3(a, b, c, whole, a1, b1, c1))
-        pairs = set()
-        top = s.snapshot()
-        for va in s.domain(a1):
-            s.restore(top)
-            if not s.tell(eq(a1, va)):
-                continue
-            mid = s.snapshot()
-            for vb in s.domain(b1):
-                s.restore(mid)
-                if s.tell(eq(b1, vb)):
-                    pairs.add((va, vb))
-        s.restore(top)
-        want = {(i, j) for i in range(n + 1) for j in range(n + 1 - i)}
-        assert pairs == want
-
-
-_sizes = st.sets(st.integers(0, 7), min_size=1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.text("xy", max_size=6).map(tuple), _sizes, _sizes, _sizes, st.data())
-def test_concat3_filter_matches_brute_force(whole, da, db, dc, data):
-    # each segment is unbound, bound to a random tuple, or bound to a
-    # slice of `whole` that may or may not be its own
-    n = len(whole)
-    segment = (st.none() | st.text("xy", max_size=6).map(tuple)
-               | st.builds(lambda lo, hi: whole[lo:hi], st.integers(0, n), st.integers(0, n)))
-    bound = [data.draw(segment) for _ in range(3)]
-    s = Store()
-    a, b, c = s.new_seq("a"), s.new_seq("b"), s.new_seq("c")
-    a1, b1, c1 = (s.new_var(sorted(d)) for d in (da, db, dc))
-    for seg, value in zip((a, b, c), bound):
-        if value is not None:
-            assert s.bind_seq(seg, value)
-    sols = [(va, vb, vc) for va in da for vb in db for vc in dc
-            if va + vb + vc == n
-            and bound[0] in (None, whole[:va])
-            and bound[1] in (None, whole[va:va + vb])
-            and bound[2] in (None, whole[va + vb:])]
-    assert s.tell(concat3(a, b, c, whole, a1, b1, c1)) == bool(sols)
-    if sols:
-        for var, i in ((a1, 0), (b1, 1), (c1, 2)):
-            assert set(s.domain(var)) == {sol[i] for sol in sols}
 
 
 # Words sharing prefixes: A, A B, A B C, B A, C

@@ -18,6 +18,7 @@ from clparse.fstruct import (
     encode,
     parse_avm,
 )
+from clparse.logic import NAME
 
 CASE_MATRIX = "[cat: [head: [maj: n, case: nom]], content: [index: [gen: masc, num: sing]]]"
 
@@ -414,7 +415,7 @@ def test_a_hyphen_in_a_name_sits_between_word_characters():
 
 VALID_AVMS = [CASE_MATRIX, "[x: #1, y: #1 [maj: n]]", "[comps: <#1 [maj: n], #2 [maj: p]>, subj: <>]",
               "[+vform: pas, -index, ?gen: masc, x: -]", "[a-b: [c_d: e], f: <g, #3>]"]
-AVM_TOKEN = re.compile(r"#\d+|[\[\]<>,:+?-]|[A-Za-z_][\w-]*")
+AVM_TOKEN = re.compile(rf"#\d+|[\[\]<>,:+?-]|{NAME}")
 
 
 @settings(max_examples=200, deadline=None)

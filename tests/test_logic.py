@@ -172,6 +172,10 @@ def test_parse_constants_and_errors():
         parse_formula("a &", env)
     with pytest.raises(UsageError):
         parse_formula("(a", env)
+    # a constant's name cannot stand for a variable
+    for const in ("true", "false"):
+        with pytest.raises(UsageError, match="constants"):
+            parse_formula(const, {const: "x"})
 
 
 def test_a_hyphen_in_a_name_sits_between_word_characters():
@@ -283,8 +287,11 @@ def test_enforce_matches_the_original(f, want, vals):
     assert new.vals == old.vals
 
 
-_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,2}(?:-[A-Za-z0-9_]{1,2}){0,2}",
-                       fullmatch=True).filter(lambda n: n not in ("true", "false"))
+_readable = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,2}(?:-[A-Za-z0-9_]{1,2}){0,2}",
+                          fullmatch=True).filter(lambda n: n not in ("true", "false"))
+# names no text could read back as a variable: one in four leaves
+_unreadable = st.sampled_from(("", "true", "false", "a b", " a", "a\n", "\t"))
+_names = st.one_of(_readable, _readable, _readable, _unreadable)
 # And and Or with no arm or at least two: one arm prints as the arm alone
 _arms = st.sampled_from((0, 2, 3))
 _named_formulas = st.recursive(
@@ -303,8 +310,17 @@ _named_formulas = st.recursive(
 @given(_named_formulas, st.data())
 def test_format_then_parse_round_trips(f, data):
     # the text reads back to a formula that prints as the same text and
-    # has the same Kleene value under every valuation drawn
+    # has the same Kleene value under every valuation drawn; a formula
+    # with a name that could not read back is refused in writing, and a
+    # name that is a constant in reading too
     env = {ref: ref for ref in f.leaves()}
+    if any(not n or n in ("true", "false") or any(c.isspace() for c in n) for n in env):
+        with pytest.raises(UsageError, match="variable name"):
+            format_formula(f)
+        if {"true", "false"} & env.keys():
+            with pytest.raises(UsageError, match="constants"):
+                parse_formula("true", env)
+        return
     text = format_formula(f)
     back = parse_formula(text, env)
     assert format_formula(back) == text

@@ -8,6 +8,7 @@ closure) and then confirmed by independent simulation before being
 frozen here.
 """
 
+import functools
 import gc
 import re
 from dataclasses import dataclass, field
@@ -24,13 +25,13 @@ from clparse import (
     Bool3,
     Constraint,
     InconsistencyError,
+    Stats,
     Store,
     UsageError,
     Var,
     VarId,
     all_distinct,
     bool_post,
-    concat3,
     daughter,
     element,
     eq,
@@ -39,7 +40,6 @@ from clparse import (
     load_grammar_file,
     neq,
     parse,
-    size,
 )
 from clparse.constraints import spells
 
@@ -86,11 +86,6 @@ def test_bool_and_seq_vars():
     assert s.bool_value(b) is Bool3.TRUE
     assert s.set_bool(b, True)      # idempotent
     assert not s.set_bool(b, False)  # clash
-    q = s.new_seq("q")
-    assert s.seq_value(q) is None
-    assert s.bind_seq(q, ("a", "b"))
-    assert s.seq_value(q) == ("a", "b")
-    assert not s.bind_seq(q, ("a",))
 
 
 def test_close_domain_only_fd():
@@ -98,6 +93,29 @@ def test_close_domain_only_fd():
     b = s.new_bool()
     with pytest.raises(UsageError):
         s.close_domain(b)
+
+
+def test_a_variable_of_the_wrong_kind_is_a_usage_error():
+    # each constraint names the kind of its variables, and the store
+    # checks it at tell and ask, as it checks each read and write, before
+    # anything changes
+    s = Store()
+    x, b = s.new_var([1, 2], name="x"), s.new_bool("b")
+    r = s.new_relation("r", 2)
+    calls = [functools.partial(s.set_bool, x, True), functools.partial(s.bool_value, x),
+             functools.partial(s.domain, b), functools.partial(s.value, b),
+             functools.partial(s.prune, b, {1}), functools.partial(s.is_complete, b)]
+    for c in (eq(b, 1), eq(x, b), neq(b, x), element(b, [1]), all_distinct(x, b),
+              spells(b, ("a",), {}), in_relation(b, (x,), r), in_relation(x, (b,), r),
+              bool_post(Var(x)), bool_post(And((Var(b), Var(x))))):
+        calls += [functools.partial(s.tell, c), functools.partial(s.ask, c),
+                  functools.partial(s.post_ask, c, print)]
+    before = s.fingerprint()
+    for call in calls:
+        with pytest.raises(UsageError):
+            call()
+        assert s.fingerprint() == before, call
+    assert s.counters == Stats()
 
 
 # -- tell --------------------------------------------------------------------
@@ -149,23 +167,13 @@ def test_propagation_stops_where_no_posted_filter_prunes(data):
     whole = WHOLE[:n]
     s = Store()
     fd = [s.new_var(range(n + 1), name=f"x{i}") for i in range(4)]
-    seqs = [s.new_seq(f"s{i}") for i in range(3)]
     win = s.new_var([(va, vb) for va in range(n) for vb in range(1, n - va + 1)], name="w")
-    with s.transaction():
-        for seq in seqs:
-            if data.draw(st.booleans(), label="pre-bound"):
-                i = data.draw(st.integers(0, n))
-                s.bind_seq(seq, whole[i:data.draw(st.integers(i, n))])
-    var, val, seq = st.sampled_from(fd), st.integers(0, n), st.sampled_from(seqs)
+    var, val = st.sampled_from(fd), st.integers(0, n)
     post = st.one_of(
         st.builds(eq, var, st.one_of(var, val)),
         st.builds(neq, var, st.one_of(var, val)),
         st.builds(element, var, st.lists(val, max_size=n + 1)),
         st.lists(st.one_of(var, val), min_size=2, max_size=4).map(lambda xs: all_distinct(*xs)),
-        st.builds(size, seq, var),
-        # size variables may repeat
-        st.tuples(seq, seq, seq, var, var, var).map(
-            lambda t: concat3(t[0], t[1], t[2], whole, *t[3:])),
         # the windows of a suffix of `whole` that spell a word, in a
         # domain disequalities may have thinned
         st.builds(neq, st.just(win), st.sampled_from(s.domain(win))),

@@ -4,10 +4,13 @@ workload's own run and check must pass on its sentences (the capped
 11-token one aside), so that a change to the package fails here rather
 than in a benchmark run.  The tests read `bench/` and edit nothing.
 Last, no module of the package or of its tests may import a name it
-never uses."""
+never uses, and every class the README names exists."""
 
 import ast
+import builtins
 import importlib.util
+import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -107,3 +110,16 @@ def test_no_module_imports_a_name_it_never_uses(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def test_every_class_the_readme_names_exists():
+    # a backticked CamelCase name, alone or opening a call or an
+    # attribute, is a builtin or a name in the package or one of its
+    # modules, so the README cannot go on naming a deleted class
+    modules = [clparse] + [importlib.import_module(f"clparse.{m.name}")
+                           for m in pkgutil.iter_modules(clparse.__path__)]
+    names = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)[`(.]",
+                           (ROOT / "README.md").read_text()))
+    missing = sorted(n for n in names
+                     if not hasattr(builtins, n) and not any(hasattr(m, n) for m in modules))
+    assert not missing
