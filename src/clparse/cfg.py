@@ -28,24 +28,35 @@ A sentence is one `Search`, its taggings roots of one memo, with
 `limit` counted across them.  A tagging's distinct trees are built along
 its derivations by the origins, each with its first one.
 
-Two strategies make the same reductions in the same order and return
-the same derivations; they differ only in which windows they try.
-"active" posts what the window must spell: one store per search holds
-a variable w over the (origin, size) windows of a rule length that fit
-the root, in scan order, and at each distinct sequence scanned a
-`Spells` constraint prunes w to the windows whose slice is a rule's
-right-hand side, by a walk over the grammar's trie of right-hand sides
-from each origin (Pesant 2004: the right-hand sides are a finite regular
-language).  Each solve restores the store to the snapshot taken after w
-was made, tells `Spells` for its sequence and reads the windows off w's
-domain; the store counts into the search's `Stats` as it works, and a
-longer root makes a new store.  The answer depends on the sequence
-alone, so the search tables it by sequence, and every later state with
-that sequence reads it from the table instead of solving again
-(Schulte & Stuckey 2008: a propagator whose input did not change is
-not run again).  "gentest" enumerates every arithmetically possible
-window, tabled by sequence length, and tests it after the fact, which
-is the figure the active strategy is measured against.
+Two strategies return the same derivations in the same order; they
+differ in which windows they try, and so in the dead states they scan.
+"active" posts what the window must spell, and where its rewrite may
+stand: one store per search holds a variable w over the (origin, size)
+windows of a rule length that fit the root, in scan order.  At each
+distinct sequence scanned, the search first checks every two
+neighbours of the sequence, and either end, against the grammar's
+table of categories that may stand side by side in a sentential form
+(`Grammar.follows`); a sequence that fails it, a root in practice, has
+no windows and costs the store nothing.  Otherwise a `Spells`
+constraint prunes w to the windows whose slice is a rule's right-hand
+side, by a walk over the grammar's trie of right-hand sides from each
+origin (Pesant 2004: the right-hand sides are a finite regular
+language), and whose rule's left-hand side may stand between the
+window's two neighbours.  Those are the only new neighbours a
+reduction makes, so the check is exact: every state the search skips
+has no derivation, and every state it reaches passes the whole check
+unless its rule shares a right-hand side with one that fits.  Each
+solve restores the store to the snapshot taken after w was made, tells
+`Spells` for its sequence and reads the windows off w's domain; the
+store counts into the search's `Stats` as it works, and a longer root
+makes a new store.  The answer depends on the sequence alone, so the
+search tables it by sequence, and every later state with that sequence
+reads it from the table instead of solving again (Schulte & Stuckey
+2008: a propagator whose input did not change is not run again).
+"gentest" enumerates every arithmetically possible window, tabled by
+sequence length, and tests it after the fact, with neither table: it
+is the plain generate-and-test figure the active strategy is measured
+against, and it scans every dead state it reaches.
 
 A derivation is a tuple of (lhs, window) steps.  `format_derivation`
 writes the paper's text form, <<NP>, <Det,Nm>, ...>, which the CLI
@@ -183,13 +194,15 @@ class Search:
         l = len(seq)
         if self.strategy == "gentest":
             return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
+        if not self.g.could_be_sentential(seq):
+            return ()
         if l > self.size:
             self._new_store(l)
         st = self.store
         if st is None:
             return ()
         st.restore(self.base)
-        if not st.tell(spells(self.w, seq, self.g.rhs_trie)):
+        if not st.tell(spells(self.w, seq, self.g.rhs_trie, self.g.follows)):
             return ()
         return st.domain(self.w)
 

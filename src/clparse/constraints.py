@@ -11,7 +11,8 @@ induces a complete domain on its first argument.
 `Spells` ties a window to a ground sequence by content: one variable
 over (origin, size) windows, kept to those whose slice is a word of a
 trie (Pesant 2004, for the finite language of a grammar's right-hand
-sides).
+sides) that may be rewritten to a symbol its neighbours can stand
+beside.
 
 Every constraint but `BoolConstraint` is over finite-domain variables;
 `var_kind` names the kind, and the store refuses a tell or an ask whose
@@ -29,6 +30,10 @@ from dataclasses import dataclass, field
 
 from .logic import Bool3, Formula, eval_formula, enforce
 from .store import AskResult, Relation, Store, VarId, VarKind
+
+# The symbol past either end of a sequence, in `Spells.follows`: no
+# category name is empty.
+BOUNDARY = ""
 
 
 class Constraint:
@@ -193,19 +198,26 @@ class Element(Constraint):
 @dataclass(frozen=True)
 class Spells(Constraint):
     """w ranges over (origin, size) windows of `whole` that spell a word
-    of `trie`: a dict from each first symbol to the pair (the values at
-    the words that end there, the trie of what may follow), as
-    `Grammar.rhs_trie`, whose values are the rules.  The trie is left out
-    of equality, hashing and repr: a trace line names the sequence.
+    of `trie` rewritable between the window's neighbours.  `trie` is a
+    dict from each first symbol to the pair (the symbols a word ending
+    there may be rewritten to, the trie of what may follow), as
+    `Grammar.rhs_trie`.  `follows` maps a symbol, and `BOUNDARY` for the
+    left end, to the symbols that may stand right after it, `BOUNDARY`
+    for the right end, as `Grammar.follows`.  A window is kept when one
+    of its word's symbols may follow the symbol before the window and be
+    followed by the one after it, `BOUNDARY` past either end of `whole`.
+    The trie and `follows` are left out of equality, hashing and repr: a
+    trace line names the sequence.
 
     The filter walks the trie from each origin of `whole` and prunes w
-    to the windows whose walk ends at a word.  Idempotent: the walk
-    depends on `whole` alone, so a second run finds the same windows
-    and prunes nothing."""
+    to the windows whose walk ends at a word that fits there.
+    Idempotent: the walk depends on `whole` alone, so a second run finds
+    the same windows and prunes nothing."""
 
     w: VarId
     whole: tuple
     trie: dict = field(compare=False, repr=False)
+    follows: dict = field(compare=False, repr=False)
 
     idempotent = True
 
@@ -213,30 +225,40 @@ class Spells(Constraint):
         return (self.w,)
 
     def filter(self, store):
-        whole, trie, n = self.whole, self.trie, len(self.whole)
+        whole, trie, follows, n = self.whole, self.trie, self.follows, len(self.whole)
         spelled = set()
+        before = follows.get(BOUNDARY, ())
         for va, cat in enumerate(whole):
             entry, end = trie.get(cat), va + 1
             while entry is not None:
                 words, node = entry
                 if words:
-                    spelled.add((va, end - va))
+                    after = whole[end] if end < n else BOUNDARY
+                    for x in words:
+                        if x in before and after in follows.get(x, ()):
+                            spelled.add((va, end - va))
+                            break
                 if end == n:
                     break
                 entry, end = node.get(whole[end]), end + 1
+            before = follows.get(cat, ())
         return store.prune(self.w, spelled)
 
     def holds(self, asg, store):
+        whole, follows = self.whole, self.follows
         va, vb = asg[self.w]
-        if not (0 <= va and 0 < vb and va + vb <= len(self.whole)):
+        end = va + vb
+        if not (0 <= va and 0 < vb and end <= len(whole)):
             return False
         node = self.trie
-        for cat in self.whole[va:va + vb]:
+        for cat in whole[va:end]:
             entry = node.get(cat)
             if entry is None:
                 return False
             words, node = entry
-        return bool(words)
+        before = follows.get(whole[va - 1] if va else BOUNDARY, ())
+        after = whole[end] if end < len(whole) else BOUNDARY
+        return any(x in before and after in follows.get(x, ()) for x in words)
 
 
 @dataclass(frozen=True)
@@ -341,8 +363,8 @@ def element(x: VarId, allowed) -> Element:
     return Element(x, tuple(allowed))
 
 
-def spells(w: VarId, whole, trie: dict) -> Spells:
-    return Spells(w, tuple(whole), trie)
+def spells(w: VarId, whole, trie: dict, follows: dict) -> Spells:
+    return Spells(w, tuple(whole), trie, follows)
 
 
 def bool_post(formula: Formula) -> BoolConstraint:

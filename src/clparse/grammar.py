@@ -18,6 +18,9 @@ lexical entry's avm is read by the avm reader, which stops after its
 closing bracket and leaves the clauses after it to the loader.  The
 LP pairs must form a strict partial order; a cycle is reported on the
 line of its latest-declared pair.  A grammar is immutable once loaded.
+The rules also compile to the window parser's two tables: the trie of
+right-hand sides, and `follows`, the categories that may stand side by
+side in a sentential form of the start category.
 Each lexical entry compiles to its sign's template as it is read.  An
 entry that cannot become a sign, or an fcr naming a feature no sign can
 carry, is a `GrammarError` on its line; entries record their fcr sites.
@@ -30,6 +33,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from .constraints import BOUNDARY
 from .errors import GrammarError, UsageError
 from .fstruct import _AvmParser, _norm_feat, compile_avm
 from .logic import NAME, Bool3, Formula, Implies, Var, format_formula, parse_with_leaves
@@ -152,10 +156,14 @@ class Grammar:
         self.lexicon: dict[str, list[LexEntry]] = {}
         self._categories: dict[str, Category] = {}
         self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
-        # The right-hand sides as a trie: each category maps to the rules
-        # whose right-hand side ends there, in file order, and the trie
-        # of the categories that may follow it.
-        self.rhs_trie: dict[str, tuple[tuple[PSRule, ...], dict]] = {}
+        # The right-hand sides as a trie: each category maps to the
+        # left-hand sides of the rules whose right-hand side ends there,
+        # in file order, and the trie of the categories that may follow it.
+        self.rhs_trie: dict[str, tuple[tuple[str, ...], dict]] = {}
+        # Each category, and BOUNDARY for the left end, mapped to those
+        # that may stand right after it in a sentential form of the start
+        # category, BOUNDARY for the right end (`_follows`).
+        self.follows: dict[str, frozenset[str]] = {}
 
     # -- queries --------------------------------------------------------
 
@@ -204,6 +212,13 @@ class Grammar:
 
     def rhs_lengths(self) -> frozenset[int]:
         return frozenset(len(r.rhs) for r in self.rules)
+
+    def could_be_sentential(self, seq) -> bool:
+        """False when two neighbours of seq, or an end and the category
+        there, stand side by side in no sentential form of the start
+        category: then no derivation reaches seq."""
+        follows, ends = self.follows, (BOUNDARY, *seq, BOUNDARY)
+        return all(b in follows.get(a, ()) for a, b in zip(ends, ends[1:]))
 
 
 def _format_literal(lit: FcrLiteral) -> str:
@@ -476,8 +491,9 @@ def load_grammar(text: str) -> Grammar:
         node = g.rhs_trie
         for cat in rule.rhs[:-1]:
             node = node.setdefault(cat, ((), {}))[1]
-        rules, children = node.get(rule.rhs[-1], ((), {}))
-        node[rule.rhs[-1]] = (rules + (rule,), children)
+        lhss, children = node.get(rule.rhs[-1], ((), {}))
+        node[rule.rhs[-1]] = (lhss + (rule.lhs,), children)
+    g.follows = _follows(g)
     feats = set(_SKELETON)
     for entries in g.lexicon.values():
         for i, e in enumerate(entries):
@@ -491,6 +507,51 @@ def load_grammar(text: str) -> Grammar:
         if unknown:
             raise GrammarError(f"fcr names unknown features: {sorted(unknown)}", line)
     return g
+
+
+def _closure(cats, step: dict) -> dict[str, set[str]]:
+    """Each category with every category reached from it in zero or more
+    steps of `step`."""
+    out = {}
+    for c in cats:
+        seen, todo = {c}, [c]
+        while todo:
+            for d in step.get(todo.pop(), ()):
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        out[c] = seen
+    return out
+
+
+def _follows(g: Grammar) -> dict[str, frozenset[str]]:
+    """What may stand right after each category in a sentential form of
+    the start category, BOUNDARY before the first and after the last
+    (Nederhof 2000).  With FIRST*(X) and LAST*(X) the categories a
+    rewrite of X may begin and end with, X itself included, the pairs
+    are LAST*(X) x FIRST*(Y) for each two neighbours X Y of a
+    right-hand side whose left-hand side is reachable from the start,
+    BOUNDARY before FIRST*(start), and LAST*(start) before BOUNDARY.  No
+    right-hand side is empty, so no category vanishes from between two
+    others.  Every category of the grammar is a key."""
+    cats = set(g._categories) | {g.start}
+    below, first, last = {}, {}, {}
+    for r in g.rules:
+        below.setdefault(r.lhs, set()).update(r.rhs)
+        first.setdefault(r.lhs, set()).add(r.rhs[0])
+        last.setdefault(r.lhs, set()).add(r.rhs[-1])
+    reachable = _closure((g.start,), below)[g.start]
+    first, last = _closure(cats, first), _closure(cats, last)
+    out = {c: set() for c in cats}
+    out[BOUNDARY] = set(first[g.start])
+    for c in last[g.start]:
+        out[c].add(BOUNDARY)
+    for r in g.rules:
+        if r.lhs in reachable:
+            for x, y in zip(r.rhs, r.rhs[1:]):
+                for c in last[x]:
+                    out[c].update(first[y])
+    return {c: frozenset(after) for c, after in out.items()}
 
 
 def load_grammar_file(path: str) -> Grammar:

@@ -110,8 +110,8 @@ def test_strategies_agree_on_answers(toy):
         gentest, sg = parse(cats, toy, strategy="gentest")
         assert active == gentest
         assert sa.windows_tried <= sg.windows_tried
-        assert sa.reductions_applied == sg.reductions_applied
-        assert sa.backtracks == sg.backtracks
+        assert sa.reductions_applied <= sg.reductions_applied
+        assert sa.backtracks <= sg.backtracks
     sa = parse(SENT7, toy, strategy="active")[1]
     sg = parse(SENT7, toy, strategy="gentest")[1]
     assert sa.windows_tried < sg.windows_tried
@@ -130,8 +130,8 @@ def test_window_counts_by_hand(toy):
 
 
 def test_stats_counters(toy):
-    _, active = parse(SENT7, toy, strategy="active")
-    _, gentest = parse(SENT7, toy, strategy="gentest")
+    _, active = parse(DEAD9, toy, strategy="active")
+    _, gentest = parse(DEAD9, toy, strategy="gentest")
     assert active.propagation_steps > 0
     assert gentest.propagation_steps == 0
     assert active.backtracks > 0
@@ -196,40 +196,47 @@ def test_pinned_counters(toy):
     # windows and reductions are counted once per distinct
     # (sequence, unary_seen) state, on its first visit, and backtracks
     # once per dead state.  Active tries only the windows that spell a
-    # right-hand side, and no two toy rules share one, so its windows
-    # are its reductions.  Its propagation_steps is one Spells filter
-    # run per distinct sequence scanned: Spells is idempotent, so its own
-    # prune does not wake it, and the states that share a sequence share
-    # its windows.
+    # right-hand side whose left-hand side may stand between the
+    # window's neighbours, and no two toy rules share a right-hand side,
+    # so its windows are its reductions; on A1 that leaves no dead state.
+    # Its propagation_steps is one Spells filter run per distinct
+    # sequence scanned: Spells is idempotent, so its own prune does not
+    # wake it, and the states that share a sequence share its windows.
+    # Gentest tries every window and reduces every match.
     _, sa = parse(SENT7, toy, strategy="active")
     _, sg = parse(SENT7, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (82, 961)
-    assert sa.reductions_applied == sg.reductions_applied == 82
-    assert sa.backtracks == sg.backtracks == 33
-    assert sa.propagation_steps == 32
+    assert (sa.windows_tried, sg.windows_tried) == (29, 961)
+    assert (sa.reductions_applied, sg.reductions_applied) == (29, 82)
+    assert (sa.backtracks, sg.backtracks) == (0, 33)
+    assert sa.propagation_steps == 15
     derivs, sa = parse(DEAD9, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD9, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (488, 6645)
-    assert sa.reductions_applied == sg.reductions_applied == 488
-    assert sa.backtracks == sg.backtracks == 215
-    assert sa.propagation_steps == 96
+    assert (sa.windows_tried, sg.windows_tried) == (84, 6645)
+    assert (sa.reductions_applied, sg.reductions_applied) == (84, 488)
+    assert (sa.backtracks, sg.backtracks) == (43, 215)
+    assert sa.propagation_steps == 24
     derivs, sa = parse(DEAD11, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD11, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (2723, 42176)
-    assert sa.reductions_applied == sg.reductions_applied == 2723
-    assert sa.backtracks == sg.backtracks == 909
-    assert sa.propagation_steps == 288
+    assert (sa.windows_tried, sg.windows_tried) == (281, 42176)
+    assert (sa.reductions_applied, sg.reductions_applied) == (281, 2723)
+    assert (sa.backtracks, sg.backtracks) == (125, 909)
+    assert sa.propagation_steps == 48
 
 
 def test_limit_bounds_the_work(toy):
     # the search stops as soon as `limit` derivations are found, counting
-    # all of them under a state it meets again
+    # all of them under a state it meets again.  Gentest scans dead
+    # states after the last derivation; active scans none on A1, so a
+    # limit of the derivation count saves it nothing.
     for strategy in ("active", "gentest"):
         derivs, full = parse(SENT7, toy, strategy=strategy)
         for k in (1, 2, len(derivs)):
             stats = parse(SENT7, toy, strategy=strategy, limit=k)[1]
+            if strategy == "active" and k == len(derivs):
+                assert stats == full
+                continue
             assert stats.windows_tried < full.windows_tried
             assert stats.reductions_applied < full.reductions_applied
 
@@ -268,21 +275,21 @@ def _posted(lines: list) -> list:
 
 def test_one_window_post_per_distinct_sequence(toy, monkeypatch):
     # active makes one store per search and posts one Spells, naming a
-    # sequence, per distinct sequence scanned: the 51 states scanned hold
-    # 32 sequences, and a state whose sequence was solved before reads
+    # sequence, per distinct sequence scanned: the 18 states scanned hold
+    # 15 sequences, and a state whose sequence was solved before reads
     # its windows from the search's table
     stores = _count_stores(monkeypatch)
     lines = []
     search = Search(toy, "active", trace=lines.append)
     assert tuple(search.derivations(SENT7)) == oracle_parse(SENT7, toy)
     assert len(stores) == 1
-    assert len(search.memo) == 51
-    assert _store_work(lines) == len({seq for seq, _ in search.memo}) == 32
-    assert search.stats.propagation_steps == 32
+    assert len(search.memo) == 18
+    assert _store_work(lines) == len({seq for seq, _ in search.memo}) == 15
+    assert search.stats.propagation_steps == 15
     assert f"EVENT post Spells(w=w, whole={SENT7!r}) - -" in lines
 
 
-@pytest.mark.parametrize("cats,sequences", [(SENT7, 32), (DEAD9, 96), (DEAD11, 288)],
+@pytest.mark.parametrize("cats,sequences", [(SENT7, 15), (DEAD9, 24), (DEAD11, 48)],
                          ids=["A1", "dead9", "dead11"])
 def test_spells_posts_are_the_distinct_sequences_scanned(toy, cats, sequences):
     # every state is scanned once (no limit), so the memo holds them all;
@@ -334,14 +341,30 @@ words = st.lists(st.sampled_from("ABC"), min_size=1, max_size=4).map(tuple)
 def test_active_windows_are_those_that_spell_a_rule(drawn, data):
     # a prefix of each drawn right-hand side is one too, so the words
     # share prefixes; one search scans a sequence, two shorter ones and
-    # a longer one
+    # a longer one.  With S -> S S the sentential forms are the strings
+    # of words and S's, so two symbols stand side by side when a word
+    # holds them so, or when the first may end a word (or is S) and the
+    # second may begin one (or is S); either end of a form is a word's
+    # or S.  Active keeps a spelled window when its sequence has only
+    # such neighbours and S may stand in the window's place.
     rhss = set(drawn) | {r[:data.draw(st.integers(1, len(r)))] for r in drawn}
-    g = load_grammar("start S. " + " ".join(f"rule S -> {' '.join(r)}." for r in sorted(rhss)))
+    g = load_grammar("start S. rule S -> S S. "
+                     + " ".join(f"rule S -> {' '.join(r)}." for r in sorted(rhss)))
+    lasts = {r[-1] for r in rhss} | {"S", ""}
+    firsts = {r[0] for r in rhss} | {"S", ""}
+    inside = {pair for r in rhss for pair in zip(r, r[1:])}
+
+    def fits(cats):
+        ends = ("",) + cats + ("",)
+        return all(p in inside or (p[0] in lasts and p[1] in firsts) for p in zip(ends, ends[1:]))
+
     seq = tuple(data.draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=9)))
     active, gentest = Search(g, "active"), Search(g, "gentest")
     for cats in (seq, seq[1:], seq[:-1], seq + seq[:3]):
         if cats:
-            assert active.windows(cats) == _spelled(cats, rhss)
+            assert active.windows(cats) == tuple(
+                (va, vb) for va, vb in _spelled(cats, rhss)
+                if fits(cats) and fits(cats[:va] + ("S",) + cats[va + vb:]))
             assert tuple(w for w in gentest.windows(cats)
                          if cats[w[0]:w[0] + w[1]] in rhss) == _spelled(cats, rhss)
 
@@ -388,8 +411,8 @@ def test_split_table_properties(text, lengths, sents):
             full[strategy] = derivs, stats
         (da, sa), (dg, sg) = full["active"], full["gentest"]
         assert da == dg == oracle_parse(cats, g)
-        assert sa.reductions_applied == sg.reductions_applied
-        assert sa.backtracks == sg.backtracks
+        assert sa.reductions_applied <= sg.reductions_applied
+        assert sa.backtracks <= sg.backtracks
         assert sa.windows_tried <= sg.windows_tried
         found += len(da) > 0
     assert found >= len(sents)
@@ -401,9 +424,8 @@ def test_split_table_properties(text, lengths, sents):
 ], ids=["lengths13", "lengths24"])
 def test_window_counts_closed_form_without_matches(text, lengths):
     # no window of C's matches a rule, so only the root node scans, and
-    # active tries none of its windows: no right-hand side has a C, so
-    # the root's one Spells post wipes the window domain out (no store
-    # is made while no rule length fits)
+    # active tries none of its windows: no sentential form begins with
+    # a C, so the root fails its adjacency check and is never posted
     g = load_grammar(text)
     assert g.rhs_lengths() == lengths
     for l in range(1, 9):
@@ -411,7 +433,7 @@ def test_window_counts_closed_form_without_matches(text, lengths):
         derivs, sa = parse(cats, g, strategy="active")
         _, sg = parse(cats, g, strategy="gentest")
         assert derivs == ()
-        assert (sa.windows_tried, sa.propagation_steps) == (0, int(l >= min(lengths)))
+        assert (sa.windows_tried, sa.propagation_steps) == (0, 0)
         assert sg.windows_tried == l * (l + 1) // 2
         assert sa.reductions_applied == sg.reductions_applied == 0
 
@@ -485,33 +507,110 @@ def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
     names = [c.name for c in g.categories()]
     cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
     assume(_oracle_nodes(cats, g, 500) <= 500)
+    # active scans no state gentest does not, and tries and reduces no
+    # more there: a state it passes over is dead, and so is every state
+    # below it, so gentest's extra scans never add a derivation
     want = oracle_parse(cats, g)
     trees = list(_first_derivations(cats, g).items())
-    windows = {}
+    for k in (None, *range(1, len(want) + 2)):
+        stats = {}
+        for strategy in ("active", "gentest"):
+            got, stats[strategy] = parse(cats, g, strategy=strategy, limit=k)
+            assert got == want[:k]
+        sa, sg = stats["active"], stats["gentest"]
+        assert sa.windows_tried <= sg.windows_tried
+        assert sa.reductions_applied <= sg.reductions_applied
+        assert sa.backtracks <= sg.backtracks
     for strategy in ("active", "gentest"):
-        got, stats = parse(cats, g, strategy=strategy)
-        assert got == want
-        for k in range(1, len(want) + 2):
-            assert parse(cats, g, strategy=strategy, limit=k)[0] == want[:k]
-        windows[strategy] = stats.windows_tried
         assert list(Search(g, strategy).trees(cats)) == trees
-    assert windows["active"] <= windows["gentest"]
+
+
+def _active_windows(seq, g) -> list:
+    """The windows active tries on seq, each with its rules in file
+    order: none if seq could not be sentential, else those where one of
+    the window's rules makes a sequence that could be."""
+    if not g.could_be_sentential(seq):
+        return []
+    out = []
+    for va in range(len(seq)):
+        for vb in range(1, len(seq) - va + 1):
+            rules = [r for r in g.rules if r.rhs == seq[va:va + vb]]
+            if any(g.could_be_sentential(seq[:va] + (r.lhs,) + seq[va + vb:]) for r in rules):
+                out.append(((va, vb), rules))
+    return out
+
+
+def _neighbours(rules, start, longest: int) -> set:
+    """Every two neighbours, "" past either end, in the sentential forms
+    of start no longer than `longest`: a walk that rewrites one category
+    at a time.  No right-hand side is empty, so a form never gets
+    shorter, and the walk meets every form within the bound."""
+    by_lhs = {}
+    for lhs, rhs in rules:
+        by_lhs.setdefault(lhs, []).append(tuple(rhs))
+    forms, todo = {(start,)}, [(start,)]
+    while todo:
+        form = todo.pop()
+        for i, cat in enumerate(form):
+            for rhs in by_lhs.get(cat, ()):
+                new = form[:i] + rhs + form[i + 1:]
+                if len(new) <= longest and new not in forms:
+                    forms.add(new)
+                    todo.append(new)
+    return {pair for form in forms for pair in zip(("",) + form, form + ("",))}
+
+
+def _compiled(g) -> set:
+    return {(a, b) for a, after in g.follows.items() for b in after}
+
+
+@pytest.mark.parametrize("source", [
+    "grammars/toy.clg", "bench/lex.clg",
+    # T is not reachable from S, so B A stands side by side in no form
+    "start S. rule S -> A B. rule S -> A S. rule T -> B A.",
+], ids=["toy", "lex", "unreachable"])
+def test_compiled_neighbours_are_those_of_the_sentential_forms(source):
+    # every pair the compiled table holds shows up in a form of at most
+    # 9 categories, and every pair of such a form is in the table: in
+    # toy.clg no two PPs stand side by side and no form ends in Prep
+    g = load_grammar_file(source) if source.endswith(".clg") else load_grammar(source)
+    rules = [(r.lhs, r.rhs) for r in g.rules]
+    assert _compiled(g) == _neighbours(rules, g.start, 9)
+    if source == "grammars/toy.clg":
+        assert ("PP", "PP") not in _compiled(g) and ("Prep", "") not in _compiled(g)
+
+
+def test_a_sequence_with_neighbours_no_form_has_could_not_be_sentential(toy):
+    assert toy.could_be_sentential(SENT7) and toy.could_be_sentential(("S",))
+    assert toy.could_be_sentential(("NP", "Vb", "NP", "PP"))
+    assert not toy.could_be_sentential(("NP", "Vb", "NP", "PP", "PP"))
+    assert not toy.could_be_sentential(SENT7 + ("Prep",))
+    assert not toy.could_be_sentential(("VP", "NP"))
+    assert not toy.could_be_sentential(())
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammars)
+def test_compiled_neighbours_cover_the_sentential_forms(grammar):
+    rules, cycles = grammar
+    rules = list(rules) + [r for x, y in cycles for r in ((x, (y,)), (y, (x,)))]
+    assert _neighbours(rules, rules[0][0], 6) <= _compiled(_load(*grammar))
 
 
 def _scan_order(cats, g, limit) -> list:
-    """The states whose scan begins, in order, when the search stops once
-    `limit` derivations are found: a plain depth-first walk in scan
-    order that counts a finished state's derivations instead of walking
-    it again, with the counts from a recursion of its own."""
+    """The states whose scan begins under active, in order, when the
+    search stops once `limit` derivations are found: a plain depth-first
+    walk in scan order over the windows active tries, that counts a
+    finished state's derivations instead of walking it again, with the
+    counts from a recursion of its own."""
     def children(state):
         seq, seen = state
-        for va in range(len(seq)):
-            for vb in range(1, len(seq) - va + 1):
-                for rule in g.rules:
-                    mark = (va, rule.lhs)
-                    if rule.rhs == seq[va:va + vb] and not (vb == 1 and mark in seen):
-                        yield (seq[:va] + (rule.lhs,) + seq[va + vb:],
-                               seen | {mark} if vb == 1 else frozenset())
+        for (va, vb), rules in _active_windows(seq, g):
+            for rule in rules:
+                mark = (va, rule.lhs)
+                if not (vb == 1 and mark in seen):
+                    yield (seq[:va] + (rule.lhs,) + seq[va + vb:],
+                           seen | {mark} if vb == 1 else frozenset())
 
     @functools.cache
     def count(state):
@@ -544,22 +643,23 @@ def _scan_order(cats, g, limit) -> list:
 def test_active_solves_each_distinct_sequence_once(grammar, data):
     # the windows of a sequence are solved at its first scan and read
     # from the search's table by every later state with that sequence;
-    # with a limit, a state the search stops at before its scan posts
-    # nothing (no store is made while no rule length fits the root)
+    # a sequence that could not be sentential is never posted, and with
+    # a limit, a state the search stops at before its scan posts nothing
+    # (no store is made while no rule length fits the root)
     g = _load(*grammar)
     names = [c.name for c in g.categories()]
     cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
     assume(_oracle_nodes(cats, g, 500) <= 500)
     want = oracle_parse(cats, g)
-    rhss = {r.rhs for r in g.rules}
     stored = len(cats) >= min(g.rhs_lengths())
     for limit in (None, *range(1, len(want) + 2)):
         lines = []
         got, stats = parse(cats, g, limit=limit, trace=lines.append)
         assert got == want[:limit]
         order = _scan_order(cats, g, limit)
-        sequences = list(dict.fromkeys(seq for seq, _ in order)) if stored else []
+        sequences = [seq for seq in dict.fromkeys(seq for seq, _ in order)
+                     if stored and g.could_be_sentential(seq)]
         assert _posted(lines) == sequences
         assert stats.propagation_steps == len(sequences)
         if limit is None:
-            assert stats.windows_tried == sum(len(_spelled(seq, rhss)) for seq, _ in order)
+            assert stats.windows_tried == sum(len(_active_windows(seq, g)) for seq, _ in order)

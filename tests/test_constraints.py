@@ -17,7 +17,7 @@ from clparse import (
     in_relation,
     neq,
 )
-from clparse.constraints import BoolConstraint, spells
+from clparse.constraints import BOUNDARY, BoolConstraint, spells
 from clparse.grammar import load_grammar
 
 
@@ -83,43 +83,67 @@ def test_element_restricts_at_post():
     assert not s.tell(element(x, ["S"]))
 
 
-# Words sharing prefixes: A, A B, A B C, B A, C
+# Words sharing prefixes, with what each may be rewritten to
+SYMBOLS_OF = {("A",): {"S"}, ("A", "B"): {"S", "T"}, ("A", "B", "C"): {"S"},
+              ("B", "A"): {"S"}, ("C",): {"T"}}
 WORDS = load_grammar("start S. rule S -> A. rule S -> A B. rule S -> A B C. "
                      "rule S -> B A. rule T -> A B. rule T -> C.").rhs_trie
+SYMBOLS = (BOUNDARY, "A", "B", "C", "S", "T")
+# anything may follow anything, so that only the spelling counts
+OPEN = {x: frozenset(SYMBOLS) for x in SYMBOLS}
 
 
 def test_spells_keeps_the_windows_that_spell_a_word():
     s = Store()
     whole = ("A", "B", "C", "A")
     w = s.new_var([(va, vb) for va in range(4) for vb in range(1, 5 - va)], name="w")
-    assert s.tell(spells(w, whole, WORDS))
+    assert s.tell(spells(w, whole, WORDS, OPEN))
     assert s.domain(w) == ((0, 1), (0, 2), (0, 3), (2, 1), (3, 1))
-    assert not s.tell(spells(w, ("B", "B", "B", "B"), WORDS))
+    assert not s.tell(spells(w, ("B", "B", "B", "B"), WORDS, OPEN))
     assert s.domain(w) == ((0, 1), (0, 2), (0, 3), (2, 1), (3, 1))
+
+
+def test_spells_keeps_a_window_only_where_its_word_fits():
+    # S may begin, follow C and stand before C or the end; T may follow B
+    # and stand only at the end.  Of the five spelled windows, A B as S
+    # fits before C, and the last A as S after C and at the end; the C
+    # as T would stand before an A.
+    follows = {BOUNDARY: {"A", "S"}, "A": {"B", "T"}, "B": {"C", "T"}, "C": {"A", "S"},
+               "S": {"C", BOUNDARY}, "T": {BOUNDARY}}
+    s = Store()
+    w = s.new_var([(va, vb) for va in range(4) for vb in range(1, 5 - va)], name="w")
+    assert s.tell(spells(w, ("A", "B", "C", "A"), WORDS, follows))
+    assert s.domain(w) == ((0, 2), (3, 1))
 
 
 def test_spells_leaves_the_trie_out_of_equality_and_repr():
     s = Store()
     w = s.new_var([(0, 1)], name="w")
-    other = load_grammar("start S. rule S -> Q.").rhs_trie
-    c = spells(w, ["A"], WORDS)
-    assert c == spells(w, ("A",), other) and hash(c) == hash(spells(w, ("A",), other))
-    assert c != spells(w, ("B",), WORDS)
+    other = load_grammar("start S. rule S -> Q.")
+    c = spells(w, ["A"], WORDS, OPEN)
+    same = spells(w, ("A",), other.rhs_trie, other.follows)
+    assert c == same and hash(c) == hash(same)
+    assert c != spells(w, ("B",), WORDS, OPEN)
     assert repr(c) == "Spells(w=w, whole=('A',))"
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from("ABC"), max_size=6).map(tuple),
-       st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1))
-def test_spells_filter_matches_brute_force(whole, windows):
-    # the domain may hold windows past the end of `whole` and empty ones
+       st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1),
+       st.sets(st.tuples(st.sampled_from(SYMBOLS), st.sampled_from(SYMBOLS))))
+def test_spells_filter_matches_brute_force(whole, windows, pairs):
+    # the domain may hold windows past the end of `whole` and empty ones;
+    # a window is kept when one of its word's symbols may stand between
+    # the window's neighbours by the drawn pairs
     s = Store()
     w = s.new_var(sorted(windows), name="w")
-    c = spells(w, whole, WORDS)
+    c = spells(w, whole, WORDS, {x: {b for a, b in pairs if a == x} for x in SYMBOLS})
+    ends = (BOUNDARY,) + whole + (BOUNDARY,)
     kept = [x for x in sorted(windows) if c.holds({w: x}, s)]
     assert kept == [(va, vb) for va, vb in sorted(windows)
-                    if vb and va + vb <= len(whole) and whole[va:va + vb] in
-                    {("A",), ("A", "B"), ("A", "B", "C"), ("B", "A"), ("C",)}]
+                    if vb and va + vb <= len(whole) and any(
+                        (ends[va], x) in pairs and (x, ends[va + vb + 1]) in pairs
+                        for x in SYMBOLS_OF.get(whole[va:va + vb], ()))]
     assert s.tell(c) == bool(kept)
     assert s.domain(w) == (tuple(kept) if kept else tuple(sorted(windows)))
 

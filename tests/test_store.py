@@ -106,7 +106,7 @@ def test_a_variable_of_the_wrong_kind_is_a_usage_error():
              functools.partial(s.domain, b), functools.partial(s.value, b),
              functools.partial(s.prune, b, {1}), functools.partial(s.is_complete, b)]
     for c in (eq(b, 1), eq(x, b), neq(b, x), element(b, [1]), all_distinct(x, b),
-              spells(b, ("a",), {}), in_relation(b, (x,), r), in_relation(x, (b,), r),
+              spells(b, ("a",), {}, {}), in_relation(b, (x,), r), in_relation(x, (b,), r),
               bool_post(Var(x)), bool_post(And((Var(b), Var(x))))):
         calls += [functools.partial(s.tell, c), functools.partial(s.ask, c),
                   functools.partial(s.post_ask, c, print)]
@@ -154,6 +154,9 @@ def test_propagation_reaches_fixpoint():
 
 WHOLE = ("a", "b", "a", "c")
 WORDS = load_grammar("start S. rule S -> a. rule S -> a b. rule S -> b a c.").rhs_trie
+# anything may follow anything but S, which may not stand before c
+FOLLOWS = {x: frozenset(("", "a", "b", "c", "S")) for x in ("", "a", "b", "c")}
+FOLLOWS["S"] = frozenset(("", "a", "b"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,7 +180,7 @@ def test_propagation_stops_where_no_posted_filter_prunes(data):
         # the windows of a suffix of `whole` that spell a word, in a
         # domain disequalities may have thinned
         st.builds(neq, st.just(win), st.sampled_from(s.domain(win))),
-        st.integers(0, n).map(lambda i: spells(win, whole[i:], WORDS)),
+        st.integers(0, n).map(lambda i: spells(win, whole[i:], WORDS, FOLLOWS)),
     )
     for c in data.draw(st.lists(post, min_size=1, max_size=8), label="posts"):
         if not s.tell(c):

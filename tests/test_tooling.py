@@ -2,7 +2,8 @@
 wraps must exist, every committed grammar must load, and every
 workload's own run and check must pass on its sentences (the capped
 11-token one aside), so that a change to the package fails here rather
-than in a benchmark run.  The tests read `bench/` and edit nothing.
+than in a benchmark run; the active search must scan no dead state on
+the `cfg-active` sentences.  The tests read `bench/` and edit nothing.
 Last, no module of the package or of its tests may import a name it
 never uses, and every class the README names exists."""
 
@@ -57,6 +58,21 @@ def test_cfg_workload_runs_and_checks(name):
     for cats in inputs:
         output, stats = w.run(clparse, g, cats)
         assert w.check(clparse, g, cats, output, stats) is None, cats
+
+
+def test_active_scans_no_dead_state_on_the_cfg_active_sentences():
+    # the grammar's neighbour table leaves active no state without a
+    # derivation on a grammatical toy sentence, and fewer windows than
+    # gentest on each, so losing the pruning fails here and not only in
+    # the benchmark's times
+    w = _bench_module("workloads").WORKLOADS["cfg-active"]
+    g = load_grammar_file(str(ROOT / w.grammar))
+    assert len(w.inputs) == 27
+    for cats in w.inputs:
+        _, active = clparse.cfg.parse(cats, g, strategy="active")
+        _, gentest = clparse.cfg.parse(cats, g, strategy="gentest")
+        assert active.backtracks == 0, cats
+        assert active.windows_tried < gentest.windows_tried, cats
 
 
 def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
