@@ -452,7 +452,7 @@ def load_grammar(text: str) -> Grammar:
             entry = _parse_lex(stmt, line)
             g.lexicon.setdefault(entry.form, []).append(entry)
             defined.add(entry.category)
-            for n in entry.subj + entry.subcat:
+            for n in entry.subj + entry.subcat + tuple(sorted(entry.schema or ())):
                 referenced.setdefault(n, line)
         elif head == "start":
             m = re.fullmatch(rf"start\s+({NAME})", stmt)

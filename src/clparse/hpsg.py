@@ -2,14 +2,16 @@
 
 A sign is a feature structure rooted at synsem.loc.cat with subj/comps
 valency lists and, for phrases, a dtrs node holding the daughter signs.
-Local trees are gated by five structural checks (distinctness of
-same-category daughters, linear precedence, dominance, valency,
-projection), the daughter slots carry an a-priori distinctness
-constraint, subcategorization is a layer of boolean implications over
-per-constituent well-formedness variables, cooccurrence restrictions
-compile to implications over status variables, head feature sharing
-installs the mother's head as the head daughter's head node (token
-identity), and valency lists cancel realized daughters from the end.
+Local trees are gated by four structural checks (distinctness of
+same-category daughters, linear precedence, dominance, projection).
+Valency is decided once per phrase, where the mother is built: the
+sisters split over the head's lists, which cancel the realized
+daughters from the end.  The daughter slots carry an a-priori
+distinctness constraint, subcategorization is a layer of boolean
+implications over per-constituent well-formedness variables,
+cooccurrence restrictions compile to implications over status
+variables, and head feature sharing installs the mother's head as the
+head daughter's head node (token identity).
 
 The sentence pipeline drives all of this from one window-parser search
 over every lexical tagging: each distinct tree off its forest is built
@@ -43,7 +45,7 @@ from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
 from .errors import InconsistencyError, UsageError
 from .fstruct import Ann, Bool3, Cell, FeatureStructure, Ref, compile_avm
 from .grammar import FCR, FcrLiteral, Grammar, LexEntry, fcr_sites
-from .logic import And, Formula, Implies, Not, Or, Var, conj
+from .logic import And, Const, Formula, Implies, Not, Or, Var, conj
 from .store import AskResult, Stats, Store, VarId
 
 CAT_PATH = ("synsem", "loc", "cat")
@@ -70,35 +72,16 @@ class LocalTree:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str     # distinctness | precedence | dominance | valency | projection
+    kind: str     # distinctness | precedence | dominance | projection
     detail: str
-
-
-@dataclass(frozen=True)
-class TreeCheck:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-
-@dataclass
-class DtrsSchema:
-    slot_vars: tuple[VarId, ...]
 
 
 # -- valency ------------------------------------------------------------
 
-def _valency(fs: FeatureStructure, node: int) -> tuple[tuple, tuple]:
-    """The subj and comps lists of the sign at `node` (empty when unset)."""
-    out = []
-    for feat in ("subj", "comps"):
-        cell = fs.lookup(CAT_PATH + (feat,), node)
-        out.append(tuple(cell.value) if cell is not None and cell.value else ())
-    return tuple(out)
-
-
 def valency_of(sign: Sign) -> tuple[tuple, tuple]:
     """The sign's current subj and comps lists (empty when unset)."""
-    return _valency(sign.fs, sign.root)
+    cells = (sign.fs.lookup(CAT_PATH + (feat,), sign.root) for feat in ("subj", "comps"))
+    return tuple(tuple(c.value) if c is not None and c.value else () for c in cells)
 
 
 def _cancel(head_list, realized, which: str):
@@ -149,8 +132,9 @@ def _head_index(root: str, daughters, g: Grammar) -> int | None:
     return None
 
 
-def check_local_tree(t: LocalTree, g: Grammar) -> TreeCheck:
-    """Evaluate the five structural constraints; violations are data."""
+def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
+    """Evaluate the four structural constraints building the mother does
+    not make; the violations are data, none when the tree passes."""
     if not t.daughters:
         raise UsageError("a local tree needs daughters")
     cats = tuple(cat for cat, _ in t.daughters)
@@ -175,28 +159,20 @@ def check_local_tree(t: LocalTree, g: Grammar) -> TreeCheck:
         if cat not in legal:
             violations.append(Violation("dominance", f"{t.root} may not dominate {cat}"))
 
-    hi = _head_index(t.root, t.daughters, g)
-    if hi is not None and t.daughters[hi][1] is not None:
-        sisters = t.daughters[:hi] + t.daughters[hi + 1:]
-        try:
-            _split_realized(*valency_of(t.daughters[hi][1]), sisters)
-        except InconsistencyError as e:
-            violations.append(Violation("valency", str(e)))
-
     if all(g.projection(cat) != t.root for cat in cats):
         violations.append(Violation(
             "projection", f"{t.root} is not the projection of any daughter"))
 
-    return TreeCheck(not violations, tuple(violations))
+    return tuple(violations)
 
 
 # -- daughter slots -----------------------------------------------------
 
 def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
-                     subj=(), comps=()) -> DtrsSchema:
+                     subj=(), comps=()) -> tuple[VarId, ...]:
     """Build the mother's dtrs node.  Occupied slots get a finite-domain
-    variable over the sign's root index so distinctness can be posted
-    before anything else looks at the slots."""
+    variable over the sign's root index, returned in slot order, so
+    distinctness can be posted before anything else looks at the slots."""
     store = fs.store
     dtrs = fs.new_node()
     fs.add((("dtrs", mother.root, Ref(dtrs), Bool3.TRUE),))
@@ -216,13 +192,13 @@ def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
         for k, sign in enumerate(comps):
             occupy(f"comp_dtrs[{k}]", sign)
         fs.add((("comp_dtrs", dtrs, tuple(Ref(s.root) for s in comps), Bool3.TRUE),))
-    return DtrsSchema(tuple(slot_vars))
+    return tuple(slot_vars)
 
 
-def post_unicity(schema: DtrsSchema, store: Store) -> bool:
-    if len(schema.slot_vars) < 2:
+def post_unicity(slot_vars, store: Store) -> bool:
+    if len(slot_vars) < 2:
         return True
-    return store.tell(all_distinct(*schema.slot_vars))
+    return store.tell(all_distinct(*slot_vars))
 
 
 # -- boolean subcategorization -------------------------------------------
@@ -231,14 +207,15 @@ def post_subcat(frame, store: Store, wf: dict[str, VarId],
                 schema: frozenset[str] | None = None,
                 complement_vars=()) -> bool:
     """Implications of one phrase occurrence: the phrase entails its
-    compulsory members, a selected schema entails its optional members,
-    and complement category variables stay within the frame."""
+    compulsory members, a selected schema entails its optional members
+    (a member with no variable in `wf` is unrealized, so false), and
+    complement category variables stay within the frame."""
     ok = True
     phrase = Var(wf[frame.phrase])
     for c in sorted(frame.c):
         ok = ok and store.tell(bool_post(Implies(phrase, Var(wf[c]))))
-    if schema is not None and schema:
-        need = conj([Var(wf[o]) for o in sorted(schema)])
+    if schema:
+        need = conj([Var(wf[o]) if o in wf else Const(False) for o in sorted(schema)])
         ok = ok and store.tell(bool_post(Implies(phrase, need)))
     for v in complement_vars:
         ok = ok and store.tell(element(v, sorted(frame.m)))
@@ -369,21 +346,14 @@ def _share_head(fs_ref, target: int, value, shared: VarId, result: AskResult) ->
         fs.add((("head", target, value, shared),))
 
 
-def apply_valency(fs: FeatureStructure, root: int, *,
-                  realized_subj=(), realized_comps=()) -> FeatureStructure:
-    """Write the mother's valency lists: the head daughter's lists with
-    the realized daughters cancelled from the end."""
-    head = fs.resolve(("dtrs", "head_dtr"), root)
-    if not isinstance(head, int):
-        return fs
+def apply_valency(fs: FeatureStructure, root: int, subj, comps) -> FeatureStructure:
+    """Write the mother's valency lists: what `_split_realized` left of
+    the head daughter's."""
     cat = fs.resolve(CAT_PATH, root)
     if not isinstance(cat, int):
         raise UsageError("mother sign has no category node")
-    head_subj, head_comps = _valency(fs, head)
-    mother_subj = _cancel(head_subj, tuple(realized_subj), "subj")
-    mother_comps = _cancel(head_comps, tuple(realized_comps), "comps")
-    fs.add((("subj", cat, mother_subj, Bool3.TRUE),
-            ("comps", cat, mother_comps, Bool3.TRUE)))
+    fs.add((("subj", cat, tuple(subj), Bool3.TRUE),
+            ("comps", cat, tuple(comps), Bool3.TRUE)))
     return fs
 
 
@@ -406,14 +376,10 @@ _MOTHER = compile_avm({"synsem": {"loc": {"cat": {
 
 # -- pipeline -------------------------------------------------------------
 
-class _Rejected(Exception):
-    pass
-
-
 def _check(t: LocalTree, g: Grammar) -> None:
-    result = check_local_tree(t, g)
-    if not result.ok:
-        raise _Rejected(result.violations)
+    violations = check_local_tree(t, g)
+    if violations:
+        raise InconsistencyError("; ".join(v.detail for v in violations))
 
 
 def _assert_wf(store: Store, sign: Sign) -> None:
@@ -436,6 +402,7 @@ class _TreeBuild:
     def __init__(self, g: Grammar, tagging, active: bool, stats: Stats, trace):
         self.g = g
         self.store = Store(trace=trace)
+        self.store.counters = stats
         self.fs = FeatureStructure(self.store)
         self.leaves = iter(tagging)
         self.active = active
@@ -475,20 +442,18 @@ class _TreeBuild:
         if hi is None:
             hi = 0   # headless trees fail the projection gate anyway
         head = daughters[hi][1]
-        subj_pairs, comp_pairs, _, _ = _split_realized(
+        subj_pairs, comp_pairs, mother_subj, mother_comps = _split_realized(
             *valency_of(head), daughters[:hi] + daughters[hi + 1:])
 
         mother = Sign(fs, fs.instantiate(_MOTHER), label, store.new_bool(f"wf:{label}"))
         self.parts.append((label, mother.root, mother.wf))
-        schema = attach_daughters(fs, mother, head,
-                                  subj=[s for _, s in subj_pairs],
-                                  comps=[s for _, s in comp_pairs])
-        if not post_unicity(schema, store):
+        slots = attach_daughters(fs, mother, head,
+                                 subj=[s for _, s in subj_pairs],
+                                 comps=[s for _, s in comp_pairs])
+        if not post_unicity(slots, store):
             raise InconsistencyError("daughter slots are not distinct")
         apply_hfp(fs, mother.root)
-        apply_valency(fs, mother.root,
-                      realized_subj=tuple(cat for cat, _ in subj_pairs),
-                      realized_comps=tuple(cat for cat, _ in comp_pairs))
+        apply_valency(fs, mother.root, mother_subj, mother_comps)
 
         frame = g.frames.get(label)
         if frame is not None:
@@ -516,19 +481,16 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
     """The root sign of one tree, or None if the tree is rejected.
     `tagging` holds each leaf's entry."""
     build = _TreeBuild(g, tagging, strategy == "active", stats, trace)
-    store = build.store
     try:
         root_sign = build.sign(tree)
         for fn in build.deferred:
             fn()
-        if not store.tell(bool_post(Var(root_sign.wf))):
+        if not build.store.tell(bool_post(Var(root_sign.wf))):
             return None
         if valency_of(root_sign) != ((), ()):
             return None     # A6: the root must be saturated
-    except (_Rejected, InconsistencyError):
+    except InconsistencyError:
         return None
-    finally:
-        stats.merge(store.counters)
 
     root_sign.parts = tuple(build.parts)
     return root_sign

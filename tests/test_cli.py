@@ -298,6 +298,23 @@ def test_text_that_is_not_utf8_exits_two(tmp_path, which):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+@pytest.mark.parametrize("schema, code", [("Vb", 1), ("Zzz", 2)])
+def test_a_bad_lexical_schema_exits_without_a_traceback(tmp_path, strategy, schema, code):
+    # Vb is no member of the NP frame, so no sign; Zzz is undeclared, so
+    # the grammar does not load
+    text = open(TOY_LEX).read()
+    grammar = tmp_path / "g.clg"
+    grammar.write_text(text.replace("schema {Det}.", f"schema {{{schema}}}."))
+    proc = run_module("--grammar", str(grammar), "--mode", "hpsg", "--strategy", strategy,
+                      "--input", "the cat sleeps")
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        line = 1 + next(i for i, row in enumerate(text.splitlines()) if row.startswith('lex "cat"'))
+        assert f"line {line}: unknown category 'Zzz'" in proc.stderr
+
+
 def test_hpsg_unknown_word_exits_two(capsys):
     rc, _, err = run(capsys, "--grammar", TOY_LEX, "--mode", "hpsg",
                      "--input", "the dog sleeps")

@@ -135,6 +135,12 @@ def test_unknown_category_reference_rejected():
         load_grammar('rule S -> V. start S. lex "eats" V [] subcat [Qq].')
 
 
+def test_unknown_schema_category_rejected_on_its_lex_line():
+    # checked as subj and subcat are, the names in sorted order
+    with pytest.raises(GrammarError, match="^line 2: unknown category 'Yyy'"):
+        load_grammar('rule S -> V. start S.\nlex "eats" V [] schema {Zzz, Yyy}.')
+
+
 def test_cyclic_lp_rejected():
     with pytest.raises(GrammarError) as err:
         load_grammar("rule S -> A B C. start S.\n"

@@ -1,4 +1,7 @@
 import gc
+import importlib.util
+import itertools
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -8,7 +11,6 @@ from clparse.errors import GrammarError, InconsistencyError, UsageError
 from clparse.fstruct import Bool3, FeatureStructure, parse_avm
 from clparse.grammar import load_grammar, load_grammar_file, parse_fcr
 from clparse.hpsg import (
-    DtrsSchema,
     LocalTree,
     Sign,
     _cancel,
@@ -55,25 +57,21 @@ def test_np_det_nm_is_well_formed(toy):
     st, fs = fresh()
     det = entry_sign(toy, "the", fs)
     nm = entry_sign(toy, "cat", fs)
-    result = check_local_tree(LocalTree("NP", (("Det", det), ("Nm", nm))), toy)
-    assert result.ok
-    assert result.violations == ()
+    assert check_local_tree(LocalTree("NP", (("Det", det), ("Nm", nm))), toy) == ()
 
 
 def test_precedence_violation(toy):
     st, fs = fresh()
     det = entry_sign(toy, "the", fs)
     nm = entry_sign(toy, "cat", fs)
-    result = check_local_tree(LocalTree("NP", (("Nm", nm), ("Det", det))), toy)
-    assert not result.ok
-    assert [v.kind for v in result.violations] == ["precedence"]
+    violations = check_local_tree(LocalTree("NP", (("Nm", nm), ("Det", det))), toy)
+    assert [v.kind for v in violations] == ["precedence"]
 
 
 def test_distinctness_same_sign_twice(toy):
     st, fs = fresh()
     det = entry_sign(toy, "the", fs)
-    result = check_local_tree(LocalTree("NP", (("Det", det), ("Det", det))), toy)
-    kinds = {v.kind for v in result.violations}
+    kinds = {v.kind for v in check_local_tree(LocalTree("NP", (("Det", det), ("Det", det))), toy)}
     assert "distinctness" in kinds
     # nothing projects NP here either
     assert "projection" in kinds
@@ -85,10 +83,10 @@ def test_distinctness_needs_same_reference():
     a1 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A", st.new_bool())
     a2 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A", st.new_bool())
     tree = LocalTree("X", (("A", a1), ("A", a2)))
-    kinds = {v.kind for v in check_local_tree(tree, g).violations}
+    kinds = {v.kind for v in check_local_tree(tree, g)}
     assert "distinctness" not in kinds
     same = LocalTree("X", (("A", a1), ("A", a1)))
-    kinds = {v.kind for v in check_local_tree(same, g).violations}
+    kinds = {v.kind for v in check_local_tree(same, g)}
     assert "distinctness" in kinds
 
 
@@ -97,26 +95,27 @@ def test_rule_star_opts_out_of_distinctness():
     st, fs = fresh()
     a = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A", st.new_bool())
     tree = LocalTree("X", (("A", a), ("A", a)))
-    kinds = {v.kind for v in check_local_tree(tree, g).violations}
+    kinds = {v.kind for v in check_local_tree(tree, g)}
     assert "distinctness" not in kinds
 
 
 def test_dominance_violation(toy):
-    result = check_local_tree(LocalTree("S", (("NP", None), ("PP", None))), toy)
-    assert "dominance" in {v.kind for v in result.violations}
+    violations = check_local_tree(LocalTree("S", (("NP", None), ("PP", None))), toy)
+    assert "dominance" in {v.kind for v in violations}
 
 
 def test_valency_violation(toy):
+    # valency is decided where the mother is built, not by the gate
     st, fs = fresh()
     vb = entry_sign(toy, "sleeps", fs)
     det = entry_sign(toy, "the", fs)
-    result = check_local_tree(LocalTree("VP", (("Vb", vb), ("Det", det))), toy)
-    assert "valency" in {v.kind for v in result.violations}
+    with pytest.raises(InconsistencyError, match="not subcategorized"):
+        _split_realized(*valency_of(vb), (("Det", det),))
 
 
 def test_projection_violation(toy):
-    result = check_local_tree(LocalTree("VP", (("NP", None),)), toy)
-    assert "projection" in {v.kind for v in result.violations}
+    violations = check_local_tree(LocalTree("VP", (("NP", None),)), toy)
+    assert "projection" in {v.kind for v in violations}
 
 
 def test_local_tree_needs_daughters(toy):
@@ -159,25 +158,10 @@ def test_valency_of_defaults_to_empty(toy):
 
 def test_apply_valency_writes_mother_lists():
     st, fs = fresh()
-    m = fs.encode_node({
-        "synsem": {"loc": {"cat": {}}},
-        "dtrs": {"head_dtr": {"synsem": {"loc": {"cat": {
-            "subj": ("NP",), "comps": ("Det", "PP")}}}}},
-    }, default_status=Bool3.TRUE)
-    apply_valency(fs, m, realized_comps=("PP",))
+    m = fs.encode_node({"synsem": {"loc": {"cat": {}}}}, default_status=Bool3.TRUE)
+    apply_valency(fs, m, ("NP",), ("Det",))
     assert fs.resolve(CAT + ("subj",), m) == ("NP",)
     assert fs.resolve(CAT + ("comps",), m) == ("Det",)
-
-
-def test_apply_valency_over_saturation():
-    st, fs = fresh()
-    m = fs.encode_node({
-        "synsem": {"loc": {"cat": {}}},
-        "dtrs": {"head_dtr": {"synsem": {"loc": {"cat": {
-            "subj": (), "comps": ()}}}}},
-    }, default_status=Bool3.TRUE)
-    with pytest.raises(InconsistencyError):
-        apply_valency(fs, m, realized_subj=("NP",))
 
 
 # -- daughter slots ---------------------------------------------------------
@@ -188,11 +172,11 @@ def test_attach_daughters_builds_slots(toy):
     vb = entry_sign(toy, "sleeps", fs)
     np = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "NP", st.new_bool())
     mother = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "S", st.new_bool())
-    schema = attach_daughters(fs, mother, vb, subj=[np])
+    slots = attach_daughters(fs, mother, vb, subj=[np])
     assert fs.resolve(("dtrs", "head_dtr"), mother.root) == fs.canon(vb.root)
     assert fs.resolve(("dtrs", "subj_dtr"), mother.root) == fs.canon(np.root)
-    assert len(schema.slot_vars) == 2
-    assert post_unicity(schema, st)
+    assert len(slots) == 2
+    assert post_unicity(slots, st)
     with pytest.raises(UsageError):
         attach_daughters(fs, mother, vb, subj=[np, np])
 
@@ -200,7 +184,7 @@ def test_attach_daughters_builds_slots(toy):
 def test_unicity_detected_at_latest_on_assignment():
     st = Store()
     a, b, c = (st.new_var([1, 2], name=n, closed=True) for n in "abc")
-    assert post_unicity(DtrsSchema((a, b, c)), st)   # a priori
+    assert post_unicity((a, b, c), st)   # a priori
     ok = st.tell(eq(a, 1))
     ok = ok and st.tell(eq(b, 2))
     ok = ok and st.tell(eq(c, 2))
@@ -211,7 +195,7 @@ def test_unicity_prunes_two_slots():
     st = Store()
     a = st.new_var([1, 2], name="a", closed=True)
     b = st.new_var([1, 2], name="b", closed=True)
-    assert post_unicity(DtrsSchema((a, b)), st)
+    assert post_unicity((a, b), st)
     assert st.tell(eq(a, 1))
     assert list(st.domain(b)) == [2]
 
@@ -675,6 +659,65 @@ def test_schema_rejection_through_the_boolean_layer(toy):
     signs, _ = parse_hpsg(["dog", "sleeps"], g)
     assert len(signs) == 1
     assert valency_of(signs[0]) == ((), ())
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_a_schema_naming_no_frame_member_rejects_the_tree(strategy):
+    # "cat" selects a Vb schema the NP frame has no member for: the
+    # member counts as unrealized, so the NP cannot be well formed
+    text = open(TOY_LEX).read().replace("subcat [Det] schema {Det}", "subcat [Det] schema {Vb}")
+    assert "schema {Vb}" in text
+    signs, _ = parse_hpsg("the cat sleeps".split(), load_grammar(text), strategy=strategy)
+    assert signs == ()
+
+
+def _sign_table():
+    spec = importlib.util.spec_from_file_location("bench_workloads", "bench/workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.SIGN_TABLE
+
+
+def _check_valency_conservation(sign) -> int:
+    """Walk the sign's phrases through dtrs, reading the structure
+    alone: a phrase's lists followed by its realized daughters'
+    categories, in order, are its head daughter's lists.  Returns the
+    number of phrases walked."""
+    fs = sign.fs
+    cats = {fs.canon(r): c for c, r, _ in sign.parts}
+
+    def lists(node):
+        return tuple(tuple(fs.resolve(CAT + (feat,), node) or ()) for feat in ("subj", "comps"))
+
+    phrases, todo = 0, [fs.canon(sign.root)]
+    while todo:
+        node = todo.pop()
+        head = fs.resolve(("dtrs", "head_dtr"), node)
+        if head is None:
+            continue
+        subj_dtr = fs.resolve(("dtrs", "subj_dtr"), node)
+        subj = () if subj_dtr is None else (subj_dtr,)
+        comps_cell = fs.lookup(("dtrs", "comp_dtrs"), node)
+        comps = tuple(fs.canon(ref.index) for ref in (comps_cell.value if comps_cell else ()))
+        (mother_subj, mother_comps), (head_subj, head_comps) = lists(node), lists(head)
+        assert mother_subj + tuple(cats[d] for d in subj) == head_subj
+        assert mother_comps + tuple(cats[d] for d in comps) == head_comps
+        todo += [head, *subj, *comps]
+        phrases += 1
+    return phrases
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_valency_is_conserved_in_order_over_whole_lexicons(strategy):
+    cases = [(load_grammar_file("bench/lex.clg"), [s.split() for s in _sign_table()])]
+    for path in ("bench/lex.clg", TOY_LEX):
+        g = load_grammar_file(path)
+        cases.append((g, [ws for n in range(1, 5)
+                          for ws in itertools.product(sorted(g.lexicon), repeat=n)]))
+    walked = [_check_valency_conservation(sign) for g, inputs in cases for words in inputs
+              for sign in parse_hpsg(words, g, strategy=strategy)[0]]
+    assert (len(walked), sum(walked)) == (23, 73)    # signs, phrases
 
 
 def test_sign_dump_carries_a_wf_line(toy):

@@ -100,6 +100,23 @@ def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
     assert clparse.parse_hpsg is originals["parse_hpsg"]
 
 
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_every_phrase_passes_each_traced_step_once(strategy):
+    # the per-layer lines time these steps, so the pipeline must call
+    # each of them once per phrase: three phrases in "the cat sleeps"
+    tracing = _bench_module("tracing")
+    g = load_grammar_file(TOY_LEX)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, clparse)
+    try:
+        signs, _ = clparse.hpsg.parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
+    finally:
+        uninstall()
+    assert len(signs) == 1
+    steps = ("check_local_tree", "attach_daughters", "post_unicity", "apply_hfp", "apply_valency")
+    assert {s: tracer.calls[f"hpsg.{s}"] for s in steps} == dict.fromkeys(steps, 3)
+
+
 def test_every_exported_name_resolves_once():
     missing = [name for name in clparse.__all__ if not hasattr(clparse, name)]
     assert not missing
