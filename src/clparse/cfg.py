@@ -5,8 +5,9 @@ window.  A window is the pair (origin, size), origin = |a| and size =
 |b|, with c the rest of the sequence, so the active strategy below
 posts the split as one store variable over such pairs, not as three
 sequence variables.  Windows are enumerated (origin ascending, then
-size ascending), the window is matched against rule right-hand sides,
-and a match rewrites the window to the rule's left-hand side.  A
+size ascending), each window is tested with one probe of
+`Grammar.by_rhs`, the table from each right-hand side to its rules, and
+a match rewrites the window to the rule's left-hand side.  A
 derivation records the reduction steps until the sequence equals
 <start>.
 
@@ -22,7 +23,9 @@ total reaches `limit`, so a limit bounds the work and not only the
 output.  The derivations are then read off the forest lazily, in the
 order of an unshared depth-first search.  `windows_tried` and
 `reductions_applied` count the scans of distinct states only, and
-`backtracks` the distinct states without a derivation.
+`backtracks` the distinct states without a derivation.  A scan adds
+its windows to `windows_tried` once, at its end, or up to and including
+the window in which `limit` stops it.
 
 A sentence is one `Search`, its taggings roots of one memo, with
 `limit` counted across them.  A tagging's distinct trees are built along
@@ -44,15 +47,17 @@ origin (Pesant 2004: the right-hand sides are a finite regular
 language), and whose rule's left-hand side may stand between the
 window's two neighbours.  Those are the only new neighbours a
 reduction makes, so the check is exact: every state the search skips
-has no derivation, and every state it reaches passes the whole check
-unless its rule shares a right-hand side with one that fits.  Each
-solve restores the store to the snapshot taken after w was made, tells
-`Spells` for its sequence and reads the windows off w's domain; the
-store counts into the search's `Stats` as it works, and a longer root
-makes a new store.  The answer depends on the sequence alone, so the
-search tables it by sequence, and every later state with that sequence
-reads it from the table instead of solving again (Schulte & Stuckey
-2008: a propagator whose input did not change is not run again).
+has no derivation.  Where rules share a right-hand side, the scan
+reduces only those whose left-hand side fits between the window's
+neighbours, so every state it reaches below the root passes the whole
+check.  Each solve restores the store to the snapshot taken after w
+was made, tells `Spells` for its sequence and reads the windows off w's
+domain; the store counts into the search's `Stats` as it works, and a
+longer root makes a new store.  The answer depends on the sequence
+alone, so the search tables it by sequence, and every later state with
+that sequence reads it from the table instead of solving again
+(Schulte & Stuckey 2008: a propagator whose input did not change is not
+run again).
 "gentest" enumerates every arithmetically possible window, tabled by
 sequence length, and tests it after the fact, with neither table: it
 is the plain generate-and-test figure the active strategy is measured
@@ -69,7 +74,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .constraints import spells
+from .constraints import BOUNDARY, spells
 from .errors import UsageError
 from .grammar import Grammar
 from .store import Stats, Store
@@ -143,17 +148,22 @@ class Search:
         # forest's peak memory.
         key = (self.shared.setdefault(seq, seq),
                self.shared.setdefault(unary_seen, unary_seen))
-        stats, matching = self.stats, self.g.rules_matching
+        stats, by_rhs = self.stats, self.g.by_rhs
         count, edges = 0, []
         if seq == (self.g.start,):
             count, edges = 1, [None]
             self.found += 1
             if self.found >= self.wanted:
                 return count, tuple(edges)
-        for va, vb in self.windows(key[0]):
-            stats.windows_tried += 1
-            window = seq[va:va + vb]
-            for rule in matching(window):
+        windows = self.windows(key[0])
+        active = self.strategy == "active"
+        for va, vb in windows:
+            rules = by_rhs.get(seq[va:va + vb])
+            if rules is None:
+                continue
+            if active and len(rules) > 1:
+                rules = self._fitting(rules, seq, va, va + vb)
+            for rule in rules:
                 if vb == 1:
                     mark = (va, rule.lhs)
                     if mark in unary_seen:
@@ -165,9 +175,11 @@ class Search:
                 child = self.node(seq[:va] + (rule.lhs,) + seq[va + vb:], child_seen)
                 if child[0]:
                     count += child[0]
-                    edges.append(((rule.lhs, window), va, child))
+                    edges.append(((rule.lhs, rule.rhs), va, child))
                 if self.found >= self.wanted:
+                    stats.windows_tried += windows.index((va, vb)) + 1
                     return count, tuple(edges)
+        stats.windows_tried += len(windows)
         if not count:
             stats.backtracks += 1
         record = (count, tuple(edges)) if count else _DEAD
@@ -182,6 +194,15 @@ class Search:
         """The tagging's distinct trees, each with its first derivation,
         lazily, in scan order of those derivations."""
         yield from _trees(self.node(cats, _NO_UNARY), tuple((c, ()) for c in cats), set())
+
+    def _fitting(self, rules, seq, va: int, end: int) -> tuple:
+        """The rules whose left-hand side may stand between the window's
+        neighbours, BOUNDARY past either end: the test `Spells` keeps a
+        window by, made per rule."""
+        follows = self.g.follows
+        before = follows.get(seq[va - 1] if va else BOUNDARY, ())
+        after = seq[end] if end < len(seq) else BOUNDARY
+        return tuple(r for r in rules if r.lhs in before and after in follows.get(r.lhs, ()))
 
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
         key = len(seq) if self.strategy == "gentest" else seq

@@ -70,16 +70,16 @@ class Cell:
         return f"<{self.feature},{self.owner},{self.value!r}>"
 
 
-def _norm_feat(name: str) -> str:
+def norm_feat(name: str) -> str:
     # HEAD-DTR and head_dtr are the same feature
     return name.lower().replace("-", "_")
 
 
 def _as_path(p) -> tuple[str, ...]:
     if isinstance(p, str):
-        parts = tuple(_norm_feat(s.strip()) for s in p.split("."))
+        parts = tuple(norm_feat(s.strip()) for s in p.split("."))
     else:
-        parts = tuple(_norm_feat(s) for s in p)
+        parts = tuple(norm_feat(s) for s in p)
     if not parts or any(not s for s in parts):
         raise UsageError(f"bad path {p!r}")
     return parts
@@ -130,7 +130,7 @@ class FeatureStructure:
         return tuple(self._groups[self._check_node(i)].values())
 
     def find(self, i: int, feature: str) -> Cell | None:
-        return self._groups[self._check_node(i)].get(_norm_feat(feature))
+        return self._groups[self._check_node(i)].get(norm_feat(feature))
 
     # -- cell creation --------------------------------------------------
 
@@ -314,7 +314,7 @@ class FeatureStructure:
         """
         with self.store.transaction():
             for feature, owner, value, status in cells:
-                feature = _norm_feat(feature)
+                feature = norm_feat(feature)
                 owner = self._check_node(owner)
                 if isinstance(value, tuple):
                     if feature not in LIST_FEATURES:
@@ -429,7 +429,7 @@ class FeatureStructure:
             return term == actual
 
         for feature, owner, value, status in pattern:
-            feature = _norm_feat(feature)
+            feature = norm_feat(feature)
             if isinstance(owner, str):
                 if owner not in env:
                     # unrooted template: scan nodes in index order
@@ -578,7 +578,7 @@ def _compile(raw, default, index_of: dict, on_stack: set, cells: list):
         if isinstance(value, Ann):
             status, value = _template_status(value.status), value.value
         value = yield value
-        feature = _norm_feat(feat)
+        feature = norm_feat(feat)
         if feature in seen:
             raise UsageError(f"avm names {feature} twice on one node")
         if isinstance(value, tuple) and feature not in LIST_FEATURES:
@@ -641,7 +641,7 @@ def avm_equal(a, b) -> bool:
 #   sharing:   [head: #1 [maj: n], subj_head: #1]
 #   sequences: [comps: <#2, #3>]      statuses:  [+vform: pas, -index, ?gen: masc]
 
-class _AvmParser(Cursor):
+class AvmParser(Cursor):
     # each '[' and '<' nests one level
     def __init__(self, text: str):
         super().__init__(text, rf"#\d+|[\[\]<>,:+?-]|{NAME}", "avm")
@@ -672,7 +672,7 @@ class _AvmParser(Cursor):
         if self.peek() == ":":
             self.take(":")
             value = self.value()
-        key = _norm_feat(name)
+        key = norm_feat(name)
         if key in out:
             self.fail(f"duplicate feature {name!r}")
         out[key] = value if status is None else Ann(value, status)
@@ -722,7 +722,7 @@ class _AvmParser(Cursor):
 def parse_avm(text: str) -> dict:
     """Parse the bracketed avm syntax into nested dicts (sharing tags
     become shared dict objects, annotations become Ann wrappers)."""
-    p = _AvmParser(text)
+    p = AvmParser(text)
     avm = p.avm()
     p.end()
     return avm

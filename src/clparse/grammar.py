@@ -18,9 +18,10 @@ lexical entry's avm is read by the avm reader, which stops after its
 closing bracket and leaves the clauses after it to the loader.  The
 LP pairs must form a strict partial order; a cycle is reported on the
 line of its latest-declared pair.  A grammar is immutable once loaded.
-The rules also compile to the window parser's two tables: the trie of
-right-hand sides, and `follows`, the categories that may stand side by
-side in a sentential form of the start category.
+The rules also compile to the window parser's three tables: `by_rhs`,
+each right-hand side's rules, the trie of right-hand sides, and
+`follows`, the categories that may stand side by side in a sentential
+form of the start category.
 Each lexical entry compiles to its sign's template as it is read.  An
 entry that cannot become a sign, or an fcr naming a feature no sign can
 carry, is a `GrammarError` on its line; entries record their fcr sites.
@@ -35,7 +36,7 @@ from functools import cached_property
 
 from .constraints import BOUNDARY
 from .errors import GrammarError, UsageError
-from .fstruct import _AvmParser, _norm_feat, compile_avm
+from .fstruct import AvmParser, compile_avm, norm_feat
 from .logic import NAME, Bool3, Formula, Implies, Var, format_formula, parse_with_leaves
 
 
@@ -155,7 +156,8 @@ class Grammar:
         self.fcrs: list[FCR] = []
         self.lexicon: dict[str, list[LexEntry]] = {}
         self._categories: dict[str, Category] = {}
-        self._by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
+        # Each right-hand side mapped to its rules, in file order.
+        self.by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
         # The right-hand sides as a trie: each category maps to the
         # left-hand sides of the rules whose right-hand side ends there,
         # in file order, and the trie of the categories that may follow it.
@@ -181,7 +183,7 @@ class Grammar:
 
     def rules_matching(self, rhs_window) -> tuple[PSRule, ...]:
         """Rules whose right-hand side equals the window, in file order."""
-        return self._by_rhs.get(tuple(rhs_window), ())
+        return self.by_rhs.get(tuple(rhs_window), ())
 
     def legal_daughters(self, r: str) -> frozenset[str]:
         """Everything r may immediately dominate: rule right-hand sides
@@ -238,7 +240,7 @@ def _fcr_literal(tok: str) -> Formula:
     if not m:
         raise UsageError(f"bad literal {tok!r}")
     feature, value = m.groups()
-    return Var(FcrLiteral(_norm_feat(feature), value.lower() if value else None))
+    return Var(FcrLiteral(norm_feat(feature), value.lower() if value else None))
 
 
 def parse_fcr(text: str, line: int | None = None) -> FCR:
@@ -366,7 +368,7 @@ def _parse_lex(body: str, line: int) -> LexEntry:
     form, cat, rest = m.group(1), m.group(2), m.group(3).strip()
     avm: dict = {}
     if rest.startswith("["):
-        reader = _AvmParser(rest)   # reads the avm and stops after it
+        reader = AvmParser(rest)   # reads the avm and stops after it
         try:
             avm = reader.avm()
         except UsageError as e:
@@ -487,7 +489,7 @@ def load_grammar(text: str) -> Grammar:
         level = "phrasal" if name in phrasal else "lexical"
         g._categories[name] = Category(name, level)
     for rule in g.rules:
-        g._by_rhs[rule.rhs] = g._by_rhs.get(rule.rhs, ()) + (rule,)
+        g.by_rhs[rule.rhs] = g.by_rhs.get(rule.rhs, ()) + (rule,)
         node = g.rhs_trie
         for cat in rule.rhs[:-1]:
             node = node.setdefault(cat, ((), {}))[1]

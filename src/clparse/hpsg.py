@@ -80,7 +80,11 @@ class Violation:
 
 def valency_of(sign: Sign) -> tuple[tuple, tuple]:
     """The sign's current subj and comps lists (empty when unset)."""
-    cells = (sign.fs.lookup(CAT_PATH + (feat,), sign.root) for feat in ("subj", "comps"))
+    fs = sign.fs
+    cat = fs.resolve(CAT_PATH, sign.root)
+    if not isinstance(cat, int):
+        return (), ()
+    cells = (fs.find(cat, feat) for feat in ("subj", "comps"))
     return tuple(tuple(c.value) if c is not None and c.value else () for c in cells)
 
 
@@ -98,11 +102,14 @@ def _cancel(head_list, realized, which: str):
 
 def _split_realized(head_subj, head_comps, sisters):
     """Assign the sisters, (category, sign) pairs, to the head's lists,
-    complements first.  Returns (subj_pairs, comp_pairs, mother_subj,
+    complements first; only a saturated sister, one with empty subj and
+    comps, fills a slot.  Returns (subj_pairs, comp_pairs, mother_subj,
     mother_comps)."""
     rem_c, rem_s = list(head_comps), list(head_subj)
     comps_r, subj_r = [], []
     for cat, sign in sisters:
+        if sign is not None and valency_of(sign) != ((), ()):
+            raise InconsistencyError(f"{cat} sister is not saturated")
         if cat in rem_c:
             rem_c.remove(cat)
             comps_r.append((cat, sign))

@@ -225,6 +225,34 @@ def test_pinned_counters(toy):
     assert sa.propagation_steps == 48
 
 
+@pytest.mark.parametrize("strategy,limit,counts", [
+    ("active", 1, (6, 6, 0)), ("active", 2, (9, 9, 0)), ("active", 5, (15, 15, 0)),
+    ("gentest", 1, (53, 6, 0)), ("gentest", 2, (151, 12, 3)), ("gentest", 5, (535, 39, 19)),
+])
+def test_pinned_counters_where_the_limit_stops_a_scan(toy, strategy, limit, counts):
+    # a scan that `limit` stops inside a window counts the windows up to
+    # and including that one, and none after it
+    derivs, stats = parse(SENT7, toy, strategy=strategy, limit=limit)
+    assert len(derivs) == limit
+    assert (stats.windows_tried, stats.reductions_applied, stats.backtracks) == counts
+
+
+SHARED = "start S. rule S -> X B. rule X -> A. rule Y -> A."
+
+
+def test_active_reduces_only_the_rules_that_fit_a_shared_window():
+    # X and Y share the right-hand side A, and only X may stand before B:
+    # active reduces X alone, where gentest also makes the dead Y B
+    g = load_grammar(SHARED)
+    want = ((("X", ("A",)), ("S", ("X", "B"))),)
+    counts = {}
+    for strategy in ("active", "gentest"):
+        derivs, stats = parse(("A", "B"), g, strategy=strategy)
+        assert derivs == want
+        counts[strategy] = (stats.windows_tried, stats.reductions_applied, stats.backtracks)
+    assert counts == {"active": (2, 2, 0), "gentest": (10, 3, 1)}
+
+
 def test_limit_bounds_the_work(toy):
     # the search stops as soon as `limit` derivations are found, counting
     # all of them under a state it meets again.  Gentest scans dead
@@ -523,19 +551,33 @@ def test_forest_matches_the_oracle_with_unary_cycles(grammar, data):
         assert sa.backtracks <= sg.backtracks
     for strategy in ("active", "gentest"):
         assert list(Search(g, strategy).trees(cats)) == trees
+    # the same grammar with a drawn rule's right-hand side given to a
+    # second left-hand side: active reduces only the rules of a window
+    # that fit between its neighbours, so no state it makes below the
+    # root fails the neighbour check
+    rules, cycles = grammar
+    lhs, rhs = data.draw(st.sampled_from(rules))
+    twin = data.draw(st.sampled_from([c for c in CATS if c != lhs]))
+    shared = _load(list(rules) + [(twin, rhs)], cycles)
+    if _oracle_nodes(cats, shared, 500) <= 500:
+        search = Search(shared, "active")
+        assert tuple(search.derivations(cats)) == oracle_parse(cats, shared)
+        assert all(shared.could_be_sentential(seq) for seq, seen in search.memo
+                   if (seq, seen) != (cats, frozenset()))
 
 
 def _active_windows(seq, g) -> list:
-    """The windows active tries on seq, each with its rules in file
-    order: none if seq could not be sentential, else those where one of
-    the window's rules makes a sequence that could be."""
+    """The windows active tries on seq, each with the rules it reduces
+    there, in file order: none if seq could not be sentential, else
+    those where a rule makes a sequence that could be, with those rules."""
     if not g.could_be_sentential(seq):
         return []
     out = []
     for va in range(len(seq)):
         for vb in range(1, len(seq) - va + 1):
-            rules = [r for r in g.rules if r.rhs == seq[va:va + vb]]
-            if any(g.could_be_sentential(seq[:va] + (r.lhs,) + seq[va + vb:]) for r in rules):
+            rules = [r for r in g.rules if r.rhs == seq[va:va + vb]
+                     and g.could_be_sentential(seq[:va] + (r.lhs,) + seq[va + vb:])]
+            if rules:
                 out.append(((va, vb), rules))
     return out
 

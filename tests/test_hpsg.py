@@ -148,6 +148,15 @@ def test_split_realized_rejects_strangers():
         _split_realized(("NP", "NP"), (), (("NP", None), ("NP", None)))
 
 
+def test_split_realized_takes_only_saturated_sisters(toy):
+    st, fs = fresh()
+    vb = entry_sign(toy, "sleeps", fs)     # subj [NP] still open
+    with pytest.raises(InconsistencyError, match="not saturated"):
+        _split_realized(("NP",), (), (("NP", vb),))
+    det = entry_sign(toy, "the", fs)
+    assert _split_realized((), ("Det",), (("Det", det),))[1] == (("Det", det),)
+
+
 def test_valency_of_defaults_to_empty(toy):
     st, fs = fresh()
     sign = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "X", st.new_bool())
@@ -624,6 +633,17 @@ def test_root_must_be_saturated():
         assert (stats.trees_considered, stats.signs_accepted, signs) == (1, 0, ())
         signs, _ = parse_hpsg("the cat sees the cat".split(), g, strategy=strategy)
         assert [valency_of(s) for s in signs] == [((), ())]
+
+
+def test_an_unsaturated_sister_fills_no_slot():
+    # with "cat" wanting a Vb after its Det, "the cat" is an NP whose
+    # comps is still <Vb>, so it cannot be the subject of "sleeps"
+    text = open(TOY_LEX).read().replace("subcat [Det] schema", "subcat [Vb,Det] schema")
+    assert "subcat [Vb,Det]" in text
+    g = load_grammar(text)
+    for strategy in ("active", "gentest"):
+        signs, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
+        assert (stats.trees_considered, stats.signs_accepted, signs) == (1, 0, ())
 
 
 def test_two_subject_sisters_reject_the_tree():

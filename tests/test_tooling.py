@@ -5,7 +5,8 @@ workload's own run and check must pass on its sentences (the capped
 than in a benchmark run; the active search must scan no dead state on
 the `cfg-active` sentences.  The tests read `bench/` and edit nothing.
 Last, no module of the package or of its tests may import a name it
-never uses, and every class the README names exists."""
+never uses, no module of the package may read another's underscore
+name, and every class the README names exists."""
 
 import ast
 import builtins
@@ -143,6 +144,44 @@ def test_no_module_imports_a_name_it_never_uses(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+PACKAGE = sorted((ROOT / "src" / "clparse").glob("*.py"))
+
+
+def _bound_names(tree) -> set:
+    """Every name the module defines, assigns, takes as an argument or
+    sets as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_underscore_name(path):
+    # `x._name` is another module's private name when x is not self or
+    # cls and the module itself binds _name nowhere; a relative import
+    # of an underscore name is one too
+    tree = ast.parse(path.read_text())
+    own = _bound_names(tree)
+    foreign = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__") and node.attr not in own
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            foreign.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            foreign += [(node.lineno, alias.name) for alias in node.names
+                        if alias.name.startswith("_")]
+    assert not foreign, f"{path.name}: reads another module's private name: {foreign}"
 
 
 def test_every_class_the_readme_names_exists():
