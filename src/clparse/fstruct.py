@@ -19,7 +19,11 @@ A description compiles, without a store, to a template of plain tuples
 over relative node numbers, and `instantiate` installs a template on
 fresh nodes of any structure in one step: that is the one way a
 description's cells reach a structure.  The grammar loader compiles
-each lexical entry once.
+each lexical entry once.  A template may also hold absolute `Ref`s to
+nodes that exist already: the sign builder installs each phrase as its
+compiled skeleton plus references to the daughters' roots.  Such an
+install needs no acyclicity walk, since no existing node refers to a
+fresh one.
 
 `parse_avm` reads the bracketed text syntax through `logic.Cursor`, so
 any text it has no token for is a `UsageError`.
@@ -166,17 +170,27 @@ class FeatureStructure:
     def instantiate(self, template: tuple) -> int:
         """Install a compiled template (see `compile_avm`) on fresh nodes
         numbered after the existing ones; returns the node its node 1
-        became.  The statuses are allocated in one batch, and one undo
-        entry takes the nodes back.  Value watchers are not called: they
-        watch existing nodes."""
+        became.  Besides the template's own node numbers, a value may
+        hold a `Ref`: an absolute reference to a node that exists
+        already, which is how a template points into structure built
+        before it (a `Ref` to no such node is a `UsageError`, before
+        anything changes).  The statuses are allocated in one batch, and
+        one undo entry takes the nodes back.
+
+        The install needs no acyclicity walk.  The template's own node
+        numbers form no cycle (`compile_avm` refuses one), and no
+        existing node refers to a fresh one, so an edge from a fresh
+        node to an existing node cannot close a cycle.  Value watchers
+        are not called either: they watch existing nodes, and no cell of
+        an existing node changes."""
         n_nodes, cells = template
         base = self._n_nodes
+        values = [_absolute(value, base) for _, _, value, _ in cells]
         statuses = self.store.new_bools(
             [(f"{feature}@{base + owner}", status) for feature, owner, _, status in cells])
         groups: list[dict[str, Cell]] = [{} for _ in range(n_nodes)]
-        for (feature, owner, value, _), status in zip(cells, statuses):
-            groups[owner - 1][feature] = Cell(feature, base + owner,
-                                              _absolute(value, base), status)
+        for (feature, owner, _, _), value, status in zip(cells, values, statuses):
+            groups[owner - 1][feature] = Cell(feature, base + owner, value, status)
         self._groups.extend(groups)
         self.store.on_undo(functools.partial(self._groups.__delitem__,
                                              slice(base + 1, None)))
@@ -596,11 +610,14 @@ def _template_status(s) -> bool | None:
 
 
 def _absolute(value, base: int):
-    """A template value on a structure: node number k is node base + k."""
+    """A template value on a structure: node number k is node base + k,
+    and a `Ref` must name one of the first `base` nodes."""
     if isinstance(value, int):
         return Ref(base + value)
     if isinstance(value, tuple):
-        return tuple(Ref(base + e) if isinstance(e, int) else e for e in value)
+        return tuple(_absolute(e, base) for e in value)
+    if isinstance(value, Ref) and not 1 <= value.index <= base:
+        raise UsageError(f"no node {value.index}")
     return value
 
 

@@ -11,23 +11,31 @@ distinctness constraint, subcategorization is a layer of boolean
 implications over per-constituent well-formedness variables,
 cooccurrence restrictions compile to implications over status
 variables, and head feature sharing installs the mother's head as the
-head daughter's head node (token identity).
+head daughter's head node (token identity).  Head sharing has one rule:
+a guard (the nine statuses along both cat chains) entailed when the
+share is posted installs the head at once; an open guard entails a
+fresh status and suspends an ask that installs the head under it once
+the guard is entailed.
 
 The sentence pipeline drives all of this from one window-parser search
 over every lexical tagging: each distinct tree off its forest is built
 bottom-up on a fresh store.  The active strategy checks each reduction
 as it is built.  The generate-and-test strategy defers the local-tree
-checks, the entries' well-formedness and restrictions, and
-subcategorization to the end of the tree, but builds what each mother
-is made from (valency split, daughter slots, head sharing), and so
-checks it, as it goes.  Both accept exactly the same signs.
+checks, the well-formedness of entries and phrases, the entries'
+restrictions, and subcategorization to the end of the tree, but builds
+what each mother is made from (valency split, daughter slots, head
+sharing), and so checks it, as it goes.  Both accept exactly the same
+signs.
 
 Each lexical entry arrives compiled from the grammar loader: its sign
 as a flat cell list over relative node numbers with the known statuses,
 and the nodes where each cooccurrence restriction applies.  The phrase
 skeleton is a template compiled once, at import.  A tree installs these
 templates instead of encoding every entry again, and instantiates only
-the restrictions at the recorded sites.
+the restrictions at the recorded sites.  Each mother is one install:
+the skeleton plus the phrase's own cells, its valency lists, its dtrs
+slots as absolute references to the daughters' roots and, when the
+head daughter's head is already realized, the shared head.
 Nothing a tree's store holds refers back strongly to its structure, so
 a rejected tree is freed by reference counting, without the cyclic
 collector.
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 from .cfg import Search
 from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
 from .errors import InconsistencyError, UsageError
-from .fstruct import Ann, Bool3, Cell, FeatureStructure, Ref, compile_avm
+from .fstruct import Bool3, Cell, FeatureStructure, Ref, compile_avm
 from .grammar import FCR, FcrLiteral, Grammar, LexEntry, fcr_sites
 from .logic import And, Const, Formula, Implies, Not, Or, Var, conj
 from .store import AskResult, Stats, Store, VarId
@@ -78,12 +86,26 @@ class Violation:
 
 # -- valency ------------------------------------------------------------
 
+def _cat_chain(fs: FeatureStructure, root: int) -> list[Cell] | None:
+    """The synsem, loc and cat cells below `root`, one `find` step
+    each; None when a step is missing or holds no node."""
+    chain, node = [], root
+    for feature in CAT_PATH:
+        cell = fs.find(node, feature)
+        if cell is None or not isinstance(cell.value, Ref):
+            return None
+        chain.append(cell)
+        node = cell.value.index
+    return chain
+
+
 def valency_of(sign: Sign) -> tuple[tuple, tuple]:
     """The sign's current subj and comps lists (empty when unset)."""
     fs = sign.fs
-    cat = fs.resolve(CAT_PATH, sign.root)
-    if not isinstance(cat, int):
+    chain = _cat_chain(fs, sign.root)
+    if chain is None:
         return (), ()
+    cat = chain[-1].value.index
     cells = (fs.find(cat, feat) for feat in ("subj", "comps"))
     return tuple(tuple(c.value) if c is not None and c.value else () for c in cells)
 
@@ -174,33 +196,6 @@ def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
 
 
 # -- daughter slots -----------------------------------------------------
-
-def attach_daughters(fs: FeatureStructure, mother: Sign, head: Sign, *,
-                     subj=(), comps=()) -> tuple[VarId, ...]:
-    """Build the mother's dtrs node.  Occupied slots get a finite-domain
-    variable over the sign's root index, returned in slot order, so
-    distinctness can be posted before anything else looks at the slots."""
-    store = fs.store
-    dtrs = fs.new_node()
-    fs.add((("dtrs", mother.root, Ref(dtrs), Bool3.TRUE),))
-    slot_vars: list[VarId] = []
-
-    def occupy(name: str, sign: Sign):
-        slot_vars.append(store.new_var([fs.canon(sign.root)], name=f"dtr:{name}"))
-
-    occupy("head_dtr", head)
-    fs.add((("head_dtr", dtrs, Ref(head.root), Bool3.TRUE),))
-    if len(subj) > 1:
-        raise UsageError("at most one subject daughter")
-    if subj:
-        occupy("subj_dtr", subj[0])
-        fs.add((("subj_dtr", dtrs, Ref(subj[0].root), Bool3.TRUE),))
-    if comps:
-        for k, sign in enumerate(comps):
-            occupy(f"comp_dtrs[{k}]", sign)
-        fs.add((("comp_dtrs", dtrs, tuple(Ref(s.root) for s in comps), Bool3.TRUE),))
-    return tuple(slot_vars)
-
 
 def post_unicity(slot_vars, store: Store) -> bool:
     if len(slot_vars) < 2:
@@ -327,20 +322,26 @@ _HFP_PATTERN = (
 
 def apply_hfp(fs: FeatureStructure, root: int) -> FeatureStructure:
     """Post head sharing on a headed sign.  The match binds the status
-    variables along both cat chains; their conjunction entails a fresh
-    status under which the mother's head cell is installed as a
-    reference to the head daughter's head node.  Installation happens
-    only when the antecedent is entailed, possibly much later."""
+    variables along both cat chains, the guard; the mother's head cell
+    is installed as a reference to the head daughter's head node once
+    the guard is entailed.  A guard entailed already installs the head
+    at once, realized.  An open one entails a fresh status under which
+    the head is installed when the guard is entailed, possibly much
+    later, or never."""
     env = fs.delta(_HFP_PATTERN, {"M0": fs.canon(root)})
     if env is None:
         return fs
     store = fs.store
-    guard = conj([Var(env[f"g{k}"]) for k in range(1, 10)])
+    guards = [env[f"g{k}"] for k in range(1, 10)]
+    head = env["H"]
+    value = Ref(head) if isinstance(head, int) else head
+    if all(store.bool_value(g) is Bool3.TRUE for g in guards):
+        fs.add((("head", env["M3"], value, Bool3.TRUE),))
+        return fs
+    guard = conj([Var(g) for g in guards])
     shared = store.new_bool(f"hfp@{env['M3']}")
     if not store.tell(bool_post(Implies(guard, Var(shared)))):
         raise InconsistencyError("head sharing rejected")
-    head = env["H"]
-    value = Ref(head) if isinstance(head, int) else head
     # weakly, as the store holds the callback (see _value_guard)
     store.post_ask(BoolConstraint(guard), functools.partial(
         _share_head, weakref.ref(fs), env["M3"], value, shared))
@@ -354,14 +355,76 @@ def _share_head(fs_ref, target: int, value, shared: VarId, result: AskResult) ->
 
 
 def apply_valency(fs: FeatureStructure, root: int, subj, comps) -> FeatureStructure:
-    """Write the mother's valency lists: what `_split_realized` left of
-    the head daughter's."""
-    cat = fs.resolve(CAT_PATH, root)
-    if not isinstance(cat, int):
+    """Write a sign's valency lists.  The pipeline writes a mother's
+    lists, what `_split_realized` left of the head daughter's, in its
+    install (`attach_daughters`)."""
+    chain = _cat_chain(fs, root)
+    if chain is None:
         raise UsageError("mother sign has no category node")
+    cat = chain[-1].value.index
     fs.add((("subj", cat, tuple(subj), Bool3.TRUE),
             ("comps", cat, tuple(comps), Bool3.TRUE)))
     return fs
+
+
+# -- the mother install ---------------------------------------------------
+
+# A phrase's skeleton, realized: the mother's root (node 1), its
+# synsem.loc.cat chain and its dtrs node.  Each phrase adds its own
+# cells on the cat node (4) and the dtrs node (5).
+_PHRASE = compile_avm({"synsem": {"loc": {"cat": {}}}, "dtrs": {}}, Bool3.TRUE)
+_CAT, _DTRS = 4, 5
+
+
+def _realized_head(fs: FeatureStructure, sign: Sign) -> Cell | None:
+    """The sign's cat head cell when it and the synsem, loc and cat
+    cells above it all have status true, else None."""
+    chain = _cat_chain(fs, sign.root)
+    if chain is None:
+        return None
+    head = fs.find(chain[-1].value.index, "head")
+    if head is None:
+        return None
+    status = fs.store.bool_value
+    if all(status(cell.status) is Bool3.TRUE for cell in (*chain, head)):
+        return head
+    return None
+
+
+def attach_daughters(fs: FeatureStructure, head: Sign, *, subj=(), comps=(),
+                     mother_subj=(), mother_comps=()) -> tuple[int, tuple[VarId, ...]]:
+    """Install a mother over its daughters with one `instantiate`: the
+    phrase skeleton, the mother's subj and comps lists, the dtrs slots
+    as references to the daughters' roots and, when the head daughter's
+    head is already realized, the shared head, realized.  An open guard
+    is posted by `apply_hfp` after the install.  Returns the mother's
+    root and one finite-domain variable per occupied slot over the
+    sign's root index, in slot order, so distinctness can be posted
+    before anything else looks at the slots."""
+    if len(subj) > 1:
+        raise UsageError("at most one subject daughter")
+    cells = [("subj", _CAT, tuple(mother_subj), True),
+             ("comps", _CAT, tuple(mother_comps), True)]
+    shared = _realized_head(fs, head)
+    if shared is not None:
+        value = shared.value
+        cells.append(("head", _CAT, Ref(fs.canon(value.index))
+                      if isinstance(value, Ref) else value, True))
+    slots = [("head_dtr", head)]
+    cells.append(("head_dtr", _DTRS, Ref(fs.canon(head.root)), True))
+    for sign in subj:
+        slots.append(("subj_dtr", sign))
+        cells.append(("subj_dtr", _DTRS, Ref(fs.canon(sign.root)), True))
+    if comps:
+        slots += [(f"comp_dtrs[{k}]", sign) for k, sign in enumerate(comps)]
+        cells.append(("comp_dtrs", _DTRS, tuple(Ref(fs.canon(s.root)) for s in comps), True))
+    n_nodes, skeleton = _PHRASE
+    root = fs.instantiate((n_nodes, skeleton + tuple(cells)))
+    if shared is None:
+        apply_hfp(fs, root)
+    store = fs.store
+    return root, tuple(store.new_var([fs.canon(sign.root)], name=f"dtr:{name}")
+                       for name, sign in slots)
 
 
 # -- sign construction ----------------------------------------------------
@@ -374,13 +437,6 @@ def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
                 schema=entry.schema)
 
 
-# A phrase's skeleton: synsem.loc.cat realized, with valueless subj and
-# comps placeholders.
-_MOTHER = compile_avm({"synsem": {"loc": {"cat": {
-    "subj": Ann(None, Bool3.UNKNOWN), "comps": Ann(None, Bool3.UNKNOWN)}}}},
-    Bool3.TRUE)
-
-
 # -- pipeline -------------------------------------------------------------
 
 def _check(t: LocalTree, g: Grammar) -> None:
@@ -391,7 +447,7 @@ def _check(t: LocalTree, g: Grammar) -> None:
 
 def _assert_wf(store: Store, sign: Sign) -> None:
     if not store.tell(bool_post(Var(sign.wf))):
-        raise InconsistencyError(f"{sign.category} entry inconsistent")
+        raise InconsistencyError(f"{sign.category} is not well formed")
 
 
 def _post_frame(frame, store: Store, wf_map, schema, comp_vars) -> None:
@@ -452,15 +508,14 @@ class _TreeBuild:
         subj_pairs, comp_pairs, mother_subj, mother_comps = _split_realized(
             *valency_of(head), daughters[:hi] + daughters[hi + 1:])
 
-        mother = Sign(fs, fs.instantiate(_MOTHER), label, store.new_bool(f"wf:{label}"))
+        root, slots = attach_daughters(fs, head, subj=[s for _, s in subj_pairs],
+                                       comps=[s for _, s in comp_pairs],
+                                       mother_subj=mother_subj, mother_comps=mother_comps)
+        mother = Sign(fs, root, label, store.new_bool(f"wf:{label}"))
         self.parts.append((label, mother.root, mother.wf))
-        slots = attach_daughters(fs, mother, head,
-                                 subj=[s for _, s in subj_pairs],
-                                 comps=[s for _, s in comp_pairs])
         if not post_unicity(slots, store):
             raise InconsistencyError("daughter slots are not distinct")
-        apply_hfp(fs, mother.root)
-        apply_valency(fs, mother.root, mother_subj, mother_comps)
+        self.gate(functools.partial(_assert_wf, store, mother))
 
         frame = g.frames.get(label)
         if frame is not None:
@@ -492,8 +547,6 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
         root_sign = build.sign(tree)
         for fn in build.deferred:
             fn()
-        if not build.store.tell(bool_post(Var(root_sign.wf))):
-            return None
         if valency_of(root_sign) != ((), ()):
             return None     # A6: the root must be saturated
     except InconsistencyError:

@@ -594,3 +594,29 @@ def test_add_walks_for_cycles_only_on_a_reference():
     assert walks == [1]
     with pytest.raises(UsageError):
         fs.add([("up", 2, Ref(1), Bool3.TRUE)])
+
+
+def test_a_template_refers_to_existing_nodes_with_absolute_refs():
+    # node numbers are the template's own; a Ref names a node built
+    # before it, in a cell or inside a list
+    fs = encode(parse_avm("[x: [maj: n]]"))
+    walks = []
+    below = fs._below
+    fs._below = lambda i: walks.append(i) or below(i)
+    root = fs.instantiate((2, (("a", 1, 2, True), ("b", 1, Ref(2), True),
+                               ("comps", 2, (Ref(1), "NP"), None))))
+    assert walks == []          # no acyclicity walk
+    assert root == 3
+    assert fs.resolve("a", root) == 4
+    assert fs.resolve("b", root) == 2 == fs.resolve("x")
+    assert fs.resolve("a.comps", root) == (Ref(1), "NP")
+    assert fs.has_substructure(root, 1) and not fs.has_substructure(1, root)
+
+
+@pytest.mark.parametrize("value", [Ref(3), Ref(0), (Ref(2), Ref(9))])
+def test_a_template_ref_to_no_existing_node_changes_nothing(value):
+    fs = encode(parse_avm("[x: [maj: n]]"))
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    with pytest.raises(UsageError, match="no node"):
+        fs.instantiate((1, (("a", 1, "x", True), ("comps", 1, value, True))))
+    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before

@@ -6,9 +6,10 @@ from dataclasses import asdict
 
 import pytest
 
+from clparse.cfg import Search
 from clparse.constraints import bool_post, eq
 from clparse.errors import GrammarError, InconsistencyError, UsageError
-from clparse.fstruct import Bool3, FeatureStructure, parse_avm
+from clparse.fstruct import Bool3, FeatureStructure, Ref, parse_avm
 from clparse.grammar import load_grammar, load_grammar_file, parse_fcr
 from clparse.hpsg import (
     LocalTree,
@@ -180,14 +181,33 @@ def test_attach_daughters_builds_slots(toy):
     st, fs = fresh()
     vb = entry_sign(toy, "sleeps", fs)
     np = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "NP", st.new_bool())
-    mother = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "S", st.new_bool())
-    slots = attach_daughters(fs, mother, vb, subj=[np])
-    assert fs.resolve(("dtrs", "head_dtr"), mother.root) == fs.canon(vb.root)
-    assert fs.resolve(("dtrs", "subj_dtr"), mother.root) == fs.canon(np.root)
-    assert len(slots) == 2
-    assert post_unicity(slots, st)
+    before = fs.dump(statuses=True), st.fingerprint()
     with pytest.raises(UsageError):
-        attach_daughters(fs, mother, vb, subj=[np, np])
+        attach_daughters(fs, vb, subj=[np, np])
+    assert (fs.dump(statuses=True), st.fingerprint()) == before
+    root, slots = attach_daughters(fs, vb, subj=[np], comps=[np], mother_comps=("Det",))
+    assert fs.resolve(("dtrs", "head_dtr"), root) == fs.canon(vb.root)
+    assert fs.resolve(("dtrs", "subj_dtr"), root) == fs.canon(np.root)
+    assert fs.resolve(("dtrs", "comp_dtrs"), root) == (Ref(fs.canon(np.root)),)
+    assert fs.resolve(CAT + ("subj",), root) == ()
+    assert fs.resolve(CAT + ("comps",), root) == ("Det",)
+    # the head of "sleeps" is realized, so the install shares it
+    assert fs.resolve(CAT + ("head",), root) == fs.resolve(CAT + ("head",), vb.root)
+    assert fs.status_value(CAT + ("head",), root) is Bool3.TRUE
+    assert st.counters.ask_evaluations == 0
+    assert len(slots) == 3
+    assert not post_unicity(slots, st)     # np fills two slots
+
+
+def test_attach_daughters_leaves_an_open_head_share_suspended():
+    st, fs = fresh()
+    head = Sign(fs, fs.encode_node(parse_avm("[synsem: [loc: [cat: [?head: [maj: v]]]]]"),
+                                   Bool3.TRUE), "Vb", st.new_bool())
+    root, slots = attach_daughters(fs, head)
+    cat = fs.resolve(CAT, root)
+    assert fs.find(cat, "head") is None
+    fs.set_status(CAT + ("head",), Bool3.TRUE, head.root)
+    assert fs.resolve(CAT + ("head",), root) == fs.resolve(CAT + ("head",), head.root)
 
 
 def test_unicity_detected_at_latest_on_assignment():
@@ -354,6 +374,19 @@ def test_hfp_shares_the_head_node():
     # one node: a mutation through the daughter path shows through the mother
     fs.add((("vform", daughter_head, "fin", Bool3.TRUE),))
     assert fs.resolve(CAT + ("head", "vform"), root) == "fin"
+
+
+def test_hfp_with_an_entailed_guard_installs_at_once():
+    # no implication, no suspended ask: the head goes in realized
+    st, fs = fresh()
+    root = _headed_skeleton(fs, Bool3.TRUE)
+    posted = len(st.posted)
+    apply_hfp(fs, root)
+    assert len(st.posted) == posted
+    assert st.counters.ask_evaluations == 0
+    assert fs.status_value(CAT + ("head",), root) is Bool3.TRUE
+    assert fs.resolve(CAT + ("head",), root) == fs.resolve(
+        ("dtrs", "head_dtr") + CAT + ("head",), root)
 
 
 def test_hfp_waits_for_all_nine_statuses():
@@ -538,16 +571,17 @@ def test_taggings_share_one_search():
 
 def test_parse_hpsg_pins_every_counter():
     # A fresh grammar: the first call compiles the templates, and gives
-    # the same counts as every later call.  Both build the sign in 37
+    # the same counts as every later call.  Both build the sign in 28
     # propagation steps; active's search adds one Spells run for each of
     # the 5 distinct sequences among the 6 states it scans, and tries
-    # only the 6 windows it reduces.
+    # only the 6 windows it reduces.  Every head share is entailed when
+    # its mother is installed, so no ask is evaluated.
     g = load_grammar_file(TOY_LEX)
     common = dict(reductions_applied=6, backtracks=0, trees_considered=1,
                   expansions=6, signs_accepted=1, completeness_tests=0,
-                  ask_evaluations=3)
-    want = {"active": dict(common, windows_tried=6, propagation_steps=42),
-            "gentest": dict(common, windows_tried=22, propagation_steps=37)}
+                  ask_evaluations=0)
+    want = {"active": dict(common, windows_tried=6, propagation_steps=33),
+            "gentest": dict(common, windows_tried=22, propagation_steps=28)}
     for _ in range(2):
         for strategy, counts in want.items():
             _, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
@@ -728,16 +762,108 @@ def _check_valency_conservation(sign) -> int:
     return phrases
 
 
-@pytest.mark.parametrize("strategy", ["active", "gentest"])
-def test_valency_is_conserved_in_order_over_whole_lexicons(strategy):
+def _whole_lexicon_cases():
+    """(grammar, word lists): the SIGN_TABLE strings, and every string
+    of 1-4 words over bench/lex.clg and over the toy lexicon."""
     cases = [(load_grammar_file("bench/lex.clg"), [s.split() for s in _sign_table()])]
     for path in ("bench/lex.clg", TOY_LEX):
         g = load_grammar_file(path)
         cases.append((g, [ws for n in range(1, 5)
                           for ws in itertools.product(sorted(g.lexicon), repeat=n)]))
-    walked = [_check_valency_conservation(sign) for g, inputs in cases for words in inputs
-              for sign in parse_hpsg(words, g, strategy=strategy)[0]]
+    return cases
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_valency_is_conserved_in_order_over_whole_lexicons(strategy):
+    walked = [_check_valency_conservation(sign) for g, inputs in _whole_lexicon_cases()
+              for words in inputs for sign in parse_hpsg(words, g, strategy=strategy)[0]]
     assert (len(walked), sum(walked)) == (23, 73)    # signs, phrases
+
+
+def _local_trees(sign, words, g, strategy):
+    """The sign's phrases as (root, daughter roots in surface order,
+    daughter categories), read off the one cfg tree of some tagging of
+    `words` whose labels in post-order are the sign's parts."""
+    labels = tuple(cat for cat, _, _ in sign.parts)
+
+    def post_order(tree):
+        for child in tree[1]:
+            yield from post_order(child)
+        yield tree
+
+    search = Search(g, strategy)
+    matches = [tree for tagging in itertools.product(*(g.entries(w) for w in words))
+               for tree, _ in search.trees(tuple(e.category for e in tagging))
+               if tuple(label for label, _ in post_order(tree)) == labels]
+    assert len(matches) == 1
+    root_of = {id(node): sign.fs.canon(root)
+               for node, (_, root, _) in zip(post_order(matches[0]), sign.parts)}
+    return [(root_of[id(node)], [root_of[id(d)] for d in node[1]], [d[0] for d in node[1]])
+            for node in post_order(matches[0]) if node[1]]
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_every_phrase_links_its_daughters_and_shares_their_head(strategy):
+    # (a) the dtrs slots hold the daughters' roots: the head daughter
+    # (the frame's head), then the sisters in surface order, the subject
+    # first, as every sister in these grammars stands in the order of
+    # its slots; (b) the phrase's head is the head daughter's head node
+    phrases = 0
+    for g, inputs in _whole_lexicon_cases():
+        for words in inputs:
+            for sign in parse_hpsg(words, g, strategy=strategy)[0]:
+                fs = sign.fs
+                cats = {fs.canon(r): c for c, r, _ in sign.parts}
+                for node, dtrs, dcats in _local_trees(sign, words, g, strategy):
+                    head = dtrs[dcats.index(g.frames[cats[node]].head)]
+                    subj = fs.resolve(("dtrs", "subj_dtr"), node)
+                    comps = fs.resolve(("dtrs", "comp_dtrs"), node) or ()
+                    assert fs.resolve(("dtrs", "head_dtr"), node) == head
+                    assert ([subj] if subj else []) + [fs.canon(r.index) for r in comps] == \
+                        [d for d in dtrs if d != head]
+                    shared = fs.resolve(CAT + ("head",), node)
+                    assert isinstance(shared, int)
+                    assert shared == fs.resolve(CAT + ("head",), head)
+                    phrases += 1
+    assert phrases == 73
+
+
+def test_a_suspended_head_share_waits_for_its_status():
+    # "sleeps" leaves its head's status open: the VP is installed with no
+    # head cell, and gets the shared node once that status is told true
+    text = open(TOY_LEX).read().replace('"sleeps" Vb [synsem: [loc: [cat: [head:',
+                                        '"sleeps" Vb [synsem: [loc: [cat: [?head:')
+    g = load_grammar(text)
+    for strategy in ("active", "gentest"):
+        signs, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
+        assert len(signs) == 1 and stats.ask_evaluations == 1
+        fs = signs[0].fs
+        roots = {cat: fs.canon(root) for cat, root, _ in signs[0].parts}
+        vp_cat = fs.resolve(CAT, roots["VP"])
+        assert fs.find(vp_cat, "head") is None
+        status = fs.lookup(CAT + ("head",), roots["Vb"]).status
+        assert fs.store.tell(bool_post(Var(status)))
+        assert fs.resolve(CAT + ("head",), roots["VP"]) == fs.resolve(CAT + ("head",), roots["Vb"])
+        assert fs.status_value(CAT + ("head",), roots["VP"]) is Bool3.TRUE
+
+
+def test_sign_table_under_gentest_evaluates_no_ask():
+    g = load_grammar_file("bench/lex.clg")
+    counts = [parse_hpsg(s.split(), g, strategy="gentest")[1].ask_evaluations
+              for s in _sign_table()]
+    assert len(counts) == 20 and sum(counts) == 0
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_every_phrase_must_be_well_formed(strategy):
+    # nothing above the VP lists it, and its head's schema names an NP
+    # the VP does not realize: the VP is not well formed, so no sign
+    text = (open(TOY_LEX).read().replace("M = {Vb};", "M = {Vb,NP};")
+            .replace("frame S  { M = {NP,VP}; C = {NP,VP}; head = VP; }", "")
+            .replace("subj [NP] subcat [].", "subj [NP] subcat [] schema {NP}."))
+    assert "frame S" not in text and "schema {NP}" in text
+    signs, stats = parse_hpsg("the cat sleeps".split(), load_grammar(text), strategy=strategy)
+    assert (signs, stats.trees_considered) == ((), 1)
 
 
 def test_sign_dump_carries_a_wf_line(toy):
