@@ -8,12 +8,14 @@ Structure sharing is two cells holding the same node reference.
 
 Each cell's status is a boolean variable in the owning store, so
 implications over feature statuses propagate through the ordinary
-constraint machinery.  All mutations are trailed on the store:
-snapshot/restore rolls the structure back together with the domains,
-and each public mutation runs as one store transaction, so one that
-fails leaves the structure and the store as they were.  The undo entries
-name the structure's containers, never the structure, so a structure
-and its store are freed by reference counting.
+constraint machinery.  A status known when its cell is made is the
+store's shared constant, `Store.true` or `Store.false`; only an open
+status gets a variable of its own.  All mutations are trailed on the
+store: snapshot/restore rolls the structure back together with the
+domains, and each public mutation runs as one store transaction, so one
+that fails leaves the structure and the store as they were.  The undo
+entries name the structure's containers, never the structure, so a
+structure and its store are freed by reference counting.
 
 A description compiles, without a store, to a template of plain tuples
 over relative node numbers, and `instantiate` installs a template on
@@ -143,10 +145,9 @@ class FeatureStructure:
             if spec.kind is not VarKind.BOOL:
                 raise UsageError(f"status for {feature} must be a boolean variable")
             return spec
-        var = self.store.new_bool(f"{feature}@{owner}")
         if isinstance(spec, Bool3) and spec.known:
-            self.store.set_bool(var, spec is Bool3.TRUE)
-        return var
+            return self.store.true if spec is Bool3.TRUE else self.store.false
+        return self.store.new_bool(f"{feature}@{owner}")
 
     def _install_cell(self, feature: str, owner: int, value, status) -> Cell:
         group = self._groups[owner]
@@ -174,8 +175,9 @@ class FeatureStructure:
         hold a `Ref`: an absolute reference to a node that exists
         already, which is how a template points into structure built
         before it (a `Ref` to no such node is a `UsageError`, before
-        anything changes).  The statuses are allocated in one batch, and
-        one undo entry takes the nodes back.
+        anything changes).  A known status is the store's shared
+        constant; the open ones are allocated in one batch, and one undo
+        entry takes the nodes back.
 
         The install needs no acyclicity walk.  The template's own node
         numbers form no cycle (`compile_avm` refuses one), and no
@@ -186,11 +188,14 @@ class FeatureStructure:
         n_nodes, cells = template
         base = self._n_nodes
         values = [_absolute(value, base) for _, _, value, _ in cells]
-        statuses = self.store.new_bools(
-            [(f"{feature}@{base + owner}", status) for feature, owner, _, status in cells])
+        store = self.store
+        known = (store.false, store.true)    # by the status, False or True
+        open_ = iter(store.new_bools([f"{feature}@{base + owner}"
+                                      for feature, owner, _, status in cells if status is None]))
         groups: list[dict[str, Cell]] = [{} for _ in range(n_nodes)]
-        for (feature, owner, _, _), value, status in zip(cells, values, statuses):
-            groups[owner - 1][feature] = Cell(feature, base + owner, value, status)
+        for (feature, owner, _, status), value in zip(cells, values):
+            groups[owner - 1][feature] = Cell(
+                feature, base + owner, value, next(open_) if status is None else known[status])
         self._groups.extend(groups)
         self.store.on_undo(functools.partial(self._groups.__delitem__,
                                              slice(base + 1, None)))
@@ -322,9 +327,12 @@ class FeatureStructure:
     def add(self, cells) -> None:
         """Install cells ⟨feature, owner, value, status⟩.  A duplicate
         feature unifies with the existing cell instead of duplicating;
-        a status given as a variable is used as-is (token identity),
-        as a truth value it forces a fresh variable.  All or nothing: if
-        any cell clashes or has a malformed value, none is installed.
+        a status given as a variable is used as-is (token identity), as
+        a known truth value it is the store's shared constant, as unknown
+        a fresh variable.  So two cells share a status variable when they
+        were tied or were made with the same known status.  All or
+        nothing: if any cell clashes or has a malformed value, none is
+        installed.
         """
         with self.store.transaction():
             for feature, owner, value, status in cells:
@@ -425,7 +433,9 @@ class FeatureStructure:
         value).  Owners must be bound by the time their template is
         tried; an owner that names no node is a UsageError.  A variable
         bound twice must see the same thing, which is how a repeated
-        index variable expresses token identity.
+        index variable expresses token identity.  A repeated status
+        variable matches statuses that are tied or were both made known
+        with the same value, which share the store's constant.
         Returns the bindings, or None if some required cell is absent;
         with several candidates for a fully free template the first
         node in index order wins.

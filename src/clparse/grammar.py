@@ -24,7 +24,8 @@ each right-hand side's rules, the trie of right-hand sides, and
 form of the start category.
 Each lexical entry compiles to its sign's template as it is read.  An
 entry that cannot become a sign, or an fcr naming a feature no sign can
-carry, is a `GrammarError` on its line; entries record their fcr sites.
+carry, is a `GrammarError` on its line; entries record their fcr sites,
+and the restrictions the template alone decides are folded into it.
 """
 
 from __future__ import annotations
@@ -110,10 +111,20 @@ def fcr_sites(nodes, fcrs):
                 yield node, k
 
 
+def template_sites(template, fcrs) -> tuple:
+    """The `fcr_sites` of a compiled template's nodes."""
+    nodes: list[set[str]] = [set() for _ in range(template[0])]
+    for feature, node, _, _ in template[1]:
+        nodes[node - 1].add(feature)
+    return tuple(fcr_sites(enumerate(nodes, 1), fcrs))
+
+
 @dataclass(frozen=True)
 class LexEntry:
     """`template`, the compiled sign, is made from the other fields when
-    not given; `sites` are its `fcr_sites` under the grammar's fcrs."""
+    not given; `sites` are its `template_sites` under the grammar's fcrs
+    that a tree still posts, none once `hpsg.fold_restrictions` has
+    folded the restrictions into the template."""
 
     form: str
     category: str
@@ -496,14 +507,14 @@ def load_grammar(text: str) -> Grammar:
         lhss, children = node.get(rule.rhs[-1], ((), {}))
         node[rule.rhs[-1]] = (lhss + (rule.lhs,), children)
     g.follows = _follows(g)
+    from .hpsg import fold_restrictions    # cycle at import time
+
     feats = set(_SKELETON)
     for entries in g.lexicon.values():
         for i, e in enumerate(entries):
-            nodes: list[set[str]] = [set() for _ in range(e.template[0])]
-            for feature, node, _, _ in e.template[1]:
-                nodes[node - 1].add(feature)
-            entries[i] = replace(e, sites=tuple(fcr_sites(enumerate(nodes, 1), g.fcrs)))
-            feats.update(*nodes)
+            sites = template_sites(e.template, g.fcrs)
+            entries[i] = fold_restrictions(replace(e, sites=sites), g.fcrs)
+            feats.update(cell[0] for cell in e.template[1])
     for f, line in zip(g.fcrs, fcr_lines):
         unknown = f.features - feats
         if unknown:

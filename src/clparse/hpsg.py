@@ -15,7 +15,9 @@ head daughter's head node (token identity).  Head sharing has one rule:
 a guard (the nine statuses along both cat chains) entailed when the
 share is posted installs the head at once; an open guard entails a
 fresh status and suspends an ask that installs the head under it once
-the guard is entailed.
+the guard is entailed.  A mother whose head daughter has no head yet
+posts its share when that head arrives, so delayed sharing chains up
+the tree.
 
 The sentence pipeline drives all of this from one window-parser search
 over every lexical tagging: each distinct tree off its forest is built
@@ -29,10 +31,14 @@ signs.
 
 Each lexical entry arrives compiled from the grammar loader: its sign
 as a flat cell list over relative node numbers with the known statuses,
-and the nodes where each cooccurrence restriction applies.  The phrase
-skeleton is a template compiled once, at import.  A tree installs these
-templates instead of encoding every entry again, and instantiates only
-the restrictions at the recorded sites.  Each mother is one install:
+and the nodes where each cooccurrence restriction applies.  The loader
+also decides the restrictions its template alone decides
+(`fold_restrictions`): their placeholder cells and forced statuses go
+into the template, and no site is left.  An entry with a status left
+open, or one that violates a restriction, keeps its sites, and every
+tree posts them.  The phrase skeleton is a template compiled once, at
+import.  A tree installs these templates instead of encoding every
+entry again.  Each mother is one install:
 the skeleton plus the phrase's own cells, its valency lists, its dtrs
 slots as absolute references to the daughters' roots and, when the
 head daughter's head is already realized, the shared head.
@@ -46,7 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cfg import Search
 from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
@@ -305,6 +311,44 @@ def _post_sites(fs: FeatureStructure, base: int, sites, fcrs) -> None:
         _post_fcr(fs, base + node, fcrs[k])
 
 
+def fold_restrictions(entry: LexEntry, fcrs) -> LexEntry:
+    """The entry with its restrictions decided at load where its template
+    alone decides them.  The sites are posted as a tree posts them, on a
+    throwaway store.  If the post holds, every status comes out known and
+    no valueless cell is realized, the structure read back, placeholders
+    included with their forced status at the end of their node's group,
+    is the template a tree installs, and no site is left.  Otherwise the
+    entry is returned as it is, for every tree to post its sites, which
+    rejects an entry that violates a restriction where it always did.
+    This is exact because nothing adds a cell, value or status to a
+    lexical node once it is installed, and no later value or status can
+    change a formula whose every leaf is decided."""
+    if not entry.sites:
+        return entry
+    fs = FeatureStructure(Store())
+    n_nodes = entry.template[0]
+    fs.instantiate(entry.template)      # on nodes 1 to n_nodes, as compiled
+    try:
+        _post_sites(fs, 0, entry.sites, fcrs)
+    except InconsistencyError:
+        return entry
+    cells = []
+    for node in range(1, n_nodes + 1):
+        for cell in fs.cells_of(node):
+            status = fs.store.bool_value(cell.status)
+            if not status.known or (status is Bool3.TRUE and cell.value is None):
+                return entry
+            cells.append((cell.feature, node, _template_value(cell.value), status is Bool3.TRUE))
+    return replace(entry, template=(n_nodes, tuple(cells)), sites=())
+
+
+def _template_value(value):
+    """A value on nodes numbered as compiled, back in template form."""
+    if isinstance(value, tuple):
+        return tuple(map(_template_value, value))
+    return value.index if isinstance(value, Ref) else value
+
+
 # -- head feature sharing -------------------------------------------------
 
 _HFP_PATTERN = (
@@ -316,25 +360,30 @@ _HFP_PATTERN = (
     ("synsem", "D1", "D2", "g6"),
     ("loc", "D2", "D3", "g7"),
     ("cat", "D3", "D4", "g8"),
-    ("head", "D4", "H", "g9"),
 )
 
 
 def apply_hfp(fs: FeatureStructure, root: int) -> FeatureStructure:
     """Post head sharing on a headed sign.  The match binds the status
-    variables along both cat chains, the guard; the mother's head cell
-    is installed as a reference to the head daughter's head node once
-    the guard is entailed.  A guard entailed already installs the head
-    at once, realized.  An open one entails a fresh status under which
-    the head is installed when the guard is entailed, possibly much
-    later, or never."""
+    variables along both cat chains, which with the head daughter's
+    head status make the guard; the mother's head cell is installed as
+    a reference to the head daughter's head node once the guard is
+    entailed.  A guard entailed already installs the head at once,
+    realized.  An open one entails a fresh status under which the head
+    is installed when the guard is entailed, possibly much later, or
+    never.  A head daughter with no head cell yet, its own share still
+    waiting, defers the whole post until that cell arrives, so delayed
+    sharing chains up the tree."""
     env = fs.delta(_HFP_PATTERN, {"M0": fs.canon(root)})
     if env is None:
         return fs
+    head = fs.find(env["D4"], "head")
+    if head is None:
+        _HeadWait.post(fs, root, env["D4"])
+        return fs
     store = fs.store
-    guards = [env[f"g{k}"] for k in range(1, 10)]
-    head = env["H"]
-    value = Ref(head) if isinstance(head, int) else head
+    guards = [env[f"g{k}"] for k in range(1, 9)] + [head.status]
+    value = Ref(fs.canon(head.value.index)) if isinstance(head.value, Ref) else head.value
     if all(store.bool_value(g) is Bool3.TRUE for g in guards):
         fs.add((("head", env["M3"], value, Bool3.TRUE),))
         return fs
@@ -352,6 +401,31 @@ def _share_head(fs_ref, target: int, value, shared: VarId, result: AskResult) ->
     fs = fs_ref()
     if fs is not None and result is AskResult.ENTAILED:
         fs.add((("head", target, value, shared),))
+
+
+class _HeadWait:
+    """A value watcher that posts a mother's head sharing once its head
+    daughter's cat node gets a head cell, then retires.  It holds the
+    structure weakly (see _value_guard)."""
+
+    __slots__ = ("fs_ref", "root", "cat")
+
+    def __init__(self, fs: FeatureStructure, root: int, cat: int):
+        self.fs_ref, self.root, self.cat = weakref.ref(fs), root, cat
+
+    @classmethod
+    def post(cls, fs: FeatureStructure, root: int, cat: int) -> None:
+        watcher = cls(fs, root, cat)
+        fs.value_watchers.append(watcher)
+        fs.store.on_undo(functools.partial(fs.value_watchers.remove, watcher))
+
+    def __call__(self, cell: Cell) -> None:
+        fs = self.fs_ref()
+        if fs is None or cell.feature != "head" or fs.canon(cell.owner) != fs.canon(self.cat):
+            return
+        fs.value_watchers.remove(self)
+        fs.store.on_undo(functools.partial(fs.value_watchers.append, self))
+        apply_hfp(fs, self.root)
 
 
 def apply_valency(fs: FeatureStructure, root: int, subj, comps) -> FeatureStructure:
@@ -492,8 +566,9 @@ class _TreeBuild:
         self.stats.expansions += 1
         sign = lexical_sign(self.fs, entry)
         self.parts.append((label, sign.root, sign.wf))
-        self.gate(functools.partial(_post_sites, self.fs, sign.root - 1, entry.sites,
-                                    self.g.fcrs))
+        if entry.sites:
+            self.gate(functools.partial(_post_sites, self.fs, sign.root - 1, entry.sites,
+                                        self.g.fcrs))
         self.gate(functools.partial(_assert_wf, self.store, sign))
         return sign
 

@@ -23,6 +23,11 @@ already reaches its own fixpoint, is not woken by its own prunes
 `AllDistinct`, `BoolConstraint` and `InRelation` are woken by every
 event on their variables, their own included.
 
+Every store has two boolean constants, `Store.false` and `Store.true`,
+entailed from the start and kept by every restore; a status known when
+it is created shares one of them instead of taking a variable of its
+own (Schulte & Stuckey's constant views).
+
 Work counts (completeness tests, propagation steps, ask evaluations) go
 to `Store.counters`, a `Stats` record, and are cumulative: restore never
 rolls them back.
@@ -250,6 +255,11 @@ class Store:
         self._running = None        # the constraint whose filter runs
         self.counters = Stats()
         self._trace = trace
+        # One entailed-false and one entailed-true variable, which every
+        # status known when it is made shares (`fstruct`): made with no
+        # undo entry, so no restore takes them back.  Telling one the
+        # other value fails, as it would on a variable of its own.
+        self.false, self.true = self._constant(False), self._constant(True)
 
     # -- variables ----------------------------------------------------
 
@@ -269,24 +279,24 @@ class Store:
     def new_bool(self, name: str = "") -> VarId:
         return self._install(_VarState(_BOOL), name)
 
-    def new_bools(self, specs) -> list[VarId]:
-        """Boolean variables in one batch, one per `(name, status)` pair,
-        a status of True or False set at once; one undo entry takes the
-        batch back.  A fresh variable has no watcher and no suspended
-        ask, so a known status wakes nothing."""
+    def new_bools(self, names) -> list[VarId]:
+        """Open boolean variables in one batch, one per name; one undo
+        entry takes the batch back."""
         out = []
-        for name, status in specs:
-            state = _VarState(_BOOL)
+        for name in names:
             idx = next(self._next_var)
-            self._vars[idx] = state
-            v = VarId(idx, self._id, _BOOL, name)
-            out.append(v)
-            if status is not None:
-                state.status = Bool3.of(status)
-                if self._trace:
-                    self._emit("status", v, "U", state.status.value)
-        self._trail.append(functools.partial(_drop_keys, self._vars, [v.index for v in out]))
+            self._vars[idx] = _VarState(_BOOL)
+            out.append(VarId(idx, self._id, _BOOL, name))
+        if out:
+            self._trail.append(functools.partial(_drop_keys, self._vars, [v.index for v in out]))
         return out
+
+    def _constant(self, flag: bool) -> VarId:
+        state = _VarState(_BOOL)
+        state.status = Bool3.of(flag)
+        idx = next(self._next_var)
+        self._vars[idx] = state
+        return VarId(idx, self._id, _BOOL, str(flag).lower())
 
     def _install(self, state: _VarState, name: str) -> VarId:
         idx = next(self._next_var)

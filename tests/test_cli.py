@@ -11,7 +11,7 @@ import clparse
 from clparse import cli
 from clparse.cfg import parse
 from clparse.cli import main
-from clparse.grammar import load_grammar_file
+from clparse.grammar import load_grammar, load_grammar_file
 from clparse.hpsg import parse_hpsg
 from clparse.store import Store
 
@@ -254,12 +254,15 @@ def test_hpsg_mode_dumps_signs(capsys):
 
 
 def test_hpsg_jobs_pickle_the_compiled_templates(capsys, tmp_path, monkeypatch):
-    # The grammar's lexical entries hold their compiled templates and
-    # restriction sites; the grammar goes to the workers pickled and
-    # parses the same.
-    g = load_grammar_file(TOY_LEX)
+    # The grammar's lexical entries hold their compiled templates, the
+    # restrictions folded in at load, and "sleeps", whose vform status is
+    # open, its restriction site for every tree to post; the grammar goes
+    # to the workers pickled and parses the same.
+    with open(TOY_LEX) as fh:
+        g = load_grammar(fh.read().replace("maj: v, vform: fin", "maj: v, ?vform: fin"))
     entries = [e for es in g.lexicon.values() for e in es]
-    assert all(e.template for e in entries) and any(e.sites for e in entries)
+    assert all(e.template for e in entries)
+    assert {e.form for e in entries if e.sites} == {"sleeps"}
     monkeypatch.setattr(cli, "load_grammar_file", lambda path: g)
     f = tmp_path / "sents.txt"
     f.write_text("the cat sleeps\ncat the sleeps\nthe cat sleeps\n")

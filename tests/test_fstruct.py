@@ -328,6 +328,17 @@ def test_delta_repeated_variable_forces_identity():
     assert fs2.delta(pattern, {"i": fs2.resolve("x"), "j": fs2.resolve("y")}) is None
 
 
+def test_delta_repeated_status_variable_matches_shared_known_statuses():
+    # statuses made known share the store's constants, so a repeated
+    # status variable matches them as it matches a tied status
+    fs = encode(parse_avm("[x: [+maj: n, ?case: nom], y: [+maj: v, ?case: nom]]"))
+    bindings = {"i": fs.resolve("x"), "j": fs.resolve("y")}
+    pattern = [("maj", "i", "a", "s"), ("maj", "j", "b", "s")]
+    assert fs.delta(pattern, bindings)["s"] == fs.store.true
+    pattern = [("case", "i", "a", "s"), ("case", "j", "b", "s")]
+    assert fs.delta(pattern, bindings) is None
+
+
 def test_delta_first_match_by_node_order():
     fs = encode(parse_avm("[a: [head: [maj: n]], b: [head: [maj: v]]]"))
     env = fs.delta([("head", "o", "t", None)])

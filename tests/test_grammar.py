@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from clparse.grammar import (
     load_grammar,
     load_grammar_file,
     parse_fcr,
+    template_sites,
 )
 from clparse.fstruct import parse_avm
 from clparse.logic import Not, Or, Var, parse_formula
@@ -282,11 +284,12 @@ def test_fcr_sites_apply_where_a_feature_occurs_and_then_carry_all():
     fcrs = [parse_fcr("PFORM -> ~INDEX"), parse_fcr("INDEX -> NUM")]
     nodes = [(1, {"maj"}), (2, {"pform"}), (3, {"num"})]
     assert list(fcr_sites(nodes, fcrs)) == [(2, 0), (2, 1), (3, 1)]
-    # an entry's sites are the rule over its template's nodes, and an fcr
-    # after the lex lines counts
+    # an entry's sites are the rule over its raw template's nodes, and an
+    # fcr after the lex lines counts
     g = load_grammar('rule S -> A. start S.\nlex "x" A [synsem: [pform: p]] subcat [].\n'
                      'lex "y" A [index: i] subcat [].\nfcr PFORM -> ~INDEX.')
-    assert g.entries("x")[0].sites == ((2, 0),)
+    raw = replace(g.entries("x")[0], template=None).template
+    assert template_sites(raw, g.fcrs) == ((2, 0),)
 
 
 def test_deep_nesting_is_a_grammar_error_with_its_line():

@@ -1,16 +1,18 @@
+import copy
 import gc
 import importlib.util
 import itertools
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from clparse.cfg import Search
 from clparse.constraints import bool_post, eq
 from clparse.errors import GrammarError, InconsistencyError, UsageError
 from clparse.fstruct import Bool3, FeatureStructure, Ref, parse_avm
-from clparse.grammar import load_grammar, load_grammar_file, parse_fcr
+from clparse.grammar import load_grammar, load_grammar_file, parse_fcr, template_sites
 from clparse.hpsg import (
     LocalTree,
     Sign,
@@ -570,18 +572,19 @@ def test_taggings_share_one_search():
 
 
 def test_parse_hpsg_pins_every_counter():
-    # A fresh grammar: the first call compiles the templates, and gives
-    # the same counts as every later call.  Both build the sign in 28
-    # propagation steps; active's search adds one Spells run for each of
-    # the 5 distinct sequences among the 6 states it scans, and tries
-    # only the 6 windows it reduces.  Every head share is entailed when
-    # its mother is installed, so no ask is evaluated.
+    # A fresh grammar: the first call gives the same counts as every
+    # later call.  Both build the sign in 21 propagation steps (28 when
+    # every tree posted the entries' restrictions: the loader decides
+    # them); active's search adds one Spells run for each of the 5
+    # distinct sequences among the 6 states it scans, and tries only the
+    # 6 windows it reduces.  Every head share is entailed when its
+    # mother is installed, so no ask is evaluated.
     g = load_grammar_file(TOY_LEX)
     common = dict(reductions_applied=6, backtracks=0, trees_considered=1,
                   expansions=6, signs_accepted=1, completeness_tests=0,
                   ask_evaluations=0)
-    want = {"active": dict(common, windows_tried=6, propagation_steps=33),
-            "gentest": dict(common, windows_tried=22, propagation_steps=28)}
+    want = {"active": dict(common, windows_tried=6, propagation_steps=26),
+            "gentest": dict(common, windows_tried=22, propagation_steps=21)}
     for _ in range(2):
         for strategy, counts in want.items():
             _, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
@@ -595,13 +598,19 @@ def test_parse_hpsg_leaves_no_garbage():
     text = open(TOY_LEX).read()
     cases = (
         (load_grammar(text), "the cat sleeps", 1),
-        # rejected by a cooccurrence restriction on "cat"
+        # rejected by a cooccurrence restriction on "cat", which the
+        # loader leaves for each tree to post
         (load_grammar(text + "\nfcr MAJ -> ~CASE.\n"), "the cat sleeps", 0),
+        # an open vform status keeps the restriction on "sleeps" runtime:
+        # each tree posts it, with a value guard the structure holds
+        (load_grammar(text.replace("maj: v, vform: fin", "maj: v, ?vform: fin")),
+         "the cat sleeps", 1),
         # an unknown head status leaves head sharing suspended in the store
         (load_grammar(text.replace('"sleeps" Vb [synsem: [loc: [cat: [head:',
                                    '"sleeps" Vb [synsem: [loc: [cat: [?head:')),
          "the cat sleeps", 1),
     )
+    assert cases[1][0].entries("cat")[0].sites and cases[2][0].entries("sleeps")[0].sites
     gc.collect()
     gc.disable()
     try:
@@ -616,19 +625,27 @@ def test_parse_hpsg_leaves_no_garbage():
 
 
 def test_lexical_templates_survive_pickling():
+    # Every entry of the toy lexicon has its restrictions folded into its
+    # template at load, and no site left; with an open vform status,
+    # "sleeps" keeps its site for every tree to post.  Both kinds pickle
+    # and parse the same.
     import pickle
 
     def compiled(g):
         return [(e.template, e.sites) for es in g.lexicon.values() for e in es]
 
-    g = load_grammar_file(TOY_LEX)
-    before, _ = parse_hpsg("the cat sleeps".split(), g)
-    assert all(t for t, _ in compiled(g)) and any(s for _, s in compiled(g))
-    copy = pickle.loads(pickle.dumps(g))
-    assert compiled(copy) == compiled(g)
-    after, _ = parse_hpsg("the cat sleeps".split(), copy)
-    assert [sign_dump(s, statuses=True) for s in after] == \
-        [sign_dump(s, statuses=True) for s in before]
+    text = open(TOY_LEX).read()
+    residual = text.replace("maj: v, vform: fin", "maj: v, ?vform: fin")
+    for g, residual_sites in ((load_grammar(text), {False}),
+                              (load_grammar(residual), {False, True})):
+        before, _ = parse_hpsg("the cat sleeps".split(), g)
+        assert all(t for t, _ in compiled(g))
+        assert {bool(s) for _, s in compiled(g)} == residual_sites
+        clone = pickle.loads(pickle.dumps(g))
+        assert compiled(clone) == compiled(g)
+        after, _ = parse_hpsg("the cat sleeps".split(), clone)
+        assert len(before) == 1 and [sign_dump(s, statuses=True) for s in after] == \
+            [sign_dump(s, statuses=True) for s in before]
 
 
 def test_fcr_feature_names_are_normalized_as_avm_names_are():
@@ -847,6 +864,45 @@ def test_a_suspended_head_share_waits_for_its_status():
         assert fs.status_value(CAT + ("head",), roots["VP"]) is Bool3.TRUE
 
 
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_delayed_head_sharing_chains_up_the_tree(strategy):
+    # "sees", "cat" and "dog" leave their head statuses open.  The VP and
+    # both NPs wait on a status; S waits on the VP's head cell, which
+    # arrives only once the VP's own share is installed.  Told true in
+    # any order, the open statuses leave every phrase's head its head
+    # daughter's head node (A5), down to the object NP two levels below S.
+    text = open("bench/lex.clg").read()
+    for form, cat in (("sees", "Vb"), ("cat", "Nm"), ("dog", "Nm")):
+        text = text.replace(f'"{form}" {cat} [synsem: [loc: [cat: [head:',
+                            f'"{form}" {cat} [synsem: [loc: [cat: [?head:')
+    g = load_grammar(text)
+    words = "the cat sees the dog".split()
+    for order in itertools.permutations(range(3)):
+        signs, _ = parse_hpsg(words, g, strategy=strategy)
+        assert len(signs) == 1
+        fs = signs[0].fs
+        open_heads = [fs.lookup(CAT + ("head",), root).status
+                      for cat, root, _ in signs[0].parts if cat in ("Nm", "Vb")]
+        assert len(open_heads) == 3
+        assert fs.find(fs.resolve(CAT, signs[0].root), "head") is None
+        for k in order:
+            assert fs.store.tell(bool_post(Var(open_heads[k])))
+        phrases, todo = 0, [fs.canon(signs[0].root)]
+        while todo:
+            node = todo.pop()
+            head_dtr = fs.resolve(("dtrs", "head_dtr"), node)
+            if head_dtr is None:
+                continue
+            shared = fs.resolve(CAT + ("head",), node)
+            assert isinstance(shared, int) and shared == fs.resolve(CAT + ("head",), head_dtr)
+            assert fs.status_value(CAT + ("head",), node) is Bool3.TRUE
+            for cell in fs.cells_of(fs.resolve("dtrs", node)):
+                refs = cell.value if isinstance(cell.value, tuple) else (cell.value,)
+                todo += [fs.canon(ref.index) for ref in refs]
+            phrases += 1
+        assert phrases == 4, order
+
+
 def test_sign_table_under_gentest_evaluates_no_ask():
     g = load_grammar_file("bench/lex.clg")
     counts = [parse_hpsg(s.split(), g, strategy="gentest")[1].ask_evaluations
@@ -874,3 +930,150 @@ def test_sign_dump_carries_a_wf_line(toy):
     for cat in ("Det", "Nm", "NP", "Vb", "VP", "S"):
         assert f"{cat}@" in wf
     assert wf.count("=T") == 6
+
+
+# -- restrictions folded at load ------------------------------------------------
+
+
+def _unfolded(g):
+    """A copy of g whose entries install their raw templates and post
+    their restrictions on every tree, as a grammar did before the loader
+    folded them."""
+    twin = copy.copy(g)
+    twin.lexicon = {form: [_raw(e, g.fcrs) for e in es] for form, es in g.lexicon.items()}
+    return twin
+
+
+def _raw(e, fcrs):
+    """The entry as compiled from its text, with every site it has."""
+    e = replace(e, template=None)
+    return replace(e, sites=template_sites(e.template, fcrs))
+
+
+def _same_parses(g, inputs):
+    """Parse every input with g and with its unfolded twin under both
+    strategies: the sign dumps and every count but propagation_steps are
+    equal, and the fold never adds a propagation step.  Returns the
+    number of signs."""
+    twin, signs = _unfolded(g), 0
+    for words in inputs:
+        for strategy in ("active", "gentest"):
+            got, stats = parse_hpsg(words, g, strategy=strategy)
+            want, base = parse_hpsg(words, twin, strategy=strategy)
+            assert [sign_dump(s, statuses=True) for s in got] == \
+                [sign_dump(s, statuses=True) for s in want], (words, strategy)
+            steps, base_steps = stats.propagation_steps, base.propagation_steps
+            stats.propagation_steps = base.propagation_steps = 0
+            assert stats == base and steps <= base_steps, (words, strategy)
+            signs += len(got)
+    return signs
+
+
+@pytest.mark.parametrize("path", ["bench/lex.clg", TOY_LEX])
+def test_every_entry_folds_to_its_template_plus_a_runtime_post(path):
+    g = load_grammar_file(path)
+    for e in (e for es in g.lexicon.values() for e in es):
+        assert _raw(e, g.fcrs).sites and not e.sites, e.form
+        _, fs = fresh()
+        raw = fs.instantiate(_raw(e, g.fcrs).template)
+        post_fcrs(fs, raw, g.fcrs)
+        _, folded = fresh()
+        lexical_sign(folded, e)
+        assert folded.dump(statuses=True) == fs.dump(statuses=True), e.form
+        # the restrictions are decided: nothing of the folded sign is open
+        assert ",U>" not in folded.dump(statuses=True), e.form
+
+
+def test_folding_changes_no_sign_over_whole_lexicons():
+    # every 1-4 word string over both lexicons and the SIGN_TABLE strings,
+    # 23 signs under each strategy
+    assert sum(_same_parses(g, inputs) for g, inputs in _whole_lexicon_cases()) == 46
+
+
+def test_a_sign_table_pass_posts_no_restriction(monkeypatch):
+    # The loader decides every restriction of bench/lex.clg, so a pass
+    # compiles no restriction and makes no value guard; the unfolded
+    # twin, which posts them per tree, shows the counts are live.
+    import clparse.hpsg as hpsg
+
+    calls = {"compile_fcr": 0, "_value_guard": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(hpsg, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hpsg, name, counted)
+    g = load_grammar_file("bench/lex.clg")
+    calls.update(compile_fcr=0, _value_guard=0)     # the loader's own folds
+    for grammar, posted in ((g, False), (_unfolded(g), True)):
+        for strategy in ("active", "gentest"):
+            for sentence in _sign_table():
+                parse_hpsg(sentence.split(), grammar, strategy=strategy)
+            assert (calls["compile_fcr"] > 0, calls["_value_guard"] > 0) == (posted, posted)
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_an_entry_that_violates_a_restriction_is_rejected_where_its_post_failed(strategy):
+    # "cat" realizes both MAJ and CASE: the loader leaves it as compiled,
+    # and every tree posts its sites and is rejected where the post fails,
+    # at once under active, at the end under gentest
+    g = load_grammar(open(TOY_LEX).read() + "\nfcr MAJ -> ~CASE.\n")
+    e = g.entries("cat")[0]
+    raw = _raw(e, g.fcrs)
+    assert raw.sites and (e.template, e.sites) == (raw.template, raw.sites)
+    assert _same_parses(g, ["the cat sleeps".split()]) == 0
+    signs, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
+    assert (signs, stats.trees_considered, stats.expansions) == \
+        ((), 1, {"active": 2, "gentest": 6}[strategy])
+
+
+_HEAD_FEATURES = {"maj": ("v", "n", "p"), "vform": ("fin", "pas", "prp"),
+                  "pform": ("with",), "prd": ("yes",)}
+_CANONICAL_FCRS = ("PFORM -> ~INDEX", "VFORM -> MAJ[V]", "PRD | VFORM -> VFORM[PAS] | VFORM[PRP]")
+
+
+@strategies.composite
+def _one_entry_grammars(draw):
+    """A grammar whose entry "x" has drawn head features, each with a
+    drawn status and perhaps a value, maybe an index, and a drawn set of
+    the canonical restrictions; "z" carries every feature they name, so
+    the grammar loads."""
+    status = strategies.sampled_from(["+", "-", "?"])
+    cells = []
+    for feature, values in _HEAD_FEATURES.items():
+        if draw(strategies.booleans()):
+            value = draw(strategies.sampled_from((None,) + values))
+            cells.append(f"{draw(status)}{feature}" + (f": {value}" if value else ""))
+    index = f", {draw(status)}cont: [{draw(status)}index: i]" if draw(strategies.booleans()) else ""
+    fcrs = draw(strategies.lists(strategies.sampled_from(_CANONICAL_FCRS), min_size=1, max_size=3, unique=True))
+    return ("start S. rule S -> X. proj X = S.\n"
+            + "".join(f"fcr {f}.\n" for f in fcrs)
+            + f'lex "x" X [synsem: [loc: [cat: [{draw(status)}head: [{", ".join(cells)}]]]{index}]]'
+            + ' subcat [].\nlex "z" X [maj: v, vform: fin, pform: with, prd: yes, index: i].')
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_entry_grammars())
+def test_a_folded_entry_acts_as_its_runtime_post(text):
+    g = load_grammar(text)
+    e = g.entries("x")[0]
+    _, fs = fresh()
+    raw = _raw(e, g.fcrs)
+    root = fs.instantiate(raw.template)
+    try:
+        post_fcrs(fs, root, g.fcrs)
+        runtime = fs.dump(statuses=True)
+    except InconsistencyError:
+        runtime = None
+    # an entry the loader did not fold is left as compiled; one that
+    # violates a restriction is never folded
+    assert e.sites == () or (e.template, e.sites) == (raw.template, raw.sites)
+    assert runtime is not None or e.sites
+    if not e.sites:
+        _, folded = fresh()
+        lexical_sign(folded, e)
+        assert folded.dump(statuses=True) == runtime
+    # a tree over "x" holds the entry as posted, on its first nodes
+    signs, _ = parse_hpsg(["x"], g)
+    assert [sign_dump(s, statuses=True).splitlines()[:len(runtime.splitlines())]
+            for s in signs] == ([] if runtime is None else [runtime.splitlines()])
+    _same_parses(g, [["x"], ["z"]])
