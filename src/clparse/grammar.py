@@ -177,6 +177,10 @@ class Grammar:
         # that may stand right after it in a sentential form of the start
         # category, BOUNDARY for the right end (`_follows`).
         self.follows: dict[str, frozenset[str]] = {}
+        # Each phrase shape met so far, (label, daughter categories, head
+        # schema, complement categories), mapped to whether the label's
+        # frame holds over it (`hpsg._frame_verdict`).
+        self.frame_verdicts: dict[tuple, bool] = {}
 
     # -- queries --------------------------------------------------------
 
@@ -510,10 +514,13 @@ def load_grammar(text: str) -> Grammar:
     from .hpsg import fold_restrictions    # cycle at import time
 
     feats = set(_SKELETON)
+    folded: dict[tuple, LexEntry] = {}     # (template, sites) -> its fold
     for entries in g.lexicon.values():
         for i, e in enumerate(entries):
-            sites = template_sites(e.template, g.fcrs)
-            entries[i] = fold_restrictions(replace(e, sites=sites), g.fcrs)
+            key = (e.template, template_sites(e.template, g.fcrs))
+            if key not in folded:
+                folded[key] = fold_restrictions(replace(e, sites=key[1]), g.fcrs)
+            entries[i] = replace(e, template=folded[key].template, sites=folded[key].sites)
             feats.update(cell[0] for cell in e.template[1])
     for f, line in zip(g.fcrs, fcr_lines):
         unknown = f.features - feats

@@ -7,11 +7,17 @@ same-category daughters, linear precedence, dominance, projection).
 Valency is decided once per phrase, where the mother is built: the
 sisters split over the head's lists, which cancel the realized
 daughters from the end.  The daughter slots carry an a-priori
-distinctness constraint, subcategorization is a layer of boolean
-implications over per-constituent well-formedness variables,
-cooccurrence restrictions compile to implications over status
-variables, and head feature sharing installs the mother's head as the
-head daughter's head node (token identity).  Head sharing has one rule:
+distinctness constraint.  Subcategorization is boolean implications
+over per-constituent well-formedness, but a constituent that is built
+is well formed, the store's true constant, and an unrealized frame
+member is its false constant, so a frame's implications are ground:
+the verdict depends only on the phrase's shape, its label, daughter
+categories, head schema and complement categories.  The first phrase
+of a shape decides it with `post_subcat` on a throwaway store, and the
+grammar keeps it (`Grammar.frame_verdicts`).  Cooccurrence restrictions
+compile to implications over status variables, and head feature
+sharing installs the mother's head as the head daughter's head node
+(token identity).  Head sharing has one rule:
 a guard (the nine statuses along both cat chains) entailed when the
 share is posted installs the head at once; an open guard entails a
 fresh status and suspends an ask that installs the head under it once
@@ -23,11 +29,11 @@ The sentence pipeline drives all of this from one window-parser search
 over every lexical tagging: each distinct tree off its forest is built
 bottom-up on a fresh store.  The active strategy checks each reduction
 as it is built.  The generate-and-test strategy defers the local-tree
-checks, the well-formedness of entries and phrases, the entries'
-restrictions, and subcategorization to the end of the tree, but builds
-what each mother is made from (valency split, daughter slots, head
-sharing), and so checks it, as it goes.  Both accept exactly the same
-signs.
+checks, the entries' restrictions a tree still posts, and the rejection
+of a phrase whose frame does not hold to the end of the tree, but
+builds what each mother is made from (valency split, daughter slots,
+head sharing), and so checks it, as it goes.  Both accept exactly the
+same signs.
 
 Each lexical entry arrives compiled from the grammar loader: its sign
 as a flat cell list over relative node numbers with the known statuses,
@@ -70,7 +76,7 @@ class Sign:
     fs: FeatureStructure
     root: int
     category: str
-    wf: VarId
+    wf: VarId                               # the store's true constant
     schema: frozenset[str] | None = None    # lexical heads carry their choice
     parts: tuple = ()                       # (category, root, wf) per constituent
 
@@ -228,6 +234,29 @@ def post_subcat(frame, store: Store, wf: dict[str, VarId],
     for v in complement_vars:
         ok = ok and store.tell(element(v, sorted(frame.m)))
     return ok
+
+
+def _frame_verdict(g: Grammar, label: str, daughter_cats: tuple, schema,
+                   comp_cats: tuple) -> bool:
+    """Whether the frame of `label` holds over a phrase with these
+    daughter categories, head schema and complement categories.  The
+    first phrase of a shape decides it with `post_subcat` on a throwaway
+    store, whose work no sentence's counters see, and `g.frame_verdicts`
+    keeps it."""
+    key = (label, daughter_cats, schema, comp_cats)
+    verdict = g.frame_verdicts.get(key)
+    if verdict is None:
+        frame, store = g.frames[label], Store()
+        wf = {label: store.true}
+        for member in frame.m:
+            wf[member] = store.true if member in daughter_cats else store.false
+        categories = sorted(c.name for c in g.categories())
+        comp_vars = [store.new_var(categories, name=f"compcat:{cat}", closed=True)
+                     for cat in comp_cats]
+        verdict = g.frame_verdicts[key] = (
+            all(store.tell(eq(v, cat)) for v, cat in zip(comp_vars, comp_cats))
+            and post_subcat(frame, store, wf, schema, comp_vars))
+    return verdict
 
 
 # -- cooccurrence restrictions --------------------------------------------
@@ -507,8 +536,7 @@ def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
     """Install one lexical entry's template; entry features are realized
     (status true) unless the entry text says otherwise."""
     root = fs.instantiate(entry.template)
-    return Sign(fs, root, entry.category, fs.store.new_bool(f"wf:{entry.form}"),
-                schema=entry.schema)
+    return Sign(fs, root, entry.category, fs.store.true, schema=entry.schema)
 
 
 # -- pipeline -------------------------------------------------------------
@@ -519,14 +547,8 @@ def _check(t: LocalTree, g: Grammar) -> None:
         raise InconsistencyError("; ".join(v.detail for v in violations))
 
 
-def _assert_wf(store: Store, sign: Sign) -> None:
-    if not store.tell(bool_post(Var(sign.wf))):
-        raise InconsistencyError(f"{sign.category} is not well formed")
-
-
-def _post_frame(frame, store: Store, wf_map, schema, comp_vars) -> None:
-    if not post_subcat(frame, store, wf_map, schema, comp_vars):
-        raise InconsistencyError(f"subcategorization of {frame.phrase} rejected")
+def _reject(reason: str) -> None:
+    raise InconsistencyError(reason)
 
 
 class _TreeBuild:
@@ -569,7 +591,6 @@ class _TreeBuild:
         if entry.sites:
             self.gate(functools.partial(_post_sites, self.fs, sign.root - 1, entry.sites,
                                         self.g.fcrs))
-        self.gate(functools.partial(_assert_wf, self.store, sign))
         return sign
 
     def phrase(self, label: str, daughters) -> Sign:
@@ -586,30 +607,14 @@ class _TreeBuild:
         root, slots = attach_daughters(fs, head, subj=[s for _, s in subj_pairs],
                                        comps=[s for _, s in comp_pairs],
                                        mother_subj=mother_subj, mother_comps=mother_comps)
-        mother = Sign(fs, root, label, store.new_bool(f"wf:{label}"))
+        mother = Sign(fs, root, label, store.true)
         self.parts.append((label, mother.root, mother.wf))
         if not post_unicity(slots, store):
             raise InconsistencyError("daughter slots are not distinct")
-        self.gate(functools.partial(_assert_wf, store, mother))
-
-        frame = g.frames.get(label)
-        if frame is not None:
-            wf_map = {label: mother.wf}
-            realized = {cat: s.wf for cat, s in daughters}
-            comp_vars = []
-            for member in sorted(frame.m):
-                wf_map[member] = realized.get(member) or store.new_bool(f"wf:{member}?")
-                if member not in realized:
-                    if not store.tell(bool_post(Not(Var(wf_map[member])))):
-                        raise InconsistencyError("unrealized member already forced")
-            for cat, _ in comp_pairs:
-                v = store.new_var(sorted(c.name for c in g.categories()),
-                                  name=f"compcat:{cat}", closed=True)
-                comp_vars.append(v)
-                if not store.tell(eq(v, cat)):
-                    raise InconsistencyError("complement category excluded")
-            self.gate(functools.partial(_post_frame, frame, store, wf_map,
-                                        head.schema, comp_vars))
+        if label in g.frames and not _frame_verdict(
+                g, label, tuple(cat for cat, _ in daughters), head.schema,
+                tuple(cat for cat, _ in comp_pairs)):
+            self.gate(functools.partial(_reject, f"subcategorization of {label} rejected"))
         return mother
 
 

@@ -1,4 +1,5 @@
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -225,7 +226,8 @@ def test_trace_goes_to_stderr(capsys):
 
 
 def test_trace_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
-    # a frame with several unrealized members makes one boolean for each
+    # a frame with several unrealized members is decided off the traced
+    # store, so none of them, nor any well-formedness, makes a variable
     grammar = tmp_path / "frame.clg"
     grammar.write_text(
         "start S. rule S -> NP VP. rule NP -> Nm. rule VP -> Vb.\n"
@@ -240,7 +242,8 @@ def test_trace_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
                           "--input", "dogs bark", "--trace")
         assert proc.returncode == 0
         traces.append(proc.stderr)
-    assert "wf:Adj?" in traces[0] and traces[0] == traces[1]
+    assert traces[0] == traces[1]
+    assert "AllDistinct" in traces[0] and "wf:" not in traces[0]
 
 
 def test_hpsg_mode_dumps_signs(capsys):
@@ -268,6 +271,9 @@ def test_hpsg_jobs_pickle_the_compiled_templates(capsys, tmp_path, monkeypatch):
     f.write_text("the cat sleeps\ncat the sleeps\nthe cat sleeps\n")
     argv = ("--grammar", TOY_LEX, "--mode", "hpsg", "--file", str(f), "--stats")
     one = run(capsys, *argv)
+    # the in-process run filled the frame verdicts, which the workers
+    # now get with the grammar
+    assert g.frame_verdicts and pickle.loads(pickle.dumps(g)).frame_verdicts == g.frame_verdicts
     two = run(capsys, *argv, "--jobs", "2")
     assert one == two
     assert one[0] == 1 and one[1].count("WF ") == 2

@@ -292,6 +292,27 @@ def test_fcr_sites_apply_where_a_feature_occurs_and_then_carry_all():
     assert template_sites(raw, g.fcrs) == ((2, 0),)
 
 
+def test_the_loader_folds_each_distinct_template_once(monkeypatch):
+    # "the"/"a", "cat"/"dog" and the two intransitive verbs share their
+    # templates: 9 entries, 6 folds, and entries that share a template
+    # share its fold
+    import clparse.hpsg as hpsg
+
+    folds = []
+    fold = hpsg.fold_restrictions
+    monkeypatch.setattr(hpsg, "fold_restrictions", lambda e, fcrs: folds.append(e) or fold(e, fcrs))
+    g = load_grammar_file("bench/lex.clg")
+    entries = [e for es in g.lexicon.values() for e in es]
+    assert (len(entries), len(folds)) == (9, 6)
+    assert g.entries("the")[0].template is g.entries("a")[0].template
+    assert g.entries("cat")[0].template is g.entries("dog")[0].template
+    assert g.entries("sleeps")[0].template is g.entries("fish")[1].template
+    for e in entries:
+        raw = replace(e, template=None)
+        folded = fold(replace(raw, sites=template_sites(raw.template, g.fcrs)), g.fcrs)
+        assert (e.template, e.sites) == (folded.template, folded.sites), e.form
+
+
 def test_deep_nesting_is_a_grammar_error_with_its_line():
     with pytest.raises(GrammarError, match="nested deeper"):
         parse_fcr("~" * 3000 + "A")

@@ -572,19 +572,21 @@ def test_taggings_share_one_search():
 
 
 def test_parse_hpsg_pins_every_counter():
-    # A fresh grammar: the first call gives the same counts as every
-    # later call.  Both build the sign in 21 propagation steps (28 when
-    # every tree posted the entries' restrictions: the loader decides
-    # them); active's search adds one Spells run for each of the 5
-    # distinct sequences among the 6 states it scans, and tries only the
-    # 6 windows it reduces.  Every head share is entailed when its
-    # mother is installed, so no ask is evaluated.
+    # A fresh grammar: the first call, which decides the frames, gives
+    # the same counts as every later call.  Both build the sign in 2
+    # propagation steps, the AllDistinct runs of the NP's and the S's
+    # daughter slots (21 when every constituent's well-formedness and
+    # every frame were told on each tree, 28 when each tree also posted
+    # the entries' restrictions); active's search adds one Spells run
+    # for each of the 5 distinct sequences among the 6 states it scans,
+    # and tries only the 6 windows it reduces.  Every head share is
+    # entailed when its mother is installed, so no ask is evaluated.
     g = load_grammar_file(TOY_LEX)
     common = dict(reductions_applied=6, backtracks=0, trees_considered=1,
                   expansions=6, signs_accepted=1, completeness_tests=0,
                   ask_evaluations=0)
-    want = {"active": dict(common, windows_tried=6, propagation_steps=26),
-            "gentest": dict(common, windows_tried=22, propagation_steps=21)}
+    want = {"active": dict(common, windows_tried=6, propagation_steps=7),
+            "gentest": dict(common, windows_tried=22, propagation_steps=2)}
     for _ in range(2):
         for strategy, counts in want.items():
             _, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
@@ -930,6 +932,95 @@ def test_sign_dump_carries_a_wf_line(toy):
     for cat in ("Det", "Nm", "NP", "Vb", "VP", "S"):
         assert f"{cat}@" in wf
     assert wf.count("=T") == 6
+
+
+# -- frames decided once per phrase shape ----------------------------------------
+
+_HEAD = "[synsem: [loc: [cat: [head: [maj: {}]]]]]"
+# Three frames that reject: the NP's compulsory Det is missing from a
+# bare NP, "cat" selects an Adj schema no NP realizes, and an NP object
+# is outside the VP's M.
+_REJECTING = (
+    "start S.\n"
+    "rule S -> NP VP. rule NP -> Det Nm. rule NP -> Nm. rule VP -> Vb. rule VP -> Vb NP.\n"
+    "lp Det < Nm.\n"
+    "frame NP { M = {Det,Nm,Adj}; C = {Det,Nm}; head = Nm; }\n"
+    "frame VP { M = {Vb}; C = {Vb}; head = Vb; }\n"
+    "frame S  { M = {NP,VP}; C = {NP,VP}; head = VP; }\n"
+    "proj Nm = NP. proj Vb = VP. proj VP = S.\n"
+    f'lex "the" Det {_HEAD.format("det")} subcat [].\n'
+    f'lex "dog" Nm {_HEAD.format("n")} subcat [Det] schema {{Det}}.\n'
+    f'lex "cat" Nm {_HEAD.format("n")} subcat [Det] schema {{Adj}}.\n'
+    f'lex "dogs" Nm {_HEAD.format("n")} subcat [].\n'
+    f'lex "sleeps" Vb {_HEAD.format("v")} subj [NP] subcat [].\n'
+    f'lex "sees" Vb {_HEAD.format("v")} subj [NP] subcat [NP].\n')
+_REJECTING_CASES = {
+    # words: (signs, expansions under active, under gentest); active
+    # stops a tree at the phrase whose frame rejects, gentest builds it
+    "the dog sleeps": (1, 6, 6),
+    "dogs sleeps": (0, 2, 5),               # NP -> Nm, no Det
+    "the cat sleeps": (0, 3, 6),            # NP -> Det Nm, no Adj
+    "the dog sees the dog": (0, 8, 9),      # VP -> Vb NP, NP not in M
+}
+
+
+def _told_verdict(g, key) -> bool:
+    """A phrase shape's frame verdict as each phrase once decided it: an
+    open boolean for the phrase and each daughter, told true, one for
+    each unrealized member, told false, a closed category variable told
+    equal to each complement, then `post_subcat`, on a fresh store."""
+    label, daughters, schema, comps = key
+    frame, st = g.frames[label], Store()
+    wf = {label: st.new_bool(label)}
+    realized = {cat: st.new_bool(cat) for cat in daughters}
+    for v in (wf[label], *realized.values()):
+        assert st.tell(bool_post(Var(v)))
+    for member in sorted(frame.m):
+        wf[member] = realized.get(member) or st.new_bool(f"{member}?")
+        if member not in realized:
+            assert st.tell(bool_post(Not(Var(wf[member]))))
+    comp_vars = [st.new_var(sorted(c.name for c in g.categories()), closed=True)
+                 for _ in comps]
+    for v, cat in zip(comp_vars, comps):
+        assert st.tell(eq(v, cat))
+    return post_subcat(frame, st, wf, schema, comp_vars)
+
+
+def test_each_frame_verdict_is_the_one_told_well_formedness_gives():
+    cases = ((load_grammar_file("bench/lex.clg"), _sign_table(), 6, 0),
+             (load_grammar(_REJECTING), _REJECTING_CASES, 6, 3))
+    for g, sentences, shapes, rejected in cases:
+        assert g.frame_verdicts == {}
+        for strategy in ("active", "gentest"):
+            for sentence in sentences:
+                parse_hpsg(sentence.split(), g, strategy=strategy)
+        assert len(g.frame_verdicts) == shapes
+        assert list(g.frame_verdicts.values()).count(False) == rejected
+        for key, verdict in g.frame_verdicts.items():
+            assert verdict is _told_verdict(g, key), key
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+@pytest.mark.parametrize("sentence", list(_REJECTING_CASES))
+def test_a_rejecting_frame_stops_its_tree_where_its_post_did(strategy, sentence):
+    signs, *expansions = _REJECTING_CASES[sentence]
+    got, stats = parse_hpsg(sentence.split(), load_grammar(_REJECTING), strategy=strategy)
+    assert (len(got), stats.trees_considered, stats.expansions) == \
+        (signs, 1, expansions[strategy == "gentest"])
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_counts_do_not_depend_on_the_sentences_parsed_before(strategy):
+    # a frame decided for an earlier sentence is not charged to a later
+    # one, nor the first time to the sentence that meets it
+    table = list(_sign_table())
+    for i, sentence in enumerate(table):
+        fresh_stats = parse_hpsg(sentence.split(), load_grammar_file("bench/lex.clg"),
+                                 strategy=strategy)[1]
+        g = load_grammar_file("bench/lex.clg")
+        for other in table[:i] + table[i + 1:]:
+            parse_hpsg(other.split(), g, strategy=strategy)
+        assert parse_hpsg(sentence.split(), g, strategy=strategy)[1] == fresh_stats, sentence
 
 
 # -- restrictions folded at load ------------------------------------------------
