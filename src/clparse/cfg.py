@@ -36,28 +36,28 @@ differ in which windows they try, and so in the dead states they scan.
 "active" posts what the window must spell, and where its rewrite may
 stand: one store per search holds a variable w over the (origin, size)
 windows of a rule length that fit the root, in scan order.  At each
-distinct sequence scanned, the search first checks every two
-neighbours of the sequence, and either end, against the grammar's
-table of categories that may stand side by side in a sentential form
-(`Grammar.follows`); a sequence that fails it, a root in practice, has
-no windows and costs the store nothing.  Otherwise a `Spells`
-constraint prunes w to the windows whose slice is a rule's right-hand
-side, by a walk over the grammar's trie of right-hand sides from each
-origin (Pesant 2004: the right-hand sides are a finite regular
-language), and whose rule's left-hand side may stand between the
-window's two neighbours.  Those are the only new neighbours a
-reduction makes, so the check is exact: every state the search skips
-has no derivation.  Where rules share a right-hand side, the scan
-reduces only those whose left-hand side fits between the window's
-neighbours, so every state it reaches below the root passes the whole
-check.  Each solve restores the store to the snapshot taken after w
-was made, tells `Spells` for its sequence and reads the windows off w's
-domain; the store counts into the search's `Stats` as it works, and a
-longer root makes a new store.  The answer depends on the sequence
-alone, so the search tables it by sequence, and every later state with
-that sequence reads it from the table instead of solving again
-(Schulte & Stuckey 2008: a propagator whose input did not change is not
-run again).
+root, the search first checks every two neighbours of the sequence,
+and either end, against the grammar's table of categories that may
+stand side by side in a sentential form (`Grammar.follows`); a root
+that fails it has no windows and costs the store nothing.  Otherwise,
+at each distinct sequence scanned, a `Spells` constraint prunes w to
+the windows whose slice is a rule's right-hand side, by a walk over
+the grammar's trie of right-hand sides from each origin (Pesant 2004:
+the right-hand sides are a finite regular language), and whose rule's
+left-hand side may stand between the window's two neighbours.  Those
+are the only new neighbours a reduction makes, so the check is exact:
+every state the search skips has no derivation.  Where rules share a
+right-hand side, the scan reduces only those whose left-hand side fits
+between the window's neighbours, so every state it reaches below the
+root passes the whole check, and the check is made once per root.
+Each solve restores the store to the snapshot taken after w was made,
+tells `Spells` for its sequence and reads the windows off w's domain;
+the store counts into the search's `Stats` as it works, and a longer
+root makes a new store.  The answer depends on the sequence alone, so
+the search tables it by sequence, and every later state with that
+sequence reads it from the table instead of solving again (Schulte &
+Stuckey 2008: a propagator whose input did not change is not run
+again).
 "gentest" enumerates every arithmetically possible window, tabled by
 sequence length, and tests it after the fact, with neither table: it
 is the plain generate-and-test figure the active strategy is measured
@@ -155,7 +155,7 @@ class Search:
             self.found += 1
             if self.found >= self.wanted:
                 return count, tuple(edges)
-        windows = self.windows(key[0])
+        windows = self._windows(key[0])
         active = self.strategy == "active"
         for va, vb in windows:
             rules = by_rhs.get(seq[va:va + vb])
@@ -188,12 +188,21 @@ class Search:
 
     def derivations(self, cats):
         """The tagging's derivations, lazily, in scan order."""
-        yield from _derivations(self.node(cats, _NO_UNARY))
+        yield from _derivations(self._root(cats))
 
     def trees(self, cats):
         """The tagging's distinct trees, each with its first derivation,
         lazily, in scan order of those derivations."""
-        yield from _trees(self.node(cats, _NO_UNARY), tuple((c, ()) for c in cats), set())
+        yield from _trees(self._root(cats), tuple((c, ()) for c in cats), set())
+
+    def _root(self, cats) -> tuple:
+        """The record of a tagging's root.  Under active, the root is the
+        one state whose neighbours are checked against `Grammar.follows`:
+        every state the scan reaches below a root that passes passes too,
+        so a root that fails has no windows and costs the store nothing."""
+        if self.strategy == "active" and not self.g.could_be_sentential(cats):
+            self.table[self.shared.setdefault(cats, cats)] = ()
+        return self.node(cats, _NO_UNARY)
 
     def _fitting(self, rules, seq, va: int, end: int) -> tuple:
         """The rules whose left-hand side may stand between the window's
@@ -205,6 +214,14 @@ class Search:
         return tuple(r for r in rules if r.lhs in before and after in follows.get(r.lhs, ()))
 
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
+        """The windows the scan tries on seq, in scan order: none under
+        active when seq fails `Grammar.follows`."""
+        if self.strategy == "active" and not self.g.could_be_sentential(seq):
+            return ()
+        return self._windows(seq)
+
+    def _windows(self, seq) -> tuple[tuple[int, int], ...]:
+        # the scan's own lookup: its roots were checked by `_root`
         key = len(seq) if self.strategy == "gentest" else seq
         got = self.table.get(key)
         if got is None:
@@ -215,8 +232,6 @@ class Search:
         l = len(seq)
         if self.strategy == "gentest":
             return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
-        if not self.g.could_be_sentential(seq):
-            return ()
         if l > self.size:
             self._new_store(l)
         st = self.store

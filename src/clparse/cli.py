@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import itertools
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -142,8 +143,10 @@ def main(argv=None) -> int:
     tasks = [(line, g, args.mode, args.strategy, args.limit,
               args.dedupe_trees, args.trace) for line in lines]
     if args.jobs > 1:
-        # fork starts every worker up front: no more than there are lines
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(lines))) as ex:
+        # fork starts every worker up front: no more than there are lines,
+        # nor than the machine has processors
+        workers = min(args.jobs, len(lines), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_worker, tasks))   # input order kept
     else:
         results = [_worker(t) for t in tasks]

@@ -42,10 +42,17 @@ class Constraint:
     A constraint is `idempotent` when one run of its filter always
     reaches the filter's own fixpoint: a second run straight after it
     prunes nothing.  The store then does not wake it for the events of
-    its own run (Schulte & Stuckey 2008)."""
+    its own run (Schulte & Stuckey 2008).
+
+    A constraint is `one_run` when one run of its filter entails it: the
+    filter prunes its one variable to a fixed set, and every later prune
+    keeps the variable inside that set.  The store runs such a filter
+    once, as the constraint is told, and never wakes it again: a
+    subsumed propagator is never scheduled again (ibid.)."""
 
     model_gated = False
     idempotent = False
+    one_run = False
     var_kind = VarKind.FD
 
     def vars(self) -> tuple[VarId, ...]:
@@ -94,6 +101,10 @@ class Eq(Constraint):
 
     idempotent = True
 
+    @property
+    def one_run(self) -> bool:
+        return not _is_var(self.y)
+
     def vars(self):
         return (self.x, self.y) if _is_var(self.y) else (self.x,)
 
@@ -118,6 +129,10 @@ class Neq(Constraint):
     y: object
 
     idempotent = True
+
+    @property
+    def one_run(self) -> bool:
+        return not _is_var(self.y)
 
     def vars(self):
         return (self.x, self.y) if _is_var(self.y) else (self.x,)
@@ -183,7 +198,7 @@ class Element(Constraint):
     x: VarId
     allowed: tuple
 
-    idempotent = True
+    idempotent = one_run = True
 
     def vars(self):
         return (self.x,)
@@ -219,7 +234,7 @@ class Spells(Constraint):
     trie: dict = field(compare=False, repr=False)
     follows: dict = field(compare=False, repr=False)
 
-    idempotent = True
+    idempotent = one_run = True
 
     def vars(self):
         return (self.w,)

@@ -23,6 +23,16 @@ already reaches its own fixpoint, is not woken by its own prunes
 `AllDistinct`, `BoolConstraint` and `InRelation` are woken by every
 event on their variables, their own included.
 
+A `one_run` constraint (`Spells`, `Element`, and `Eq`/`Neq` against a
+constant) prunes its one variable to a fixed set, so one run of its
+filter entails it and every later prune keeps it true.  Its tell runs
+the filter once, as one propagation step, propagates what that run
+woke, and registers no watch: a subsumed propagator is never scheduled
+again (ibid.).  With propagation pending at the tell, it is queued and
+watched as any other, so the queue's FIFO order holds.  Deduplication,
+the `post` event, the trace and the all-or-nothing rollback are those
+of every tell.
+
 Every store has two boolean constants, `Store.false` and `Store.true`,
 entailed from the start and kept by every restore; a status known when
 it is created shares one of them instead of taking a variable of its
@@ -138,7 +148,8 @@ class Snapshot:
     @property
     def live(self) -> bool:
         store = self._store()
-        # From the top: a restore's target is near the top of the stack.
+        # From the top: a restore to the top snapshot never asks, and
+        # the other targets are near the top of the stack.
         return store is not None and any(s is self for s in reversed(store._snapshots))
 
 
@@ -471,9 +482,27 @@ class Store:
         if c in self.posted:
             return True
         mark = self._mark()
-        trail = self._trail
         self.posted[c] = None
-        trail.append(functools.partial(self.posted.pop, c))
+        self._trail.append(functools.partial(self.posted.pop, c))
+        # One run entails a `one_run` constraint: with no propagation
+        # pending it runs at once and watches nothing.  Pending work
+        # keeps its FIFO turn before it.
+        first = None
+        if c.one_run and not self._queue:
+            first = c
+        else:
+            self._schedule(c, cvars)
+        if self._trace:
+            self._emit("post", c, "-", "-")
+        if self._settle(mark, first):
+            return True
+        self._emit("fail", c, "-", "-")
+        return False
+
+    def _schedule(self, c, cvars) -> None:
+        """Make the events on c's variables wake c, and a model-gated c's
+        closures too, and queue c."""
+        trail = self._trail
         for v in cvars:
             bucket = self._watching.setdefault(v.index, [])
             bucket.append(c)
@@ -486,13 +515,7 @@ class Store:
                 trail.append(bucket.pop)
             if all(self.is_complete(v) for v in key_vars):
                 self._attempt(c, domain_event=False)  # late post: no closure to wait for
-        if self._trace:
-            self._emit("post", c, "-", "-")
         self._enqueue(c)
-        if self._settle(mark):
-            return True
-        self._emit("fail", c, "-", "-")
-        return False
 
     def _check_owned(self, c) -> tuple:
         """c's variables, once they and c's relation, if it has one, are
@@ -578,6 +601,15 @@ class Store:
         finally:
             self._running = None
 
+    def _run(self, c) -> bool:
+        """One counted run of c's filter, outside the queue; False on a
+        wipe-out."""
+        self.counters.propagation_steps += 1
+        if c.filter(self):
+            return True
+        self._emit("fail", c, "-", "-")
+        return False
+
     # -- snapshot / restore ---------------------------------------------------
 
     def snapshot(self) -> Snapshot:
@@ -593,21 +625,27 @@ class Store:
     def restore(self, snap: Snapshot) -> None:
         """Rewind to `snap` (which stays live; younger snapshots die).
         The counters are not rolled back."""
+        snaps = self._snapshots
+        if snaps and snaps[-1] is snap:
+            # the top one, as every window solve's base is: no search
+            self._rollback(snap._mark)
+            return
         if snap._store() is not self:
             raise UsageError("snapshot belongs to a different store")
         if not snap.live:
             raise UsageError("snapshot is dead (already unwound past)")
-        while self._snapshots[-1] is not snap:
-            self._snapshots.pop()
+        while snaps[-1] is not snap:
+            snaps.pop()
         self._rollback(snap._mark)
 
-    def _settle(self, mark: tuple[int, int]) -> bool:
-        """Propagate, then re-ask the suspended asks woken since
-        `mark`.  On inconsistency (a failing filter, or a woken callback
-        raising InconsistencyError) undo to `mark` and return False; any
-        other exception is re-raised after the same undo."""
+    def _settle(self, mark: tuple[int, int], first=None) -> bool:
+        """Run `first`'s filter, if given, once; propagate, then re-ask
+        the suspended asks woken since `mark`.  On inconsistency (a
+        failing filter, or a woken callback raising InconsistencyError)
+        undo to `mark` and return False; any other exception is re-raised
+        after the same undo."""
         try:
-            if self.propagate():
+            if (first is None or self._run(first)) and self.propagate():
                 if self._ask_wake:
                     self._drain_wakeups()
                 return True

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clparse import Bool3, InconsistencyError, Store, UsageError
-from clparse.constraints import all_distinct, bool_post, eq, neq
+from clparse.constraints import all_distinct, bool_post, element, eq, neq
 from clparse.fstruct import FeatureStructure, Ref, parse_avm
 from clparse.grammar import parse_fcr
 from clparse.hpsg import compile_fcr
@@ -48,6 +48,7 @@ ops = st.one_of(
     st.tuples(st.just("set_status"), paths, st.sampled_from(STATUSES)),
     st.tuples(st.just("exclude"), paths, paths),
     st.tuples(st.just("eq"), fd, st.integers(0, 3)),
+    st.tuples(st.just("element"), fd, st.lists(st.integers(0, 3), max_size=3)),
     st.tuples(st.just("neq"), fd, fd),
     st.tuples(st.just("all_distinct"), st.lists(fd, min_size=2, max_size=3)),
     st.tuples(st.just("close_domain"), fd),
@@ -85,6 +86,8 @@ def apply(fs: FeatureStructure, xs, op):
         return store.tell(bool_post(Implies(Var(a.status), Not(Var(b.status)))))
     if kind == "eq":
         return store.tell(eq(xs[args[0]], args[1]))
+    if kind == "element":
+        return store.tell(element(xs[args[0]], args[1]))
     if kind == "neq":
         return store.tell(neq(xs[args[0]], xs[args[1]]))
     if kind == "all_distinct":

@@ -200,8 +200,8 @@ def test_pinned_counters(toy):
     # window's neighbours, and no two toy rules share a right-hand side,
     # so its windows are its reductions; on A1 that leaves no dead state.
     # Its propagation_steps is one Spells filter run per distinct
-    # sequence scanned: Spells is idempotent, so its own prune does not
-    # wake it, and the states that share a sequence share its windows.
+    # sequence scanned: one run entails Spells, so nothing wakes it
+    # again, and the states that share a sequence share its windows.
     # Gentest tries every window and reduces every match.
     _, sa = parse(SENT7, toy, strategy="active")
     _, sg = parse(SENT7, toy, strategy="gentest")
@@ -342,6 +342,20 @@ def test_limited_parse_counts_the_store_work_done(toy):
         derivs, stats = parse(SENT7, toy, limit=k, trace=lines.append)
         assert len(derivs) == k
         assert 0 < stats.propagation_steps == _store_work(lines) < full
+
+
+def test_a_failing_window_solve_traces_the_wipe_out_and_two_fails(toy):
+    # DEAD9's one failing solve is NP Vb NP Prep NP PP: its Spells prunes
+    # w to nothing, and the trace names the failure twice, once for the
+    # filter's run and once for the tell
+    lines = []
+    parse(DEAD9, toy, trace=lines.append)
+    whole = "Spells(w=w, whole=('NP', 'Vb', 'NP', 'Prep', 'NP', 'PP')) - -"
+    at = lines.index(f"EVENT post {whole}")
+    assert lines[at + 1].startswith("EVENT prune w {(0, 1),") and lines[at + 1].endswith("} {}")
+    assert lines[at + 2:at + 4] == [f"EVENT fail {whole}"] * 2
+    assert len(lines) == 50
+    assert [ln for ln in lines if ln.startswith("EVENT fail")] == [f"EVENT fail {whole}"] * 2
 
 
 def test_a_search_reused_with_a_longer_root(toy, monkeypatch):

@@ -204,8 +204,17 @@ def test_jobs_capped_at_the_number_of_lines(capsys, tmp_path, monkeypatch):
     f = tmp_path / "sents.txt"
     f.write_text("Nm Vb Nm\nDet Nm Vb Nm\n")
     rc, out, _ = run(capsys, "--grammar", TOY, "--file", str(f), "--jobs", "5000")
-    assert seen == [2]
+    assert seen == [min(2, os.cpu_count() or 1)]
     assert (rc, out) == run(capsys, "--grammar", TOY, "--file", str(f))[:2]
+    # more lines than processors: the processors bound the pool, and a
+    # machine that cannot count its processors gets one worker
+    f.write_text("Nm Vb Nm\n" * 5)
+    for cpus, workers in ((3, 3), (None, 1)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        seen.clear()
+        rc, out, _ = run(capsys, "--grammar", TOY, "--file", str(f), "--jobs", "5000")
+        assert seen == [workers]
+        assert (rc, out) == run(capsys, "--grammar", TOY, "--file", str(f))[:2]
 
 
 def test_stats_go_to_stderr(capsys):

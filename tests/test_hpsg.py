@@ -593,6 +593,33 @@ def test_parse_hpsg_pins_every_counter():
             assert asdict(stats) == counts, strategy
 
 
+def test_a_tagging_whose_root_fails_follows_costs_the_store_nothing():
+    # "fish" is a noun and a verb.  Of "the fish sleeps", the tagging
+    # Det Vb Vb puts a verb after a determiner, as no sentential form
+    # does: its root is checked once, posts no Spells and is one dead
+    # state, while Det Nm Vb does all that "the cat sleeps" does.
+    g = load_grammar_file("bench/lex.clg")
+    assert [e.category for e in g.entries("fish")] == ["Nm", "Vb"]
+    assert not g.could_be_sentential(("Det", "Vb", "Vb"))
+    posts, stats = {}, {}
+    for words in ("the fish sleeps", "the cat sleeps"):
+        lines = []
+        _, stats[words] = parse_hpsg(words.split(), g, trace=lines.append)
+        posts[words] = [ln for ln in lines if ln.startswith("EVENT post Spells(")]
+    assert posts["the fish sleeps"] == posts["the cat sleeps"]
+    assert "whole=('Det', 'Nm', 'Vb')" in posts["the fish sleeps"][0]
+    assert asdict(stats["the fish sleeps"]) == dict(asdict(stats["the cat sleeps"]),
+                                                    backtracks=1)
+    # searched first, the failing root does not even make the store
+    search = Search(g, "active")
+    assert list(search.trees(("Det", "Vb", "Vb"))) == [] and search.store is None
+    assert search.stats.backtracks == 1 and search.stats.windows_tried == 0
+    assert len(list(search.trees(("Det", "Nm", "Vb")))) == 1
+    alone = Search(g, "active")
+    assert len(list(alone.trees(("Det", "Nm", "Vb")))) == 1
+    assert asdict(search.stats) == dict(asdict(alone.stats), backtracks=1)
+
+
 def test_parse_hpsg_leaves_no_garbage():
     # No reference cycles: a tree's store and structure go when the last
     # reference does, accepted or rejected, on the first call (which

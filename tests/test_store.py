@@ -236,6 +236,92 @@ def test_a_raising_filter_leaves_later_events_waking_it():
     assert s.domain(y) == s.domain(z) == (2,)
 
 
+def test_one_run_is_set_exactly_on_the_unary_prunes_to_a_fixed_set():
+    # Spells, Element and Eq/Neq against a constant are entailed by one
+    # run of their filter; no other constraint is, and each of them has
+    # one variable
+    kinds = {cls: cls.__dict__.get("one_run") for cls in Constraint.__subclasses__()
+             if "one_run" in cls.__dict__}
+    assert {cls.__name__ for cls, flag in kinds.items() if flag is True} == {"Element", "Spells"}
+    assert {cls.__name__ for cls, flag in kinds.items() if isinstance(flag, property)} == {
+        "Eq", "Neq"}
+    assert len(kinds) == 4
+    s = Store()
+    x, y, w, b = s.new_var([1, 2]), s.new_var([1, 2]), s.new_var([(0, 1)]), s.new_bool()
+    r = s.new_relation("r", 2)
+    flagged = (eq(x, 1), neq(x, 1), element(x, [1]), spells(w, ("a",), WORDS, FOLLOWS))
+    assert all(c.one_run and len(c.vars()) == 1 for c in flagged)
+    assert not any(c.one_run for c in (eq(x, y), neq(x, y), all_distinct(x, 1),
+                                       bool_post(Var(b)), daughter(x, 0, r),
+                                       in_relation(x, (y,), r)))
+
+
+WINDOWS = tuple((va, vb) for va in range(len(WHOLE)) for vb in range(1, len(WHOLE) - va + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_one_run_tell_is_entailed_and_never_runs_again(data):
+    # After a one-run tell succeeds, every value left satisfies it, and
+    # still does after another constraint prunes the same variable; that
+    # prune runs the other constraint alone.  A wipe-out fails and leaves
+    # the store as it was.
+    kind = data.draw(st.sampled_from(("eq", "neq", "element", "spells")), label="kind")
+    universe = WINDOWS if kind == "spells" else tuple(range(5))
+    value, subset = st.sampled_from(universe), st.sets(st.sampled_from(universe), min_size=1)
+    s = Store()
+    x = s.new_var(sorted(data.draw(subset, label="x")), name="x")
+    c = {"eq": lambda: eq(x, data.draw(value)),
+         "neq": lambda: neq(x, data.draw(value)),
+         "element": lambda: element(x, data.draw(st.lists(value))),
+         "spells": lambda: spells(x, WHOLE[data.draw(st.integers(0, 3)):], WORDS, FOLLOWS),
+         }[kind]()
+    assert c.one_run
+
+    def entailed():
+        return all(c.holds({x: v}, s) for v in s.domain(x))
+
+    before, steps = s.fingerprint(), s.counters.propagation_steps
+    if not s.tell(c):
+        assert s.fingerprint() == before
+        assert not any(c.holds({x: v}, s) for v in s.domain(x))
+        return
+    assert s.counters.propagation_steps == steps + 1 and entailed()
+    # an Eq between two variables runs once: it is idempotent, and one
+    # run of c entails c, so its prune of x wakes nothing
+    y = s.new_var(sorted(data.draw(subset, label="y")), name="y")
+    z = s.new_var([v for v in universe if v not in s.domain(x)] or [None], name="z")
+    for other, ok in ((eq(x, y), None), (eq(x, z), False)):
+        before, steps = s.fingerprint(), s.counters.propagation_steps
+        told = s.tell(other)
+        assert s.counters.propagation_steps == steps + 1
+        assert ok is None or told is ok
+        if told:
+            assert entailed()
+        else:
+            assert s.fingerprint() == before
+
+
+def test_a_one_run_tell_keeps_the_fifo_turn_of_pending_work():
+    # A prune inside a transaction queues eq(x, y) without propagating;
+    # the element told next runs after it, not ahead of it, and is
+    # watched as any other constraint
+    lines = []
+    s = Store(trace=lines.append)
+    x, y = s.new_var([1, 2, 3], name="x"), s.new_var([1, 2, 3], name="y")
+    assert s.tell(eq(x, y))
+    with s.transaction():
+        assert s.prune(x, {1, 2})
+        del lines[:]
+        steps = s.counters.propagation_steps
+        assert s.tell(element(y, [2, 3]))
+    assert lines == ["EVENT post Element(x=y, allowed=(2, 3)) - -",
+                     "EVENT prune y {1,2,3} {1,2}",
+                     "EVENT prune y {1,2} {2}",
+                     "EVENT prune x {1,2} {2}"]
+    assert s.counters.propagation_steps == steps + 3    # eq, element, eq
+
+
 def test_all_distinct_pigeonhole_two_values():
     s = Store()
     x = s.new_var([1, 2])
