@@ -5,11 +5,13 @@ window.  A window is the pair (origin, size), origin = |a| and size =
 |b|, with c the rest of the sequence, so the active strategy below
 posts the split as one store variable over such pairs, not as three
 sequence variables.  Windows are enumerated (origin ascending, then
-size ascending), each window is tested with one probe of
-`Grammar.by_rhs`, the table from each right-hand side to its rules, and
-a match rewrites the window to the rule's left-hand side.  A
-derivation records the reduction steps until the sequence equals
-<start>.
+size ascending).  A window of one category is tested with one probe of
+`Grammar.unary`, that category's unary rules, a longer one with one
+probe of `Grammar.by_rhs`, the table from each right-hand side to its
+rules, and one longer than every right-hand side is decided by its size,
+with no slice and no probe; it still counts as tried.  A match rewrites
+the window to the rule's left-hand side.  A derivation records the
+reduction steps until the sequence equals <start>.
 
 A search state is the sequence plus `unary_seen`, the (origin, lhs)
 unary reductions made since the sequence last got shorter, which stops
@@ -17,8 +19,9 @@ a unary cycle from running forever.  The derivations below a state
 depend on nothing else, so the search builds a packed forest (Billot &
 Lang 1989; Johnson 1995): one record per distinct state, with its
 derivation count and its (step, window origin, child) edges in scan
-order.  A state met again is not scanned again; its count joins the
-running total of derivations found, and the search stops once that
+order.  A state met again is not scanned again: the scan reads a
+child's record from the memo, and only a miss scans it.  Its count joins
+the running total of derivations found, and the search stops once that
 total reaches `limit`, so a limit bounds the work and not only the
 output.  The derivations are then read off the forest lazily, in the
 order of an unshared depth-first search.  `windows_tried` and
@@ -57,11 +60,16 @@ root makes a new store.  The answer depends on the sequence alone, so
 the search tables it by sequence, and every later state with that
 sequence reads it from the table instead of solving again (Schulte &
 Stuckey 2008: a propagator whose input did not change is not run
-again).
+again).  The goal state <start> has one window, and when no right-hand
+side begins with the start category it spells nothing: the goal's first
+scan tables it as none, with no solve.
 "gentest" enumerates every arithmetically possible window, tabled by
-sequence length, and tests it after the fact, with neither table: it
-is the plain generate-and-test figure the active strategy is measured
-against, and it scans every dead state it reaches.
+sequence length, and tests it after the fact, with neither `follows` nor
+the trie and no table by sequence: it is the plain generate-and-test
+figure the active strategy is measured against, and it scans every dead
+state it reaches.  Its windows longer than every right-hand side are
+decided by their size alone, and `windows_tried` still counts all of
+them.
 
 A derivation is a tuple of (lhs, window) steps.  `format_derivation`
 writes the paper's text form, <<NP>, <Det,Nm>, ...>, which the CLI
@@ -118,7 +126,12 @@ class Search:
     def __init__(self, g: Grammar, strategy: str = "active", *, limit=None, trace=None):
         if strategy not in ("active", "gentest"):
             raise UsageError(f"unknown strategy {strategy!r}")
-        self.g, self.strategy, self.trace, self.stats = g, strategy, trace, Stats()
+        self.g, self.trace, self.stats = g, trace, Stats()
+        self.active, self.goal = strategy == "active", (g.start,)
+        # active: when no right-hand side begins with the start category,
+        # the goal's one window spells nothing, and its first scan tables
+        # that instead of solving it
+        self.goal_dead = self.active and g.start not in g.rhs_trie
         self.wanted = math.inf if limit is None else limit
         self.found = 0          # derivations of the root found so far
         self.memo: dict = {}    # finished state -> record
@@ -138,27 +151,40 @@ class Search:
         """The record of one state.  A state is scanned on its first
         visit only; once `limit` derivations are found, the scan stops
         and returns a partial record, which is never memoized."""
-        key = (seq, unary_seen)
-        record = self.memo.get(key)
-        if record is not None:
-            self.found += record[0]
-            return record
+        record = self.memo.get((seq, unary_seen))
+        if record is None:
+            return self._scan(seq, unary_seen)
+        self.found += record[0]
+        return record
+
+    def _scan(self, seq: tuple[str, ...], unary_seen: frozenset) -> tuple:
+        """The record of a state not in the memo, scanned now."""
         # There are far fewer sequences and unary sets than states, so
         # the memo keeps one copy of each: that more than halves the
         # forest's peak memory.
-        key = (self.shared.setdefault(seq, seq),
-               self.shared.setdefault(unary_seen, unary_seen))
-        stats, by_rhs = self.stats, self.g.by_rhs
+        shared = self.shared
+        seq = shared.setdefault(seq, seq)
+        key = (seq, shared.setdefault(unary_seen, unary_seen))
         count, edges = 0, []
-        if seq == (self.g.start,):
+        if seq == self.goal:
             count, edges = 1, [None]
             self.found += 1
             if self.found >= self.wanted:
                 return count, tuple(edges)
-        windows = self._windows(key[0])
-        active = self.strategy == "active"
+            if self.goal_dead:
+                self.table[seq] = ()
+        windows = self._windows(seq)
+        stats, memo, active, longest = self.stats, self.memo, self.active, self.g.longest_rhs
+        unary, by_rhs = self.g.unary, self.g.by_rhs
         for va, vb in windows:
-            rules = by_rhs.get(seq[va:va + vb])
+            # a one-category window is probed by that category, and one
+            # longer than every right-hand side is decided by its size
+            if vb == 1:
+                rules = unary.get(seq[va])
+            elif vb > longest:
+                continue
+            else:
+                rules = by_rhs.get(seq[va:va + vb])
             if rules is None:
                 continue
             if active and len(rules) > 1:
@@ -172,7 +198,12 @@ class Search:
                 else:
                     child_seen = _NO_UNARY
                 stats.reductions_applied += 1
-                child = self.node(seq[:va] + (rule.lhs,) + seq[va + vb:], child_seen)
+                child_seq = seq[:va] + (rule.lhs,) + seq[va + vb:]
+                child = memo.get((child_seq, child_seen))
+                if child is None:
+                    child = self._scan(child_seq, child_seen)
+                else:
+                    self.found += child[0]
                 if child[0]:
                     count += child[0]
                     edges.append(((rule.lhs, rule.rhs), va, child))
@@ -183,7 +214,7 @@ class Search:
         if not count:
             stats.backtracks += 1
         record = (count, tuple(edges)) if count else _DEAD
-        self.memo[key] = record
+        memo[key] = record
         return record
 
     def derivations(self, cats):
@@ -200,7 +231,7 @@ class Search:
         one state whose neighbours are checked against `Grammar.follows`:
         every state the scan reaches below a root that passes passes too,
         so a root that fails has no windows and costs the store nothing."""
-        if self.strategy == "active" and not self.g.could_be_sentential(cats):
+        if self.active and not self.g.could_be_sentential(cats):
             self.table[self.shared.setdefault(cats, cats)] = ()
         return self.node(cats, _NO_UNARY)
 
@@ -216,13 +247,13 @@ class Search:
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
         """The windows the scan tries on seq, in scan order: none under
         active when seq fails `Grammar.follows`."""
-        if self.strategy == "active" and not self.g.could_be_sentential(seq):
+        if self.active and not self.g.could_be_sentential(seq):
             return ()
         return self._windows(seq)
 
     def _windows(self, seq) -> tuple[tuple[int, int], ...]:
         # the scan's own lookup: its roots were checked by `_root`
-        key = len(seq) if self.strategy == "gentest" else seq
+        key = seq if self.active else len(seq)
         got = self.table.get(key)
         if got is None:
             got = self.table[key] = self._solve(seq)
@@ -230,7 +261,7 @@ class Search:
 
     def _solve(self, seq) -> tuple[tuple[int, int], ...]:
         l = len(seq)
-        if self.strategy == "gentest":
+        if not self.active:
             return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
         if l > self.size:
             self._new_store(l)

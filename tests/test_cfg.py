@@ -200,15 +200,17 @@ def test_pinned_counters(toy):
     # window's neighbours, and no two toy rules share a right-hand side,
     # so its windows are its reductions; on A1 that leaves no dead state.
     # Its propagation_steps is one Spells filter run per distinct
-    # sequence scanned: one run entails Spells, so nothing wakes it
-    # again, and the states that share a sequence share its windows.
-    # Gentest tries every window and reduces every match.
+    # sequence scanned but the goal S: one run entails Spells, so nothing
+    # wakes it again, and the states that share a sequence share its
+    # windows; no toy right-hand side begins with S, so the goal's
+    # windows are tabled as none, with no run.  Gentest tries every
+    # window and reduces every match.
     _, sa = parse(SENT7, toy, strategy="active")
     _, sg = parse(SENT7, toy, strategy="gentest")
     assert (sa.windows_tried, sg.windows_tried) == (29, 961)
     assert (sa.reductions_applied, sg.reductions_applied) == (29, 82)
     assert (sa.backtracks, sg.backtracks) == (0, 33)
-    assert sa.propagation_steps == 15
+    assert sa.propagation_steps == 14
     derivs, sa = parse(DEAD9, toy, strategy="active")
     assert derivs == ()
     _, sg = parse(DEAD9, toy, strategy="gentest")
@@ -303,31 +305,33 @@ def _posted(lines: list) -> list:
 
 def test_one_window_post_per_distinct_sequence(toy, monkeypatch):
     # active makes one store per search and posts one Spells, naming a
-    # sequence, per distinct sequence scanned: the 18 states scanned hold
-    # 15 sequences, and a state whose sequence was solved before reads
-    # its windows from the search's table
+    # sequence, per distinct sequence scanned but the goal S, whose
+    # windows are tabled as none: the 18 states scanned hold 15
+    # sequences, and a state whose sequence was solved before reads its
+    # windows from the search's table
     stores = _count_stores(monkeypatch)
     lines = []
     search = Search(toy, "active", trace=lines.append)
     assert tuple(search.derivations(SENT7)) == oracle_parse(SENT7, toy)
     assert len(stores) == 1
     assert len(search.memo) == 18
-    assert _store_work(lines) == len({seq for seq, _ in search.memo}) == 15
-    assert search.stats.propagation_steps == 15
+    assert _store_work(lines) == len({seq for seq, _ in search.memo} - {("S",)}) == 14
+    assert search.stats.propagation_steps == 14
     assert f"EVENT post Spells(w=w, whole={SENT7!r}) - -" in lines
 
 
-@pytest.mark.parametrize("cats,sequences", [(SENT7, 15), (DEAD9, 24), (DEAD11, 48)],
+@pytest.mark.parametrize("cats,sequences", [(SENT7, 14), (DEAD9, 24), (DEAD11, 48)],
                          ids=["A1", "dead9", "dead11"])
 def test_spells_posts_are_the_distinct_sequences_scanned(toy, cats, sequences):
     # every state is scanned once (no limit), so the memo holds them all;
-    # each of their sequences is posted exactly once, at its first scan
+    # each of their sequences but the goal S is posted exactly once, at
+    # its first scan
     lines = []
     search = Search(toy, "active", trace=lines.append)
     tuple(search.derivations(cats))
     posted = _posted(lines)
     assert len(posted) == search.stats.propagation_steps == sequences
-    assert sorted(posted) == sorted({seq for seq, _ in search.memo})
+    assert sorted(posted) == sorted({seq for seq, _ in search.memo} - {("S",)})
     # the table holds each sequence once, by the copy the memo keeps
     kept = {id(seq) for seq, _ in search.memo}
     assert all(id(seq) in kept for seq in search.table)
@@ -699,23 +703,128 @@ def _scan_order(cats, g, limit) -> list:
 def test_active_solves_each_distinct_sequence_once(grammar, data):
     # the windows of a sequence are solved at its first scan and read
     # from the search's table by every later state with that sequence;
-    # a sequence that could not be sentential is never posted, and with
-    # a limit, a state the search stops at before its scan posts nothing
-    # (no store is made while no rule length fits the root)
+    # a sequence that could not be sentential is never posted, nor is the
+    # goal when no right-hand side begins with the start category, and
+    # with a limit, a state the search stops at before its scan posts
+    # nothing (no store is made while no rule length fits the root)
     g = _load(*grammar)
     names = [c.name for c in g.categories()]
     cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
     assume(_oracle_nodes(cats, g, 500) <= 500)
     want = oracle_parse(cats, g)
     stored = len(cats) >= min(g.rhs_lengths())
+    dead_goal = {(g.start,)} - {r.rhs[:1] for r in g.rules}
     for limit in (None, *range(1, len(want) + 2)):
         lines = []
         got, stats = parse(cats, g, limit=limit, trace=lines.append)
         assert got == want[:limit]
         order = _scan_order(cats, g, limit)
         sequences = [seq for seq in dict.fromkeys(seq for seq, _ in order)
-                     if stored and g.could_be_sentential(seq)]
+                     if stored and g.could_be_sentential(seq) and seq not in dead_goal]
         assert _posted(lines) == sequences
         assert stats.propagation_steps == len(sequences)
         if limit is None:
             assert stats.windows_tried == sum(len(_active_windows(seq, g)) for seq, _ in order)
+
+
+# -- gentest counts every window, those decided by their size too -----------
+
+def _every_window(l: int) -> tuple:
+    return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
+
+
+def _gentest_counts(cats, g, limit) -> tuple[int, int, int]:
+    """(windows_tried, reductions_applied, backtracks) of a gentest search
+    stopped once `limit` derivations are found: a plain depth-first walk
+    that tries every window of a state in scan order against every rule,
+    and counts a finished state's derivations instead of walking it
+    again.  A scan stopped in a window counts the windows up to and
+    including it."""
+    def children(state):
+        seq, seen = state
+        for i, (va, vb) in enumerate(_every_window(len(seq))):
+            for rule in g.rules:
+                mark = (va, rule.lhs)
+                if rule.rhs == seq[va:va + vb] and not (vb == 1 and mark in seen):
+                    yield i, (seq[:va] + (rule.lhs,) + seq[va + vb:],
+                              seen | {mark} if vb == 1 else frozenset())
+
+    @functools.cache
+    def count(state):
+        return (state[0] == (g.start,)) + sum(count(child) for _, child in children(state))
+
+    wanted = math.inf if limit is None else limit
+    done, found, tally = set(), 0, [0, 0, 0]
+
+    def visit(state) -> bool:
+        nonlocal found
+        if state in done:
+            found += count(state)
+            return found >= wanted
+        if state[0] == (g.start,):
+            found += 1
+            if found >= wanted:
+                return True
+        for i, child in children(state):
+            tally[1] += 1
+            if visit(child):
+                tally[0] += i + 1
+                return True
+        tally[0] += len(_every_window(len(state[0])))
+        tally[2] += not count(state)
+        done.add(state)
+        return False
+
+    visit((cats, frozenset()))
+    return tuple(tally)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammars, st.data())
+def test_gentest_counts_every_window(grammar, data):
+    # a window longer than every right-hand side is decided by its size,
+    # never sliced or probed, but still tried: with no limit the search
+    # counts l(l+1)/2 windows in each state it scans, and with a limit
+    # those up to and including the window where it stops
+    g = _load(*grammar)
+    names = [c.name for c in g.categories()]
+    cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
+    assume(_oracle_nodes(cats, g, 500) <= 500)
+    search = Search(g, "gentest")
+    want = tuple(search.derivations(cats))
+    assert want == oracle_parse(cats, g)
+    assert search.windows(cats) == _every_window(len(cats))
+    assert search.stats.windows_tried == sum(len(seq) * (len(seq) + 1) // 2
+                                             for seq, _ in search.memo)
+    for limit in (None, *range(1, len(want) + 2)):
+        stats = parse(cats, g, strategy="gentest", limit=limit)[1]
+        assert (stats.windows_tried, stats.reductions_applied,
+                stats.backtracks) == _gentest_counts(cats, g, limit)
+
+
+LONGER = "start S. rule S -> A B C D E F G H. rule S -> X B. rule X -> A."
+
+
+@pytest.mark.parametrize("text,sents", [
+    (LONGER, (("A", "B"),)),
+    (GAP13, GAP13_SENTS),
+    (GAP24, GAP24_SENTS),
+], ids=["longer-than-input", "lengths13", "lengths24"])
+def test_gentest_counts_at_the_edges_of_the_size_cap(text, sents):
+    # a right-hand side longer than the input leaves no window to decide
+    # by its size; where the rule lengths have gaps, a window between two
+    # of them is probed and misses, and one past the longest is not
+    # probed.  Each is counted all the same.
+    g = load_grammar(text)
+    for cats in sents:
+        want = oracle_parse(cats, g)
+        assert want
+        for limit in (None, 1, 2, 5):
+            assert parse(cats, g, strategy="active", limit=limit)[0] == want[:limit]
+            derivs, stats = parse(cats, g, strategy="gentest", limit=limit)
+            assert derivs == want[:limit]
+            assert (stats.windows_tried, stats.reductions_applied,
+                    stats.backtracks) == _gentest_counts(cats, g, limit)
+    if text == LONGER:
+        # by hand: A B tries 3 windows, X B 3 and the goal S 1
+        assert _gentest_counts(("A", "B"), g, None) == (7, 2, 0)
