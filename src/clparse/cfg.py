@@ -5,13 +5,11 @@ window.  A window is the pair (origin, size), origin = |a| and size =
 |b|, with c the rest of the sequence, so the active strategy below
 posts the split as one store variable over such pairs, not as three
 sequence variables.  Windows are enumerated (origin ascending, then
-size ascending).  A window of one category is tested with one probe of
-`Grammar.unary`, that category's unary rules, a longer one with one
+size ascending), and each one the scan takes up is matched with one
 probe of `Grammar.by_rhs`, the table from each right-hand side to its
-rules, and one longer than every right-hand side is decided by its size,
-with no slice and no probe; it still counts as tried.  A match rewrites
-the window to the rule's left-hand side.  A derivation records the
-reduction steps until the sequence equals <start>.
+rules.  A match rewrites the window to the rule's left-hand side.  A
+derivation records the reduction steps until the sequence equals
+<start>.
 
 A search state is the sequence plus `unary_seen`, the (origin, lhs)
 unary reductions made since the sequence last got shorter, which stops
@@ -63,13 +61,12 @@ Stuckey 2008: a propagator whose input did not change is not run
 again).  The goal state <start> has one window, and when no right-hand
 side begins with the start category it spells nothing: the goal's first
 scan tables it as none, with no solve.
-"gentest" enumerates every arithmetically possible window, tabled by
-sequence length, and tests it after the fact, with neither `follows` nor
-the trie and no table by sequence: it is the plain generate-and-test
-figure the active strategy is measured against, and it scans every dead
-state it reaches.  Its windows longer than every right-hand side are
-decided by their size alone, and `windows_tried` still counts all of
-them.
+"gentest" tries every arithmetically possible window, l(l+1)/2 on a
+sequence of length l, with no `follows`, no store and no table by
+sequence: it is the plain generate-and-test figure the active strategy
+is measured against, and it scans every dead state it reaches.  It tests
+its windows by one walk down the trie from each origin, through the
+sizes in ascending order, stopped where the walk leaves the trie.
 
 A derivation is a tuple of (lhs, window) steps.  `format_derivation`
 writes the paper's text form, <<NP>, <Det,Nm>, ...>, which the CLI
@@ -136,10 +133,8 @@ class Search:
         self.found = 0          # derivations of the root found so far
         self.memo: dict = {}    # finished state -> record
         self.shared: dict = {}  # sequence or unary set -> its one copy
-        self.lengths = sorted(g.rhs_lengths())
-        # the (origin, size) windows to try, in scan order, keyed by what
-        # they depend on: gentest's by the sequence length, active's by
-        # the sequence itself, its copy in `shared`
+        # active: the (origin, size) windows to try on each sequence
+        # solved, in scan order, keyed by its copy in `shared`
         self.table: dict = {}
         # active: one store per search, made at its first solve, counting
         # into `stats`; `w` ranges over the windows of a rule length that
@@ -173,20 +168,11 @@ class Search:
                 return count, tuple(edges)
             if self.goal_dead:
                 self.table[seq] = ()
-        windows = self._windows(seq)
-        stats, memo, active, longest = self.stats, self.memo, self.active, self.g.longest_rhs
-        unary, by_rhs = self.g.unary, self.g.by_rhs
+        stats, memo, active, by_rhs = self.stats, self.memo, self.active, self.g.by_rhs
+        l = len(seq)
+        windows = self._windows(seq) if active else _spelled(seq, self.g.rhs_trie)
         for va, vb in windows:
-            # a one-category window is probed by that category, and one
-            # longer than every right-hand side is decided by its size
-            if vb == 1:
-                rules = unary.get(seq[va])
-            elif vb > longest:
-                continue
-            else:
-                rules = by_rhs.get(seq[va:va + vb])
-            if rules is None:
-                continue
+            rules = by_rhs[seq[va:va + vb]]
             if active and len(rules) > 1:
                 rules = self._fitting(rules, seq, va, va + vb)
             for rule in rules:
@@ -208,9 +194,12 @@ class Search:
                     count += child[0]
                     edges.append(((rule.lhs, rule.rhs), va, child))
                 if self.found >= self.wanted:
-                    stats.windows_tried += windows.index((va, vb)) + 1
+                    # the windows tried up to and including this one:
+                    # gentest tries them all, in (origin, size) order
+                    stats.windows_tried += (windows.index((va, vb)) + 1 if active
+                                            else va * l - va * (va - 1) // 2 + vb)
                     return count, tuple(edges)
-        stats.windows_tried += len(windows)
+        stats.windows_tried += len(windows) if active else l * (l + 1) // 2
         if not count:
             stats.backtracks += 1
         record = (count, tuple(edges)) if count else _DEAD
@@ -245,44 +234,57 @@ class Search:
         return tuple(r for r in rules if r.lhs in before and after in follows.get(r.lhs, ()))
 
     def windows(self, seq) -> tuple[tuple[int, int], ...]:
-        """The windows the scan tries on seq, in scan order: none under
-        active when seq fails `Grammar.follows`."""
-        if self.active and not self.g.could_be_sentential(seq):
+        """The windows the scan tries on seq, in scan order: every one
+        under gentest; under active none when seq fails
+        `Grammar.follows`, else those its store solves."""
+        if not self.active:
+            l = len(seq)
+            return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
+        if not self.g.could_be_sentential(seq):
             return ()
         return self._windows(seq)
 
     def _windows(self, seq) -> tuple[tuple[int, int], ...]:
-        # the scan's own lookup: its roots were checked by `_root`
-        key = seq if self.active else len(seq)
-        got = self.table.get(key)
+        # active's own lookup, its roots checked by `_root`: a sequence
+        # is solved at its first scan and read from the table after
+        got = self.table.get(seq)
         if got is None:
-            got = self.table[key] = self._solve(seq)
+            if len(seq) > self.size:
+                self._new_store(len(seq))
+            st, got = self.store, ()
+            if st is not None:
+                st.restore(self.base)
+                if st.tell(spells(self.w, seq, self.g.rhs_trie, self.g.follows)):
+                    got = st.domain(self.w)
+            self.table[seq] = got
         return got
-
-    def _solve(self, seq) -> tuple[tuple[int, int], ...]:
-        l = len(seq)
-        if not self.active:
-            return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
-        if l > self.size:
-            self._new_store(l)
-        st = self.store
-        if st is None:
-            return ()
-        st.restore(self.base)
-        if not st.tell(spells(self.w, seq, self.g.rhs_trie, self.g.follows)):
-            return ()
-        return st.domain(self.w)
 
     def _new_store(self, l: int) -> None:
         # Every state below a root is no longer than it, so its windows
         # are among the root's; a longer root needs a wider domain.
         self.size = l
-        fits = [(va, vb) for va in range(l) for vb in self.lengths if va + vb <= l]
+        lengths = sorted(self.g.rhs_lengths())
+        fits = [(va, vb) for va in range(l) for vb in lengths if va + vb <= l]
         if fits:
             self.store = Store(trace=self.trace)
             self.store.counters = self.stats
             self.w = self.store.new_var(fits, name="w")
             self.base = self.store.snapshot()
+
+
+def _spelled(seq, trie: dict) -> list[tuple[int, int]]:
+    """The windows of seq whose slice is a right-hand side, in scan
+    order: gentest's one walk down `Grammar.rhs_trie` per origin, through
+    the sizes in ascending order, stopped where it leaves the trie."""
+    out, n = [], len(seq)
+    for va in range(n):
+        node, end = trie, va
+        while end < n and (entry := node.get(seq[end])):
+            end += 1
+            if entry[0]:
+                out.append((va, end - va))
+            node = entry[1]
+    return out
 
 
 def _derivations(record: tuple, path: Derivation = ()):

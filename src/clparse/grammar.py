@@ -19,10 +19,9 @@ closing bracket and leaves the clauses after it to the loader.  The
 LP pairs must form a strict partial order; a cycle is reported on the
 line of its latest-declared pair.  A grammar is immutable once loaded.
 The rules also compile to the window parser's three tables: `by_rhs`,
-each right-hand side's rules (with `unary`, the same rules of a
-one-symbol right-hand side keyed by that symbol, and `longest_rhs`), the
-trie of right-hand sides, and `follows`, the categories that may stand
-side by side in a sentential form of the start category.
+each right-hand side's rules, the trie of right-hand sides, and
+`follows`, the categories that may stand side by side in a sentential
+form of the start category.
 Each lexical entry compiles to its sign's template as it is read.  An
 entry that cannot become a sign, or an fcr naming a feature no sign can
 carry, is a `GrammarError` on its line; entries record their fcr sites,
@@ -168,12 +167,8 @@ class Grammar:
         self.fcrs: list[FCR] = []
         self.lexicon: dict[str, list[LexEntry]] = {}
         self._categories: dict[str, Category] = {}
-        # Each right-hand side mapped to its rules, in file order; each
-        # category mapped to its unary rules, those of its one-symbol
-        # right-hand side; and the length of the longest right-hand side.
+        # Each right-hand side mapped to its rules, in file order.
         self.by_rhs: dict[tuple[str, ...], tuple[PSRule, ...]] = {}
-        self.unary: dict[str, tuple[PSRule, ...]] = {}
-        self.longest_rhs = 0
         # The right-hand sides as a trie: each category maps to the
         # left-hand sides of the rules whose right-hand side ends there,
         # in file order, and the trie of the categories that may follow it.
@@ -510,9 +505,6 @@ def load_grammar(text: str) -> Grammar:
         g._categories[name] = Category(name, level)
     for rule in g.rules:
         g.by_rhs[rule.rhs] = g.by_rhs.get(rule.rhs, ()) + (rule,)
-        if len(rule.rhs) == 1:
-            g.unary[rule.rhs[0]] = g.by_rhs[rule.rhs]
-        g.longest_rhs = max(g.longest_rhs, len(rule.rhs))
         node = g.rhs_trie
         for cat in rule.rhs[:-1]:
             node = node.setdefault(cat, ((), {}))[1]

@@ -76,9 +76,8 @@ class Sign:
     fs: FeatureStructure
     root: int
     category: str
-    wf: VarId                               # the store's true constant
     schema: frozenset[str] | None = None    # lexical heads carry their choice
-    parts: tuple = ()                       # (category, root, wf) per constituent
+    parts: tuple = ()                       # (category, root) per constituent
 
     def same_ref(self, other: "Sign") -> bool:
         return self.fs is other.fs and self.fs.canon(self.root) == other.fs.canon(other.root)
@@ -343,12 +342,12 @@ def _post_sites(fs: FeatureStructure, base: int, sites, fcrs) -> None:
 def fold_restrictions(entry: LexEntry, fcrs) -> LexEntry:
     """The entry with its restrictions decided at load where its template
     alone decides them.  The sites are posted as a tree posts them, on a
-    throwaway store.  If the post holds, every status comes out known and
-    no valueless cell is realized, the structure read back, placeholders
-    included with their forced status at the end of their node's group,
-    is the template a tree installs, and no site is left.  Otherwise the
-    entry is returned as it is, for every tree to post its sites, which
-    rejects an entry that violates a restriction where it always did.
+    throwaway store.  If the post holds and every status comes out
+    known, the structure read back, placeholders included with their
+    forced status at the end of their node's group, is the template a
+    tree installs, and no site is left.  Otherwise the entry is returned
+    as it is, for every tree to post its sites, which rejects an entry
+    that violates a restriction where it always did.
     This is exact because nothing adds a cell, value or status to a
     lexical node once it is installed, and no later value or status can
     change a formula whose every leaf is decided."""
@@ -365,7 +364,7 @@ def fold_restrictions(entry: LexEntry, fcrs) -> LexEntry:
     for node in range(1, n_nodes + 1):
         for cell in fs.cells_of(node):
             status = fs.store.bool_value(cell.status)
-            if not status.known or (status is Bool3.TRUE and cell.value is None):
+            if not status.known:
                 return entry
             cells.append((cell.feature, node, _template_value(cell.value), status is Bool3.TRUE))
     return replace(entry, template=(n_nodes, tuple(cells)), sites=())
@@ -536,7 +535,7 @@ def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
     """Install one lexical entry's template; entry features are realized
     (status true) unless the entry text says otherwise."""
     root = fs.instantiate(entry.template)
-    return Sign(fs, root, entry.category, fs.store.true, schema=entry.schema)
+    return Sign(fs, root, entry.category, schema=entry.schema)
 
 
 # -- pipeline -------------------------------------------------------------
@@ -567,7 +566,7 @@ class _TreeBuild:
         self.active = active
         self.stats = stats
         self.deferred: list = []
-        self.parts: list[tuple[str, int, VarId]] = []
+        self.parts: list[tuple[str, int]] = []
 
     def gate(self, fn) -> None:
         if self.active:
@@ -587,7 +586,7 @@ class _TreeBuild:
         entry = next(self.leaves)
         self.stats.expansions += 1
         sign = lexical_sign(self.fs, entry)
-        self.parts.append((label, sign.root, sign.wf))
+        self.parts.append((label, sign.root))
         if entry.sites:
             self.gate(functools.partial(_post_sites, self.fs, sign.root - 1, entry.sites,
                                         self.g.fcrs))
@@ -607,8 +606,8 @@ class _TreeBuild:
         root, slots = attach_daughters(fs, head, subj=[s for _, s in subj_pairs],
                                        comps=[s for _, s in comp_pairs],
                                        mother_subj=mother_subj, mother_comps=mother_comps)
-        mother = Sign(fs, root, label, store.true)
-        self.parts.append((label, mother.root, mother.wf))
+        mother = Sign(fs, root, label)
+        self.parts.append((label, mother.root))
         if not post_unicity(slots, store):
             raise InconsistencyError("daughter slots are not distinct")
         if label in g.frames and not _frame_verdict(
@@ -666,7 +665,6 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
 
 
 def sign_dump(sign: Sign, *, statuses: bool = False) -> str:
-    store = sign.fs.store
-    wf = " ".join(f"{cat}@{sign.fs.canon(root)}={store.bool_value(var).value}"
-                  for cat, root, var in sign.parts)
+    # every constituent's well-formedness is the store's true constant
+    wf = " ".join(f"{cat}@{sign.fs.canon(root)}={Bool3.TRUE.value}" for cat, root in sign.parts)
     return sign.fs.dump(statuses=statuses) + "\n" + f"WF {wf}".rstrip()

@@ -211,8 +211,8 @@ def test_a6_valency_conservation():
         sign = signs[0]
         fs = sign.fs
         cat_path = ("synsem", "loc", "cat")
-        cats = {fs.canon(r): c for c, r, _ in sign.parts}
-        phrases = [fs.canon(r) for _, r, _ in sign.parts
+        cats = {fs.canon(r): c for c, r in sign.parts}
+        phrases = [fs.canon(r) for _, r in sign.parts
                    if fs.resolve(("dtrs",), fs.canon(r)) is not None]
         conserved = bool(phrases)
         for node in phrases:

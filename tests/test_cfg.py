@@ -727,7 +727,7 @@ def test_active_solves_each_distinct_sequence_once(grammar, data):
             assert stats.windows_tried == sum(len(_active_windows(seq, g)) for seq, _ in order)
 
 
-# -- gentest counts every window, those decided by their size too -----------
+# -- gentest counts every window, those its trie walk passes over too -------
 
 def _every_window(l: int) -> tuple:
     return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
@@ -805,16 +805,25 @@ def test_gentest_counts_every_window(grammar, data):
 LONGER = "start S. rule S -> A B C D E F G H. rule S -> X B. rule X -> A."
 
 
+def test_gentest_tables_no_windows(toy):
+    # gentest walks the trie at every scan, dead states too, and keeps
+    # no table of windows and no store
+    for cats in (SENT7, DEAD9):
+        search = Search(toy, "gentest")
+        tuple(search.derivations(cats))
+        assert search.memo and search.table == {} and search.store is None
+
+
 @pytest.mark.parametrize("text,sents", [
     (LONGER, (("A", "B"),)),
     (GAP13, GAP13_SENTS),
     (GAP24, GAP24_SENTS),
 ], ids=["longer-than-input", "lengths13", "lengths24"])
 def test_gentest_counts_at_the_edges_of_the_size_cap(text, sents):
-    # a right-hand side longer than the input leaves no window to decide
-    # by its size; where the rule lengths have gaps, a window between two
-    # of them is probed and misses, and one past the longest is not
-    # probed.  Each is counted all the same.
+    # a right-hand side longer than the input leaves the trie walk
+    # unfinished at the input's end; where the rule lengths have gaps,
+    # the walk passes over a window between two of them, and it stops
+    # before one past the longest.  Each is counted all the same.
     g = load_grammar(text)
     for cats in sents:
         want = oracle_parse(cats, g)

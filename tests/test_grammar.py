@@ -31,8 +31,6 @@ def test_toy_grammar_loads():
     assert g.rules[0] == PSRule("S", ("NP", "VP"))
     assert g.rules[-1] == PSRule("VP", ("Vb", "NP", "PP"))
     assert g.rhs_lengths() == {1, 2, 3}
-    assert g.longest_rhs == 3
-    assert g.unary == {"Nm": (PSRule("NP", ("Nm",)),)}
 
 
 def test_category_levels():

@@ -16,6 +16,7 @@ from clparse.grammar import load_grammar, load_grammar_file, parse_fcr, template
 from clparse.hpsg import (
     LocalTree,
     Sign,
+    _HeadWait,
     _cancel,
     _split_realized,
     apply_hfp,
@@ -82,9 +83,9 @@ def test_distinctness_same_sign_twice(toy):
 
 def test_distinctness_needs_same_reference():
     g = load_grammar("rule X -> A A. proj A = X. start X.")
-    st, fs = fresh()
-    a1 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A", st.new_bool())
-    a2 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A", st.new_bool())
+    _, fs = fresh()
+    a1 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A")
+    a2 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A")
     tree = LocalTree("X", (("A", a1), ("A", a2)))
     kinds = {v.kind for v in check_local_tree(tree, g)}
     assert "distinctness" not in kinds
@@ -95,8 +96,8 @@ def test_distinctness_needs_same_reference():
 
 def test_rule_star_opts_out_of_distinctness():
     g = load_grammar("rule* X -> A A. proj A = X. start X.")
-    st, fs = fresh()
-    a = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A", st.new_bool())
+    _, fs = fresh()
+    a = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A")
     tree = LocalTree("X", (("A", a), ("A", a)))
     kinds = {v.kind for v in check_local_tree(tree, g)}
     assert "distinctness" not in kinds
@@ -161,8 +162,8 @@ def test_split_realized_takes_only_saturated_sisters(toy):
 
 
 def test_valency_of_defaults_to_empty(toy):
-    st, fs = fresh()
-    sign = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "X", st.new_bool())
+    _, fs = fresh()
+    sign = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "X")
     assert valency_of(sign) == ((), ())
     vb = entry_sign(toy, "sleeps", fs)
     assert valency_of(vb) == (("NP",), ())
@@ -182,7 +183,7 @@ def test_apply_valency_writes_mother_lists():
 def test_attach_daughters_builds_slots(toy):
     st, fs = fresh()
     vb = entry_sign(toy, "sleeps", fs)
-    np = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "NP", st.new_bool())
+    np = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "NP")
     before = fs.dump(statuses=True), st.fingerprint()
     with pytest.raises(UsageError):
         attach_daughters(fs, vb, subj=[np, np])
@@ -202,9 +203,9 @@ def test_attach_daughters_builds_slots(toy):
 
 
 def test_attach_daughters_leaves_an_open_head_share_suspended():
-    st, fs = fresh()
+    _, fs = fresh()
     head = Sign(fs, fs.encode_node(parse_avm("[synsem: [loc: [cat: [?head: [maj: v]]]]]"),
-                                   Bool3.TRUE), "Vb", st.new_bool())
+                                   Bool3.TRUE), "Vb")
     root, slots = attach_daughters(fs, head)
     cat = fs.resolve(CAT, root)
     assert fs.find(cat, "head") is None
@@ -490,8 +491,8 @@ def test_valency_is_conserved_at_every_reduction(toy):
     signs, _ = parse_hpsg(["the", "cat", "sleeps"], toy)
     sign = signs[0]
     fs = sign.fs
-    cats = {fs.canon(r): c for c, r, _ in sign.parts}
-    phrases = [fs.canon(r) for _, r, _ in sign.parts
+    cats = {fs.canon(r): c for c, r in sign.parts}
+    phrases = [fs.canon(r) for _, r in sign.parts
                if fs.resolve(("dtrs",), fs.canon(r)) is not None]
     assert phrases
     for node in phrases:
@@ -787,7 +788,7 @@ def _check_valency_conservation(sign) -> int:
     categories, in order, are its head daughter's lists.  Returns the
     number of phrases walked."""
     fs = sign.fs
-    cats = {fs.canon(r): c for c, r, _ in sign.parts}
+    cats = {fs.canon(r): c for c, r in sign.parts}
 
     def lists(node):
         return tuple(tuple(fs.resolve(CAT + (feat,), node) or ()) for feat in ("subj", "comps"))
@@ -832,7 +833,7 @@ def _local_trees(sign, words, g, strategy):
     """The sign's phrases as (root, daughter roots in surface order,
     daughter categories), read off the one cfg tree of some tagging of
     `words` whose labels in post-order are the sign's parts."""
-    labels = tuple(cat for cat, _, _ in sign.parts)
+    labels = tuple(cat for cat, _ in sign.parts)
 
     def post_order(tree):
         for child in tree[1]:
@@ -845,7 +846,7 @@ def _local_trees(sign, words, g, strategy):
                if tuple(label for label, _ in post_order(tree)) == labels]
     assert len(matches) == 1
     root_of = {id(node): sign.fs.canon(root)
-               for node, (_, root, _) in zip(post_order(matches[0]), sign.parts)}
+               for node, (_, root) in zip(post_order(matches[0]), sign.parts)}
     return [(root_of[id(node)], [root_of[id(d)] for d in node[1]], [d[0] for d in node[1]])
             for node in post_order(matches[0]) if node[1]]
 
@@ -861,7 +862,7 @@ def test_every_phrase_links_its_daughters_and_shares_their_head(strategy):
         for words in inputs:
             for sign in parse_hpsg(words, g, strategy=strategy)[0]:
                 fs = sign.fs
-                cats = {fs.canon(r): c for c, r, _ in sign.parts}
+                cats = {fs.canon(r): c for c, r in sign.parts}
                 for node, dtrs, dcats in _local_trees(sign, words, g, strategy):
                     head = dtrs[dcats.index(g.frames[cats[node]].head)]
                     subj = fs.resolve(("dtrs", "subj_dtr"), node)
@@ -886,13 +887,34 @@ def test_a_suspended_head_share_waits_for_its_status():
         signs, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
         assert len(signs) == 1 and stats.ask_evaluations == 1
         fs = signs[0].fs
-        roots = {cat: fs.canon(root) for cat, root, _ in signs[0].parts}
+        roots = {cat: fs.canon(root) for cat, root in signs[0].parts}
         vp_cat = fs.resolve(CAT, roots["VP"])
         assert fs.find(vp_cat, "head") is None
         status = fs.lookup(CAT + ("head",), roots["Vb"]).status
         assert fs.store.tell(bool_post(Var(status)))
         assert fs.resolve(CAT + ("head",), roots["VP"]) == fs.resolve(CAT + ("head",), roots["Vb"])
         assert fs.status_value(CAT + ("head",), roots["VP"]) is Bool3.TRUE
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_a_waiting_head_share_retires_once_it_shares(strategy):
+    # "sleeps" leaves its head's status open, so S's share waits in a
+    # value watcher for the VP's head cell.  Told true, the status brings
+    # that cell, S gets the head daughter's head node (A5), and the
+    # watcher retires: no head-sharing watcher is left on the structure.
+    text = open(TOY_LEX).read().replace('"sleeps" Vb [synsem: [loc: [cat: [head:',
+                                        '"sleeps" Vb [synsem: [loc: [cat: [?head:')
+    signs, _ = parse_hpsg("the cat sleeps".split(), load_grammar(text), strategy=strategy)
+    fs = signs[0].fs
+    roots = {cat: fs.canon(root) for cat, root in signs[0].parts}
+
+    def waiting():
+        return [w for w in fs.value_watchers if isinstance(w, _HeadWait)]
+
+    assert len(waiting()) == 1
+    assert fs.store.tell(bool_post(Var(fs.lookup(CAT + ("head",), roots["Vb"]).status)))
+    assert fs.resolve(CAT + ("head",), roots["S"]) == fs.resolve(CAT + ("head",), roots["Vb"])
+    assert waiting() == []
 
 
 @pytest.mark.parametrize("strategy", ["active", "gentest"])
@@ -913,7 +935,7 @@ def test_delayed_head_sharing_chains_up_the_tree(strategy):
         assert len(signs) == 1
         fs = signs[0].fs
         open_heads = [fs.lookup(CAT + ("head",), root).status
-                      for cat, root, _ in signs[0].parts if cat in ("Nm", "Vb")]
+                      for cat, root in signs[0].parts if cat in ("Nm", "Vb")]
         assert len(open_heads) == 3
         assert fs.find(fs.resolve(CAT, signs[0].root), "head") is None
         for k in order:

@@ -3,17 +3,22 @@ wraps must exist, every committed grammar must load, and every
 workload's own run and check must pass on its sentences (the capped
 11-token one aside), so that a change to the package fails here rather
 than in a benchmark run; the active search must scan no dead state on
-the `cfg-active` sentences.  The tests read `bench/` and edit nothing.
+the `cfg-active` sentences, and the README's A1 counters must be those
+of a fresh parse.  The tests read `bench/` and edit nothing.
 Last, no module of the package or of its tests may import a name it
 never uses, no module of the package may read another's underscore
-name, and every class the README names exists."""
+name, and every class, and every class attribute, the README names
+exists."""
 
 import ast
 import builtins
+import dataclasses
 import importlib.util
+import inspect
 import pkgutil
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -74,6 +79,26 @@ def test_active_scans_no_dead_state_on_the_cfg_active_sentences():
         _, gentest = clparse.cfg.parse(cats, g, strategy="gentest")
         assert active.backtracks == 0, cats
         assert active.windows_tried < gentest.windows_tried, cats
+
+
+def test_the_readme_quotes_the_a1_counters_of_a_fresh_parse():
+    # the window parser's paragraph quotes what each strategy does on the
+    # 7-token A1 sentence; each solve is one Spells run
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.search(r"On the 7-token A1 sentence that is (\d+) windows, each one a reduction, "
+                       r"found by (\d+) solves for its (\d+) states, none of them dead\. "
+                       r"Trying every position takes (\d+) windows and (\d+) reductions over "
+                       r"(\d+) states, (\d+) of them dead\.", text)
+    assert quoted
+    g = load_grammar_file(str(ROOT / "grammars" / "toy.clg"))
+    a1 = tuple("Det Nm Vb Det Nm Prep Nm".split())
+    active, gentest = clparse.cfg.Search(g, "active"), clparse.cfg.Search(g, "gentest")
+    assert tuple(active.derivations(a1)) == tuple(gentest.derivations(a1))
+    sa, sg = active.stats, gentest.stats
+    assert sa.windows_tried == sa.reductions_applied and sa.backtracks == 0
+    assert tuple(map(int, quoted.groups())) == (
+        sa.windows_tried, sa.propagation_steps, len(active.memo),
+        sg.windows_tried, sg.reductions_applied, len(gentest.memo), sg.backtracks)
 
 
 def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
@@ -188,14 +213,36 @@ def test_no_module_reads_another_modules_underscore_name(path):
     assert not foreign, f"{path.name}: reads another module's private name: {foreign}"
 
 
+def _attributes(cls) -> set:
+    """What a class and its instances carry: the class's attributes, its
+    dataclass fields, and what an `__init__` of it or a base sets on
+    self."""
+    names = set(dir(cls))
+    if dataclasses.is_dataclass(cls):
+        names.update(f.name for f in dataclasses.fields(cls))
+    for klass in cls.__mro__:
+        init = vars(klass).get("__init__")
+        if inspect.isfunction(init) and not dataclasses.is_dataclass(klass):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+            names.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return names
+
+
 def test_every_class_the_readme_names_exists():
     # a backticked CamelCase name, alone or opening a call or an
     # attribute, is a builtin or a name in the package or one of its
-    # modules, so the README cannot go on naming a deleted class
-    modules = [clparse] + [importlib.import_module(f"clparse.{m.name}")
-                           for m in pkgutil.iter_modules(clparse.__path__)]
-    names = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)[`(.]",
-                           (ROOT / "README.md").read_text()))
-    missing = sorted(n for n in names
-                     if not hasattr(builtins, n) and not any(hasattr(m, n) for m in modules))
-    assert not missing
+    # modules, and a backticked `Class.attribute` one the class or its
+    # instances carry, so the README cannot go on naming a deleted class
+    # or attribute
+    modules = [builtins, clparse] + [importlib.import_module(f"clparse.{m.name}")
+                                     for m in pkgutil.iter_modules(clparse.__path__)]
+    readme = (ROOT / "README.md").read_text()
+    name = r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)"
+    found = {n: next((getattr(m, n) for m in modules if hasattr(m, n)), None)
+             for n in re.findall(name + "[`(.]", readme)}
+    assert not sorted(n for n, obj in found.items() if obj is None)
+    attributes = set(re.findall(name + r"\.([A-Za-z_]\w*)", readme))
+    assert attributes
+    assert not sorted(f"{n}.{a}" for n, a in attributes if a not in _attributes(found[n]))
