@@ -233,20 +233,10 @@ class Search:
         after = seq[end] if end < len(seq) else BOUNDARY
         return tuple(r for r in rules if r.lhs in before and after in follows.get(r.lhs, ()))
 
-    def windows(self, seq) -> tuple[tuple[int, int], ...]:
-        """The windows the scan tries on seq, in scan order: every one
-        under gentest; under active none when seq fails
-        `Grammar.follows`, else those its store solves."""
-        if not self.active:
-            l = len(seq)
-            return tuple((va, vb) for va in range(l) for vb in range(1, l - va + 1))
-        if not self.g.could_be_sentential(seq):
-            return ()
-        return self._windows(seq)
-
     def _windows(self, seq) -> tuple[tuple[int, int], ...]:
-        # active's own lookup, its roots checked by `_root`: a sequence
-        # is solved at its first scan and read from the table after
+        # the windows active scans on seq, in scan order, its roots
+        # checked by `_root`: a sequence is solved at its first scan and
+        # read from the table after
         got = self.table.get(seq)
         if got is None:
             if len(seq) > self.size:

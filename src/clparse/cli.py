@@ -97,8 +97,22 @@ def analyze_line(line: str, g: Grammar, *, mode: str, strategy: str,
     return text, len(found), search.stats, buf.getvalue() if buf else ""
 
 
-def _worker(task):
-    line, g, mode, strategy, limit, dedupe, traced = task
+# The grammar of a pool worker, set once as the worker starts
+# (`_adopt`); under fork it is inherited, never pickled.
+_pool_grammar: Grammar | None = None
+
+
+def _adopt(g: Grammar) -> None:
+    global _pool_grammar
+    _pool_grammar = g
+
+
+def _pooled(task):
+    return _worker(_pool_grammar, task)
+
+
+def _worker(g: Grammar, task):
+    line, mode, strategy, limit, dedupe, traced = task
     try:
         return "ok", analyze_line(line, g, mode=mode, strategy=strategy,
                                   limit=limit, dedupe=dedupe, traced=traced)
@@ -140,16 +154,17 @@ def main(argv=None) -> int:
         print("clparse: no input", file=sys.stderr)
         return 2
 
-    tasks = [(line, g, args.mode, args.strategy, args.limit,
-              args.dedupe_trees, args.trace) for line in lines]
+    tasks = [(line, args.mode, args.strategy, args.limit, args.dedupe_trees, args.trace)
+             for line in lines]
     if args.jobs > 1:
         # fork starts every worker up front: no more than there are lines,
         # nor than the machine has processors
         workers = min(args.jobs, len(lines), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_worker, tasks))   # input order kept
+        with ProcessPoolExecutor(max_workers=workers, initializer=_adopt,
+                                 initargs=(g,)) as ex:
+            results = list(ex.map(_pooled, tasks))   # input order kept
     else:
-        results = [_worker(t) for t in tasks]
+        results = [_worker(g, t) for t in tasks]
 
     headers = len(lines) > 1
     any_empty = False

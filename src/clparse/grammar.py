@@ -177,10 +177,6 @@ class Grammar:
         # that may stand right after it in a sentential form of the start
         # category, BOUNDARY for the right end (`_follows`).
         self.follows: dict[str, frozenset[str]] = {}
-        # Each phrase shape met so far, (label, daughter categories, head
-        # schema, complement categories), mapped to whether the label's
-        # frame holds over it (`hpsg._frame_verdict`).
-        self.frame_verdicts: dict[tuple, bool] = {}
 
     # -- queries --------------------------------------------------------
 

@@ -11,10 +11,10 @@ distinctness constraint.  Subcategorization is boolean implications
 over per-constituent well-formedness, but a constituent that is built
 is well formed, the store's true constant, and an unrealized frame
 member is its false constant, so a frame's implications are ground:
-the verdict depends only on the phrase's shape, its label, daughter
-categories, head schema and complement categories.  The first phrase
-of a shape decides it with `post_subcat` on a throwaway store, and the
-grammar keeps it (`Grammar.frame_verdicts`).  Cooccurrence restrictions
+the verdict depends only on the phrase's label, daughter categories,
+head schema and complement categories.  `frame_holds` decides it from
+them, as `post_subcat` would over those constants, with no store, and
+the grammar is never written.  Cooccurrence restrictions
 compile to implications over status variables, and head feature
 sharing installs the mother's head as the head daughter's head node
 (token identity).  Head sharing has one rule:
@@ -61,7 +61,7 @@ import weakref
 from dataclasses import dataclass, replace
 
 from .cfg import Search
-from .constraints import BoolConstraint, all_distinct, bool_post, element, eq
+from .constraints import BoolConstraint, all_distinct, bool_post, element
 from .errors import InconsistencyError, UsageError
 from .fstruct import Bool3, Cell, FeatureStructure, Ref, compile_avm
 from .grammar import FCR, FcrLiteral, Grammar, LexEntry, fcr_sites
@@ -235,27 +235,16 @@ def post_subcat(frame, store: Store, wf: dict[str, VarId],
     return ok
 
 
-def _frame_verdict(g: Grammar, label: str, daughter_cats: tuple, schema,
-                   comp_cats: tuple) -> bool:
-    """Whether the frame of `label` holds over a phrase with these
-    daughter categories, head schema and complement categories.  The
-    first phrase of a shape decides it with `post_subcat` on a throwaway
-    store, whose work no sentence's counters see, and `g.frame_verdicts`
-    keeps it."""
-    key = (label, daughter_cats, schema, comp_cats)
-    verdict = g.frame_verdicts.get(key)
-    if verdict is None:
-        frame, store = g.frames[label], Store()
-        wf = {label: store.true}
-        for member in frame.m:
-            wf[member] = store.true if member in daughter_cats else store.false
-        categories = sorted(c.name for c in g.categories())
-        comp_vars = [store.new_var(categories, name=f"compcat:{cat}", closed=True)
-                     for cat in comp_cats]
-        verdict = g.frame_verdicts[key] = (
-            all(store.tell(eq(v, cat)) for v, cat in zip(comp_vars, comp_cats))
-            and post_subcat(frame, store, wf, schema, comp_vars))
-    return verdict
+def frame_holds(frame, daughter_cats, schema, comp_cats) -> bool:
+    """What `post_subcat` decides over one phrase whose built
+    constituents are true and whose unrealized members are false.  The
+    built ones are the members among the daughter categories, and the
+    phrase itself when it is no member.  A built phrase needs its
+    compulsory members and its head's schema, and every complement
+    category must be a member."""
+    built = frame.m.intersection(daughter_cats).union({frame.phrase} - frame.m)
+    return frame.m.issuperset(comp_cats) and (
+        frame.phrase not in built or built >= frame.c.union(schema or ()))
 
 
 # -- cooccurrence restrictions --------------------------------------------
@@ -610,9 +599,10 @@ class _TreeBuild:
         self.parts.append((label, mother.root))
         if not post_unicity(slots, store):
             raise InconsistencyError("daughter slots are not distinct")
-        if label in g.frames and not _frame_verdict(
-                g, label, tuple(cat for cat, _ in daughters), head.schema,
-                tuple(cat for cat, _ in comp_pairs)):
+        frame = g.frames.get(label)
+        if frame is not None and not frame_holds(
+                frame, [cat for cat, _ in daughters], head.schema,
+                [cat for cat, _ in comp_pairs]):
             self.gate(functools.partial(_reject, f"subcategorization of {label} rejected"))
         return mother
 

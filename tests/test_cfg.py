@@ -16,6 +16,7 @@ from clparse.cfg import (
     oracle_parse,
     parse,
 )
+from clparse.constraints import spells
 from clparse.errors import UsageError
 from clparse.grammar import load_grammar, load_grammar_file
 from clparse.store import Store
@@ -386,13 +387,16 @@ words = st.lists(st.sampled_from("ABC"), min_size=1, max_size=4).map(tuple)
 @given(st.lists(words, min_size=1, max_size=5), st.data())
 def test_active_windows_are_those_that_spell_a_rule(drawn, data):
     # a prefix of each drawn right-hand side is one too, so the words
-    # share prefixes; one search scans a sequence, two shorter ones and
-    # a longer one.  With S -> S S the sentential forms are the strings
-    # of words and S's, so two symbols stand side by side when a word
-    # holds them so, or when the first may end a word (or is S) and the
-    # second may begin one (or is S); either end of a form is a word's
-    # or S.  Active keeps a spelled window when its sequence has only
-    # such neighbours and S may stand in the window's place.
+    # share prefixes; a sequence, two shorter ones and a longer one are
+    # checked.  With S -> S S the sentential forms are the strings of
+    # words and S's, so two symbols stand side by side when a word holds
+    # them so, or when the first may end a word (or is S) and the second
+    # may begin one (or is S); either end of a form is a word's or S.
+    # Active keeps a spelled window when its sequence has only such
+    # neighbours, which `could_be_sentential` checks once per root, and
+    # S may stand between the window's neighbours, which a `Spells` tell
+    # checks on a store whose w ranges over every window.  Gentest's
+    # trie walk finds every spelled window.
     rhss = set(drawn) | {r[:data.draw(st.integers(1, len(r)))] for r in drawn}
     g = load_grammar("start S. rule S -> S S. "
                      + " ".join(f"rule S -> {' '.join(r)}." for r in sorted(rhss)))
@@ -400,19 +404,20 @@ def test_active_windows_are_those_that_spell_a_rule(drawn, data):
     firsts = {r[0] for r in rhss} | {"S", ""}
     inside = {pair for r in rhss for pair in zip(r, r[1:])}
 
-    def fits(cats):
-        ends = ("",) + cats + ("",)
-        return all(p in inside or (p[0] in lasts and p[1] in firsts) for p in zip(ends, ends[1:]))
+    def stand(a, b):
+        return (a, b) in inside or (a in lasts and b in firsts)
 
     seq = tuple(data.draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=9)))
-    active, gentest = Search(g, "active"), Search(g, "gentest")
     for cats in (seq, seq[1:], seq[:-1], seq + seq[:3]):
         if cats:
-            assert active.windows(cats) == tuple(
-                (va, vb) for va, vb in _spelled(cats, rhss)
-                if fits(cats) and fits(cats[:va] + ("S",) + cats[va + vb:]))
-            assert tuple(w for w in gentest.windows(cats)
-                         if cats[w[0]:w[0] + w[1]] in rhss) == _spelled(cats, rhss)
+            ends = ("",) + cats + ("",)
+            assert g.could_be_sentential(cats) == all(map(stand, ends, ends[1:]))
+            store = Store()
+            w = store.new_var(_every_window(len(cats)), name="w")
+            kept = store.domain(w) if store.tell(spells(w, cats, g.rhs_trie, g.follows)) else ()
+            assert kept == tuple((va, vb) for va, vb in _spelled(cats, rhss)
+                                 if stand(ends[va], "S") and stand("S", ends[va + vb + 1]))
+            assert tuple(cfg._spelled(cats, g.rhs_trie)) == _spelled(cats, rhss)
 
 
 # -- the windows on grammars whose rule lengths have gaps --------------------
@@ -782,10 +787,11 @@ def _gentest_counts(cats, g, limit) -> tuple[int, int, int]:
 @settings(max_examples=200, deadline=None)
 @given(grammars, st.data())
 def test_gentest_counts_every_window(grammar, data):
-    # a window longer than every right-hand side is decided by its size,
-    # never sliced or probed, but still tried: with no limit the search
-    # counts l(l+1)/2 windows in each state it scans, and with a limit
-    # those up to and including the window where it stops
+    # the trie walk from an origin stops at the first slice that begins
+    # no right-hand side, and the windows it leaves unwalked are still
+    # tried: with no limit the search counts l(l+1)/2 windows in each
+    # state it scans, and with a limit those up to and including the
+    # window where it stops, in (origin, size) order
     g = _load(*grammar)
     names = [c.name for c in g.categories()]
     cats = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7)))
@@ -793,7 +799,6 @@ def test_gentest_counts_every_window(grammar, data):
     search = Search(g, "gentest")
     want = tuple(search.derivations(cats))
     assert want == oracle_parse(cats, g)
-    assert search.windows(cats) == _every_window(len(cats))
     assert search.stats.windows_tried == sum(len(seq) * (len(seq) + 1) // 2
                                              for seq, _ in search.memo)
     for limit in (None, *range(1, len(want) + 2)):

@@ -12,8 +12,8 @@ import clparse
 from clparse import cli
 from clparse.cfg import parse
 from clparse.cli import main
-from clparse.grammar import load_grammar, load_grammar_file
-from clparse.hpsg import parse_hpsg
+from clparse.grammar import Grammar, load_grammar, load_grammar_file
+from clparse.hpsg import parse_hpsg, sign_dump
 from clparse.store import Store
 
 TOY = "grammars/toy.clg"
@@ -188,8 +188,9 @@ def test_jobs_capped_at_the_number_of_lines(capsys, tmp_path, monkeypatch):
     seen = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             seen.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -268,8 +269,8 @@ def test_hpsg_mode_dumps_signs(capsys):
 def test_hpsg_jobs_pickle_the_compiled_templates(capsys, tmp_path, monkeypatch):
     # The grammar's lexical entries hold their compiled templates, the
     # restrictions folded in at load, and "sleeps", whose vform status is
-    # open, its restriction site for every tree to post; the grammar goes
-    # to the workers pickled and parses the same.
+    # open, its restriction site for every tree to post; the grammar
+    # pickled parses the same, and the workers parse as one process does.
     with open(TOY_LEX) as fh:
         g = load_grammar(fh.read().replace("maj: v, vform: fin", "maj: v, ?vform: fin"))
     entries = [e for es in g.lexicon.values() for e in es]
@@ -280,12 +281,35 @@ def test_hpsg_jobs_pickle_the_compiled_templates(capsys, tmp_path, monkeypatch):
     f.write_text("the cat sleeps\ncat the sleeps\nthe cat sleeps\n")
     argv = ("--grammar", TOY_LEX, "--mode", "hpsg", "--file", str(f), "--stats")
     one = run(capsys, *argv)
-    # the in-process run filled the frame verdicts, which the workers
-    # now get with the grammar
-    assert g.frame_verdicts and pickle.loads(pickle.dumps(g)).frame_verdicts == g.frame_verdicts
+    copy = pickle.loads(pickle.dumps(g))
+    for words in ("the cat sleeps".split(), "cat the sleeps".split()):
+        signs, stats = parse_hpsg(words, g)
+        copied, copied_stats = parse_hpsg(words, copy)
+        assert [sign_dump(s) for s in copied] == [sign_dump(s) for s in signs]
+        assert copied_stats == stats
     two = run(capsys, *argv, "--jobs", "2")
     assert one == two
     assert one[0] == 1 and one[1].count("WF ") == 2
+
+
+def test_jobs_hand_each_worker_the_grammar_once(capsys, tmp_path, monkeypatch):
+    # at most once per worker, however many lines: none under fork, one
+    # per worker where the pool pickles what starts a worker
+    pickled = []
+
+    def getstate(self):
+        pickled.append(self)
+        return self.__dict__
+
+    monkeypatch.setattr(Grammar, "__getstate__", getstate, raising=False)
+    f = tmp_path / "sents.txt"
+    f.write_text("the cat sleeps\ncat the sleeps\n" * 6)
+    argv = ("--grammar", TOY_LEX, "--mode", "hpsg", "--file", str(f))
+    one = run(capsys, *argv)
+    assert pickled == []
+    two = run(capsys, *argv, "--jobs", "2")
+    assert one == two and one[0] == 1 and one[1].count("WF ") == 6
+    assert len(pickled) <= min(2, os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("line", [

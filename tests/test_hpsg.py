@@ -2,12 +2,14 @@ import copy
 import gc
 import importlib.util
 import itertools
+import pickle
 import sys
 from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies
 
+from clparse import hpsg
 from clparse.cfg import Search
 from clparse.constraints import bool_post, eq
 from clparse.errors import GrammarError, InconsistencyError, UsageError
@@ -24,6 +26,7 @@ from clparse.hpsg import (
     attach_daughters,
     check_local_tree,
     compile_fcr,
+    frame_holds,
     lexical_sign,
     parse_hpsg,
     post_fcrs,
@@ -573,8 +576,8 @@ def test_taggings_share_one_search():
 
 
 def test_parse_hpsg_pins_every_counter():
-    # A fresh grammar: the first call, which decides the frames, gives
-    # the same counts as every later call.  Both build the sign in 2
+    # A fresh grammar: the first call gives the same counts as every
+    # later call, as parsing writes nothing to it.  Both build the sign in 2
     # propagation steps, the AllDistinct runs of the NP's and the S's
     # daughter slots (21 when every constituent's well-formedness and
     # every frame were told on each tree, 28 when each tree also posted
@@ -1037,18 +1040,106 @@ def _told_verdict(g, key) -> bool:
     return post_subcat(frame, st, wf, schema, comp_vars)
 
 
-def test_each_frame_verdict_is_the_one_told_well_formedness_gives():
+def test_each_frame_verdict_is_the_one_told_well_formedness_gives(monkeypatch):
+    # every phrase shape the pipeline meets, and the verdict it reads
+    met = {}
+
+    def recording(frame, daughters, schema, comps):
+        verdict = frame_holds(frame, daughters, schema, comps)
+        key = (frame.phrase, tuple(daughters), schema, tuple(comps))
+        assert met.setdefault(key, verdict) is verdict, key
+        return verdict
+
+    monkeypatch.setattr(hpsg, "frame_holds", recording)
     cases = ((load_grammar_file("bench/lex.clg"), _sign_table(), 6, 0),
              (load_grammar(_REJECTING), _REJECTING_CASES, 6, 3))
     for g, sentences, shapes, rejected in cases:
-        assert g.frame_verdicts == {}
+        met.clear()
         for strategy in ("active", "gentest"):
             for sentence in sentences:
                 parse_hpsg(sentence.split(), g, strategy=strategy)
-        assert len(g.frame_verdicts) == shapes
-        assert list(g.frame_verdicts.values()).count(False) == rejected
-        for key, verdict in g.frame_verdicts.items():
+        assert len(met) == shapes
+        assert list(met.values()).count(False) == rejected
+        for key, verdict in met.items():
             assert verdict is _told_verdict(g, key), key
+
+
+def _self_listing():
+    """The toy grammar with NP listed in its own frame as optional, VP
+    in its own as compulsory, and "sleeps" selecting a schema that
+    names no member of the VP."""
+    with open(TOY_LEX) as fh:
+        text = fh.read()
+    return load_grammar(
+        text.replace("frame NP { M = {Det,Nm};", "frame NP { M = {Det,Nm,NP};")
+        .replace("frame VP { M = {Vb}; C = {Vb};", "frame VP { M = {Vb,VP}; C = {Vb,VP};")
+        .replace("subj [NP] subcat [].", "subj [NP] subcat [] schema {Prep}."))
+
+
+def _frame_shapes(g):
+    """Every (label, daughters, schema, complements) over each frame's
+    members, its phrase and one category outside both: one or two
+    daughters in every order, every subset of them as complements, and
+    no schema, the empty one or any one or two of those categories."""
+    names = sorted(c.name for c in g.categories())
+    for label, frame in g.frames.items():
+        outsider = next(c for c in names if c not in frame.m and c != label)
+        universe = sorted(frame.m | {label, outsider})
+        schemata = [None, frozenset()] + [frozenset(s) for k in (1, 2)
+                                          for s in itertools.combinations(universe, k)]
+        for n in (1, 2):
+            for daughters in itertools.product(universe, repeat=n):
+                for mask in itertools.product((False, True), repeat=n):
+                    comps = tuple(itertools.compress(daughters, mask))
+                    for schema in schemata:
+                        yield label, daughters, schema, comps
+
+
+def test_frame_holds_is_what_post_subcat_tells():
+    self_listing = _self_listing()
+    assert "NP" in self_listing.frames["NP"].o and "VP" in self_listing.frames["VP"].c
+    assert self_listing.entries("sleeps")[0].schema == {"Prep"}
+    verdicts = []
+    for g in (load_grammar_file("bench/lex.clg"), load_grammar(_REJECTING), self_listing):
+        for key in _frame_shapes(g):
+            label, *shape = key
+            verdict = frame_holds(g.frames[label], *shape)
+            assert verdict is _told_verdict(g, key), key
+            verdicts.append(verdict)
+    assert verdicts.count(True) and verdicts.count(False)
+
+
+@pytest.mark.parametrize("path", ["bench/lex.clg", TOY_LEX])
+def test_parsing_leaves_the_grammar_as_loaded(path):
+    # the SIGN_TABLE strings whose words the grammar knows, both ways
+    g = load_grammar_file(path)
+    loaded = pickle.dumps(g)
+    known = [s.split() for s in _sign_table() if all(g.entries(w) for w in s.split())]
+    assert len(known) >= 3
+    for strategy in ("active", "gentest"):
+        for words in known:
+            parse_hpsg(words, g, strategy=strategy)
+    assert pickle.dumps(g) == loaded
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_a_first_parse_makes_one_store_per_tree(strategy, monkeypatch):
+    # one per tree built, and the active search's own; the frames need
+    # none, the first time a grammar meets them or later
+    made = [0]
+    init = Store.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Store, "__init__", counted)
+    for sentence, signs in _sign_table().items():
+        if signs:
+            g = load_grammar_file("bench/lex.clg")
+            made[0] = 0
+            stats = parse_hpsg(sentence.split(), g, strategy=strategy)[1]
+            assert made[0] == stats.trees_considered + (strategy == "active"), sentence
 
 
 @pytest.mark.parametrize("strategy", ["active", "gentest"])
@@ -1136,8 +1227,6 @@ def test_a_sign_table_pass_posts_no_restriction(monkeypatch):
     # The loader decides every restriction of bench/lex.clg, so a pass
     # compiles no restriction and makes no value guard; the unfolded
     # twin, which posts them per tree, shows the counts are live.
-    import clparse.hpsg as hpsg
-
     calls = {"compile_fcr": 0, "_value_guard": 0}
     for name in calls:
         def counted(*args, _fn=getattr(hpsg, name), _name=name):
