@@ -23,9 +23,12 @@ each right-hand side's rules, the trie of right-hand sides, and
 `follows`, the categories that may stand side by side in a sentential
 form of the start category.
 Each lexical entry compiles to its sign's template as it is read.  An
-entry that cannot become a sign, or an fcr naming a feature no sign can
-carry, is a `GrammarError` on its line; entries record their fcr sites,
-and the restrictions the template alone decides are folded into it.
+entry that cannot become a sign, among them one whose avm writes the
+valency lists its `subj` and `subcat` clauses give, or an fcr naming a
+feature no sign can carry, is a `GrammarError` on its line; entries
+record their fcr sites, and the restrictions the template alone decides
+are folded into it.  Last, `phrase_table` decides every phrase a tree
+can build from the entries' signatures (`hpsg.decide_phrases`).
 """
 
 from __future__ import annotations
@@ -124,7 +127,9 @@ class LexEntry:
     """`template`, the compiled sign, is made from the other fields when
     not given; `sites` are its `template_sites` under the grammar's fcrs
     that a tree still posts, none once `hpsg.fold_restrictions` has
-    folded the restrictions into the template."""
+    folded the restrictions into the template.  `signature` is the
+    sign's `(category, subj, comps, schema)`: the avm cannot write the
+    valency lists itself, so they are `subj` and `subcat`."""
 
     form: str
     category: str
@@ -134,8 +139,11 @@ class LexEntry:
     schema: frozenset[str] | None = None
     template: tuple = field(default=None, hash=False, compare=False, repr=False)
     sites: tuple = field(default=(), hash=False, compare=False, repr=False)
+    signature: tuple = field(init=False, hash=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "signature",
+                           (self.category, tuple(self.subj), tuple(self.subcat), self.schema))
         if self.template is None:
             avm = _deep_merge(self.avm, {"synsem": {"loc": {"cat": {
                 "subj": tuple(self.subj), "comps": tuple(self.subcat)}}}})
@@ -177,6 +185,9 @@ class Grammar:
         # that may stand right after it in a sentential form of the start
         # category, BOUNDARY for the right end (`_follows`).
         self.follows: dict[str, frozenset[str]] = {}
+        # Each `(label, daughter signatures)` a tree can build mapped to
+        # what the sign layer decides for it (`hpsg.decide_phrases`).
+        self.phrase_table: dict[tuple, object] = {}
 
     # -- queries --------------------------------------------------------
 
@@ -507,7 +518,7 @@ def load_grammar(text: str) -> Grammar:
         lhss, children = node.get(rule.rhs[-1], ((), {}))
         node[rule.rhs[-1]] = (lhss + (rule.lhs,), children)
     g.follows = _follows(g)
-    from .hpsg import fold_restrictions    # cycle at import time
+    from .hpsg import decide_phrases, fold_restrictions    # cycle at import time
 
     feats = set(_SKELETON)
     folded: dict[tuple, LexEntry] = {}     # (template, sites) -> its fold
@@ -522,6 +533,7 @@ def load_grammar(text: str) -> Grammar:
         unknown = f.features - feats
         if unknown:
             raise GrammarError(f"fcr names unknown features: {sorted(unknown)}", line)
+    g.phrase_table = decide_phrases(g)
     return g
 
 

@@ -4,22 +4,33 @@ A sign is a feature structure rooted at synsem.loc.cat with subj/comps
 valency lists and, for phrases, a dtrs node holding the daughter signs.
 Local trees are gated by four structural checks (distinctness of
 same-category daughters, linear precedence, dominance, projection).
-Valency is decided once per phrase, where the mother is built: the
-sisters split over the head's lists, which cancel the realized
-daughters from the end.  The daughter slots carry an a-priori
-distinctness constraint.  Subcategorization is boolean implications
-over per-constituent well-formedness, but a constituent that is built
-is well formed, the store's true constant, and an unrealized frame
-member is its false constant, so a frame's implications are ground:
-the verdict depends only on the phrase's label, daughter categories,
-head schema and complement categories.  `frame_holds` decides it from
-them, as `post_subcat` would over those constants, with no store, and
-the grammar is never written.  Cooccurrence restrictions
-compile to implications over status variables, and head feature
-sharing installs the mother's head as the head daughter's head node
-(token identity).  Head sharing has one rule:
-a guard (the nine statuses along both cat chains) entailed when the
-share is posted installs the head at once; an open guard entails a
+Valency is decided by a split: the sisters split over the head's
+lists, which cancel the realized daughters from the end.  The daughter
+slots carry an a-priori distinctness constraint.  Subcategorization is
+boolean implications over per-constituent well-formedness, but a
+constituent that is built is well formed, the store's true constant,
+and an unrealized frame member is its false constant, so a frame's
+implications are ground: the verdict depends only on the phrase's
+label, daughter categories, head schema and complement categories.
+`frame_holds` decides it from them, as `post_subcat` would over those
+constants, with no store.
+
+Every decision but distinctness, which compares signs, depends on a
+phrase's label and its daughters' signatures alone, each sign's
+`(category, subj, comps, schema)`.  Cancellation only shortens lists,
+so the signatures a grammar reaches are finite: the loader closes over
+them from the lexical ones (`decide_phrases`) and keeps, per label and
+daughter signatures, the head, the split, the mother's signature, the
+categorial violations, the frame verdict and the pairs that must be
+distinct (`PhraseDecision`), or the reason the split fails.  Signs
+carry their signature, so the pipeline decides each phrase by one
+lookup in that table, and the grammar is never written.
+
+Cooccurrence restrictions compile to implications over status
+variables, and head feature sharing installs the mother's head as the
+head daughter's head node (token identity).  Head sharing has one
+rule: a guard (the nine statuses along both cat chains) entailed when
+the share is posted installs the head at once; an open guard entails a
 fresh status and suspends an ask that installs the head under it once
 the guard is entailed.  A mother whose head daughter has no head yet
 posts its share when that head arrives, so delayed sharing chains up
@@ -31,9 +42,9 @@ bottom-up on a fresh store.  The active strategy checks each reduction
 as it is built.  The generate-and-test strategy defers the local-tree
 checks, the entries' restrictions a tree still posts, and the rejection
 of a phrase whose frame does not hold to the end of the tree, but
-builds what each mother is made from (valency split, daughter slots,
-head sharing), and so checks it, as it goes.  Both accept exactly the
-same signs.
+rejects a failed valency split at once and builds what each mother is
+made from (daughter slots, head sharing), and so checks it, as it goes.
+Both accept exactly the same signs.
 
 Each lexical entry arrives compiled from the grammar loader: its sign
 as a flat cell list over relative node numbers with the known statuses,
@@ -75,9 +86,14 @@ CAT_PATH = ("synsem", "loc", "cat")
 class Sign:
     fs: FeatureStructure
     root: int
-    category: str
-    schema: frozenset[str] | None = None    # lexical heads carry their choice
+    # (category, subj, comps, schema): the lexical entry's, or the one
+    # its phrase's `PhraseDecision` gives, whose schema is None
+    signature: tuple
     parts: tuple = ()                       # (category, root) per constituent
+
+    @property
+    def category(self) -> str:
+        return self.signature[0]
 
     def same_ref(self, other: "Sign") -> bool:
         return self.fs is other.fs and self.fs.canon(self.root) == other.fs.canon(other.root)
@@ -134,25 +150,25 @@ def _cancel(head_list, realized, which: str):
 
 
 def _split_realized(head_subj, head_comps, sisters):
-    """Assign the sisters, (category, sign) pairs, to the head's lists,
-    complements first; only a saturated sister, one with empty subj and
-    comps, fills a slot.  Returns (subj_pairs, comp_pairs, mother_subj,
-    mother_comps)."""
+    """Assign the sisters, given by their signatures, to the head's
+    lists, complements first; only a saturated sister, one with empty
+    subj and comps, fills a slot.  Returns (subject positions, complement
+    positions, mother_subj, mother_comps), positions into `sisters`."""
     rem_c, rem_s = list(head_comps), list(head_subj)
     comps_r, subj_r = [], []
-    for cat, sign in sisters:
-        if sign is not None and valency_of(sign) != ((), ()):
+    for k, (cat, subj, comps, _) in enumerate(sisters):
+        if subj or comps:
             raise InconsistencyError(f"{cat} sister is not saturated")
         if cat in rem_c:
             rem_c.remove(cat)
-            comps_r.append((cat, sign))
+            comps_r.append(k)
         elif cat in rem_s:
             rem_s.remove(cat)
-            subj_r.append((cat, sign))
+            subj_r.append(k)
         else:
             raise InconsistencyError(f"{cat} is not subcategorized by the head")
-    mother_comps = _cancel(head_comps, tuple(c for c, _ in comps_r), "comps")
-    mother_subj = _cancel(head_subj, tuple(c for c, _ in subj_r), "subj")
+    mother_comps = _cancel(head_comps, tuple(sisters[k][0] for k in comps_r), "comps")
+    mother_subj = _cancel(head_subj, tuple(sisters[k][0] for k in subj_r), "subj")
     if len(subj_r) > 1:
         raise InconsistencyError("at most one subject daughter")
     return tuple(subj_r), tuple(comps_r), mother_subj, mother_comps
@@ -160,16 +176,35 @@ def _split_realized(head_subj, head_comps, sisters):
 
 # -- local tree gate ----------------------------------------------------
 
-def _head_index(root: str, daughters, g: Grammar) -> int | None:
+def _head_index(root: str, cats, g: Grammar) -> int | None:
     frame = g.frames.get(root)
-    if frame is not None:
-        for i, (cat, _) in enumerate(daughters):
-            if cat == frame.head:
-                return i
-    for i, (cat, _) in enumerate(daughters):
+    if frame is not None and frame.head in cats:
+        return cats.index(frame.head)
+    for i, cat in enumerate(cats):
         if g.projection(cat) == root:
             return i
     return None
+
+
+def _distinct_pairs(cats, g: Grammar) -> tuple[tuple[int, int], ...]:
+    """The positions, as (i, j) pairs, of the daughters of one category,
+    whose signs must differ unless every rule over `cats` is a rule*."""
+    rules = g.rules_matching(cats)
+    if rules and not all(r.distinct_daughters for r in rules):
+        return ()
+    return tuple((i, j) for i, j in itertools.combinations(range(len(cats)), 2)
+                 if cats[i] == cats[j])
+
+
+def _distinctness(pairs, daughters) -> list[Violation]:
+    """A violation for each pair of `daughters`, (category, Sign | None),
+    that are one sign."""
+    out = []
+    for i, j in pairs:
+        (cat, si), (_, sj) = daughters[i], daughters[j]
+        if si is not None and sj is not None and si.same_ref(sj):
+            out.append(Violation("distinctness", f"daughters {i + 1} and {j + 1} are the same {cat}"))
+    return out
 
 
 def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
@@ -178,17 +213,7 @@ def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
     if not t.daughters:
         raise UsageError("a local tree needs daughters")
     cats = tuple(cat for cat, _ in t.daughters)
-    violations: list[Violation] = []
-
-    rules = g.rules_matching(cats)
-    if not rules or all(r.distinct_daughters for r in rules):
-        for i in range(len(t.daughters)):
-            for j in range(i + 1, len(t.daughters)):
-                ci, si = t.daughters[i]
-                cj, sj = t.daughters[j]
-                if ci == cj and si is not None and sj is not None and si.same_ref(sj):
-                    violations.append(Violation(
-                        "distinctness", f"daughters {i + 1} and {j + 1} are the same {ci}"))
+    violations = _distinctness(_distinct_pairs(cats, g), t.daughters)
 
     for x, y in zip(cats, cats[1:]):
         if not g.lp_ok(x, y):
@@ -447,8 +472,8 @@ class _HeadWait:
 
 def apply_valency(fs: FeatureStructure, root: int, subj, comps) -> FeatureStructure:
     """Write a sign's valency lists.  The pipeline writes a mother's
-    lists, what `_split_realized` left of the head daughter's, in its
-    install (`attach_daughters`)."""
+    lists, those of its `PhraseDecision`, in its install
+    (`attach_daughters`)."""
     chain = _cat_chain(fs, root)
     if chain is None:
         raise UsageError("mother sign has no category node")
@@ -524,13 +549,81 @@ def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
     """Install one lexical entry's template; entry features are realized
     (status true) unless the entry text says otherwise."""
     root = fs.instantiate(entry.template)
-    return Sign(fs, root, entry.category, schema=entry.schema)
+    return Sign(fs, root, entry.signature)
+
+
+# -- phrases decided at load ----------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class PhraseDecision:
+    """What the sign layer decides for one phrase from its label and its
+    daughters' signatures alone; positions are daughter positions."""
+
+    head: int
+    subj: tuple[int, ...]          # the subject daughter, if one is realized
+    comps: tuple[int, ...]         # the complement daughters, in surface order
+    mother: tuple                  # the mother's signature
+    violations: tuple[Violation, ...]   # precedence, dominance and projection
+    distinct: tuple[tuple[int, int], ...]   # the pairs whose signs must differ
+    frame_holds: bool
+
+
+def _decide(label: str, sigs, g: Grammar) -> PhraseDecision | str:
+    """The phrase `label` over daughters with signatures `sigs`, decided
+    as building it decides it, or the reason its valency split fails."""
+    cats = tuple(sig[0] for sig in sigs)
+    hi = _head_index(label, cats, g)
+    if hi is None:
+        hi = 0   # headless trees fail the projection check anyway
+    _, head_subj, head_comps, schema = sigs[hi]
+    sisters = tuple(i for i in range(len(sigs)) if i != hi)
+    try:
+        subj, comps, mother_subj, mother_comps = _split_realized(
+            head_subj, head_comps, [sigs[i] for i in sisters])
+    except InconsistencyError as e:
+        return str(e)
+    subj, comps = (tuple(sisters[k] for k in ks) for ks in (subj, comps))
+    frame = g.frames.get(label)
+    return PhraseDecision(
+        hi, subj, comps, (label, mother_subj, mother_comps, None),
+        check_local_tree(LocalTree(label, tuple((cat, None) for cat in cats)), g),
+        _distinct_pairs(cats, g),
+        frame is None or frame_holds(frame, cats, schema, [cats[i] for i in comps]))
+
+
+def decide_phrases(g: Grammar) -> dict:
+    """`Grammar.phrase_table`: every phrase a tree over g can build,
+    keyed by `(label, daughter signatures)`.  It starts from the lexical
+    signatures and decides each rule over every tuple of known ones,
+    until no mother brings a new signature.  A mother's lists are what is
+    left of its head daughter's, so the signatures are finite.  A phrase
+    whose valency split fails keeps the reason; every other mother,
+    also one a later check rejects, joins the known signatures."""
+    known: dict[str, dict] = {}     # category -> its signatures, in the order found
+    for entries in g.lexicon.values():
+        for e in entries:
+            known.setdefault(e.category, {})[e.signature] = None
+    table: dict = {}
+    grown = True
+    while grown:
+        grown = False
+        for rule in g.rules:
+            for sigs in itertools.product(*(tuple(known.get(c, ())) for c in rule.rhs)):
+                key = (rule.lhs, sigs)
+                if key in table:
+                    continue
+                table[key] = d = _decide(rule.lhs, sigs, g)
+                mothers = known.setdefault(rule.lhs, {})
+                if isinstance(d, PhraseDecision) and d.mother not in mothers:
+                    mothers[d.mother] = None
+                    grown = True
+    return table
 
 
 # -- pipeline -------------------------------------------------------------
 
-def _check(t: LocalTree, g: Grammar) -> None:
-    violations = check_local_tree(t, g)
+def _check(d: PhraseDecision, signs) -> None:
+    violations = _distinctness(d.distinct, [(s.category, s) for s in signs]) + list(d.violations)
     if violations:
         raise InconsistencyError("; ".join(v.detail for v in violations))
 
@@ -567,9 +660,9 @@ class _TreeBuild:
         label, children = node
         if not children:
             return self.lexical(label)
-        dsigns = [self.sign(child) for child in children]
+        signs = [self.sign(child) for child in children]
         self.stats.expansions += 1
-        return self.phrase(label, tuple((child[0], s) for child, s in zip(children, dsigns)))
+        return self.phrase(label, signs)
 
     def lexical(self, label: str) -> Sign:
         entry = next(self.leaves)
@@ -581,30 +674,26 @@ class _TreeBuild:
                                         self.g.fcrs))
         return sign
 
-    def phrase(self, label: str, daughters) -> Sign:
-        g, fs, store = self.g, self.fs, self.store
-        self.gate(functools.partial(_check, LocalTree(label, daughters), g))
-
-        hi = _head_index(label, daughters, g)
-        if hi is None:
-            hi = 0   # headless trees fail the projection gate anyway
-        head = daughters[hi][1]
-        subj_pairs, comp_pairs, mother_subj, mother_comps = _split_realized(
-            *valency_of(head), daughters[:hi] + daughters[hi + 1:])
-
-        root, slots = attach_daughters(fs, head, subj=[s for _, s in subj_pairs],
-                                       comps=[s for _, s in comp_pairs],
-                                       mother_subj=mother_subj, mother_comps=mother_comps)
-        mother = Sign(fs, root, label)
-        self.parts.append((label, mother.root))
-        if not post_unicity(slots, store):
+    def phrase(self, label: str, signs) -> Sign:
+        """Build the mother the grammar's `PhraseDecision` describes: the
+        local-tree gate, the install, the slots' distinctness and the
+        frame gate, in that order; a failed valency split rejects the
+        tree at once."""
+        d = self.g.phrase_table[label, tuple([s.signature for s in signs])]
+        if isinstance(d, str):
+            raise InconsistencyError(d)
+        if d.violations or d.distinct:
+            self.gate(functools.partial(_check, d, signs))
+        root, slots = attach_daughters(self.fs, signs[d.head],
+                                       subj=[signs[i] for i in d.subj],
+                                       comps=[signs[i] for i in d.comps],
+                                       mother_subj=d.mother[1], mother_comps=d.mother[2])
+        self.parts.append((label, root))
+        if not post_unicity(slots, self.store):
             raise InconsistencyError("daughter slots are not distinct")
-        frame = g.frames.get(label)
-        if frame is not None and not frame_holds(
-                frame, [cat for cat, _ in daughters], head.schema,
-                [cat for cat, _ in comp_pairs]):
+        if not d.frame_holds:
             self.gate(functools.partial(_reject, f"subcategorization of {label} rejected"))
-        return mother
+        return Sign(self.fs, root, d.mother)
 
 
 def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
@@ -616,7 +705,8 @@ def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,
         root_sign = build.sign(tree)
         for fn in build.deferred:
             fn()
-        if valency_of(root_sign) != ((), ()):
+        _, subj, comps, _ = root_sign.signature
+        if subj or comps:
             return None     # A6: the root must be saturated
     except InconsistencyError:
         return None

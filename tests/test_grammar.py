@@ -280,6 +280,24 @@ def test_lex_entry_that_cannot_become_a_sign_is_a_grammar_error_with_its_line():
     assert err.value.line == len(text.splitlines()) + 2
 
 
+@pytest.mark.parametrize("avm, reserved", [
+    ("[synsem: [loc: [cat: [subj: <NP>]]]]", "subj"),
+    ("[synsem: [loc: [cat: [comps: <>]]]]", "comps"),
+    ("[synsem: [loc: [cat: [?comps: <Det>, head: [maj: n]]]]]", "comps"),
+    ("[synsem: [loc: [cat: [-subj: <>]]]]", "subj"),
+    ("[synsem: [loc: [cat: [subj: [maj: n]]]]]", "subj"),
+    ("[synsem: [loc: [cat: x]]]", "cat"),
+    ("[synsem: [loc: x]]", "loc"),
+])
+def test_an_avm_that_writes_the_valency_lists_is_a_grammar_error_on_its_line(avm, reserved):
+    # an entry's signature takes its lists from the subj and subcat
+    # clauses, so the avm may write neither list, whatever its status
+    text = open(TOY_LEX).read()
+    with pytest.raises(GrammarError, match=f"reserves '{reserved}'") as err:
+        load_grammar(text + f'\nlex "bad" Nm {avm} subcat [].\n')
+    assert err.value.line == len(text.splitlines()) + 2
+
+
 def test_fcr_sites_apply_where_a_feature_occurs_and_then_carry_all():
     fcrs = [parse_fcr("PFORM -> ~INDEX"), parse_fcr("INDEX -> NUM")]
     nodes = [(1, {"maj"}), (2, {"pform"}), (3, {"num"})]

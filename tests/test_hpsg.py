@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import importlib.util
@@ -20,6 +21,7 @@ from clparse.hpsg import (
     Sign,
     _HeadWait,
     _cancel,
+    _head_index,
     _split_realized,
     apply_hfp,
     apply_valency,
@@ -57,6 +59,11 @@ def entry_sign(g, form, fs):
     return lexical_sign(fs, g.entries(form)[0])
 
 
+def saturated(cat):
+    """The signature of a phrase of `cat` with empty lists."""
+    return (cat, (), (), None)
+
+
 # -- local tree gate ------------------------------------------------------
 
 
@@ -87,8 +94,8 @@ def test_distinctness_same_sign_twice(toy):
 def test_distinctness_needs_same_reference():
     g = load_grammar("rule X -> A A. proj A = X. start X.")
     _, fs = fresh()
-    a1 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A")
-    a2 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A")
+    a1 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("A"))
+    a2 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("A"))
     tree = LocalTree("X", (("A", a1), ("A", a2)))
     kinds = {v.kind for v in check_local_tree(tree, g)}
     assert "distinctness" not in kinds
@@ -100,7 +107,7 @@ def test_distinctness_needs_same_reference():
 def test_rule_star_opts_out_of_distinctness():
     g = load_grammar("rule* X -> A A. proj A = X. start X.")
     _, fs = fresh()
-    a = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "A")
+    a = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("A"))
     tree = LocalTree("X", (("A", a), ("A", a)))
     kinds = {v.kind for v in check_local_tree(tree, g)}
     assert "distinctness" not in kinds
@@ -112,12 +119,12 @@ def test_dominance_violation(toy):
 
 
 def test_valency_violation(toy):
-    # valency is decided where the mother is built, not by the gate
+    # valency is decided by the split, not by the gate
     st, fs = fresh()
     vb = entry_sign(toy, "sleeps", fs)
     det = entry_sign(toy, "the", fs)
     with pytest.raises(InconsistencyError, match="not subcategorized"):
-        _split_realized(*valency_of(vb), (("Det", det),))
+        _split_realized(*valency_of(vb), (det.signature,))
 
 
 def test_projection_violation(toy):
@@ -144,29 +151,32 @@ def test_cancellation_is_suffixwise():
 
 
 def test_split_realized_prefers_complements():
-    split = _split_realized(("NP",), ("Det", "PP"), (("PP", None), ("NP", None)))
-    assert split == ((("NP", None),), (("PP", None),), (), ("Det",))
+    # positions into the sisters: the subject NP second, the PP first
+    split = _split_realized(("NP",), ("Det", "PP"), (saturated("PP"), saturated("NP")))
+    assert split == ((1,), (0,), (), ("Det",))
 
 
 def test_split_realized_rejects_strangers():
     with pytest.raises(InconsistencyError):
-        _split_realized((), (), (("PP", None),))
+        _split_realized((), (), (saturated("PP"),))
     with pytest.raises(InconsistencyError, match="one subject"):
-        _split_realized(("NP", "NP"), (), (("NP", None), ("NP", None)))
+        _split_realized(("NP", "NP"), (), (saturated("NP"), saturated("NP")))
 
 
 def test_split_realized_takes_only_saturated_sisters(toy):
     st, fs = fresh()
     vb = entry_sign(toy, "sleeps", fs)     # subj [NP] still open
     with pytest.raises(InconsistencyError, match="not saturated"):
-        _split_realized(("NP",), (), (("NP", vb),))
+        _split_realized(("NP",), (), (("NP",) + vb.signature[1:],))
+    with pytest.raises(InconsistencyError, match="not saturated"):
+        _split_realized(("NP",), (), (("NP", (), ("Det",), None),))
     det = entry_sign(toy, "the", fs)
-    assert _split_realized((), ("Det",), (("Det", det),))[1] == (("Det", det),)
+    assert _split_realized((), ("Det",), (det.signature,))[1] == (0,)
 
 
 def test_valency_of_defaults_to_empty(toy):
     _, fs = fresh()
-    sign = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "X")
+    sign = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("X"))
     assert valency_of(sign) == ((), ())
     vb = entry_sign(toy, "sleeps", fs)
     assert valency_of(vb) == (("NP",), ())
@@ -186,7 +196,7 @@ def test_apply_valency_writes_mother_lists():
 def test_attach_daughters_builds_slots(toy):
     st, fs = fresh()
     vb = entry_sign(toy, "sleeps", fs)
-    np = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), "NP")
+    np = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("NP"))
     before = fs.dump(statuses=True), st.fingerprint()
     with pytest.raises(UsageError):
         attach_daughters(fs, vb, subj=[np, np])
@@ -208,7 +218,7 @@ def test_attach_daughters_builds_slots(toy):
 def test_attach_daughters_leaves_an_open_head_share_suspended():
     _, fs = fresh()
     head = Sign(fs, fs.encode_node(parse_avm("[synsem: [loc: [cat: [?head: [maj: v]]]]]"),
-                                   Bool3.TRUE), "Vb")
+                                   Bool3.TRUE), saturated("Vb"))
     root, slots = attach_daughters(fs, head)
     cat = fs.resolve(CAT, root)
     assert fs.find(cat, "head") is None
@@ -1040,24 +1050,20 @@ def _told_verdict(g, key) -> bool:
     return post_subcat(frame, st, wf, schema, comp_vars)
 
 
-def test_each_frame_verdict_is_the_one_told_well_formedness_gives(monkeypatch):
-    # every phrase shape the pipeline meets, and the verdict it reads
-    met = {}
-
-    def recording(frame, daughters, schema, comps):
-        verdict = frame_holds(frame, daughters, schema, comps)
-        key = (frame.phrase, tuple(daughters), schema, tuple(comps))
-        assert met.setdefault(key, verdict) is verdict, key
-        return verdict
-
-    monkeypatch.setattr(hpsg, "frame_holds", recording)
-    cases = ((load_grammar_file("bench/lex.clg"), _sign_table(), 6, 0),
-             (load_grammar(_REJECTING), _REJECTING_CASES, 6, 3))
-    for g, sentences, shapes, rejected in cases:
-        met.clear()
-        for strategy in ("active", "gentest"):
-            for sentence in sentences:
-                parse_hpsg(sentence.split(), g, strategy=strategy)
+def test_each_frame_verdict_is_the_one_told_well_formedness_gives():
+    # every phrase shape the loader's table holds and its verdict: on
+    # bench/lex.clg the 6 the SIGN_TABLE strings meet, on _REJECTING the 6
+    # its cases meet (3 rejected) and 4 more that no case builds
+    cases = ((load_grammar_file("bench/lex.clg"), 6, 0),
+             (load_grammar(_REJECTING), 10, 5))
+    for g, shapes, rejected in cases:
+        met = {}
+        for (label, sigs), d in g.phrase_table.items():
+            if isinstance(d, str) or label not in g.frames:
+                continue
+            cats = tuple(sig[0] for sig in sigs)
+            key = (label, cats, sigs[d.head][3], tuple(cats[i] for i in d.comps))
+            assert met.setdefault(key, d.frame_holds) is d.frame_holds, key
         assert len(met) == shapes
         assert list(met.values()).count(False) == rejected
         for key, verdict in met.items():
@@ -1107,6 +1113,116 @@ def test_frame_holds_is_what_post_subcat_tells():
             assert verdict is _told_verdict(g, key), key
             verdicts.append(verdict)
     assert verdicts.count(True) and verdicts.count(False)
+
+
+# -- phrases decided at load -----------------------------------------------------
+
+def _categorial():
+    """The toy grammar with local trees its checks reject or watch: NP ->
+    Nm Det breaks the LP order, nothing projects NP in NP -> Det, the two
+    Vb daughters of VP -> Vb Vb must be distinct signs, and those of the
+    rule* VP -> Vb Vb Vb need not be."""
+    with open(TOY_LEX) as fh:
+        text = fh.read()
+    return load_grammar(text + (
+        "rule NP -> Nm Det. rule NP -> Det. rule VP -> Vb Vb. rule* VP -> Vb Vb Vb.\n"
+        'lex "rains" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subcat [].\n'
+        'lex "do" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP] subcat [Vb].\n'
+        'lex "dodo" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP] subcat [Vb, Vb].\n'))
+
+
+_TABLE_GRAMMARS = {
+    # name: (grammar, entries, valency rejections)
+    "bench/lex.clg": (lambda: load_grammar_file("bench/lex.clg"), 8, 1),
+    TOY_LEX: (lambda: load_grammar_file(TOY_LEX), 3, 0),
+    "_REJECTING": (lambda: load_grammar(_REJECTING), 18, 7),
+    "_self_listing": (_self_listing, 3, 0),
+    "_categorial": (_categorial, 91, 78),
+}
+
+
+def _sign_with(g, sig, fs):
+    """A sign with signature `sig` on fs: the first lexical entry's that
+    has it, else a phrase whose cat node carries the lists."""
+    for e in (e for es in g.lexicon.values() for e in es):
+        if e.signature == sig:
+            return lexical_sign(fs, e)
+    cat = {"subj": sig[1], "comps": sig[2]}
+    return Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": cat}}}, Bool3.TRUE), sig)
+
+
+@pytest.mark.parametrize("name", list(_TABLE_GRAMMARS))
+def test_each_table_entry_is_what_building_its_phrase_decides(name):
+    # Each entry, decided at load from signatures alone, against the
+    # decision code run over signs with those signatures on a fresh store
+    load, entries, rejections = _TABLE_GRAMMARS[name]
+    g = load()
+    assert (len(g.phrase_table),
+            sum(isinstance(d, str) for d in g.phrase_table.values())) == (entries, rejections)
+    for (label, sigs), d in g.phrase_table.items():
+        _, fs = fresh()
+        signs = [_sign_with(g, sig, fs) for sig in sigs]
+        cats = tuple(s.category for s in signs)
+        read = [(s.category, *valency_of(s), sig[3]) for s, sig in zip(signs, sigs)]
+        assert read == list(sigs), label
+        hi = _head_index(label, cats, g)
+        hi = 0 if hi is None else hi
+        sisters = [i for i in range(len(signs)) if i != hi]
+        try:
+            subj, comps, mother_subj, mother_comps = _split_realized(
+                *valency_of(signs[hi]), [read[i] for i in sisters])
+        except InconsistencyError as e:
+            assert d == str(e)
+            continue
+        assert (d.head, d.subj, d.comps) == (
+            hi, tuple(sisters[k] for k in subj), tuple(sisters[k] for k in comps))
+        # the realized daughters cancel from the end of the head's lists
+        assert d.mother[1] + tuple(cats[i] for i in d.subj) == sigs[hi][1]
+        assert d.mother[2] + tuple(cats[i] for i in d.comps) == sigs[hi][2]
+        root, _ = attach_daughters(fs, signs[hi], subj=[signs[i] for i in d.subj],
+                                   comps=[signs[i] for i in d.comps],
+                                   mother_subj=mother_subj, mother_comps=mother_comps)
+        assert d.mother == (label, *valency_of(Sign(fs, root, d.mother)), None)
+        daughters = tuple(zip(cats, signs))
+        assert d.violations == check_local_tree(LocalTree(label, daughters), g)
+        # a pair must be distinct where one sign in both places violates
+        for i, j in itertools.combinations(range(len(cats)), 2):
+            twin = daughters[:j] + ((cats[j], signs[i]),) + daughters[j + 1:]
+            kinds = [v.kind for v in check_local_tree(LocalTree(label, twin), g)]
+            assert ((i, j) in d.distinct) is ("distinctness" in kinds)
+        frame = g.frames.get(label)
+        assert d.frame_holds is (frame is None or _told_verdict(
+            g, (label, cats, sigs[hi][3], tuple(cats[i] for i in d.comps))))
+
+
+@pytest.mark.parametrize("strategy", ["active", "gentest"])
+def test_the_categorial_gate_stays_where_it_was(strategy):
+    # (signs, trees, expansions) under active and under gentest, the
+    # counts of a build that ran check_local_tree on every phrase: active
+    # stops a tree at its first violation, gentest at its end
+    g = _categorial()
+    want = {"cat the sleeps": ((0, 1, 3), (0, 1, 6)),
+            "the sleeps": ((0, 1, 2), (0, 1, 5)),
+            "the cat do rains": ((1, 1, 7), (1, 1, 7)),
+            "the cat dodo rains rains": ((1, 1, 8), (1, 1, 8))}
+    for sentence, counts in want.items():
+        signs, stats = parse_hpsg(sentence.split(), g, strategy=strategy)
+        assert (len(signs), stats.trees_considered, stats.expansions) == \
+            counts[strategy == "gentest"], sentence
+
+
+def test_a_parse_runs_none_of_the_decision_code(monkeypatch):
+    # the loader decided every phrase: parsing reads the table and calls
+    # nothing that filled it
+    g = load_grammar_file("bench/lex.clg")
+    calls = []
+    for name in ("valency_of", "_split_realized", "_head_index", "check_local_tree",
+                 "frame_holds"):
+        monkeypatch.setattr(hpsg, name, lambda *args, _name=name: calls.append(_name))
+    for strategy in ("active", "gentest"):
+        for sentence, signs in _sign_table().items():
+            assert len(parse_hpsg(sentence.split(), g, strategy=strategy)[0]) == signs
+    assert calls == []
 
 
 @pytest.mark.parametrize("path", ["bench/lex.clg", TOY_LEX])
@@ -1308,3 +1424,119 @@ def test_a_folded_entry_acts_as_its_runtime_post(text):
     assert [sign_dump(s, statuses=True).splitlines()[:len(runtime.splitlines())]
             for s in signs] == ([] if runtime is None else [runtime.splitlines()])
     _same_parses(g, [["x"], ["z"]])
+
+
+# -- a differential property over drawn lexicons ------------------------------
+
+# the toy_lex.clg rules with two more for verbs and their complements
+_DRAWN_RULES = ("start S.\n"
+                "rule S -> NP VP. rule NP -> Det Nm. rule NP -> Nm.\n"
+                "rule VP -> Vb. rule VP -> Vb NP. rule VP -> Vb Det.\n"
+                "lp Det < Nm.\nproj Nm = NP. proj Vb = VP. proj VP = S.\n")
+_DRAWN_FRAMES = ("frame NP { M = {Det,Nm}; C = {Nm}; head = Nm; schema {Det}; }\n"
+                 "frame VP { M = {Vb,NP}; C = {Vb}; head = Vb; }\n"
+                 "frame S  { M = {NP,VP}; C = {NP,VP}; head = VP; }\n")
+# each binary rule's right-hand side: its left-hand side and its head
+# daughter; and each unary rule's daughter and its left-hand side
+_BINARY = {("NP", "VP"): ("S", 1), ("Det", "Nm"): ("NP", 1), ("Vb", "NP"): ("VP", 0),
+           ("Vb", "Det"): ("VP", 0)}
+_UNARY = {"Nm": "NP", "Vb": "VP"}
+
+
+# the entries of a toy_lex.clg-like lexicon, category and lists, and
+# verbs whose complements the subject NP and a Det sister cancel, in
+# either order, or whose Det complement no sister cancels
+_BASE = (("Det", (), ()), ("Nm", (), ("Det",)), ("Nm", (), ()),
+         ("Vb", ("NP",), ()), ("Vb", ("NP",), ("NP",)), ("Vb", (), ("NP", "Det")),
+         ("Vb", (), ("Det", "NP")), ("Vb", ("NP",), ("Det",)))
+_MAJ = {"Det": "det", "Nm": "n", "Vb": "v"}
+# strings of _BASE entries, by index, that the base lists accept, but
+# for a Det complement that is not last and one that no sister cancels
+_SENTENCES = ((0, 1, 3), (2, 3), (2, 4, 2), (0, 1, 4, 2), (2, 5, 0), (0, 1, 7, 0),
+              (2, 6, 0), (2, 7))
+
+
+@strategies.composite
+def _drawn_lexicons(draw):
+    """(grammar text, has frames or an fcr, lexicon, word strings): the
+    _DRAWN_RULES, maybe toy_lex.clg's frames, maybe an fcr, the _BASE
+    entries and up to two more.  A base entry keeps its lists three
+    times in four, else it has drawn ones, as the extra entries have.
+    An entry may have a schema and an open head; a verb has a vform,
+    and another entry may have one, which the fcr rejects.  The lexicon
+    maps each form to its (category, subj, comps) readings.  A string
+    is one of _SENTENCES or any 1-4 forms."""
+    names = strategies.lists(strategies.sampled_from(("Det", "NP", "VP")), max_size=2)
+
+    def one_in(n):
+        return draw(strategies.integers(1, n)) == n
+
+    frames, fcr = one_in(3), one_in(3)
+    extra = draw(strategies.lists(strategies.sampled_from(tuple(_MAJ)), max_size=2))
+    lines, lexicon, forms = [], {}, []
+    for k, (cat, subj, comps) in enumerate(_BASE + tuple((cat, None, None) for cat in extra)):
+        # a form may have several readings
+        form = f"w{draw(strategies.integers(0, k)) if one_in(3) else k}"
+        if subj is None or one_in(4):
+            subj, comps = tuple(draw(names)), tuple(draw(names))
+        schema = draw(strategies.sampled_from(("", " schema {}", " schema {Det}", " schema {NP}")))
+        status = "?" if one_in(2) else ""
+        vform = ", vform: fin" if cat == "Vb" or one_in(4) else ""
+        lines.append(f'lex "{form}" {cat} [synsem: [loc: [cat: [{status}head: '
+                     f'[maj: {_MAJ[cat]}{vform}]]]]] subj [{", ".join(subj)}] '
+                     f'subcat [{", ".join(comps)}]{schema}.\n')
+        lexicon.setdefault(form, []).append((cat, subj, comps))
+        forms.append(form)
+    words = strategies.sampled_from(_SENTENCES).map(lambda ks: [forms[k] for k in ks]) | \
+        strategies.lists(strategies.sampled_from(sorted(lexicon)), min_size=1, max_size=4)
+    text = (_DRAWN_RULES + (_DRAWN_FRAMES if frames else "")
+            + ("fcr VFORM -> MAJ[V].\n" if fcr else "") + "".join(lines))
+    return text, frames or fcr, lexicon, draw(strategies.lists(words, min_size=1, max_size=3))
+
+
+def _valency_count(words, lexicon) -> int:
+    """Trees over some reading of `words` with a saturated S at the root,
+    where a sister is saturated and cancels the last item of the head's
+    comps if that list names it, else the last item of its subj.  A
+    chart of (category, subj, comps) counts per span, with no store."""
+    n, chart = len(words), {}
+    for width in range(1, n + 1):
+        for i in range(n - width + 1):
+            cell = chart[i, i + width] = collections.Counter(
+                lexicon[words[i]] if width == 1 else ())
+            for m in range(i + 1, i + width):
+                for left, x in chart[i, m].items():
+                    for right, y in chart[m, i + width].items():
+                        if (left[0], right[0]) not in _BINARY:
+                            continue
+                        lhs, head = _BINARY[left[0], right[0]]
+                        (_, subj, comps), (cat, *sister) = \
+                            (left, right) if head == 0 else (right, left)
+                        if sister != [(), ()]:
+                            continue
+                        if cat in comps and comps[-1] == cat:
+                            cell[lhs, subj, comps[:-1]] += x * y
+                        elif cat not in comps and cat in subj and subj[-1] == cat:
+                            cell[lhs, subj[:-1], comps] += x * y
+            for (cat, subj, comps), x in list(cell.items()):
+                if cat in _UNARY:
+                    cell[_UNARY[cat], subj, comps] += x
+    return chart[0, n][("S", (), ())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_lexicons())
+def test_both_strategies_build_the_same_signs_over_drawn_lexicons(case):
+    text, gated, lexicon, strings = case
+    g = load_grammar(text)
+    for words in strings:
+        got = {}
+        for strategy in ("active", "gentest"):
+            signs, stats = parse_hpsg(words, g, strategy=strategy)
+            assert [valency_of(s) for s in signs] == [((), ())] * len(signs)    # A6
+            got[strategy] = [sign_dump(s, statuses=True) for s in signs], stats.signs_accepted
+        assert got["active"] == got["gentest"], words
+        dumps, accepted = got["active"]
+        assert len(dumps) == accepted
+        if not gated:
+            assert accepted == _valency_count(words, lexicon), words

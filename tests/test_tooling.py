@@ -132,7 +132,9 @@ def test_every_phrase_passes_each_traced_step_once(strategy):
     # each of them once per phrase: three phrases in "the cat sleeps".
     # The install writes every mother's lists and, with every head
     # realized here, shares each head, so the pipeline calls neither
-    # apply_valency nor apply_hfp; their spans read 0.
+    # apply_valency nor apply_hfp; their spans read 0.  The loader
+    # decides each phrase's local-tree checks, so check_local_tree's
+    # span reads 0 as well.
     tracing = _bench_module("tracing")
     g = load_grammar_file(TOY_LEX)
     tracer = tracing.Tracer()
@@ -144,7 +146,7 @@ def test_every_phrase_passes_each_traced_step_once(strategy):
     assert len(signs) == 1
     steps = ("check_local_tree", "attach_daughters", "post_unicity", "apply_hfp", "apply_valency")
     assert {s: tracer.calls[f"hpsg.{s}"] for s in steps} == dict(
-        check_local_tree=3, attach_daughters=3, post_unicity=3, apply_hfp=0, apply_valency=0)
+        check_local_tree=0, attach_daughters=3, post_unicity=3, apply_hfp=0, apply_valency=0)
 
 
 def test_every_exported_name_resolves_once():
