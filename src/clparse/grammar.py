@@ -28,7 +28,9 @@ valency lists its `subj` and `subcat` clauses give, or an fcr naming a
 feature no sign can carry, is a `GrammarError` on its line; entries
 record their fcr sites, and the restrictions the template alone decides
 are folded into it.  Last, `phrase_table` decides every phrase a tree
-can build from the entries' signatures (`hpsg.decide_phrases`).
+can build from the entries' signatures, each by its head, split, mother
+and the reason it is rejected, if any; a phrase whose valency split
+fails has no entry (`hpsg.decide_phrases`).
 """
 
 from __future__ import annotations
@@ -185,8 +187,8 @@ class Grammar:
         # that may stand right after it in a sentential form of the start
         # category, BOUNDARY for the right end (`_follows`).
         self.follows: dict[str, frozenset[str]] = {}
-        # Each `(label, daughter signatures)` a tree can build mapped to
-        # what the sign layer decides for it (`hpsg.decide_phrases`).
+        # Each `(label, daughter signatures)` whose valency split holds
+        # mapped to its `hpsg.PhraseDecision` (`hpsg.decide_phrases`).
         self.phrase_table: dict[tuple, object] = {}
 
     # -- queries --------------------------------------------------------

@@ -2,11 +2,15 @@
 
 A sign is a feature structure rooted at synsem.loc.cat with subj/comps
 valency lists and, for phrases, a dtrs node holding the daughter signs.
-Local trees are gated by four structural checks (distinctness of
-same-category daughters, linear precedence, dominance, projection).
-Valency is decided by a split: the sisters split over the head's
-lists, which cancel the realized daughters from the end.  The daughter
-slots carry an a-priori distinctness constraint.  Subcategorization is
+Local trees are checked for linear precedence, dominance and
+projection (`check_local_tree`, which also checks that daughters of one
+category are distinct signs for callers that pass signs).
+Valency is decided by a split: the saturated sisters split over the
+head's lists, which cancel the realized daughters from the end.  The
+daughter slots carry an a-priori distinctness constraint, which is the
+pipeline's only distinctness check: each daughter's slot ranges over
+its own root, so the slots are distinct exactly when no two daughters
+are one sign.  Subcategorization is
 boolean implications over per-constituent well-formedness, but a
 constituent that is built is well formed, the store's true constant,
 and an unrealized frame member is its false constant, so a frame's
@@ -15,16 +19,15 @@ label, daughter categories, head schema and complement categories.
 `frame_holds` decides it from them, as `post_subcat` would over those
 constants, with no store.
 
-Every decision but distinctness, which compares signs, depends on a
-phrase's label and its daughters' signatures alone, each sign's
-`(category, subj, comps, schema)`.  Cancellation only shortens lists,
-so the signatures a grammar reaches are finite: the loader closes over
-them from the lexical ones (`decide_phrases`) and keeps, per label and
-daughter signatures, the head, the split, the mother's signature, the
-categorial violations, the frame verdict and the pairs that must be
-distinct (`PhraseDecision`), or the reason the split fails.  Signs
-carry their signature, so the pipeline decides each phrase by one
-lookup in that table, and the grammar is never written.
+Every decision but the slots' depends on a phrase's label and its
+daughters' signatures alone, each sign's `(category, subj, comps, schema)`.
+Cancellation only shortens lists, so the signatures a grammar reaches
+are finite: the loader closes over them from the lexical ones
+(`decide_phrases`) and keeps, per label and daughter signatures whose
+valency split holds, the head, the split, the mother's signature and
+the one reason the phrase is rejected, if any (`PhraseDecision`).
+Signs carry their signature, so the pipeline decides each phrase by
+one lookup in that table, and the grammar is never written.
 
 Cooccurrence restrictions compile to implications over status
 variables, and head feature sharing installs the mother's head as the
@@ -39,11 +42,11 @@ the tree.
 The sentence pipeline drives all of this from one window-parser search
 over every lexical tagging: each distinct tree off its forest is built
 bottom-up on a fresh store.  The active strategy checks each reduction
-as it is built.  The generate-and-test strategy defers the local-tree
-checks, the entries' restrictions a tree still posts, and the rejection
-of a phrase whose frame does not hold to the end of the tree, but
-rejects a failed valency split at once and builds what each mother is
-made from (daughter slots, head sharing), and so checks it, as it goes.
+as it is built.  The generate-and-test strategy defers the
+entries' restrictions a tree still posts and the rejection of a phrase
+whose entry gives a reason to the end of the tree, but rejects a failed
+valency split at once and builds what each mother is made from
+(daughter slots, head sharing), and so checks it, as it goes.
 Both accept exactly the same signs.
 
 Each lexical entry arrives compiled from the grammar loader: its sign
@@ -150,15 +153,12 @@ def _cancel(head_list, realized, which: str):
 
 
 def _split_realized(head_subj, head_comps, sisters):
-    """Assign the sisters, given by their signatures, to the head's
-    lists, complements first; only a saturated sister, one with empty
-    subj and comps, fills a slot.  Returns (subject positions, complement
+    """Assign the sisters, given by their categories, to the head's
+    lists, complements first.  Returns (subject positions, complement
     positions, mother_subj, mother_comps), positions into `sisters`."""
     rem_c, rem_s = list(head_comps), list(head_subj)
     comps_r, subj_r = [], []
-    for k, (cat, subj, comps, _) in enumerate(sisters):
-        if subj or comps:
-            raise InconsistencyError(f"{cat} sister is not saturated")
+    for k, cat in enumerate(sisters):
         if cat in rem_c:
             rem_c.remove(cat)
             comps_r.append(k)
@@ -167,8 +167,8 @@ def _split_realized(head_subj, head_comps, sisters):
             subj_r.append(k)
         else:
             raise InconsistencyError(f"{cat} is not subcategorized by the head")
-    mother_comps = _cancel(head_comps, tuple(sisters[k][0] for k in comps_r), "comps")
-    mother_subj = _cancel(head_subj, tuple(sisters[k][0] for k in subj_r), "subj")
+    mother_comps = _cancel(head_comps, tuple(sisters[k] for k in comps_r), "comps")
+    mother_subj = _cancel(head_subj, tuple(sisters[k] for k in subj_r), "subj")
     if len(subj_r) > 1:
         raise InconsistencyError("at most one subject daughter")
     return tuple(subj_r), tuple(comps_r), mother_subj, mother_comps
@@ -186,34 +186,21 @@ def _head_index(root: str, cats, g: Grammar) -> int | None:
     return None
 
 
-def _distinct_pairs(cats, g: Grammar) -> tuple[tuple[int, int], ...]:
-    """The positions, as (i, j) pairs, of the daughters of one category,
-    whose signs must differ unless every rule over `cats` is a rule*."""
-    rules = g.rules_matching(cats)
-    if rules and not all(r.distinct_daughters for r in rules):
-        return ()
-    return tuple((i, j) for i, j in itertools.combinations(range(len(cats)), 2)
-                 if cats[i] == cats[j])
-
-
-def _distinctness(pairs, daughters) -> list[Violation]:
-    """A violation for each pair of `daughters`, (category, Sign | None),
-    that are one sign."""
-    out = []
-    for i, j in pairs:
-        (cat, si), (_, sj) = daughters[i], daughters[j]
-        if si is not None and sj is not None and si.same_ref(sj):
-            out.append(Violation("distinctness", f"daughters {i + 1} and {j + 1} are the same {cat}"))
-    return out
-
-
 def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
     """Evaluate the four structural constraints building the mother does
-    not make; the violations are data, none when the tree passes."""
+    not make; the violations are data, none when the tree passes.  Two
+    daughters of one category violate distinctness when they are one
+    sign, unless every rule over the tree is a rule*."""
     if not t.daughters:
         raise UsageError("a local tree needs daughters")
     cats = tuple(cat for cat, _ in t.daughters)
-    violations = _distinctness(_distinct_pairs(cats, g), t.daughters)
+    violations = []
+    rules = g.rules_matching(cats)
+    if not rules or all(r.distinct_daughters for r in rules):
+        for (i, (cat, si)), (j, (cat_j, sj)) in itertools.combinations(enumerate(t.daughters), 2):
+            if cat == cat_j and si is not None and sj is not None and si.same_ref(sj):
+                violations.append(Violation(
+                    "distinctness", f"daughters {i + 1} and {j + 1} are the same {cat}"))
 
     for x, y in zip(cats, cats[1:]):
         if not g.lp_ok(x, y):
@@ -563,70 +550,75 @@ class PhraseDecision:
     subj: tuple[int, ...]          # the subject daughter, if one is realized
     comps: tuple[int, ...]         # the complement daughters, in surface order
     mother: tuple                  # the mother's signature
-    violations: tuple[Violation, ...]   # precedence, dominance and projection
-    distinct: tuple[tuple[int, int], ...]   # the pairs whose signs must differ
-    frame_holds: bool
+    # why the phrase is rejected: the failed precedence, dominance and
+    # projection checks and the frame, joined; "" when it passes
+    reason: str
 
 
-def _decide(label: str, sigs, g: Grammar) -> PhraseDecision | str:
-    """The phrase `label` over daughters with signatures `sigs`, decided
-    as building it decides it, or the reason its valency split fails."""
+def _decide(label: str, hi: int, sigs, g: Grammar) -> PhraseDecision | None:
+    """The phrase `label` over daughters with signatures `sigs`, head
+    daughter `hi`, decided as building it decides it, or None if its
+    valency split fails."""
     cats = tuple(sig[0] for sig in sigs)
-    hi = _head_index(label, cats, g)
-    if hi is None:
-        hi = 0   # headless trees fail the projection check anyway
     _, head_subj, head_comps, schema = sigs[hi]
     sisters = tuple(i for i in range(len(sigs)) if i != hi)
     try:
         subj, comps, mother_subj, mother_comps = _split_realized(
-            head_subj, head_comps, [sigs[i] for i in sisters])
-    except InconsistencyError as e:
-        return str(e)
+            head_subj, head_comps, [cats[i] for i in sisters])
+    except InconsistencyError:
+        return None
     subj, comps = (tuple(sisters[k] for k in ks) for ks in (subj, comps))
+    reasons = [v.detail for v in check_local_tree(
+        LocalTree(label, tuple((cat, None) for cat in cats)), g)]
     frame = g.frames.get(label)
-    return PhraseDecision(
-        hi, subj, comps, (label, mother_subj, mother_comps, None),
-        check_local_tree(LocalTree(label, tuple((cat, None) for cat in cats)), g),
-        _distinct_pairs(cats, g),
-        frame is None or frame_holds(frame, cats, schema, [cats[i] for i in comps]))
+    if frame is not None and not frame_holds(frame, cats, schema, [cats[i] for i in comps]):
+        reasons.append(f"subcategorization of {label} rejected")
+    return PhraseDecision(hi, subj, comps, (label, mother_subj, mother_comps, None),
+                          "; ".join(reasons))
 
 
 def decide_phrases(g: Grammar) -> dict:
     """`Grammar.phrase_table`: every phrase a tree over g can build,
     keyed by `(label, daughter signatures)`.  It starts from the lexical
-    signatures and decides each rule over every tuple of known ones,
-    until no mother brings a new signature.  A mother's lists are what is
-    left of its head daughter's, so the signatures are finite.  A phrase
-    whose valency split fails keeps the reason; every other mother,
-    also one a later check rejects, joins the known signatures."""
+    signatures and decides each rule over every tuple of known ones, the
+    head daughter's drawn from all of its category and each sister's
+    only from the saturated ones (empty subj and comps), until no mother
+    brings a new signature.  A mother's lists are what is left of its
+    head daughter's, so the signatures are finite.  A phrase whose
+    valency split fails has no entry; every other mother, also one its
+    entry's reason rejects, joins the known signatures."""
     known: dict[str, dict] = {}     # category -> its signatures, in the order found
     for entries in g.lexicon.values():
         for e in entries:
             known.setdefault(e.category, {})[e.signature] = None
+    # headless trees fail the projection check anyway
+    heads = [(rule, _head_index(rule.lhs, rule.rhs, g) or 0) for rule in g.rules]
     table: dict = {}
+    tried: set = set()
     grown = True
     while grown:
         grown = False
-        for rule in g.rules:
-            for sigs in itertools.product(*(tuple(known.get(c, ())) for c in rule.rhs)):
+        for rule, hi in heads:
+            pools = [tuple(sig for sig in known.get(cat, ())
+                           if k == hi or not (sig[1] or sig[2]))
+                     for k, cat in enumerate(rule.rhs)]
+            for sigs in itertools.product(*pools):
                 key = (rule.lhs, sigs)
-                if key in table:
+                if key in tried:
                     continue
-                table[key] = d = _decide(rule.lhs, sigs, g)
+                tried.add(key)
+                d = _decide(rule.lhs, hi, sigs, g)
+                if d is None:
+                    continue
+                table[key] = d
                 mothers = known.setdefault(rule.lhs, {})
-                if isinstance(d, PhraseDecision) and d.mother not in mothers:
+                if d.mother not in mothers:
                     mothers[d.mother] = None
                     grown = True
     return table
 
 
 # -- pipeline -------------------------------------------------------------
-
-def _check(d: PhraseDecision, signs) -> None:
-    violations = _distinctness(d.distinct, [(s.category, s) for s in signs]) + list(d.violations)
-    if violations:
-        raise InconsistencyError("; ".join(v.detail for v in violations))
-
 
 def _reject(reason: str) -> None:
     raise InconsistencyError(reason)
@@ -676,14 +668,14 @@ class _TreeBuild:
 
     def phrase(self, label: str, signs) -> Sign:
         """Build the mother the grammar's `PhraseDecision` describes: the
-        local-tree gate, the install, the slots' distinctness and the
-        frame gate, in that order; a failed valency split rejects the
-        tree at once."""
-        d = self.g.phrase_table[label, tuple([s.signature for s in signs])]
-        if isinstance(d, str):
-            raise InconsistencyError(d)
-        if d.violations or d.distinct:
-            self.gate(functools.partial(_check, d, signs))
+        gate on its reason, the install and the slots' distinctness, in
+        that order; a phrase with no entry, whose valency split fails,
+        rejects the tree at once."""
+        d = self.g.phrase_table.get((label, tuple([s.signature for s in signs])))
+        if d is None:
+            raise InconsistencyError(f"no valency split of {label} over its daughters")
+        if d.reason:
+            self.gate(functools.partial(_reject, d.reason))
         root, slots = attach_daughters(self.fs, signs[d.head],
                                        subj=[signs[i] for i in d.subj],
                                        comps=[signs[i] for i in d.comps],
@@ -691,8 +683,6 @@ class _TreeBuild:
         self.parts.append((label, root))
         if not post_unicity(slots, self.store):
             raise InconsistencyError("daughter slots are not distinct")
-        if not d.frame_holds:
-            self.gate(functools.partial(_reject, f"subcategorization of {label} rejected"))
         return Sign(self.fs, root, d.mother)
 
 

@@ -3,6 +3,7 @@ import copy
 import gc
 import importlib.util
 import itertools
+import math
 import pickle
 import sys
 from dataclasses import asdict, replace
@@ -124,7 +125,7 @@ def test_valency_violation(toy):
     vb = entry_sign(toy, "sleeps", fs)
     det = entry_sign(toy, "the", fs)
     with pytest.raises(InconsistencyError, match="not subcategorized"):
-        _split_realized(*valency_of(vb), (det.signature,))
+        _split_realized(*valency_of(vb), (det.category,))
 
 
 def test_projection_violation(toy):
@@ -152,26 +153,29 @@ def test_cancellation_is_suffixwise():
 
 def test_split_realized_prefers_complements():
     # positions into the sisters: the subject NP second, the PP first
-    split = _split_realized(("NP",), ("Det", "PP"), (saturated("PP"), saturated("NP")))
+    split = _split_realized(("NP",), ("Det", "PP"), ("PP", "NP"))
     assert split == ((1,), (0,), (), ("Det",))
 
 
 def test_split_realized_rejects_strangers():
     with pytest.raises(InconsistencyError):
-        _split_realized((), (), (saturated("PP"),))
+        _split_realized((), (), ("PP",))
     with pytest.raises(InconsistencyError, match="one subject"):
-        _split_realized(("NP", "NP"), (), (saturated("NP"), saturated("NP")))
+        _split_realized(("NP", "NP"), (), ("NP", "NP"))
 
 
-def test_split_realized_takes_only_saturated_sisters(toy):
-    st, fs = fresh()
-    vb = entry_sign(toy, "sleeps", fs)     # subj [NP] still open
-    with pytest.raises(InconsistencyError, match="not saturated"):
-        _split_realized(("NP",), (), (("NP",) + vb.signature[1:],))
-    with pytest.raises(InconsistencyError, match="not saturated"):
-        _split_realized(("NP",), (), (("NP", (), ("Det",), None),))
-    det = entry_sign(toy, "the", fs)
-    assert _split_realized((), ("Det",), (det.signature,))[1] == (0,)
+def test_split_realized_takes_only_saturated_sisters():
+    # "do" selects a Vb complement: saturated "rains" fills it, but
+    # "sleeps", whose subj [NP] is still open, has no entry as its
+    # sister, though the split, which reads only categories, would take it
+    g = _categorial()
+    do, rains, sleeps = (g.entries(w)[0].signature for w in ("do", "rains", "sleeps"))
+    assert sleeps[1] and ("VP", (sleeps,)) in g.phrase_table
+    assert ("VP", (do, rains)) in g.phrase_table
+    assert ("VP", (do, sleeps)) not in g.phrase_table
+    assert _split_realized(do[1], do[2], ("Vb",)) == ((), (0,), ("NP",), ())
+    for (label, sigs), d in g.phrase_table.items():
+        assert all(sig[1:3] == ((), ()) for i, sig in enumerate(sigs) if i != d.head), label
 
 
 def test_valency_of_defaults_to_empty(toy):
@@ -1059,11 +1063,12 @@ def test_each_frame_verdict_is_the_one_told_well_formedness_gives():
     for g, shapes, rejected in cases:
         met = {}
         for (label, sigs), d in g.phrase_table.items():
-            if isinstance(d, str) or label not in g.frames:
+            if label not in g.frames:
                 continue
             cats = tuple(sig[0] for sig in sigs)
             key = (label, cats, sigs[d.head][3], tuple(cats[i] for i in d.comps))
-            assert met.setdefault(key, d.frame_holds) is d.frame_holds, key
+            verdict = not d.reason.endswith(f"subcategorization of {label} rejected")
+            assert met.setdefault(key, verdict) is verdict, key
         assert len(met) == shapes
         assert list(met.values()).count(False) == rejected
         for key, verdict in met.items():
@@ -1119,9 +1124,11 @@ def test_frame_holds_is_what_post_subcat_tells():
 
 def _categorial():
     """The toy grammar with local trees its checks reject or watch: NP ->
-    Nm Det breaks the LP order, nothing projects NP in NP -> Det, the two
-    Vb daughters of VP -> Vb Vb must be distinct signs, and those of the
-    rule* VP -> Vb Vb Vb need not be."""
+    Nm Det breaks the LP order, nothing projects NP in NP -> Det, and the
+    Vb daughters of VP -> Vb Vb and of the rule* VP -> Vb Vb Vb are only
+    built as distinct signs.  Over the Vb signatures, an unsaturated
+    sister ("sleeps", "do", "dodo") or a Vb no head selects has no entry:
+    13 phrases in all, of the 91 products of known signatures."""
     with open(TOY_LEX) as fh:
         text = fh.read()
     return load_grammar(text + (
@@ -1132,12 +1139,12 @@ def _categorial():
 
 
 _TABLE_GRAMMARS = {
-    # name: (grammar, entries, valency rejections)
-    "bench/lex.clg": (lambda: load_grammar_file("bench/lex.clg"), 8, 1),
+    # name: (grammar, entries, products of known signatures with none)
+    "bench/lex.clg": (lambda: load_grammar_file("bench/lex.clg"), 7, 1),
     TOY_LEX: (lambda: load_grammar_file(TOY_LEX), 3, 0),
-    "_REJECTING": (lambda: load_grammar(_REJECTING), 18, 7),
+    "_REJECTING": (lambda: load_grammar(_REJECTING), 11, 7),
     "_self_listing": (_self_listing, 3, 0),
-    "_categorial": (_categorial, 91, 78),
+    "_categorial": (_categorial, 13, 78),
 }
 
 
@@ -1153,13 +1160,23 @@ def _sign_with(g, sig, fs):
 
 @pytest.mark.parametrize("name", list(_TABLE_GRAMMARS))
 def test_each_table_entry_is_what_building_its_phrase_decides(name):
-    # Each entry, decided at load from signatures alone, against the
-    # decision code run over signs with those signatures on a fresh store
-    load, entries, rejections = _TABLE_GRAMMARS[name]
+    # Every product of known signatures over each rule, unsaturated
+    # sisters included, against the decision code run over signs with
+    # those signatures on a fresh store: a product has an entry exactly
+    # when its sisters are saturated and its split holds, and the entry
+    # is what building its phrase decides
+    load, entries, absent = _TABLE_GRAMMARS[name]
     g = load()
-    assert (len(g.phrase_table),
-            sum(isinstance(d, str) for d in g.phrase_table.values())) == (entries, rejections)
-    for (label, sigs), d in g.phrase_table.items():
+    known = {}
+    for sig in [e.signature for es in g.lexicon.values() for e in es] + \
+            [d.mother for d in g.phrase_table.values()]:
+        known.setdefault(sig[0], {})[sig] = None
+    keys = dict.fromkeys((rule.lhs, sigs) for rule in g.rules
+                         for sigs in itertools.product(*(known.get(c, ()) for c in rule.rhs)))
+    assert set(g.phrase_table) <= set(keys)
+    assert (len(g.phrase_table), len(keys) - len(g.phrase_table)) == (entries, absent)
+    for label, sigs in keys:
+        d = g.phrase_table.get((label, sigs))
         _, fs = fresh()
         signs = [_sign_with(g, sig, fs) for sig in sigs]
         cats = tuple(s.category for s in signs)
@@ -1168,31 +1185,37 @@ def test_each_table_entry_is_what_building_its_phrase_decides(name):
         hi = _head_index(label, cats, g)
         hi = 0 if hi is None else hi
         sisters = [i for i in range(len(signs)) if i != hi]
+        if any(read[i][1] or read[i][2] for i in sisters):
+            assert d is None, (label, sigs)
+            continue
         try:
             subj, comps, mother_subj, mother_comps = _split_realized(
-                *valency_of(signs[hi]), [read[i] for i in sisters])
-        except InconsistencyError as e:
-            assert d == str(e)
+                *valency_of(signs[hi]), [cats[i] for i in sisters])
+        except InconsistencyError:
+            assert d is None, (label, sigs)
             continue
         assert (d.head, d.subj, d.comps) == (
             hi, tuple(sisters[k] for k in subj), tuple(sisters[k] for k in comps))
         # the realized daughters cancel from the end of the head's lists
         assert d.mother[1] + tuple(cats[i] for i in d.subj) == sigs[hi][1]
         assert d.mother[2] + tuple(cats[i] for i in d.comps) == sigs[hi][2]
-        root, _ = attach_daughters(fs, signs[hi], subj=[signs[i] for i in d.subj],
-                                   comps=[signs[i] for i in d.comps],
-                                   mother_subj=mother_subj, mother_comps=mother_comps)
+        root, slots = attach_daughters(fs, signs[hi], subj=[signs[i] for i in d.subj],
+                                       comps=[signs[i] for i in d.comps],
+                                       mother_subj=mother_subj, mother_comps=mother_comps)
         assert d.mother == (label, *valency_of(Sign(fs, root, d.mother)), None)
-        daughters = tuple(zip(cats, signs))
-        assert d.violations == check_local_tree(LocalTree(label, daughters), g)
-        # a pair must be distinct where one sign in both places violates
-        for i, j in itertools.combinations(range(len(cats)), 2):
-            twin = daughters[:j] + ((cats[j], signs[i]),) + daughters[j + 1:]
-            kinds = [v.kind for v in check_local_tree(LocalTree(label, twin), g)]
-            assert ((i, j) in d.distinct) is ("distinctness" in kinds)
-        frame = g.frames.get(label)
-        assert d.frame_holds is (frame is None or _told_verdict(
-            g, (label, cats, sigs[hi][3], tuple(cats[i] for i in d.comps))))
+        # the slots are the pipeline's distinctness check: they hold over
+        # distinct signs and fail where one sign fills two of them
+        assert post_unicity(slots, fs.store)
+        for i, j in itertools.combinations(range(len(signs)), 2):
+            twin = signs[:j] + [signs[i]] + signs[j + 1:]
+            _, slots = attach_daughters(fs, twin[hi], subj=[twin[k] for k in d.subj],
+                                        comps=[twin[k] for k in d.comps])
+            assert not post_unicity(slots, fs.store), (label, sigs, i, j)
+        reasons = [v.detail for v in check_local_tree(LocalTree(label, tuple(zip(cats, signs))), g)]
+        if label in g.frames and not _told_verdict(
+                g, (label, cats, sigs[hi][3], tuple(cats[i] for i in d.comps))):
+            reasons.append(f"subcategorization of {label} rejected")
+        assert d.reason == "; ".join(reasons)
 
 
 @pytest.mark.parametrize("strategy", ["active", "gentest"])
@@ -1428,32 +1451,34 @@ def test_a_folded_entry_acts_as_its_runtime_post(text):
 
 # -- a differential property over drawn lexicons ------------------------------
 
-# the toy_lex.clg rules with two more for verbs and their complements
+# the toy_lex.clg rules with three more for verbs and their complements
 _DRAWN_RULES = ("start S.\n"
                 "rule S -> NP VP. rule NP -> Det Nm. rule NP -> Nm.\n"
-                "rule VP -> Vb. rule VP -> Vb NP. rule VP -> Vb Det.\n"
+                "rule VP -> Vb. rule VP -> Vb NP. rule VP -> Vb Det. rule VP -> Vb NP Det.\n"
                 "lp Det < Nm.\nproj Nm = NP. proj Vb = VP. proj VP = S.\n")
 _DRAWN_FRAMES = ("frame NP { M = {Det,Nm}; C = {Nm}; head = Nm; schema {Det}; }\n"
                  "frame VP { M = {Vb,NP}; C = {Vb}; head = Vb; }\n"
                  "frame S  { M = {NP,VP}; C = {NP,VP}; head = VP; }\n")
-# each binary rule's right-hand side: its left-hand side and its head
+# each branching rule's right-hand side: its left-hand side and its head
 # daughter; and each unary rule's daughter and its left-hand side
-_BINARY = {("NP", "VP"): ("S", 1), ("Det", "Nm"): ("NP", 1), ("Vb", "NP"): ("VP", 0),
-           ("Vb", "Det"): ("VP", 0)}
+_BRANCHING = {("NP", "VP"): ("S", 1), ("Det", "Nm"): ("NP", 1), ("Vb", "NP"): ("VP", 0),
+              ("Vb", "Det"): ("VP", 0), ("Vb", "NP", "Det"): ("VP", 0)}
 _UNARY = {"Nm": "NP", "Vb": "VP"}
 
 
 # the entries of a toy_lex.clg-like lexicon, category and lists, and
 # verbs whose complements the subject NP and a Det sister cancel, in
-# either order, or whose Det complement no sister cancels
+# either order, or whose Det complement no sister cancels, and one whose
+# NP and Det complements two sisters cancel
 _BASE = (("Det", (), ()), ("Nm", (), ("Det",)), ("Nm", (), ()),
          ("Vb", ("NP",), ()), ("Vb", ("NP",), ("NP",)), ("Vb", (), ("NP", "Det")),
-         ("Vb", (), ("Det", "NP")), ("Vb", ("NP",), ("Det",)))
+         ("Vb", (), ("Det", "NP")), ("Vb", ("NP",), ("Det",)), ("Vb", ("NP",), ("NP", "Det")))
 _MAJ = {"Det": "det", "Nm": "n", "Vb": "v"}
 # strings of _BASE entries, by index, that the base lists accept, but
-# for a Det complement that is not last and one that no sister cancels
+# for a Det complement that is not last, one that no sister cancels and
+# a subject NP realized inside the VP
 _SENTENCES = ((0, 1, 3), (2, 3), (2, 4, 2), (0, 1, 4, 2), (2, 5, 0), (0, 1, 7, 0),
-              (2, 6, 0), (2, 7))
+              (2, 6, 0), (2, 7), (2, 8, 2, 0), (2, 7, 2, 0))
 
 
 @strategies.composite
@@ -1494,30 +1519,46 @@ def _drawn_lexicons(draw):
     return text, frames or fcr, lexicon, draw(strategies.lists(words, min_size=1, max_size=3))
 
 
+def _cancelled(subj, comps, sisters):
+    """The head's lists once its saturated sisters, by category in
+    surface order, are realized, or None: a sister takes a complement
+    while its category has one left, else the subject, and the realized
+    items of each list must be its last ones, in order, with at most one
+    subject."""
+    realized_comps, realized_subj = [], []
+    for cat in sisters:
+        more = realized_comps.count(cat) < comps.count(cat)
+        (realized_comps if more else realized_subj).append(cat)
+    n, m = len(comps) - len(realized_comps), len(subj) - len(realized_subj)
+    if n < 0 or m < 0 or len(realized_subj) > 1 or comps[n:] != tuple(realized_comps) \
+            or subj[m:] != tuple(realized_subj):
+        return None
+    return subj[:m], comps[:n]
+
+
 def _valency_count(words, lexicon) -> int:
     """Trees over some reading of `words` with a saturated S at the root,
-    where a sister is saturated and cancels the last item of the head's
-    comps if that list names it, else the last item of its subj.  A
-    chart of (category, subj, comps) counts per span, with no store."""
+    where the sisters are saturated and cancel the head's lists as
+    `_cancelled` says.  A chart of (category, subj, comps) counts per
+    span, with no store."""
     n, chart = len(words), {}
     for width in range(1, n + 1):
         for i in range(n - width + 1):
             cell = chart[i, i + width] = collections.Counter(
                 lexicon[words[i]] if width == 1 else ())
-            for m in range(i + 1, i + width):
-                for left, x in chart[i, m].items():
-                    for right, y in chart[m, i + width].items():
-                        if (left[0], right[0]) not in _BINARY:
+            for rhs, (lhs, head) in _BRANCHING.items():
+                for cuts in itertools.combinations(range(i + 1, i + width), len(rhs) - 1):
+                    spans = zip((i, *cuts), (*cuts, i + width))
+                    for picks in itertools.product(*(chart[span].items() for span in spans)):
+                        sigs = [sig for sig, _ in picks]
+                        if tuple(sig[0] for sig in sigs) != rhs:
                             continue
-                        lhs, head = _BINARY[left[0], right[0]]
-                        (_, subj, comps), (cat, *sister) = \
-                            (left, right) if head == 0 else (right, left)
-                        if sister != [(), ()]:
+                        sisters = sigs[:head] + sigs[head + 1:]
+                        if any(sig[1] or sig[2] for sig in sisters):
                             continue
-                        if cat in comps and comps[-1] == cat:
-                            cell[lhs, subj, comps[:-1]] += x * y
-                        elif cat not in comps and cat in subj and subj[-1] == cat:
-                            cell[lhs, subj[:-1], comps] += x * y
+                        lists = _cancelled(*sigs[head][1:], [sig[0] for sig in sisters])
+                        if lists is not None:
+                            cell[(lhs, *lists)] += math.prod(x for _, x in picks)
             for (cat, subj, comps), x in list(cell.items()):
                 if cat in _UNARY:
                     cell[_UNARY[cat], subj, comps] += x

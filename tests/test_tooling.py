@@ -101,6 +101,17 @@ def test_the_readme_quotes_the_a1_counters_of_a_fresh_parse():
         sg.windows_tried, sg.reductions_applied, len(gentest.memo), sg.backtracks)
 
 
+def test_the_readme_quotes_the_phrase_table_sizes():
+    # the sign-licensing paragraph quotes the entries the loader decides
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.search(r"on `bench/lex\.clg` it has (\d+) entries .*? "
+                       r"on `grammars/toy_lex\.clg` (\d+) entries", text)
+    assert quoted
+    sizes = [len(load_grammar_file(str(ROOT / path)).phrase_table)
+             for path in ("bench/lex.clg", "grammars/toy_lex.clg")]
+    assert list(map(int, quoted.groups())) == sizes
+
+
 def test_tracing_wraps_the_package_and_takes_the_wrappers_off():
     tracing = _bench_module("tracing")
     originals = {name: getattr(clparse.hpsg, name)
