@@ -37,6 +37,7 @@ import functools
 import re
 from dataclasses import dataclass
 
+from .constraints import BoolConstraint
 from .errors import InconsistencyError, UsageError
 from .logic import NAME, Bool3, Cursor, Equiv, Var
 from .store import Store, VarId, VarKind
@@ -267,8 +268,6 @@ class FeatureStructure:
     def _tie_statuses(self, a: VarId, b: VarId) -> None:
         if a == b:
             return
-        from .constraints import BoolConstraint   # cycle at import time
-
         if not self.store.tell(BoolConstraint(Equiv(Var(a), Var(b)))):
             raise InconsistencyError("status clash")
 

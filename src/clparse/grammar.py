@@ -66,7 +66,10 @@ class PSRule:
 class Frame:
     """Immediate-constituent frame of one phrase: maximal set M split
     into compulsory C and optional O, with the head and the declared
-    valency schemata (each a subset of O)."""
+    valency schemata (each a subset of O).  The loader checks and keeps
+    `schemata`, but nothing reads them: the optional members a head
+    demands come from its lexical entry's `schema` clause, through
+    `hpsg.frame_holds`."""
 
     phrase: str
     m: frozenset[str]

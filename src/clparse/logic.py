@@ -5,9 +5,11 @@ connectives: UNKNOWN absorbs exactly where a classical value would not
 already decide the result.  Formulas are immutable trees over leaf
 references (store variables) and constants; `enforce` implements
 unit-propagation-strength inference used by the boolean propagator.
-`Cursor` is the package's one tokenizer, shared by the formula reader
-here and the avm reader in `fstruct`: text it has no token for is a
-`UsageError`, never skipped.
+`Cursor` is the tokenizer of the formula reader here and of the avm
+reader in `fstruct`: text it has no token for is a `UsageError`, never
+skipped.  A grammar file's statements are split and read by
+`grammar`'s own splitter and regexes; only the fcr formulas and the
+avms in them go through `Cursor`.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ NAME = r"[A-Za-z_]\w*(?:-\w+)*"
 
 
 class Cursor:
-    """The one tokenizer of the text syntaxes.  It reads `text` one
+    """The tokenizer of the formula and avm syntaxes.  It reads `text` one
     token at a time, only when asked; a token is one of the regex
     alternatives `tokens`, after optional blanks.  Non-blank text where
     a token is due is a `UsageError` ("<what> syntax: ..."), never

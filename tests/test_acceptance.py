@@ -9,8 +9,10 @@ import itertools
 import random
 import time
 
+import counters
+from checks import CAT, valency_pairs
 from clparse import Bool3, InconsistencyError, Store, UsageError
-from clparse.cfg import derivations_to_tree, oracle_parse, parse
+from clparse.cfg import Search, oracle_parse, parse
 from clparse.constraints import (
     all_distinct,
     bool_post,
@@ -27,7 +29,7 @@ from clparse.logic import Var, conj
 TOY = "grammars/toy.clg"
 TOY_LEX = "grammars/toy_lex.clg"
 
-SENT7 = ("Det", "Nm", "Vb", "Det", "Nm", "Prep", "Nm")
+SENT7 = tuple(counters.A1.split())
 
 T1 = (("NP", ("Det", "Nm")), ("NP", ("Det", "Nm")), ("NP", ("Nm",)),
       ("PP", ("Prep", "NP")), ("VP", ("Vb", "NP", "PP")), ("S", ("NP", "VP")))
@@ -86,7 +88,7 @@ def test_a1_toy_sentence_reproduction():
     missing = [t for t in (T1, T2, T3) if t not in derivs]
     first_three = derivs[:3] == (T1, T2, T3)
     endings = all(d[-1] == ("S", ("NP", "VP")) for d in derivs)
-    trees = {derivations_to_tree(d, SENT7) for d in derivs}
+    trees = list(Search(g).trees(SENT7))
     _report("A1", not missing and first_three and endings
             and len(trees) == 1 and elapsed < 1.0,
             f"missing={len(missing)} first_three={first_three} "
@@ -209,31 +211,14 @@ def test_a6_valency_conservation():
     detail = f"signs={len(signs)}"
     if ok:
         sign = signs[0]
-        fs = sign.fs
-        cat_path = ("synsem", "loc", "cat")
-        cats = {fs.canon(r): c for c, r in sign.parts}
-        phrases = [fs.canon(r) for _, r in sign.parts
-                   if fs.resolve(("dtrs",), fs.canon(r)) is not None]
-        conserved = bool(phrases)
-        for node in phrases:
-            head = fs.resolve(("dtrs", "head_dtr"), node)
-            subj_dtr = fs.resolve(("dtrs", "subj_dtr"), node)
-            comps_cell = fs.lookup(("dtrs", "comp_dtrs"), node)
-            realized = {
-                "subj": (cats[subj_dtr],) if subj_dtr is not None else (),
-                "comps": tuple(cats[fs.canon(ref.index)] for ref in
-                               (comps_cell.value if comps_cell else ())),
-            }
-            for feat in ("subj", "comps"):
-                mother = tuple(fs.resolve(cat_path + (feat,), node) or ())
-                head_list = tuple(fs.resolve(cat_path + (feat,), head) or ())
-                conserved = conserved and (
-                    sorted(mother + realized[feat]) == sorted(head_list))
-        root_cell = tuple(fs.resolve(cat_path + (f,), sign.root) or ()
-                          for f in ("subj", "comps"))
+        # in order: a phrase's lists followed by its realized daughters'
+        # categories are its head daughter's lists
+        pairs = valency_pairs(sign)
+        conserved = bool(pairs) and all(got == want for got, want in pairs)
+        root_cell = tuple(sign.fs.resolve(CAT + (f,), sign.root) or () for f in ("subj", "comps"))
         saturated = root_cell == ((), ())
         ok = conserved and saturated
-        detail += f" reductions={len(phrases)} conserved={conserved} saturated={saturated}"
+        detail += f" reductions={len(pairs)} conserved={conserved} saturated={saturated}"
     _report("A6", ok, detail)
 
 

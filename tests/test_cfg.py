@@ -3,11 +3,13 @@ import functools
 import gc
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import counters
 from clparse import cfg
 from clparse.cfg import (
     Search,
@@ -21,7 +23,7 @@ from clparse.errors import UsageError
 from clparse.grammar import load_grammar, load_grammar_file
 from clparse.store import Store
 
-SENT7 = ("Det", "Nm", "Vb", "Det", "Nm", "Prep", "Nm")
+SENT7, DEAD9, DEAD11 = (tuple(s.split()) for s in (counters.A1, counters.DEAD9, counters.DEAD11))
 
 # The three answers for SENT7, in enumeration order.  Frozen from a
 # hand trace of the window scan (origin ascending, size ascending,
@@ -118,16 +120,18 @@ def test_strategies_agree_on_answers(toy):
     assert sa.windows_tried < sg.windows_tried
 
 
+def _pinned(cats, strategy, limit=None) -> dict:
+    """The counter table's row for this parse on the toy grammar."""
+    return counters.pinned("toy", "cfg", cats, strategy, limit)
+
+
 def test_window_counts_by_hand(toy):
-    # <NP,VP>: gentest's root scan tries (0,1),(0,2),(1,1) and the
-    # reduced <S> node tries (0,1), 4 in all; active tries only (0,2),
-    # the one window that spells a right-hand side, and none at <S>
-    for strategy, windows in (("active", 1), ("gentest", 4)):
+    # the counter table's rows for <NP,VP> give the windows each
+    # strategy tries, counted by hand there
+    for strategy in ("active", "gentest"):
         derivs, stats = parse(("NP", "VP"), toy, strategy=strategy)
         assert derivs == ((("S", ("NP", "VP")),),)
-        assert stats.windows_tried == windows
-        assert stats.reductions_applied == 1
-        assert stats.backtracks == 0
+        assert asdict(stats) == _pinned(("NP", "VP"), strategy)
 
 
 def test_stats_counters(toy):
@@ -188,72 +192,38 @@ def test_format_and_parse_derivation(toy):
 
 
 # -- exact counters --------------------------------------------------------
-
-DEAD9 = SENT7 + ("Prep", "Nm")
-DEAD11 = DEAD9 + ("Prep", "Nm")
+# The counts are rows of tests/counters.py, which says why they are what
+# they are.
 
 
 def test_pinned_counters(toy):
-    # windows and reductions are counted once per distinct
-    # (sequence, unary_seen) state, on its first visit, and backtracks
-    # once per dead state.  Active tries only the windows that spell a
-    # right-hand side whose left-hand side may stand between the
-    # window's neighbours, and no two toy rules share a right-hand side,
-    # so its windows are its reductions; on A1 that leaves no dead state.
-    # Its propagation_steps is one Spells filter run per distinct
-    # sequence scanned but the goal S: one run entails Spells, so nothing
-    # wakes it again, and the states that share a sequence share its
-    # windows; no toy right-hand side begins with S, so the goal's
-    # windows are tabled as none, with no run.  Gentest tries every
-    # window and reduces every match.
-    _, sa = parse(SENT7, toy, strategy="active")
-    _, sg = parse(SENT7, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (29, 961)
-    assert (sa.reductions_applied, sg.reductions_applied) == (29, 82)
-    assert (sa.backtracks, sg.backtracks) == (0, 33)
-    assert sa.propagation_steps == 14
-    derivs, sa = parse(DEAD9, toy, strategy="active")
-    assert derivs == ()
-    _, sg = parse(DEAD9, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (84, 6645)
-    assert (sa.reductions_applied, sg.reductions_applied) == (84, 488)
-    assert (sa.backtracks, sg.backtracks) == (43, 215)
-    assert sa.propagation_steps == 24
-    derivs, sa = parse(DEAD11, toy, strategy="active")
-    assert derivs == ()
-    _, sg = parse(DEAD11, toy, strategy="gentest")
-    assert (sa.windows_tried, sg.windows_tried) == (281, 42176)
-    assert (sa.reductions_applied, sg.reductions_applied) == (281, 2723)
-    assert (sa.backtracks, sg.backtracks) == (125, 909)
-    assert sa.propagation_steps == 48
+    # A1 and its dead ends, under both strategies
+    for cats, found in ((SENT7, 15), (DEAD9, 0), (DEAD11, 0)):
+        for strategy in ("active", "gentest"):
+            derivs, stats = parse(cats, toy, strategy=strategy)
+            assert len(derivs) == found
+            assert asdict(stats) == _pinned(cats, strategy)
 
 
 @pytest.mark.parametrize("strategy,limit,counts", [
-    ("active", 1, (6, 6, 0)), ("active", 2, (9, 9, 0)), ("active", 5, (15, 15, 0)),
-    ("gentest", 1, (53, 6, 0)), ("gentest", 2, (151, 12, 3)), ("gentest", 5, (535, 39, 19)),
+    (strategy, limit, _pinned(SENT7, strategy, limit))
+    for strategy in ("active", "gentest") for limit in (1, 2, 5)
 ])
 def test_pinned_counters_where_the_limit_stops_a_scan(toy, strategy, limit, counts):
-    # a scan that `limit` stops inside a window counts the windows up to
-    # and including that one, and none after it
     derivs, stats = parse(SENT7, toy, strategy=strategy, limit=limit)
     assert len(derivs) == limit
-    assert (stats.windows_tried, stats.reductions_applied, stats.backtracks) == counts
-
-
-SHARED = "start S. rule S -> X B. rule X -> A. rule Y -> A."
+    assert asdict(stats) == counts
 
 
 def test_active_reduces_only_the_rules_that_fit_a_shared_window():
     # X and Y share the right-hand side A, and only X may stand before B:
     # active reduces X alone, where gentest also makes the dead Y B
-    g = load_grammar(SHARED)
+    g = load_grammar(counters.SHARED)
     want = ((("X", ("A",)), ("S", ("X", "B"))),)
-    counts = {}
     for strategy in ("active", "gentest"):
         derivs, stats = parse(("A", "B"), g, strategy=strategy)
         assert derivs == want
-        counts[strategy] = (stats.windows_tried, stats.reductions_applied, stats.backtracks)
-    assert counts == {"active": (2, 2, 0), "gentest": (10, 3, 1)}
+        assert asdict(stats) == counters.pinned("shared", "cfg", "A B", strategy)
 
 
 def test_limit_bounds_the_work(toy):
@@ -316,13 +286,15 @@ def test_one_window_post_per_distinct_sequence(toy, monkeypatch):
     assert tuple(search.derivations(SENT7)) == oracle_parse(SENT7, toy)
     assert len(stores) == 1
     assert len(search.memo) == 18
-    assert _store_work(lines) == len({seq for seq, _ in search.memo} - {("S",)}) == 14
-    assert search.stats.propagation_steps == 14
+    assert asdict(search.stats) == _pinned(SENT7, "active")
+    assert _store_work(lines) == len({seq for seq, _ in search.memo} - {("S",)}) == \
+        search.stats.propagation_steps
     assert f"EVENT post Spells(w=w, whole={SENT7!r}) - -" in lines
 
 
-@pytest.mark.parametrize("cats,sequences", [(SENT7, 14), (DEAD9, 24), (DEAD11, 48)],
-                         ids=["A1", "dead9", "dead11"])
+@pytest.mark.parametrize("cats,sequences", [
+    (cats, _pinned(cats, "active")["propagation_steps"]) for cats in (SENT7, DEAD9, DEAD11)
+], ids=["A1", "dead9", "dead11"])
 def test_spells_posts_are_the_distinct_sequences_scanned(toy, cats, sequences):
     # every state is scanned once (no limit), so the memo holds them all;
     # each of their sequences but the goal S is posted exactly once, at

@@ -11,6 +11,8 @@ from dataclasses import asdict, replace
 import pytest
 from hypothesis import given, settings, strategies
 
+import counters
+from checks import CAT, valency_pairs
 from clparse import hpsg
 from clparse.cfg import Search
 from clparse.constraints import bool_post, eq
@@ -42,8 +44,6 @@ from clparse.logic import Not, Var
 from clparse.store import Store
 
 TOY_LEX = "grammars/toy_lex.clg"
-
-CAT = ("synsem", "loc", "cat")
 
 
 @pytest.fixture(scope="module")
@@ -478,15 +478,18 @@ def test_hfp_without_a_match_changes_nothing():
 # -- the sentence pipeline ------------------------------------------------------
 
 
+def _pinned(strategy) -> dict:
+    """The counter table's row for "the cat sleeps" on the toy lexicon."""
+    return counters.pinned("toy_lex", "hpsg", "the cat sleeps", strategy)
+
+
 def test_parse_the_cat_sleeps(toy):
     signs, stats = parse_hpsg(["the", "cat", "sleeps"], toy)
     assert len(signs) == 1
     sign = signs[0]
     assert sign.category == "S"
     assert valency_of(sign) == ((), ())
-    assert stats.signs_accepted == 1
-    assert stats.trees_considered == 1
-    assert stats.expansions == 6
+    assert asdict(stats) == _pinned("active")
 
 
 def test_head_is_shared_down_the_spine(toy):
@@ -505,25 +508,11 @@ def test_head_is_shared_down_the_spine(toy):
 
 
 def test_valency_is_conserved_at_every_reduction(toy):
+    # S, NP and VP
     signs, _ = parse_hpsg(["the", "cat", "sleeps"], toy)
-    sign = signs[0]
-    fs = sign.fs
-    cats = {fs.canon(r): c for c, r in sign.parts}
-    phrases = [fs.canon(r) for _, r in sign.parts
-               if fs.resolve(("dtrs",), fs.canon(r)) is not None]
-    assert phrases
-    for node in phrases:
-        head = fs.resolve(("dtrs", "head_dtr"), node)
-        subj_dtr = fs.resolve(("dtrs", "subj_dtr"), node)
-        comps_cell = fs.lookup(("dtrs", "comp_dtrs"), node)
-        realized_subj = (cats[subj_dtr],) if subj_dtr is not None else ()
-        realized_comps = tuple(cats[fs.canon(ref.index)]
-                               for ref in (comps_cell.value if comps_cell else ()))
-        for feat, realized in (("subj", realized_subj), ("comps", realized_comps)):
-            mother = fs.resolve(CAT + (feat,), node) or ()
-            head_list = fs.resolve(CAT + (feat,), head) or ()
-            assert tuple(mother) + realized == tuple(head_list)
-    assert valency_of(sign) == ((), ())
+    pairs = valency_pairs(signs[0])
+    assert len(pairs) == 3 and all(got == want for got, want in pairs)
+    assert valency_of(signs[0]) == ((), ())
 
 
 def test_unknown_word_is_a_usage_error(toy):
@@ -555,9 +544,8 @@ def test_strategies_accept_the_same_signs(toy):
     sg, tg = parse_hpsg(["the", "cat", "sleeps"], toy, strategy="gentest")
     assert [sign_dump(s) for s in sa] == [sign_dump(s) for s in sg]
     assert ta.expansions <= tg.expansions
-    assert (ta.windows_tried, tg.windows_tried) == (6, 22)
-    assert ta.expansions == tg.expansions == 6
-    assert ta.signs_accepted == tg.signs_accepted == 1
+    assert asdict(ta) == _pinned("active")
+    assert asdict(tg) == _pinned("gentest")
 
 
 # S -> S S over n words: Catalan(n - 1) trees, every one an X leaf per word
@@ -591,26 +579,12 @@ def test_taggings_share_one_search():
 
 def test_parse_hpsg_pins_every_counter():
     # A fresh grammar: the first call gives the same counts as every
-    # later call, as parsing writes nothing to it.  Both build the sign in 2
-    # propagation steps, the AllDistinct runs of the NP's and the S's
-    # daughter slots (21 when every constituent's well-formedness and
-    # every frame were told on each tree, 28 when each tree also posted
-    # the entries' restrictions); active's search adds one Spells run
-    # for each of the 5 distinct sequences among the 6 states it scans
-    # but the goal S, whose windows it tables as none because no
-    # right-hand side begins with S, and tries only the 6 windows it
-    # reduces.  Every head share is
-    # entailed when its mother is installed, so no ask is evaluated.
+    # later call, as parsing writes nothing to it.
     g = load_grammar_file(TOY_LEX)
-    common = dict(reductions_applied=6, backtracks=0, trees_considered=1,
-                  expansions=6, signs_accepted=1, completeness_tests=0,
-                  ask_evaluations=0)
-    want = {"active": dict(common, windows_tried=6, propagation_steps=6),
-            "gentest": dict(common, windows_tried=22, propagation_steps=2)}
     for _ in range(2):
-        for strategy, counts in want.items():
+        for strategy in ("active", "gentest"):
             _, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
-            assert asdict(stats) == counts, strategy
+            assert asdict(stats) == _pinned(strategy), strategy
 
 
 def test_a_tagging_whose_root_fails_follows_costs_the_store_nothing():
@@ -633,7 +607,7 @@ def test_a_tagging_whose_root_fails_follows_costs_the_store_nothing():
     # searched first, the failing root does not even make the store
     search = Search(g, "active")
     assert list(search.trees(("Det", "Vb", "Vb"))) == [] and search.store is None
-    assert search.stats.backtracks == 1 and search.stats.windows_tried == 0
+    assert asdict(search.stats) == counters.pinned("lex", "cfg", "Det Vb Vb", "active")
     assert len(list(search.trees(("Det", "Nm", "Vb")))) == 1
     alone = Search(g, "active")
     assert len(list(alone.trees(("Det", "Nm", "Vb")))) == 1
@@ -799,35 +773,6 @@ def _sign_table():
     return module.SIGN_TABLE
 
 
-def _check_valency_conservation(sign) -> int:
-    """Walk the sign's phrases through dtrs, reading the structure
-    alone: a phrase's lists followed by its realized daughters'
-    categories, in order, are its head daughter's lists.  Returns the
-    number of phrases walked."""
-    fs = sign.fs
-    cats = {fs.canon(r): c for c, r in sign.parts}
-
-    def lists(node):
-        return tuple(tuple(fs.resolve(CAT + (feat,), node) or ()) for feat in ("subj", "comps"))
-
-    phrases, todo = 0, [fs.canon(sign.root)]
-    while todo:
-        node = todo.pop()
-        head = fs.resolve(("dtrs", "head_dtr"), node)
-        if head is None:
-            continue
-        subj_dtr = fs.resolve(("dtrs", "subj_dtr"), node)
-        subj = () if subj_dtr is None else (subj_dtr,)
-        comps_cell = fs.lookup(("dtrs", "comp_dtrs"), node)
-        comps = tuple(fs.canon(ref.index) for ref in (comps_cell.value if comps_cell else ()))
-        (mother_subj, mother_comps), (head_subj, head_comps) = lists(node), lists(head)
-        assert mother_subj + tuple(cats[d] for d in subj) == head_subj
-        assert mother_comps + tuple(cats[d] for d in comps) == head_comps
-        todo += [head, *subj, *comps]
-        phrases += 1
-    return phrases
-
-
 def _whole_lexicon_cases():
     """(grammar, word lists): the SIGN_TABLE strings, and every string
     of 1-4 words over bench/lex.clg and over the toy lexicon."""
@@ -841,9 +786,10 @@ def _whole_lexicon_cases():
 
 @pytest.mark.parametrize("strategy", ["active", "gentest"])
 def test_valency_is_conserved_in_order_over_whole_lexicons(strategy):
-    walked = [_check_valency_conservation(sign) for g, inputs in _whole_lexicon_cases()
+    walked = [valency_pairs(sign) for g, inputs in _whole_lexicon_cases()
               for words in inputs for sign in parse_hpsg(words, g, strategy=strategy)[0]]
-    assert (len(walked), sum(walked)) == (23, 73)    # signs, phrases
+    assert all(got == want for pairs in walked for got, want in pairs)
+    assert (len(walked), sum(map(len, walked))) == (23, 73)    # signs, phrases
 
 
 def _local_trees(sign, words, g, strategy):
@@ -1123,19 +1069,10 @@ def test_frame_holds_is_what_post_subcat_tells():
 # -- phrases decided at load -----------------------------------------------------
 
 def _categorial():
-    """The toy grammar with local trees its checks reject or watch: NP ->
-    Nm Det breaks the LP order, nothing projects NP in NP -> Det, and the
-    Vb daughters of VP -> Vb Vb and of the rule* VP -> Vb Vb Vb are only
-    built as distinct signs.  Over the Vb signatures, an unsaturated
-    sister ("sleeps", "do", "dodo") or a Vb no head selects has no entry:
-    13 phrases in all, of the 91 products of known signatures."""
-    with open(TOY_LEX) as fh:
-        text = fh.read()
-    return load_grammar(text + (
-        "rule NP -> Nm Det. rule NP -> Det. rule VP -> Vb Vb. rule* VP -> Vb Vb Vb.\n"
-        'lex "rains" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subcat [].\n'
-        'lex "do" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP] subcat [Vb].\n'
-        'lex "dodo" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP] subcat [Vb, Vb].\n'))
+    """The toy grammar with local trees its checks reject or watch
+    (`counters.CATEGORIAL`): 13 phrases in all, of the 91 products of
+    known signatures."""
+    return load_grammar(counters.grammar_text("categorial"))
 
 
 _TABLE_GRAMMARS = {
@@ -1220,18 +1157,14 @@ def test_each_table_entry_is_what_building_its_phrase_decides(name):
 
 @pytest.mark.parametrize("strategy", ["active", "gentest"])
 def test_the_categorial_gate_stays_where_it_was(strategy):
-    # (signs, trees, expansions) under active and under gentest, the
-    # counts of a build that ran check_local_tree on every phrase: active
-    # stops a tree at its first violation, gentest at its end
+    # the counter table's rows hold the counts of a build that ran
+    # check_local_tree on every phrase
     g = _categorial()
-    want = {"cat the sleeps": ((0, 1, 3), (0, 1, 6)),
-            "the sleeps": ((0, 1, 2), (0, 1, 5)),
-            "the cat do rains": ((1, 1, 7), (1, 1, 7)),
-            "the cat dodo rains rains": ((1, 1, 8), (1, 1, 8))}
-    for sentence, counts in want.items():
+    for sentence in ("cat the sleeps", "the sleeps", "the cat do rains",
+                     "the cat dodo rains rains"):
         signs, stats = parse_hpsg(sentence.split(), g, strategy=strategy)
-        assert (len(signs), stats.trees_considered, stats.expansions) == \
-            counts[strategy == "gentest"], sentence
+        assert len(signs) == stats.signs_accepted
+        assert asdict(stats) == counters.pinned("categorial", "hpsg", sentence, strategy), sentence
 
 
 def test_a_parse_runs_none_of_the_decision_code(monkeypatch):
@@ -1565,6 +1498,27 @@ def _valency_count(words, lexicon) -> int:
     return chart[0, n][("S", (), ())]
 
 
+def _check_heads_once_told(sign) -> None:
+    """Tell every open head status of the sign true, constituents in
+    post-order; unless a tell is inconsistent, every phrase's head is
+    then its head daughter's head node (A5) and no head share waits."""
+    fs = sign.fs
+    try:
+        for _, root in sign.parts:
+            cat = fs.resolve(CAT, root)
+            cell = fs.find(cat, "head")
+            if cell is not None and fs.store.bool_value(cell.status) is Bool3.UNKNOWN:
+                fs.set_status("head", Bool3.TRUE, cat)
+    except InconsistencyError:
+        return
+    for _, root in sign.parts:
+        head_dtr = fs.resolve(("dtrs", "head_dtr"), root)
+        if head_dtr is not None:
+            head = fs.resolve(CAT + ("head",), root)
+            assert isinstance(head, int) and head == fs.resolve(CAT + ("head",), head_dtr)
+    assert not any(isinstance(w, _HeadWait) for w in fs.value_watchers)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_drawn_lexicons())
 def test_both_strategies_build_the_same_signs_over_drawn_lexicons(case):
@@ -1576,6 +1530,8 @@ def test_both_strategies_build_the_same_signs_over_drawn_lexicons(case):
             signs, stats = parse_hpsg(words, g, strategy=strategy)
             assert [valency_of(s) for s in signs] == [((), ())] * len(signs)    # A6
             got[strategy] = [sign_dump(s, statuses=True) for s in signs], stats.signs_accepted
+            for sign in signs:
+                _check_heads_once_told(sign)
         assert got["active"] == got["gentest"], words
         dumps, accepted = got["active"]
         assert len(dumps) == accepted

@@ -4,8 +4,9 @@ workload's own run and check must pass on its sentences (the capped
 11-token one aside), so that a change to the package fails here rather
 than in a benchmark run; the active search must scan no dead state on
 the `cfg-active` sentences, and the README's A1 counters must be those
-of a fresh parse.  The tests read `bench/` and edit nothing.
-Last, no module of the package or of its tests may import a name it
+of the counter table in `counters.py`.  The tests read `bench/` and
+edit nothing.  Last, the counter table imports the standard library
+alone, no module of the package or of its tests may import a name it
 never uses, no module of the package may read another's underscore
 name, and every class, and every class attribute, the README names
 exists."""
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import clparse
+import counters
 from clparse.grammar import load_grammar_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +58,7 @@ def test_hpsg_signs_workload_runs_and_checks():
 @pytest.mark.parametrize("name", ["cfg-active", "cfg-dead-ends"])
 def test_cfg_workload_runs_and_checks(name):
     # every sentence but the capped one, whose oracle alone takes
-    # seconds; test_cfg.py::test_pinned_counters pins its counters
+    # seconds; the counter table in counters.py pins its counters
     workloads = _bench_module("workloads")
     w = workloads.WORKLOADS[name]
     g = load_grammar_file(str(ROOT / w.grammar))
@@ -83,7 +85,8 @@ def test_active_scans_no_dead_state_on_the_cfg_active_sentences():
 
 def test_the_readme_quotes_the_a1_counters_of_a_fresh_parse():
     # the window parser's paragraph quotes what each strategy does on the
-    # 7-token A1 sentence; each solve is one Spells run
+    # 7-token A1 sentence, as the counter table pins it; each solve is one
+    # Spells run, and the states are those a fresh search memoizes
     text = " ".join((ROOT / "README.md").read_text().split())
     quoted = re.search(r"On the 7-token A1 sentence that is (\d+) windows, each one a reduction, "
                        r"found by (\d+) solves for its (\d+) states, none of them dead\. "
@@ -91,14 +94,14 @@ def test_the_readme_quotes_the_a1_counters_of_a_fresh_parse():
                        r"(\d+) states, (\d+) of them dead\.", text)
     assert quoted
     g = load_grammar_file(str(ROOT / "grammars" / "toy.clg"))
-    a1 = tuple("Det Nm Vb Det Nm Prep Nm".split())
+    a1 = tuple(counters.A1.split())
     active, gentest = clparse.cfg.Search(g, "active"), clparse.cfg.Search(g, "gentest")
     assert tuple(active.derivations(a1)) == tuple(gentest.derivations(a1))
-    sa, sg = active.stats, gentest.stats
-    assert sa.windows_tried == sa.reductions_applied and sa.backtracks == 0
+    sa, sg = (counters.pinned("toy", "cfg", a1, s) for s in ("active", "gentest"))
+    assert sa["windows_tried"] == sa["reductions_applied"] and sa["backtracks"] == 0
     assert tuple(map(int, quoted.groups())) == (
-        sa.windows_tried, sa.propagation_steps, len(active.memo),
-        sg.windows_tried, sg.reductions_applied, len(gentest.memo), sg.backtracks)
+        sa["windows_tried"], sa["propagation_steps"], len(active.memo),
+        sg["windows_tried"], sg["reductions_applied"], len(gentest.memo), sg["backtracks"])
 
 
 def test_the_readme_quotes_the_phrase_table_sizes():
@@ -158,6 +161,18 @@ def test_every_phrase_passes_each_traced_step_once(strategy):
     steps = ("check_local_tree", "attach_daughters", "post_unicity", "apply_hfp", "apply_valency")
     assert {s: tracer.calls[f"hpsg.{s}"] for s in steps} == dict(
         check_local_tree=0, attach_daughters=3, post_unicity=3, apply_hfp=0, apply_valency=0)
+
+
+def test_the_counter_table_imports_the_standard_library_alone():
+    # so that a script outside the tests can load it by path: no pytest,
+    # no hypothesis, no clparse, nothing relative
+    tree = ast.parse((ROOT / "tests" / "counters.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [("." * node.level) + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def test_every_exported_name_resolves_once():
