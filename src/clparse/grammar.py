@@ -3,7 +3,7 @@
 Declarations:
 
     start S.
-    rule S -> NP VP.              rule* X -> A A.   (* = no distinctness)
+    rule S -> NP VP.              rule* X -> A A.   (* = may repeat a sign)
     lp Det < Nm.
     frame NP { M = {Nm,Det,Adj,PP}; C = {Nm}; head = Nm; schema {Det,Adj}; }
     proj Nm = NP.
@@ -18,6 +18,8 @@ lexical entry's avm is read by the avm reader, which stops after its
 closing bracket and leaves the clauses after it to the loader.  The
 LP pairs must form a strict partial order; a cycle is reported on the
 line of its latest-declared pair.  A grammar is immutable once loaded.
+A `rule*` waives only `hpsg.check_local_tree`'s distinctness check:
+the sign pipeline builds each daughter as its own sign and checks none.
 The rules also compile to the window parser's three tables: `by_rhs`,
 each right-hand side's rules, the trie of right-hand sides, and
 `follows`, the categories that may stand side by side in a sentential
@@ -134,7 +136,9 @@ class LexEntry:
     that a tree still posts, none once `hpsg.fold_restrictions` has
     folded the restrictions into the template.  `signature` is the
     sign's `(category, subj, comps, schema)`: the avm cannot write the
-    valency lists itself, so they are `subj` and `subcat`."""
+    valency lists itself, so they are `subj` and `subcat`.  `head` is
+    the head value the template installs realized (`_template_head`);
+    `replace` remakes it, as it does `signature`."""
 
     form: str
     category: str
@@ -145,6 +149,7 @@ class LexEntry:
     template: tuple = field(default=None, hash=False, compare=False, repr=False)
     sites: tuple = field(default=(), hash=False, compare=False, repr=False)
     signature: tuple = field(init=False, hash=False, compare=False, repr=False)
+    head: object = field(init=False, hash=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "signature",
@@ -153,6 +158,19 @@ class LexEntry:
             avm = _deep_merge(self.avm, {"synsem": {"loc": {"cat": {
                 "subj": tuple(self.subj), "comps": tuple(self.subcat)}}}})
             object.__setattr__(self, "template", compile_avm(avm, Bool3.TRUE))
+        object.__setattr__(self, "head", _template_head(self.template))
+
+
+def _template_head(template):
+    """The synsem.loc.cat head value a compiled sign installs realized,
+    with the three cells above it: a node number or an atom, or None."""
+    cells = {(feature, node): (value, status) for feature, node, value, status in template[1]}
+    value = 1
+    for feature in ("synsem", "loc", "cat", "head"):
+        value, status = cells.get((feature, value), (None, None))
+        if status is not True:
+            return None
+    return value
 
 
 def _deep_merge(dst: dict, extra: dict) -> dict:

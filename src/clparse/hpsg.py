@@ -4,13 +4,12 @@ A sign is a feature structure rooted at synsem.loc.cat with subj/comps
 valency lists and, for phrases, a dtrs node holding the daughter signs.
 Local trees are checked for linear precedence, dominance and
 projection (`check_local_tree`, which also checks that daughters of one
-category are distinct signs for callers that pass signs).
+category are distinct signs for callers that pass signs, unless a
+`rule*` is among the rules over the tree).
 Valency is decided by a split: the saturated sisters split over the
 head's lists, which cancel the realized daughters from the end.  The
-daughter slots carry an a-priori distinctness constraint, which is the
-pipeline's only distinctness check: each daughter's slot ranges over
-its own root, so the slots are distinct exactly when no two daughters
-are one sign.  Subcategorization is
+pipeline checks no distinctness: each daughter is its own install, so
+no two daughters are one sign.  Subcategorization is
 boolean implications over per-constituent well-formedness, but a
 constituent that is built is well formed, the store's true constant,
 and an unrealized frame member is its false constant, so a frame's
@@ -19,7 +18,7 @@ label, daughter categories, head schema and complement categories.
 `frame_holds` decides it from them, as `post_subcat` would over those
 constants, with no store.
 
-Every decision but the slots' depends on a phrase's label and its
+Every decision about a phrase depends on its label and its
 daughters' signatures alone, each sign's `(category, subj, comps, schema)`.
 Cancellation only shortens lists, so the signatures a grammar reaches
 are finite: the loader closes over them from the lexical ones
@@ -45,8 +44,8 @@ bottom-up on a fresh store.  The active strategy checks each reduction
 as it is built.  The generate-and-test strategy defers the
 entries' restrictions a tree still posts and the rejection of a phrase
 whose entry gives a reason to the end of the tree, but rejects a failed
-valency split at once and builds what each mother is made from
-(daughter slots, head sharing), and so checks it, as it goes.
+valency split at once and builds each mother, its head sharing
+included, and so checks it, as it goes.
 Both accept exactly the same signs.
 
 Each lexical entry arrives compiled from the grammar loader: its sign
@@ -60,8 +59,9 @@ tree posts them.  The phrase skeleton is a template compiled once, at
 import.  A tree installs these templates instead of encoding every
 entry again.  Each mother is one install:
 the skeleton plus the phrase's own cells, its valency lists, its dtrs
-slots as absolute references to the daughters' roots and, when the
-head daughter's head is already realized, the shared head.
+as absolute references to the daughters' roots and, when the head
+daughter's install realized its head, the shared head: `Sign.head`, an
+entry's decided at load from its template, a phrase's the one it shared.
 Nothing a tree's store holds refers back strongly to its structure, so
 a rejected tree is freed by reference counting, without the cyclic
 collector.
@@ -93,6 +93,7 @@ class Sign:
     # its phrase's `PhraseDecision` gives, whose schema is None
     signature: tuple
     parts: tuple = ()                       # (category, root) per constituent
+    head: object = None     # the Ref or atom its install realized as head
 
     @property
     def category(self) -> str:
@@ -190,7 +191,7 @@ def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
     """Evaluate the four structural constraints building the mother does
     not make; the violations are data, none when the tree passes.  Two
     daughters of one category violate distinctness when they are one
-    sign, unless every rule over the tree is a rule*."""
+    sign, unless some rule over the tree is a rule*."""
     if not t.daughters:
         raise UsageError("a local tree needs daughters")
     cats = tuple(cat for cat, _ in t.daughters)
@@ -221,6 +222,7 @@ def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
 # -- daughter slots -----------------------------------------------------
 
 def post_unicity(slot_vars, store: Store) -> bool:
+    """Distinctness over a caller's slot variables; the pipeline has none."""
     if len(slot_vars) < 2:
         return True
     return store.tell(all_distinct(*slot_vars))
@@ -479,55 +481,30 @@ _PHRASE = compile_avm({"synsem": {"loc": {"cat": {}}}, "dtrs": {}}, Bool3.TRUE)
 _CAT, _DTRS = 4, 5
 
 
-def _realized_head(fs: FeatureStructure, sign: Sign) -> Cell | None:
-    """The sign's cat head cell when it and the synsem, loc and cat
-    cells above it all have status true, else None."""
-    chain = _cat_chain(fs, sign.root)
-    if chain is None:
-        return None
-    head = fs.find(chain[-1].value.index, "head")
-    if head is None:
-        return None
-    status = fs.store.bool_value
-    if all(status(cell.status) is Bool3.TRUE for cell in (*chain, head)):
-        return head
-    return None
-
-
 def attach_daughters(fs: FeatureStructure, head: Sign, *, subj=(), comps=(),
-                     mother_subj=(), mother_comps=()) -> tuple[int, tuple[VarId, ...]]:
-    """Install a mother over its daughters with one `instantiate`: the
-    phrase skeleton, the mother's subj and comps lists, the dtrs slots
-    as references to the daughters' roots and, when the head daughter's
-    head is already realized, the shared head, realized.  An open guard
-    is posted by `apply_hfp` after the install.  Returns the mother's
-    root and one finite-domain variable per occupied slot over the
-    sign's root index, in slot order, so distinctness can be posted
-    before anything else looks at the slots."""
+                     mother_subj=(), mother_comps=()) -> int:
+    """Install a mother over its daughters, distinct signs, with one
+    `instantiate` and return its root: the phrase skeleton, the
+    mother's subj and comps lists, the dtrs as references to the
+    daughters' roots and the head daughter's `Sign.head`, shared and
+    realized, if it has one; else `apply_hfp` posts the share after."""
     if len(subj) > 1:
         raise UsageError("at most one subject daughter")
     cells = [("subj", _CAT, tuple(mother_subj), True),
              ("comps", _CAT, tuple(mother_comps), True)]
-    shared = _realized_head(fs, head)
+    shared = head.head
     if shared is not None:
-        value = shared.value
-        cells.append(("head", _CAT, Ref(fs.canon(value.index))
-                      if isinstance(value, Ref) else value, True))
-    slots = [("head_dtr", head)]
+        cells.append(("head", _CAT, Ref(fs.canon(shared.index))
+                      if isinstance(shared, Ref) else shared, True))
     cells.append(("head_dtr", _DTRS, Ref(fs.canon(head.root)), True))
-    for sign in subj:
-        slots.append(("subj_dtr", sign))
-        cells.append(("subj_dtr", _DTRS, Ref(fs.canon(sign.root)), True))
+    cells += [("subj_dtr", _DTRS, Ref(fs.canon(sign.root)), True) for sign in subj]
     if comps:
-        slots += [(f"comp_dtrs[{k}]", sign) for k, sign in enumerate(comps)]
         cells.append(("comp_dtrs", _DTRS, tuple(Ref(fs.canon(s.root)) for s in comps), True))
     n_nodes, skeleton = _PHRASE
     root = fs.instantiate((n_nodes, skeleton + tuple(cells)))
     if shared is None:
         apply_hfp(fs, root)
-    store = fs.store
-    return root, tuple(store.new_var([fs.canon(sign.root)], name=f"dtr:{name}")
-                       for name, sign in slots)
+    return root
 
 
 # -- sign construction ----------------------------------------------------
@@ -536,7 +513,9 @@ def lexical_sign(fs: FeatureStructure, entry: LexEntry) -> Sign:
     """Install one lexical entry's template; entry features are realized
     (status true) unless the entry text says otherwise."""
     root = fs.instantiate(entry.template)
-    return Sign(fs, root, entry.signature)
+    head = entry.head
+    return Sign(fs, root, entry.signature,
+                head=Ref(root - 1 + head) if isinstance(head, int) else head)
 
 
 # -- phrases decided at load ----------------------------------------------
@@ -668,22 +647,20 @@ class _TreeBuild:
 
     def phrase(self, label: str, signs) -> Sign:
         """Build the mother the grammar's `PhraseDecision` describes: the
-        gate on its reason, the install and the slots' distinctness, in
-        that order; a phrase with no entry, whose valency split fails,
+        gate on its reason, then the install, whose head is the one it
+        shared; a phrase with no entry, whose valency split fails,
         rejects the tree at once."""
         d = self.g.phrase_table.get((label, tuple([s.signature for s in signs])))
         if d is None:
             raise InconsistencyError(f"no valency split of {label} over its daughters")
         if d.reason:
             self.gate(functools.partial(_reject, d.reason))
-        root, slots = attach_daughters(self.fs, signs[d.head],
-                                       subj=[signs[i] for i in d.subj],
-                                       comps=[signs[i] for i in d.comps],
-                                       mother_subj=d.mother[1], mother_comps=d.mother[2])
+        head = signs[d.head]
+        root = attach_daughters(self.fs, head, subj=[signs[i] for i in d.subj],
+                                comps=[signs[i] for i in d.comps],
+                                mother_subj=d.mother[1], mother_comps=d.mother[2])
         self.parts.append((label, root))
-        if not post_unicity(slots, self.store):
-            raise InconsistencyError("daughter slots are not distinct")
-        return Sign(self.fs, root, d.mother)
+        return Sign(self.fs, root, d.mother, head=head.head)
 
 
 def _build_tree(tree, tagging, g: Grammar, strategy: str, stats: Stats,

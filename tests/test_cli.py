@@ -253,7 +253,7 @@ def test_trace_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
         assert proc.returncode == 0
         traces.append(proc.stderr)
     assert traces[0] == traces[1]
-    assert "AllDistinct" in traces[0] and "wf:" not in traces[0]
+    assert "Spells" in traces[0] and "wf:" not in traces[0]
 
 
 def test_hpsg_mode_dumps_signs(capsys):

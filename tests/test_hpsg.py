@@ -112,6 +112,9 @@ def test_rule_star_opts_out_of_distinctness():
     tree = LocalTree("X", (("A", a), ("A", a)))
     kinds = {v.kind for v in check_local_tree(tree, g)}
     assert "distinctness" not in kinds
+    # one rule* among the rules over the tree waives the check
+    mixed = load_grammar("rule* X -> A A. rule X -> A A. proj A = X. start X.")
+    assert "distinctness" not in {v.kind for v in check_local_tree(tree, mixed)}
 
 
 def test_dominance_violation(toy):
@@ -194,36 +197,39 @@ def test_apply_valency_writes_mother_lists():
     assert fs.resolve(CAT + ("comps",), m) == ("Det",)
 
 
-# -- daughter slots ---------------------------------------------------------
+# -- the mother install ------------------------------------------------------
 
 
-def test_attach_daughters_builds_slots(toy):
+def test_attach_daughters_links_the_daughters(toy):
     st, fs = fresh()
     vb = entry_sign(toy, "sleeps", fs)
-    np = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("NP"))
+    np, obj = (Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("NP"))
+               for _ in range(2))
     before = fs.dump(statuses=True), st.fingerprint()
     with pytest.raises(UsageError):
-        attach_daughters(fs, vb, subj=[np, np])
+        attach_daughters(fs, vb, subj=[np, obj])
     assert (fs.dump(statuses=True), st.fingerprint()) == before
-    root, slots = attach_daughters(fs, vb, subj=[np], comps=[np], mother_comps=("Det",))
+    root = attach_daughters(fs, vb, subj=[np], comps=[obj], mother_comps=("Det",))
     assert fs.resolve(("dtrs", "head_dtr"), root) == fs.canon(vb.root)
     assert fs.resolve(("dtrs", "subj_dtr"), root) == fs.canon(np.root)
-    assert fs.resolve(("dtrs", "comp_dtrs"), root) == (Ref(fs.canon(np.root)),)
+    assert fs.resolve(("dtrs", "comp_dtrs"), root) == (Ref(fs.canon(obj.root)),)
     assert fs.resolve(CAT + ("subj",), root) == ()
     assert fs.resolve(CAT + ("comps",), root) == ("Det",)
     # the head of "sleeps" is realized, so the install shares it
+    assert vb.head == Ref(fs.resolve(CAT + ("head",), vb.root))
     assert fs.resolve(CAT + ("head",), root) == fs.resolve(CAT + ("head",), vb.root)
     assert fs.status_value(CAT + ("head",), root) is Bool3.TRUE
     assert st.counters.ask_evaluations == 0
-    assert len(slots) == 3
-    assert not post_unicity(slots, st)     # np fills two slots
+    # and makes no store variable
+    assert st.fingerprint() == before[1]
 
 
 def test_attach_daughters_leaves_an_open_head_share_suspended():
     _, fs = fresh()
     head = Sign(fs, fs.encode_node(parse_avm("[synsem: [loc: [cat: [?head: [maj: v]]]]]"),
                                    Bool3.TRUE), saturated("Vb"))
-    root, slots = attach_daughters(fs, head)
+    assert head.head is None
+    root = attach_daughters(fs, head)
     cat = fs.resolve(CAT, root)
     assert fs.find(cat, "head") is None
     fs.set_status(CAT + ("head",), Bool3.TRUE, head.root)
@@ -587,6 +593,22 @@ def test_parse_hpsg_pins_every_counter():
             assert asdict(stats) == _pinned(strategy), strategy
 
 
+def test_a_fully_known_lexicon_costs_the_tree_stores_nothing(toy):
+    # every toy_lex entry is folded at load and every phrase is decided
+    # there, so no tree store makes a variable or posts a constraint:
+    # gentest's search uses no store, so it traces no event, and every
+    # event active traces is its search's, a Spells post or a prune of w
+    lines = []
+    signs, _ = parse_hpsg("the cat sleeps".split(), toy, strategy="gentest", trace=lines.append)
+    assert len(signs) == 1
+    assert [line for line in lines if line.startswith("EVENT")] == []
+    lines = []
+    signs, _ = parse_hpsg("the cat sleeps".split(), toy, strategy="active", trace=lines.append)
+    assert len(signs) == 1
+    assert not any("AllDistinct" in line or "dtr:" in line for line in lines)
+    assert all(" Spells(" in line or line.startswith("EVENT prune w ") for line in lines)
+
+
 def test_a_tagging_whose_root_fails_follows_costs_the_store_nothing():
     # "fish" is a noun and a verb.  Of "the fish sleeps", the tagging
     # Det Vb Vb puts a verb after a determiner, as no sentential form
@@ -816,7 +838,7 @@ def _local_trees(sign, words, g, strategy):
 
 @pytest.mark.parametrize("strategy", ["active", "gentest"])
 def test_every_phrase_links_its_daughters_and_shares_their_head(strategy):
-    # (a) the dtrs slots hold the daughters' roots: the head daughter
+    # (a) the dtrs features hold the daughters' roots: the head daughter
     # (the frame's head), then the sisters in surface order, the subject
     # first, as every sister in these grammars stands in the order of
     # its slots; (b) the phrase's head is the head daughter's head node
@@ -1136,18 +1158,10 @@ def test_each_table_entry_is_what_building_its_phrase_decides(name):
         # the realized daughters cancel from the end of the head's lists
         assert d.mother[1] + tuple(cats[i] for i in d.subj) == sigs[hi][1]
         assert d.mother[2] + tuple(cats[i] for i in d.comps) == sigs[hi][2]
-        root, slots = attach_daughters(fs, signs[hi], subj=[signs[i] for i in d.subj],
-                                       comps=[signs[i] for i in d.comps],
-                                       mother_subj=mother_subj, mother_comps=mother_comps)
+        root = attach_daughters(fs, signs[hi], subj=[signs[i] for i in d.subj],
+                                comps=[signs[i] for i in d.comps],
+                                mother_subj=mother_subj, mother_comps=mother_comps)
         assert d.mother == (label, *valency_of(Sign(fs, root, d.mother)), None)
-        # the slots are the pipeline's distinctness check: they hold over
-        # distinct signs and fail where one sign fills two of them
-        assert post_unicity(slots, fs.store)
-        for i, j in itertools.combinations(range(len(signs)), 2):
-            twin = signs[:j] + [signs[i]] + signs[j + 1:]
-            _, slots = attach_daughters(fs, twin[hi], subj=[twin[k] for k in d.subj],
-                                        comps=[twin[k] for k in d.comps])
-            assert not post_unicity(slots, fs.store), (label, sigs, i, j)
         reasons = [v.detail for v in check_local_tree(LocalTree(label, tuple(zip(cats, signs))), g)]
         if label in g.frames and not _told_verdict(
                 g, (label, cats, sigs[hi][3], tuple(cats[i] for i in d.comps))):
@@ -1498,6 +1512,23 @@ def _valency_count(words, lexicon) -> int:
     return chart[0, n][("S", (), ())]
 
 
+def _check_distinct_daughters(sign) -> None:
+    """What lets the pipeline post no distinctness: every constituent is
+    its own install, so the roots in `parts` are pairwise distinct, and
+    so are the nodes each phrase's dtrs name."""
+    fs = sign.fs
+    roots = [fs.canon(root) for _, root in sign.parts]
+    assert len(set(roots)) == len(roots)
+    for root in roots:
+        head = fs.resolve(("dtrs", "head_dtr"), root)
+        if head is None:
+            continue
+        subj = fs.resolve(("dtrs", "subj_dtr"), root)
+        comps = fs.resolve(("dtrs", "comp_dtrs"), root) or ()
+        dtrs = [head, *([subj] if subj is not None else []), *(fs.canon(r.index) for r in comps)]
+        assert len(set(dtrs)) == len(dtrs)
+
+
 def _check_heads_once_told(sign) -> None:
     """Tell every open head status of the sign true, constituents in
     post-order; unless a tell is inconsistent, every phrase's head is
@@ -1531,6 +1562,7 @@ def test_both_strategies_build_the_same_signs_over_drawn_lexicons(case):
             assert [valency_of(s) for s in signs] == [((), ())] * len(signs)    # A6
             got[strategy] = [sign_dump(s, statuses=True) for s in signs], stats.signs_accepted
             for sign in signs:
+                _check_distinct_daughters(sign)
                 _check_heads_once_told(sign)
         assert got["active"] == got["gentest"], words
         dumps, accepted = got["active"]

@@ -147,8 +147,9 @@ def test_every_phrase_passes_each_traced_step_once(strategy):
     # The install writes every mother's lists and, with every head
     # realized here, shares each head, so the pipeline calls neither
     # apply_valency nor apply_hfp; their spans read 0.  The loader
-    # decides each phrase's local-tree checks, so check_local_tree's
-    # span reads 0 as well.
+    # decides each phrase's local-tree checks, and the daughters of an
+    # install are distinct signs, so check_local_tree's and
+    # post_unicity's spans read 0 as well.
     tracing = _bench_module("tracing")
     g = load_grammar_file(TOY_LEX)
     tracer = tracing.Tracer()
@@ -160,7 +161,7 @@ def test_every_phrase_passes_each_traced_step_once(strategy):
     assert len(signs) == 1
     steps = ("check_local_tree", "attach_daughters", "post_unicity", "apply_hfp", "apply_valency")
     assert {s: tracer.calls[f"hpsg.{s}"] for s in steps} == dict(
-        check_local_tree=0, attach_daughters=3, post_unicity=3, apply_hfp=0, apply_valency=0)
+        check_local_tree=0, attach_daughters=3, post_unicity=0, apply_hfp=0, apply_valency=0)
 
 
 def test_the_counter_table_imports_the_standard_library_alone():
