@@ -4,7 +4,11 @@ A structure is a sequence of cells ⟨feature, owner, value, status⟩
 grouped by owner node.  Values are atoms, node references, flat sequences
 of both (on the designated list-valued features), or absent; `compile_avm`
 and `add` refuse deeper nesting, so every complex value is one indirection away.
-Structure sharing is two cells holding the same node reference.
+Structure sharing is two cells holding the same node reference.  Nodes
+are never merged, so a node index is the node for as long as it
+exists: a reference is made only by installing a cell that holds it or
+by filling a placeholder with it, and `add` on a cell that has a value
+agrees with it or clashes.
 
 Each cell's status is a boolean variable in the owning store, so
 implications over feature statuses propagate through the ordinary
@@ -101,10 +105,9 @@ class FeatureStructure:
         self.store = store
         # the cell group of node i, by feature, at position i (0 unused)
         self._groups: list[dict[str, Cell]] = [{}]
-        self._redirect: dict[int, int] = {}
         # called with a cell whenever the value of a cell on an existing
-        # node becomes known, also by a merge onto a cell that has one
-        # (`instantiate` only makes fresh nodes)
+        # node becomes known: a cell `add`ed with a value, or a
+        # placeholder `add` fills (`instantiate` only makes fresh nodes)
         self.value_watchers: list = []
 
     # -- nodes ---------------------------------------------------------
@@ -118,20 +121,14 @@ class FeatureStructure:
         self.store.on_undo(self._groups.pop)
         return self._n_nodes
 
-    def canon(self, i: int) -> int:
-        while i in self._redirect:
-            i = self._redirect[i]
-        return i
-
     def _check_node(self, i: int) -> int:
         if not (1 <= i <= self._n_nodes):
             raise UsageError(f"no node {i}")
-        return self.canon(i)
+        return i
 
     def node_indices(self) -> list[int]:
-        """Live node indices, ascending."""
-        dead = set(self._redirect)
-        return [i for i in range(1, self._n_nodes + 1) if i not in dead]
+        """Node indices, ascending."""
+        return list(range(1, self._n_nodes + 1))
 
     def cells_of(self, i: int) -> tuple[Cell, ...]:
         return tuple(self._groups[self._check_node(i)].values())
@@ -212,7 +209,7 @@ class FeatureStructure:
         def element(v):
             if not isinstance(v, Ref):
                 return v
-            i = self.canon(v.index)
+            i = v.index
             if i not in memo:
                 memo[i] = {}
                 todo.append(i)
@@ -241,25 +238,19 @@ class FeatureStructure:
                 return cell
             if not isinstance(cell.value, Ref):
                 return None
-            idx = self.canon(cell.value.index)
+            idx = cell.value.index
         return None
 
     def resolve(self, path, start: int = 1):
-        """The node index (canonical) or atom the path leads to."""
+        """The node index or atom (or sequence) the path leads to."""
         cell = self.lookup(path, start)
         if cell is None:
             return None
         if isinstance(cell.value, Ref):
-            return self.canon(cell.value.index)
+            return cell.value.index
         return cell.value
 
     # -- mutation ----------------------------------------------------------
-
-    def _set_value(self, cell: Cell, value) -> None:
-        self.store.on_undo(functools.partial(setattr, cell, "value", cell.value))
-        cell.value = value
-        if value is not None:
-            self._notify_value(cell)
 
     def _notify_value(self, cell: Cell) -> None:
         for fn in tuple(self.value_watchers):
@@ -271,62 +262,23 @@ class FeatureStructure:
         if not self.store.tell(BoolConstraint(Equiv(Var(a), Var(b)))):
             raise InconsistencyError("status clash")
 
-    def _unify_values(self, cell: Cell, value) -> None:
-        """Fold `value` into cell.value (placeholder < atom/ref/seq)."""
-        if value is None:
+    def _agree(self, cell: Cell, value) -> None:
+        """`value` on a cell that exists: a placeholder takes it, an equal
+        value (or none) leaves the cell as it is, anything else clashes."""
+        if value is None or value == cell.value:
             return
-        if cell.value is None:
-            self._set_value(cell, value)
-            return
-        a, b = cell.value, value
-        if isinstance(a, Ref) and isinstance(b, Ref):
-            self.unify_nodes(a.index, b.index)
-        elif isinstance(a, tuple) and isinstance(b, tuple):
-            if len(a) != len(b):
-                raise InconsistencyError(
-                    f"sequence length clash on {cell.feature}: {len(a)} vs {len(b)}")
-            for x, y in zip(a, b):
-                if isinstance(x, Ref) and isinstance(y, Ref):
-                    self.unify_nodes(x.index, y.index)
-                elif x != y:
-                    raise InconsistencyError(f"sequence clash on {cell.feature}")
-        elif a != b:
-            raise InconsistencyError(f"value clash on {cell.feature}: {a!r} vs {b!r}")
-
-    def unify_nodes(self, i: int, j: int) -> int:
-        """Merge two nodes; the smaller index survives as canonical.
-        Same-name features unify recursively, statuses are tied.  All or
-        nothing: on a clash the structure is left as it was."""
-        i, j = self._check_node(i), self._check_node(j)
-        if i == j:
-            return i
-        with self.store.transaction():
-            keep, drop = (i, j) if i < j else (j, i)
-            self._redirect[drop] = keep
-            self.store.on_undo(functools.partial(self._redirect.pop, drop))
-            kept = self._groups[keep]
-            # drop's own group is left as it is: nothing reads it while
-            # drop redirects, and an undo finds it intact and in order
-            for feat, cell in list(self._groups[drop].items()):
-                other = kept.get(feat)
-                if other is None:
-                    kept[feat] = cell
-                    self.store.on_undo(functools.partial(kept.__delitem__, feat))
-                    self.store.on_undo(functools.partial(setattr, cell, "owner", cell.owner))
-                    cell.owner = keep
-                else:
-                    if cell.value is None and other.value is not None:
-                        # drop's cell learns keep's value: its watchers hear it
-                        self._notify_value(other)
-                    self._unify_values(other, cell.value)
-                    self._tie_statuses(other.status, cell.status)
-            self._assert_acyclic(keep)
-            return keep
+        if cell.value is not None:
+            raise InconsistencyError(
+                f"value clash on {cell.feature}: {cell.value!r} vs {value!r}")
+        self.store.on_undo(functools.partial(setattr, cell, "value", None))
+        cell.value = value
+        self._notify_value(cell)
 
     def add(self, cells) -> None:
-        """Install cells ⟨feature, owner, value, status⟩.  A duplicate
-        feature unifies with the existing cell instead of duplicating;
-        a status given as a variable is used as-is (token identity), as
+        """Install cells ⟨feature, owner, value, status⟩.  A feature the
+        node has already is not duplicated: its cell agrees with the
+        value or clashes (`_agree`), and takes the status as given.  A
+        status given as a variable is used as-is (token identity), as
         a known truth value it is the store's shared constant, as unknown
         a fresh variable.  So two cells share a status variable when they
         were tied or were made with the same known status.  All or
@@ -342,15 +294,13 @@ class FeatureStructure:
                         raise UsageError(f"{feature} is not list-valued")
                     if any(isinstance(e, tuple) for e in value):
                         raise UsageError(f"{feature} holds a sequence inside a sequence")
-                    value = tuple(Ref(self._check_node(e.index)) if isinstance(e, Ref) else e
-                                  for e in value)
-                elif isinstance(value, Ref):
-                    value = Ref(self._check_node(value.index))
+                for r in self._refs(value):
+                    self._check_node(r.index)
                 existing = self._groups[owner].get(feature)
                 if existing is None:
                     self._install_cell(feature, owner, value, status)
                 else:
-                    self._unify_values(existing, value)
+                    self._agree(existing, value)
                     if isinstance(status, VarId):
                         self._tie_statuses(existing.status, status)
                     elif isinstance(status, Bool3) and status.known:
@@ -358,36 +308,6 @@ class FeatureStructure:
                 # only a node reference adds an edge, and so can close a cycle
                 if self._refs(value):
                     self._assert_acyclic(owner)
-
-    def share(self, p1, p2, start: int = 1) -> int:
-        """Make two paths end at the same node; returns its index."""
-        t1, t2 = self.resolve(p1, start), self.resolve(p2, start)
-        # an atom or a sequence value is not a node
-        if not all(t is None or isinstance(t, int) for t in (t1, t2)):
-            raise UsageError("share needs node-valued paths")
-        if t1 is None and t2 is None:
-            raise UsageError("neither path resolves to a node")
-        if t1 is not None and t2 is not None:
-            return self.unify_nodes(t1, t2)
-        have, missing = (t1, p2) if t1 is not None else (t2, p1)
-        parts = _as_path(missing)
-        idx = self._check_node(start)
-        with self.store.transaction():
-            for feat in parts[:-1]:
-                cell = self._groups[idx].get(feat)
-                if cell is None:
-                    cell = self._install_cell(feat, idx, Ref(self.new_node()), Bool3.UNKNOWN)
-                if not isinstance(cell.value, Ref):
-                    raise UsageError(f"path {missing!r} blocked by atom at {feat}")
-                idx = self.canon(cell.value.index)
-            last = parts[-1]
-            cell = self._groups[idx].get(last)
-            if cell is None:
-                self._install_cell(last, idx, Ref(have), Bool3.UNKNOWN)
-            else:
-                self._unify_values(cell, Ref(have))
-            self._assert_acyclic(idx)
-        return self.canon(have)
 
     def _force_status(self, cell: Cell, s: Bool3) -> None:
         store = self.store
@@ -429,7 +349,8 @@ class FeatureStructure:
 
         Strings in owner/value/status positions are variables; anything
         else is a constant (pre-bind a variable to force a constant
-        value).  Owners must be bound by the time their template is
+        value).  A node reference binds as its node index, in a sequence
+        too, and a `Ref` constant matches the node it names.  Owners must be bound by the time their template is
         tried; an owner that names no node is a UsageError.  A variable
         bound twice must see the same thing, which is how a repeated
         index variable expresses token identity.  A repeated status
@@ -448,7 +369,7 @@ class FeatureStructure:
                 env[term] = actual
                 return True
             if isinstance(term, Ref):
-                term = self.canon(term.index)
+                term = term.index
             return term == actual
 
         for feature, owner, value, status in pattern:
@@ -472,35 +393,30 @@ class FeatureStructure:
             cell = self._groups[self._check_node(idx)].get(feature)
             if cell is None:
                 return None
-            if not bind(value, self._canon_value(cell.value)):
+            if not bind(value, template_value(cell.value)):
                 return None
             if status is not None and not bind(status, cell.status):
                 return None
         return env
 
-    def _canon_value(self, v):
-        if isinstance(v, tuple):
-            return tuple(self.canon(e.index) if isinstance(e, Ref) else e for e in v)
-        return self.canon(v.index) if isinstance(v, Ref) else v
-
     # -- the node graph -------------------------------------------------------
 
     def _below(self, i: int) -> set[int]:
-        """Canonical nodes at the end of some non-empty path from node i:
-        the one walk over node references."""
+        """The nodes at the end of some non-empty path from node i: the
+        one walk over node references."""
         seen: set[int] = set()
-        stack = [self.canon(i)]
+        stack = [i]
         while stack:
             for cell in self._groups[stack.pop()].values():
                 for r in self._refs(cell.value):
-                    t = self.canon(r.index)
+                    t = r.index
                     if t not in seen:
                         seen.add(t)
                         stack.append(t)
         return seen
 
     def reachable(self, root: int) -> list[int]:
-        """Canonical nodes reachable from `root`, itself included, ascending."""
+        """The nodes reachable from `root`, itself included, ascending."""
         root = self._check_node(root)
         return sorted(self._below(root) | {root})
 
@@ -508,7 +424,7 @@ class FeatureStructure:
         # Every mutation is checked here and rolled back on failure, so the
         # structure was acyclic before it: a new cycle must pass through the
         # node that was mutated.
-        if self.canon(start) in self._below(start):
+        if start in self._below(start):
             raise UsageError("cycle through node references")
 
     @staticmethod
@@ -527,8 +443,9 @@ class FeatureStructure:
 
     # -- output -----------------------------------------------------------------
 
-    def _fmt_value(self, v) -> str:
-        v = self._canon_value(v)
+    @staticmethod
+    def _fmt_value(v) -> str:
+        v = template_value(v)
         if isinstance(v, tuple):
             return "<" + ",".join("-" if e is None else str(e) for e in v) + ">"
         return "-" if v is None else str(v)
@@ -545,6 +462,14 @@ class FeatureStructure:
                 parts.append("<" + ",".join(fields) + ">")
             lines.append("[" + ", ".join(parts) + "]")
         return "\n".join(lines)
+
+
+def template_value(value):
+    """A cell value in template form, each node reference as its node
+    number: as `delta` binds it and `dump` prints it."""
+    if isinstance(value, tuple):
+        return tuple(map(template_value, value))
+    return value.index if isinstance(value, Ref) else value
 
 
 def compile_avm(avm: dict, default_status: Bool3 = Bool3.UNKNOWN) -> tuple:

@@ -13,7 +13,8 @@ Declarations:
 
 Comments run from % to end of line.  Frames may omit O (then O = M - C)
 and the closing brace ends the statement; everything else ends with a
-dot.  Any text outside the syntax is a `GrammarError` on its line: a
+dot.  A frame's `schema` clause is validated (it must lie within O) and
+constrains nothing.  Any text outside the syntax is a `GrammarError` on its line: a
 lexical entry's avm is read by the avm reader, which stops after its
 closing bracket and leaves the clauses after it to the loader.  The
 LP pairs must form a strict partial order; a cycle is reported on the
@@ -67,10 +68,10 @@ class PSRule:
 @dataclass(frozen=True)
 class Frame:
     """Immediate-constituent frame of one phrase: maximal set M split
-    into compulsory C and optional O, with the head and the declared
-    valency schemata (each a subset of O).  The loader checks and keeps
-    `schemata`, but nothing reads them: the optional members a head
-    demands come from its lexical entry's `schema` clause, through
+    into compulsory C and optional O, with the head.  A frame's
+    `schema {...}` clause is checked to lie within O and then dropped:
+    it constrains nothing, since the optional members a head demands
+    come from its lexical entry's `schema` clause, through
     `hpsg.frame_holds`."""
 
     phrase: str
@@ -78,7 +79,6 @@ class Frame:
     c: frozenset[str]
     o: frozenset[str]
     head: str
-    schemata: tuple[frozenset[str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -403,7 +403,7 @@ def _parse_frame(body: str, line: int) -> Frame:
     for schema in schemata:
         if not schema <= o_set:
             raise GrammarError(f"frame {phrase}: schema exceeds the optional set", line)
-    return Frame(phrase, m_set, c_set, o_set, head, tuple(schemata))
+    return Frame(phrase, m_set, c_set, o_set, head)
 
 
 def _parse_lex(body: str, line: int) -> LexEntry:

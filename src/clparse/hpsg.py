@@ -77,7 +77,7 @@ from dataclasses import dataclass, replace
 from .cfg import Search
 from .constraints import BoolConstraint, all_distinct, bool_post, element
 from .errors import InconsistencyError, UsageError
-from .fstruct import Bool3, Cell, FeatureStructure, Ref, compile_avm
+from .fstruct import Bool3, Cell, FeatureStructure, Ref, compile_avm, template_value
 from .grammar import FCR, FcrLiteral, Grammar, LexEntry, fcr_sites
 from .logic import And, Const, Formula, Implies, Not, Or, Var, conj
 from .store import AskResult, Stats, Store, VarId
@@ -100,7 +100,7 @@ class Sign:
         return self.signature[0]
 
     def same_ref(self, other: "Sign") -> bool:
-        return self.fs is other.fs and self.fs.canon(self.root) == other.fs.canon(other.root)
+        return self.fs is other.fs and self.root == other.root
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,7 @@ def _value_guard(fs: FeatureStructure, node: int, feature: str, value: str) -> V
     var = store.new_bool(f"{feature}[{value}]@{node}")
     # The watcher holds the structure weakly: the store's undo entry
     # holds the watcher, so a strong reference would make a cycle.
-    settle = functools.partial(_settle_guard, weakref.ref(fs), fs.canon(node),
-                               feature, value, var)
+    settle = functools.partial(_settle_guard, weakref.ref(fs), node, feature, value, var)
     cell = fs.find(node, feature)
     if cell is not None and cell.value is not None:
         settle(cell)
@@ -285,7 +284,7 @@ def _settle_guard(fs_ref, node: int, feature: str, value: str, var: VarId,
     fs = fs_ref()
     if fs is None or cell.value is None or isinstance(cell.value, (Ref, tuple)):
         return
-    if cell.feature != feature or fs.canon(cell.owner) != fs.canon(node):
+    if cell.feature != feature or cell.owner != node:
         return
     store = fs.store
     with store.transaction():
@@ -297,7 +296,6 @@ def compile_fcr(f: FCR, fs: FeatureStructure, node: int) -> Formula:
     """Instantiate a restriction the loader checked at one node: bare
     literals become the feature's status variable (a valueless placeholder
     cell if it is absent), valued literals conjoin a value guard."""
-    node = fs.canon(node)
 
     def leaf(lit: FcrLiteral) -> Formula:
         cell = fs.find(node, lit.feature)
@@ -352,8 +350,10 @@ def fold_restrictions(entry: LexEntry, fcrs) -> LexEntry:
     as it is, for every tree to post its sites, which rejects an entry
     that violates a restriction where it always did.
     This is exact because nothing adds a cell, value or status to a
-    lexical node once it is installed, and no later value or status can
-    change a formula whose every leaf is decided."""
+    folded entry's nodes once it is installed: it has no site left to
+    post, nodes are never merged, and the sign builder adds cells only
+    to the mothers it installs.  And no later value or status can change
+    a formula whose every leaf is decided."""
     if not entry.sites:
         return entry
     fs = FeatureStructure(Store())
@@ -369,15 +369,8 @@ def fold_restrictions(entry: LexEntry, fcrs) -> LexEntry:
             status = fs.store.bool_value(cell.status)
             if not status.known:
                 return entry
-            cells.append((cell.feature, node, _template_value(cell.value), status is Bool3.TRUE))
+            cells.append((cell.feature, node, template_value(cell.value), status is Bool3.TRUE))
     return replace(entry, template=(n_nodes, tuple(cells)), sites=())
-
-
-def _template_value(value):
-    """A value on nodes numbered as compiled, back in template form."""
-    if isinstance(value, tuple):
-        return tuple(map(_template_value, value))
-    return value.index if isinstance(value, Ref) else value
 
 
 # -- head feature sharing -------------------------------------------------
@@ -405,7 +398,7 @@ def apply_hfp(fs: FeatureStructure, root: int) -> FeatureStructure:
     never.  A head daughter with no head cell yet, its own share still
     waiting, defers the whole post until that cell arrives, so delayed
     sharing chains up the tree."""
-    env = fs.delta(_HFP_PATTERN, {"M0": fs.canon(root)})
+    env = fs.delta(_HFP_PATTERN, {"M0": root})
     if env is None:
         return fs
     head = fs.find(env["D4"], "head")
@@ -414,9 +407,8 @@ def apply_hfp(fs: FeatureStructure, root: int) -> FeatureStructure:
         return fs
     store = fs.store
     guards = [env[f"g{k}"] for k in range(1, 9)] + [head.status]
-    value = Ref(fs.canon(head.value.index)) if isinstance(head.value, Ref) else head.value
     if all(store.bool_value(g) is Bool3.TRUE for g in guards):
-        fs.add((("head", env["M3"], value, Bool3.TRUE),))
+        fs.add((("head", env["M3"], head.value, Bool3.TRUE),))
         return fs
     guard = conj([Var(g) for g in guards])
     shared = store.new_bool(f"hfp@{env['M3']}")
@@ -424,7 +416,7 @@ def apply_hfp(fs: FeatureStructure, root: int) -> FeatureStructure:
         raise InconsistencyError("head sharing rejected")
     # weakly, as the store holds the callback (see _value_guard)
     store.post_ask(BoolConstraint(guard), functools.partial(
-        _share_head, weakref.ref(fs), env["M3"], value, shared))
+        _share_head, weakref.ref(fs), env["M3"], head.value, shared))
     return fs
 
 
@@ -452,7 +444,7 @@ class _HeadWait:
 
     def __call__(self, cell: Cell) -> None:
         fs = self.fs_ref()
-        if fs is None or cell.feature != "head" or fs.canon(cell.owner) != fs.canon(self.cat):
+        if fs is None or cell.feature != "head" or cell.owner != self.cat:
             return
         fs.value_watchers.remove(self)
         fs.store.on_undo(functools.partial(fs.value_watchers.append, self))
@@ -492,17 +484,15 @@ def attach_daughters(fs: FeatureStructure, head: Sign, *, subj=(), comps=(),
         raise UsageError("at most one subject daughter")
     cells = [("subj", _CAT, tuple(mother_subj), True),
              ("comps", _CAT, tuple(mother_comps), True)]
-    shared = head.head
-    if shared is not None:
-        cells.append(("head", _CAT, Ref(fs.canon(shared.index))
-                      if isinstance(shared, Ref) else shared, True))
-    cells.append(("head_dtr", _DTRS, Ref(fs.canon(head.root)), True))
-    cells += [("subj_dtr", _DTRS, Ref(fs.canon(sign.root)), True) for sign in subj]
+    if head.head is not None:
+        cells.append(("head", _CAT, head.head, True))
+    cells.append(("head_dtr", _DTRS, Ref(head.root), True))
+    cells += [("subj_dtr", _DTRS, Ref(sign.root), True) for sign in subj]
     if comps:
-        cells.append(("comp_dtrs", _DTRS, tuple(Ref(fs.canon(s.root)) for s in comps), True))
+        cells.append(("comp_dtrs", _DTRS, tuple(Ref(s.root) for s in comps), True))
     n_nodes, skeleton = _PHRASE
     root = fs.instantiate((n_nodes, skeleton + tuple(cells)))
-    if shared is None:
+    if head.head is None:
         apply_hfp(fs, root)
     return root
 
@@ -713,5 +703,5 @@ def parse_hpsg(words, g: Grammar, *, strategy: str = "active",
 
 def sign_dump(sign: Sign, *, statuses: bool = False) -> str:
     # every constituent's well-formedness is the store's true constant
-    wf = " ".join(f"{cat}@{sign.fs.canon(root)}={Bool3.TRUE.value}" for cat, root in sign.parts)
+    wf = " ".join(f"{cat}@{root}={Bool3.TRUE.value}" for cat, root in sign.parts)
     return sign.fs.dump(statuses=statuses) + "\n" + f"WF {wf}".rstrip()

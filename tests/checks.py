@@ -11,12 +11,12 @@ def valency_pairs(sign) -> list:
     by its realized daughters' categories in order, and its head
     daughter's lists.  Valency is conserved where the two are equal."""
     fs = sign.fs
-    cats = {fs.canon(r): c for c, r in sign.parts}
+    cats = {r: c for c, r in sign.parts}
 
     def lists(node):
         return tuple(tuple(fs.resolve(CAT + (feat,), node) or ()) for feat in ("subj", "comps"))
 
-    pairs, todo = [], [fs.canon(sign.root)]
+    pairs, todo = [], [sign.root]
     while todo:
         node = todo.pop()
         head = fs.resolve(("dtrs", "head_dtr"), node)
@@ -25,7 +25,7 @@ def valency_pairs(sign) -> list:
         subj_dtr = fs.resolve(("dtrs", "subj_dtr"), node)
         subj = () if subj_dtr is None else (subj_dtr,)
         comps_cell = fs.lookup(("dtrs", "comp_dtrs"), node)
-        comps = tuple(fs.canon(ref.index) for ref in (comps_cell.value if comps_cell else ()))
+        comps = tuple(ref.index for ref in (comps_cell.value if comps_cell else ()))
         mother_subj, mother_comps = lists(node)
         pairs.append(((mother_subj + tuple(cats[d] for d in subj),
                        mother_comps + tuple(cats[d] for d in comps)), lists(head)))

@@ -43,8 +43,6 @@ AVMS = ({"f": {"g": "p"}, "h": "q"}, {"f": {"g": "q"}, "h": 7}, _cyclic())
 ops = st.one_of(
     st.tuples(st.just("encode_node"), st.sampled_from(AVMS)),
     st.tuples(st.just("add"), st.lists(cells, min_size=1, max_size=3)),
-    st.tuples(st.just("unify_nodes"), nodes, nodes),
-    st.tuples(st.just("share"), paths, paths),
     st.tuples(st.just("set_status"), paths, st.sampled_from(STATUSES)),
     st.tuples(st.just("exclude"), paths, paths),
     st.tuples(st.just("eq"), fd, st.integers(0, 3)),
@@ -72,10 +70,6 @@ def apply(fs: FeatureStructure, xs, op):
         return fs.encode_node(args[0])
     if kind == "add":
         return fs.add(args[0])
-    if kind == "unify_nodes":
-        return fs.unify_nodes(*args)
-    if kind == "share":
-        return fs.share(*args)
     if kind == "set_status":
         return fs.set_status(*args)
     if kind == "exclude":

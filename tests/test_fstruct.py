@@ -1,5 +1,5 @@
-"""Indexed feature structures: encoding, sharing, unification, pattern
-extraction, statuses, text syntax."""
+"""Indexed feature structures: encoding, sharing, `add` on existing
+cells, pattern extraction, statuses, text syntax."""
 
 import random
 import re
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clparse import Bool3, InconsistencyError, Store, UsageError
+from clparse.constraints import bool_post
 from clparse.fstruct import (
     Ann,
     FeatureStructure,
@@ -18,6 +19,8 @@ from clparse.fstruct import (
     encode,
     parse_avm,
 )
+from clparse.grammar import parse_fcr
+from clparse.hpsg import compile_fcr
 from clparse.logic import NAME
 
 CASE_MATRIX = "[cat: [head: [maj: n, case: nom]], content: [index: [gen: masc, num: sing]]]"
@@ -84,23 +87,21 @@ def test_list_values_only_on_designated_features():
         assert fs.dump(statuses=True) == before
 
 
-def test_sequence_values_unify_element_by_element():
+def test_sequence_values_agree_or_clash():
     fs = encode(parse_avm("[comps: <#1 [maj: n], #2 [case: nom]>, subj: <np, pp>, "
-                          "x: [maj: n], y: [case: acc], z: [num: sg]]"))
-    x, y, z = (fs.resolve(f) for f in "xyz")
+                          "x: [maj: n], z: [num: sg]]"))
+    comps, x, z = (fs.lookup(f).value for f in ("comps", "x", "z"))
     before = fs.dump(statuses=True)
-    for feature, value in (("comps", (Ref(x),)),          # length clash
-                           ("subj", ("np", "vp")),         # atom clash
-                           ("comps", (Ref(x), "pp")),      # an atom against a node
-                           ("comps", (Ref(x), Ref(y)))):   # nom against acc inside the nodes
+    for feature, value in (("comps", comps[:1]),            # length clash
+                           ("subj", ("np", "vp")),          # atom clash
+                           ("comps", (comps[0], "pp")),     # an atom against a node
+                           ("comps", (x, comps[1])),        # another node, though alike
+                           ("comps", (comps[0], z))):       # another node, though compatible
         with pytest.raises(InconsistencyError):
             fs.add([(feature, 1, value, Bool3.UNKNOWN)])
         assert fs.dump(statuses=True) == before
-    fs.add([("comps", 1, (Ref(x), Ref(z)), Bool3.UNKNOWN), ("subj", 1, ("np", "pp"), Bool3.UNKNOWN)])
-    first, second = fs.lookup("comps").value
-    assert (fs.canon(first.index), fs.canon(second.index)) == (fs.canon(x), fs.canon(z))
-    assert fs.lookup("z.case").value == "nom" and fs.lookup("x.maj").value == "n"
-    assert fs.lookup("subj").value == ("np", "pp")
+    fs.add([("comps", 1, comps, Bool3.UNKNOWN), ("subj", 1, ("np", "pp"), Bool3.UNKNOWN)])
+    assert fs.dump(statuses=True) == before
 
 
 def test_decode_round_trip_random_corpus():
@@ -144,103 +145,6 @@ def test_avm_equal_is_sharing_sensitive():
     assert avm_equal(b, {"x": {"maj": "n"}, "y": {"maj": "n"}})
 
 
-def test_share_fresh_path():
-    fs = encode(parse_avm("[x: [maj: n]]"))
-    fs.share("x", "y")
-    assert fs.resolve("y") == fs.resolve("x")
-    assert fs.lookup("y.maj").value == "n"
-
-
-def test_share_merges_disjoint_nodes():
-    fs = encode(parse_avm("[x: [maj: n], y: [case: nom]]"))
-    fs.share("x", "y")
-    assert fs.resolve("x") == fs.resolve("y")
-    assert fs.lookup("x.case").value == "nom"
-    assert fs.lookup("y.maj").value == "n"
-
-
-def test_share_atom_clash():
-    fs = encode(parse_avm("[x: [maj: n], y: [maj: v]]"))
-    with pytest.raises(InconsistencyError):
-        fs.share("x", "y")
-
-
-def test_share_refuses_a_sequence_value():
-    # a sequence value is no node, as an atom is not: refused before
-    # anything changes, against a fresh path or a node alike
-    fs = encode(parse_avm("[comps: <np>, y: [w: v]]"))
-    before = fs.dump()
-    for other in ("x", "y"):
-        with pytest.raises(UsageError, match="node-valued"):
-            fs.share("comps", other)
-        with pytest.raises(UsageError, match="node-valued"):
-            fs.share(other, "comps")
-        assert fs.dump() == before
-
-
-def test_share_persistence_token_identity():
-    fs = encode(parse_avm("[x: [head: [maj: n]], y: [head: [maj: n]]]"))
-    fs.share("x.head", "y.head")
-    fs.add([("case", fs.resolve("x.head"), "nom", Bool3.UNKNOWN)])
-    assert fs.lookup("y.head.case").value == "nom"
-
-
-def test_share_rejects_cycle():
-    fs = encode(parse_avm("[x: [y: [z: a]]]"))
-    with pytest.raises(UsageError):
-        fs.share("x.y", "")       # empty path is a usage error too
-    with pytest.raises(UsageError):
-        fs.share("x", "x.y")      # would make node 2 contain itself
-
-
-def test_unify_nodes_identity_and_merge():
-    fs = encode(parse_avm("[x: [maj: n], y: [case: nom]]"))
-    i = fs.resolve("x")
-    assert fs.unify_nodes(i, i) == i
-    j = fs.resolve("y")
-    k = fs.unify_nodes(i, j)
-    assert k == min(i, j)
-    assert {c.feature for c in fs.cells_of(k)} == {"maj", "case"}
-
-
-def test_unify_nodes_commutative():
-    for order in ((2, 3), (3, 2)):
-        fs = encode(parse_avm("[x: [maj: n], y: [case: nom]]"))
-        fs.unify_nodes(*order)
-        assert fs.lookup("x.case").value == "nom"
-        assert fs.resolve("x") == fs.resolve("y") == 2
-
-
-def test_unify_nodes_recursive():
-    fs = encode(parse_avm("[x: [h: [maj: n]], y: [h: [case: nom]]]"))
-    fs.unify_nodes(fs.resolve("x"), fs.resolve("y"))
-    assert fs.lookup("x.h.case").value == "nom"
-    assert fs.resolve("x.h") == fs.resolve("y.h")
-
-
-def test_unify_statuses_merge():
-    s = Store()
-    fs = FeatureStructure(s)
-    fs.encode_node(parse_avm("[x: [+maj: n], y: [?maj: n]]"))
-    fs.unify_nodes(fs.resolve("x"), fs.resolve("y"))
-    assert fs.status_value("x.maj") is Bool3.TRUE      # U + T -> T
-
-
-def test_unify_statuses_clash():
-    s = Store()
-    fs = FeatureStructure(s)
-    fs.encode_node(parse_avm("[x: [+maj: n], y: [-maj: n]]"))
-    with pytest.raises(InconsistencyError):
-        fs.unify_nodes(fs.resolve("x"), fs.resolve("y"))
-    # all or nothing: y clashes after x has been merged and its statuses
-    # tied, and the failed unification takes both steps back
-    fs = encode(parse_avm("[a: [x: p, y: q], b: [x: p, y: r]]"))
-    before = fs.dump(statuses=True), fs.store.fingerprint()
-    with pytest.raises(InconsistencyError):
-        fs.unify_nodes(fs.resolve("a"), fs.resolve("b"))
-    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
-
-
 def test_add_fresh_and_duplicate():
     fs = encode(parse_avm("[cat: [maj: n]]"))
     node = fs.resolve("cat")
@@ -251,6 +155,31 @@ def test_add_fresh_and_duplicate():
     assert fs.dump() == before
     with pytest.raises(InconsistencyError):
         fs.add([("case", node, "acc", Bool3.UNKNOWN)])
+
+
+def test_add_on_an_existing_cell_agrees_or_clashes():
+    fs = encode(parse_avm("[a: #1 [maj: n], b: #1, c: [maj: n], +case: nom, +gen: -, ?index]"))
+    assert fs.store.tell(bool_post(compile_fcr(parse_fcr("GEN[FEM] -> ~INDEX"), fs, 1)))
+    shared = fs.lookup("b").value
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    # another node, though its cells are alike, another atom, or the same
+    # atom with a status it cannot be tied to: a clash that leaves the
+    # structure and the store as they were
+    for cell in (("b", 1, Ref(fs.resolve("c")), Bool3.UNKNOWN),
+                 ("case", 1, "acc", Bool3.UNKNOWN),
+                 ("case", 1, "nom", fs.store.false)):
+        with pytest.raises(InconsistencyError, match="clash"):
+            fs.add([("gen", 1, "masc", Bool3.UNKNOWN), cell])
+        assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+    # the value it has already: nothing changes
+    fs.add([("b", 1, shared, Bool3.UNKNOWN), ("a", 1, shared, fs.lookup("a").status),
+            ("case", 1, "nom", Bool3.UNKNOWN)])
+    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+    # a placeholder takes the value, and the restriction's value guard hears it
+    assert fs.status_value("index") is Bool3.UNKNOWN
+    fs.add([("gen", 1, "fem", Bool3.UNKNOWN)])
+    assert fs.lookup("gen").value == "fem"
+    assert fs.status_value("index") is Bool3.FALSE
 
 
 def test_add_with_status_variable_token_identity():
@@ -370,21 +299,10 @@ def test_has_substructure_passive():
     assert not fs.has_substructure(1, 1)   # path must be non-empty
 
 
-def test_reachable_and_substructure_see_through_a_merge():
-    fs = encode(parse_avm("[x: [h: [maj: n]], y: [h: [case: nom]], z: [k: [l: a]]]"))
-    assert not fs.has_substructure(4, 3)
-    assert fs.unify_nodes(2, 4) == 2         # y.h (5) folds into x.h (3)
-    assert fs.reachable(1) == [1, 2, 3, 6, 7]
-    assert fs.reachable(4) == fs.reachable(2) == [2, 3]
-    assert fs.reachable(5) == [3]
-    assert fs.has_substructure(4, 3) and fs.has_substructure(1, 5)
-    assert not fs.has_substructure(5, 4)
-
-
 @pytest.mark.parametrize("avm, mutate", [
     ("[f: [g: [h: a]]]", lambda fs: fs.add([("back", 3, Ref(1), Bool3.UNKNOWN)])),
-    ("[f: [g: [h: [k: a]]]]", lambda fs: fs.unify_nodes(2, 4)),
-    ("[f: [g: [h: a]]]", lambda fs: fs.unify_nodes(1, 3)),
+    ("[f: [g: [h: [k: a]]]]", lambda fs: fs.add([("comps", 4, ("np", Ref(2)), Bool3.UNKNOWN)])),
+    ("[f: [g: [h: -]]]", lambda fs: fs.add([("h", 3, Ref(1), Bool3.UNKNOWN)])),
 ], ids=["leaf-to-root", "parent-grandchild", "root-grandchild"])
 def test_cycles_are_rejected_and_taken_back(avm, mutate):
     fs = encode(parse_avm(avm))
@@ -397,15 +315,17 @@ def test_cycles_are_rejected_and_taken_back(avm, mutate):
 def test_structure_rolls_back_with_store():
     s = Store()
     fs = FeatureStructure(s)
-    fs.encode_node(parse_avm("[x: [maj: n], y: [case: nom]]"))
+    fs.encode_node(parse_avm("[x: [maj: n], y: [case: -]]"))
     before = fs.dump(statuses=True)
     snap = s.snapshot()
-    fs.share("x", "y")
+    fs.add([("w", 1, Ref(fs.resolve("x")), Bool3.UNKNOWN),      # a second path to x
+            ("case", fs.resolve("y"), "nom", Bool3.UNKNOWN)])    # a placeholder filled
     fs.set_status("x.maj", Bool3.TRUE)
     fs.add([("z", 1, "atom", Bool3.UNKNOWN)])
+    assert fs.resolve("w") == fs.resolve("x")
     s.restore(snap)
     assert fs.dump(statuses=True) == before
-    assert fs.resolve("x") != fs.resolve("y")
+    assert fs.lookup("w") is None and fs.lookup("y.case").value is None
 
 
 def test_parse_avm_errors():

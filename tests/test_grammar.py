@@ -82,8 +82,9 @@ def test_rule_star_disables_distinctness():
 def test_frames_and_projections():
     g = load_grammar_file(TOY_LEX)
     np = g.frames["NP"]
+    # the frame's `schema {Det}` clause is validated and kept nowhere
     assert np == Frame("NP", frozenset({"Det", "Nm"}), frozenset({"Nm"}),
-                       frozenset({"Det"}), "Nm", (frozenset({"Det"}),))
+                       frozenset({"Det"}), "Nm")
     assert g.frames["VP"].o == frozenset()
     assert g.projection("Nm") == "NP"
     assert g.projection("VP") == "S"

@@ -210,9 +210,9 @@ def test_attach_daughters_links_the_daughters(toy):
         attach_daughters(fs, vb, subj=[np, obj])
     assert (fs.dump(statuses=True), st.fingerprint()) == before
     root = attach_daughters(fs, vb, subj=[np], comps=[obj], mother_comps=("Det",))
-    assert fs.resolve(("dtrs", "head_dtr"), root) == fs.canon(vb.root)
-    assert fs.resolve(("dtrs", "subj_dtr"), root) == fs.canon(np.root)
-    assert fs.resolve(("dtrs", "comp_dtrs"), root) == (Ref(fs.canon(obj.root)),)
+    assert fs.resolve(("dtrs", "head_dtr"), root) == vb.root
+    assert fs.resolve(("dtrs", "subj_dtr"), root) == np.root
+    assert fs.resolve(("dtrs", "comp_dtrs"), root) == (Ref(obj.root),)
     assert fs.resolve(CAT + ("subj",), root) == ()
     assert fs.resolve(CAT + ("comps",), root) == ("Det",)
     # the head of "sleeps" is realized, so the install shares it
@@ -322,23 +322,6 @@ def test_fcr_value_guard_waits_for_the_value():
     fs2.add((("maj", late, "v", Bool3.TRUE),))   # the sanctioned atom is fine
 
 
-@pytest.mark.parametrize("guarded_first", [False, True])
-def test_fcr_value_guard_hears_a_value_its_node_is_merged_onto(guarded_first):
-    # the guarded node is dropped by the merge when it has the higher
-    # index, and then only the surviving cell carries the value
-    st, fs = fresh()
-    if guarded_first:
-        b = fs.encode_node(parse_avm("[?index]"))
-        a = fs.encode_node(parse_avm("[+case: nom]"))
-    else:
-        a = fs.encode_node(parse_avm("[+case: nom]"))
-        b = fs.encode_node(parse_avm("[?index]"))
-    assert st.tell(bool_post(compile_fcr(parse_fcr("CASE[NOM] -> ~INDEX"), fs, b)))
-    assert fs.status_value("index", b) is Bool3.UNKNOWN
-    fs.unify_nodes(a, b)
-    assert fs.status_value("index", b) is Bool3.FALSE
-
-
 def test_fcr_unknown_feature_is_a_compile_error():
     # no sign of this grammar can carry INDEX: the grammar does not load
     head = 'rule S -> A. start S.\nlex "x" A [synsem: [pform: p]] subcat [].\n'
@@ -431,7 +414,7 @@ def test_hfp_waits_for_all_nine_statuses():
     cell = fs.find(cat, "head")
     assert cell is not None
     assert st.bool_value(cell.status) is Bool3.TRUE
-    assert fs.canon(cell.value.index) == fs.resolve(
+    assert cell.value.index == fs.resolve(
         ("dtrs", "head_dtr") + CAT + ("head",), root)
 
 
@@ -830,7 +813,7 @@ def _local_trees(sign, words, g, strategy):
                for tree, _ in search.trees(tuple(e.category for e in tagging))
                if tuple(label for label, _ in post_order(tree)) == labels]
     assert len(matches) == 1
-    root_of = {id(node): sign.fs.canon(root)
+    root_of = {id(node): root
                for node, (_, root) in zip(post_order(matches[0]), sign.parts)}
     return [(root_of[id(node)], [root_of[id(d)] for d in node[1]], [d[0] for d in node[1]])
             for node in post_order(matches[0]) if node[1]]
@@ -847,13 +830,13 @@ def test_every_phrase_links_its_daughters_and_shares_their_head(strategy):
         for words in inputs:
             for sign in parse_hpsg(words, g, strategy=strategy)[0]:
                 fs = sign.fs
-                cats = {fs.canon(r): c for c, r in sign.parts}
+                cats = {r: c for c, r in sign.parts}
                 for node, dtrs, dcats in _local_trees(sign, words, g, strategy):
                     head = dtrs[dcats.index(g.frames[cats[node]].head)]
                     subj = fs.resolve(("dtrs", "subj_dtr"), node)
                     comps = fs.resolve(("dtrs", "comp_dtrs"), node) or ()
                     assert fs.resolve(("dtrs", "head_dtr"), node) == head
-                    assert ([subj] if subj else []) + [fs.canon(r.index) for r in comps] == \
+                    assert ([subj] if subj else []) + [r.index for r in comps] == \
                         [d for d in dtrs if d != head]
                     shared = fs.resolve(CAT + ("head",), node)
                     assert isinstance(shared, int)
@@ -872,7 +855,7 @@ def test_a_suspended_head_share_waits_for_its_status():
         signs, stats = parse_hpsg("the cat sleeps".split(), g, strategy=strategy)
         assert len(signs) == 1 and stats.ask_evaluations == 1
         fs = signs[0].fs
-        roots = {cat: fs.canon(root) for cat, root in signs[0].parts}
+        roots = dict(signs[0].parts)
         vp_cat = fs.resolve(CAT, roots["VP"])
         assert fs.find(vp_cat, "head") is None
         status = fs.lookup(CAT + ("head",), roots["Vb"]).status
@@ -891,7 +874,7 @@ def test_a_waiting_head_share_retires_once_it_shares(strategy):
                                         '"sleeps" Vb [synsem: [loc: [cat: [?head:')
     signs, _ = parse_hpsg("the cat sleeps".split(), load_grammar(text), strategy=strategy)
     fs = signs[0].fs
-    roots = {cat: fs.canon(root) for cat, root in signs[0].parts}
+    roots = dict(signs[0].parts)
 
     def waiting():
         return [w for w in fs.value_watchers if isinstance(w, _HeadWait)]
@@ -925,7 +908,7 @@ def test_delayed_head_sharing_chains_up_the_tree(strategy):
         assert fs.find(fs.resolve(CAT, signs[0].root), "head") is None
         for k in order:
             assert fs.store.tell(bool_post(Var(open_heads[k])))
-        phrases, todo = 0, [fs.canon(signs[0].root)]
+        phrases, todo = 0, [signs[0].root]
         while todo:
             node = todo.pop()
             head_dtr = fs.resolve(("dtrs", "head_dtr"), node)
@@ -936,7 +919,7 @@ def test_delayed_head_sharing_chains_up_the_tree(strategy):
             assert fs.status_value(CAT + ("head",), node) is Bool3.TRUE
             for cell in fs.cells_of(fs.resolve("dtrs", node)):
                 refs = cell.value if isinstance(cell.value, tuple) else (cell.value,)
-                todo += [fs.canon(ref.index) for ref in refs]
+                todo += [ref.index for ref in refs]
             phrases += 1
         assert phrases == 4, order
 
@@ -1517,7 +1500,7 @@ def _check_distinct_daughters(sign) -> None:
     its own install, so the roots in `parts` are pairwise distinct, and
     so are the nodes each phrase's dtrs name."""
     fs = sign.fs
-    roots = [fs.canon(root) for _, root in sign.parts]
+    roots = [root for _, root in sign.parts]
     assert len(set(roots)) == len(roots)
     for root in roots:
         head = fs.resolve(("dtrs", "head_dtr"), root)
@@ -1525,7 +1508,7 @@ def _check_distinct_daughters(sign) -> None:
             continue
         subj = fs.resolve(("dtrs", "subj_dtr"), root)
         comps = fs.resolve(("dtrs", "comp_dtrs"), root) or ()
-        dtrs = [head, *([subj] if subj is not None else []), *(fs.canon(r.index) for r in comps)]
+        dtrs = [head, *([subj] if subj is not None else []), *(r.index for r in comps)]
         assert len(set(dtrs)) == len(dtrs)
 
 

@@ -9,7 +9,8 @@ edit nothing.  Last, the counter table imports the standard library
 alone, no module of the package or of its tests may import a name it
 never uses, no module of the package may read another's underscore
 name, and every class, and every class attribute, the README names
-exists."""
+exists, as does every feature-structure name of its "Feature
+structures" bullet."""
 
 import ast
 import builtins
@@ -26,6 +27,7 @@ import pytest
 
 import clparse
 import counters
+from clparse import fstruct
 from clparse.grammar import load_grammar_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -275,3 +277,16 @@ def test_every_class_the_readme_names_exists():
     attributes = set(re.findall(name + r"\.([A-Za-z_]\w*)", readme))
     assert attributes
     assert not sorted(f"{n}.{a}" for n, a in attributes if a not in _attributes(found[n]))
+
+
+def test_every_name_the_feature_structures_bullet_gives_exists():
+    # a backticked lower-case name in the README's "Feature structures"
+    # bullet, alone or opening a call, is a `FeatureStructure` attribute
+    # or a name in `clparse.fstruct`, so the README cannot go on naming
+    # a deleted method
+    readme = (ROOT / "README.md").read_text()
+    bullet = re.search(r"^- \*\*Feature structures\*\*.*?\n\n", readme, re.S | re.M).group()
+    names = set(re.findall(r"`([a-z_]\w*)[`(]", bullet))
+    assert {"add", "instantiate", "compile_avm", "parse_avm"} <= names
+    assert not sorted(n for n in names
+                      if not hasattr(fstruct.FeatureStructure, n) and not hasattr(fstruct, n))
