@@ -21,7 +21,7 @@ from clparse.fstruct import (
 )
 from clparse.grammar import parse_fcr
 from clparse.hpsg import compile_fcr
-from clparse.logic import NAME
+from clparse.logic import NAME, Not, Var
 
 CASE_MATRIX = "[cat: [head: [maj: n, case: nom]], content: [index: [gen: masc, num: sing]]]"
 
@@ -196,6 +196,151 @@ def test_add_fills_placeholder():
     assert fs.lookup("x.maj").value is None
     fs.add([("maj", fs.resolve("x"), "n", Bool3.UNKNOWN)])
     assert fs.lookup("x.maj").value == "n"
+
+
+def test_a_ref_on_a_fresh_path_is_a_second_path_to_the_node():
+    fs = encode(parse_avm("[x: [maj: n]]"))
+    fs.add([("y", 1, Ref(fs.resolve("x")), Bool3.UNKNOWN)])
+    assert fs.resolve("y") == fs.resolve("x")
+    assert fs.lookup("y.maj") is fs.lookup("x.maj")
+
+
+def test_a_ref_onto_another_node_clashes_and_merges_nothing():
+    # two nodes with disjoint features stay two nodes: a path that holds
+    # one cannot be given the other
+    fs = encode(parse_avm("[x: [maj: n], y: [case: nom]]"))
+    x, y = fs.resolve("x"), fs.resolve("y")
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    for feature, other in (("y", x), ("x", y)):
+        with pytest.raises(InconsistencyError, match="value clash"):
+            fs.add([(feature, 1, Ref(other), Bool3.UNKNOWN)])
+        assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+    assert fs.lookup("x.case") is None and fs.lookup("y.maj") is None
+
+
+def test_a_ref_against_an_atom_clashes_both_ways():
+    fs = encode(parse_avm("[x: [maj: n], y: v]"))
+    before = fs.dump(statuses=True)
+    for cell in (("y", 1, Ref(fs.resolve("x")), Bool3.UNKNOWN),   # a node onto an atom
+                 ("x", 1, "v", Bool3.UNKNOWN)):                    # an atom onto a node
+        with pytest.raises(InconsistencyError, match="value clash"):
+            fs.add([cell])
+        assert fs.dump(statuses=True) == before
+
+
+def test_a_ref_against_a_sequence_clashes_both_ways():
+    fs = encode(parse_avm("[comps: <np>, subj: [w: v], y: [w: v]]"))
+    before = fs.dump(statuses=True)
+    for cell in (("comps", 1, Ref(fs.resolve("y")), Bool3.UNKNOWN),   # a node onto a sequence
+                 ("subj", 1, ("np",), Bool3.UNKNOWN)):                 # a sequence onto a node
+        with pytest.raises(InconsistencyError, match="value clash"):
+            fs.add([cell])
+        assert fs.dump(statuses=True) == before
+
+
+def test_token_identity_persists_through_a_second_path():
+    # a cell added, or a placeholder filled, on the node one path reaches
+    # is there through every other path to it
+    fs = encode(parse_avm("[x: [head: [maj: n, case: -]]]"))
+    fs.add([("y", 1, Ref(fs.resolve("x.head")), Bool3.UNKNOWN)])
+    fs.add([("case", fs.resolve("y"), "nom", Bool3.UNKNOWN),
+            ("num", fs.resolve("x.head"), "sg", Bool3.UNKNOWN)])
+    assert fs.lookup("x.head.case").value == "nom"
+    assert fs.lookup("y.num") is fs.lookup("x.head.num")
+    assert fs.lookup("y.maj").value == "n"
+
+
+def test_a_ref_to_the_node_itself_or_to_no_node_changes_nothing():
+    fs = encode(parse_avm("[x: [y: [z: a]]]"))
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    x = fs.resolve("x")
+    with pytest.raises(UsageError, match="cycle through node references"):
+        fs.add([("w", 1, "b", Bool3.UNKNOWN), ("self", x, Ref(x), Bool3.UNKNOWN)])
+    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+    for cell in (("w", 1, Ref(99), Bool3.UNKNOWN), ("w", 99, "b", Bool3.UNKNOWN)):
+        with pytest.raises(UsageError, match="no node 99"):
+            fs.add([("v", 1, "b", Bool3.UNKNOWN), cell])
+        assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+
+
+def test_adding_the_cells_a_node_has_is_a_no_op():
+    fs = encode(parse_avm("[x: #1 [+maj: n, ?case: -], y: #1, comps: <#1, np>, -gen: masc]"))
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    for i in fs.node_indices():
+        fs.add([(c.feature, i, c.value, c.status) for c in fs.cells_of(i)])
+    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+
+
+def test_the_order_of_a_batch_does_not_matter():
+    batch = [("case", 2, "nom", Bool3.TRUE),        # a placeholder filled
+             ("num", 2, "sg", Bool3.UNKNOWN),       # a fresh cell
+             ("maj", 2, "n", Bool3.TRUE),           # a status forced
+             ("y", 1, Ref(2), Bool3.UNKNOWN)]       # a second path
+    dumps = set()
+    for cells in (batch, batch[::-1]):
+        fs = encode(parse_avm("[x: [?maj: n, case: -]]"))
+        fs.add(cells)
+        dumps.add(fs.dump(statuses=True))
+        before = fs.dump(statuses=True), fs.store.fingerprint()
+        clash = [("gen", 2, "masc", Bool3.UNKNOWN), ("maj", 2, "v", Bool3.UNKNOWN)]
+        for bad in (clash, clash[::-1]):
+            with pytest.raises(InconsistencyError):
+                fs.add(bad)
+            assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+    assert len(dumps) == 1
+
+
+def test_a_late_clash_takes_back_the_whole_batch():
+    fs = encode(parse_avm("[x: [?maj: n, case: -], y: [num: sg]]"))
+    watched = []
+    fs.value_watchers.append(watched.append)
+    tie = fs.store.new_bool("tie")
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    with pytest.raises(InconsistencyError, match="value clash on num"):
+        fs.add([("case", 2, "nom", Bool3.UNKNOWN),           # a placeholder filled
+                ("maj", 2, "n", tie),                        # a status tied
+                ("z", 1, Ref(3), Bool3.TRUE),                # a second path
+                ("gen", 3, "fem", Bool3.UNKNOWN),            # a fresh cell
+                ("num", 3, "pl", Bool3.UNKNOWN)])            # and then a clash
+    assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+    assert fs.lookup("x.case").value is None and fs.lookup("z") is None
+    assert fs.store.bool_value(tie) is Bool3.UNKNOWN
+    # the watchers heard each value before the clash took it back
+    assert [c.feature for c in watched] == ["case", "z", "gen"]
+
+
+def test_a_status_given_to_an_existing_cell_is_forced_or_tied():
+    fs = encode(parse_avm("[?maj: n, ?case: nom]"))
+    fs.add([("maj", 1, "n", Bool3.TRUE)])
+    assert fs.status_value("maj") is Bool3.TRUE                 # U given T -> T
+    var = fs.store.new_bool("v")
+    fs.add([("case", 1, "nom", var)])
+    assert fs.status_value("case") is Bool3.UNKNOWN
+    assert fs.store.tell(bool_post(Not(Var(var))))
+    assert fs.status_value("case") is Bool3.FALSE                 # tied to the variable
+
+
+def test_a_status_that_contradicts_the_cell_clashes():
+    fs = encode(parse_avm("[+maj: n, -case: nom, ?gen: masc]"))
+    before = fs.dump(statuses=True), fs.store.fingerprint()
+    for cell in (("maj", 1, "n", Bool3.FALSE),
+                 ("case", 1, "nom", Bool3.TRUE),
+                 ("case", 1, "nom", fs.lookup("maj").status)):
+        with pytest.raises(InconsistencyError):
+            fs.add([("gen", 1, "masc", Bool3.TRUE), cell])
+        assert (fs.dump(statuses=True), fs.store.fingerprint()) == before
+
+
+def test_reachable_and_substructure_follow_every_path():
+    fs = encode(parse_avm("[x: [h: [maj: n]], y: [h: [case: nom]], z: [k: [l: a]]]"))
+    assert not fs.has_substructure(4, 3)
+    fs.add([("g", 4, Ref(3), Bool3.UNKNOWN),                  # y to x.h by a cell
+            ("comps", 6, ("np", Ref(5)), Bool3.UNKNOWN)])      # z to y.h inside a sequence
+    assert fs.reachable(1) == [1, 2, 3, 4, 5, 6, 7]
+    assert fs.reachable(4) == [3, 4, 5]
+    assert fs.reachable(6) == [5, 6, 7]
+    assert fs.has_substructure(4, 3) and fs.has_substructure(6, 5)
+    assert not fs.has_substructure(3, 4) and not fs.has_substructure(5, 6)
 
 
 def test_set_status_and_fcr_style_clash():

@@ -322,6 +322,21 @@ def test_fcr_value_guard_waits_for_the_value():
     fs2.add((("maj", late, "v", Bool3.TRUE),))   # the sanctioned atom is fine
 
 
+@pytest.mark.parametrize("value_first", [False, True])
+def test_fcr_value_guard_reads_or_hears_the_value(value_first):
+    # the guarded value is there when the restriction is posted, or a
+    # placeholder `add` fills later; either way the guard fires once
+    st, fs = fresh()
+    node = fs.encode_node(parse_avm("[+case: nom, ?index]" if value_first else "[+case: -, ?index]"))
+    assert st.tell(bool_post(compile_fcr(parse_fcr("CASE[NOM] -> ~INDEX"), fs, node)))
+    if not value_first:
+        assert fs.status_value("index", node) is Bool3.UNKNOWN
+        fs.add([("case", node, "nom", Bool3.UNKNOWN)])
+    assert fs.status_value("index", node) is Bool3.FALSE
+    with pytest.raises(InconsistencyError):
+        fs.set_status("index", Bool3.TRUE, node)
+
+
 def test_fcr_unknown_feature_is_a_compile_error():
     # no sign of this grammar can carry INDEX: the grammar does not load
     head = 'rule S -> A. start S.\nlex "x" A [synsem: [pform: p]] subcat [].\n'
