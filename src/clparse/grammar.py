@@ -3,7 +3,7 @@
 Declarations:
 
     start S.
-    rule S -> NP VP.              rule* X -> A A.   (* = may repeat a sign)
+    rule S -> NP VP.
     lp Det < Nm.
     frame NP { M = {Nm,Det,Adj,PP}; C = {Nm}; head = Nm; schema {Det,Adj}; }
     proj Nm = NP.
@@ -19,9 +19,7 @@ lexical entry's avm is read by the avm reader, which stops after its
 closing bracket and leaves the clauses after it to the loader.  The
 LP pairs must form a strict partial order; a cycle is reported on the
 line of its latest-declared pair.  A grammar is immutable once loaded.
-A `rule*` waives only `hpsg.check_local_tree`'s distinctness check:
-the sign pipeline builds each daughter as its own sign and checks none.
-The rules also compile to the window parser's three tables: `by_rhs`,
+The rules compile to the window parser's three tables: `by_rhs`,
 each right-hand side's rules, the trie of right-hand sides, and
 `follows`, the categories that may stand side by side in a sentential
 form of the start category.
@@ -59,7 +57,6 @@ class Category:
 class PSRule:
     lhs: str
     rhs: tuple[str, ...]
-    distinct_daughters: bool = True   # footnoted relaxation via rule*
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {' '.join(self.rhs)}"
@@ -225,10 +222,6 @@ class Grammar:
 
     def is_phrasal(self, name: str) -> bool:
         return self.category(name).level == "phrasal"
-
-    def rules_matching(self, rhs_window) -> tuple[PSRule, ...]:
-        """Rules whose right-hand side equals the window, in file order."""
-        return self.by_rhs.get(tuple(rhs_window), ())
 
     def legal_daughters(self, r: str) -> frozenset[str]:
         """Everything r may immediately dominate: rule right-hand sides
@@ -453,18 +446,18 @@ def load_grammar(text: str) -> Grammar:
 
     for line, stmt in _statements(text):
         head = stmt.split(None, 1)[0] if stmt else ""
-        if head in ("rule", "rule*"):
-            m = re.fullmatch(rf"rule(\*?)\s+({NAME})\s*->(.*)", stmt, re.S)
+        if head == "rule":
+            m = re.fullmatch(rf"rule\s+({NAME})\s*->(.*)", stmt, re.S)
             if not m:
                 raise GrammarError("bad rule", line)
-            rhs = tuple(m.group(3).split())
-            for n in (m.group(2),) + rhs:
+            rhs = tuple(m.group(2).split())
+            for n in (m.group(1),) + rhs:
                 if not re.fullmatch(NAME, n):
                     raise GrammarError(f"bad category name {n!r}", line)
             if not rhs:
                 raise GrammarError("empty right-hand side", line)
-            g.rules.append(PSRule(m.group(2), rhs, distinct_daughters=not m.group(1)))
-            defined.update((m.group(2),) + rhs)
+            g.rules.append(PSRule(m.group(1), rhs))
+            defined.update((m.group(1),) + rhs)
         elif head == "lp":
             m = re.fullmatch(rf"lp\s+({NAME})\s*<\s*({NAME})", stmt)
             if not m:

@@ -2,19 +2,18 @@
 
 A sign is a feature structure rooted at synsem.loc.cat with subj/comps
 valency lists and, for phrases, a dtrs node holding the daughter signs.
-Local trees are checked for linear precedence, dominance and
-projection (`check_local_tree`, which also checks that daughters of one
-category are distinct signs for callers that pass signs, unless a
-`rule*` is among the rules over the tree).
+Local trees are checked, by their categories alone, for linear
+precedence, dominance and projection (`check_local_tree`).  No check
+asks whether two daughters are one sign: each daughter is its own
+install, so none is.
 Valency is decided by a split: the saturated sisters split over the
-head's lists, which cancel the realized daughters from the end.  The
-pipeline checks no distinctness: each daughter is its own install, so
-no two daughters are one sign.  Subcategorization is
-boolean implications over per-constituent well-formedness, but a
-constituent that is built is well formed, the store's true constant,
-and an unrealized frame member is its false constant, so a frame's
-implications are ground: the verdict depends only on the phrase's
-label, daughter categories, head schema and complement categories.
+head's lists, which cancel the realized daughters from the end.
+Subcategorization is boolean implications over per-constituent
+well-formedness, but a constituent that is built is well formed, the
+store's true constant, and an unrealized frame member is its false
+constant, so a frame's implications are ground: the verdict depends
+only on the phrase's label, daughter categories, head schema and
+complement categories.
 `frame_holds` decides it from them, as `post_subcat` would over those
 constants, with no store.
 
@@ -99,19 +98,10 @@ class Sign:
     def category(self) -> str:
         return self.signature[0]
 
-    def same_ref(self, other: "Sign") -> bool:
-        return self.fs is other.fs and self.root == other.root
-
-
-@dataclass(frozen=True)
-class LocalTree:
-    root: str
-    daughters: tuple  # ((category, Sign | None), ...) in surface order
-
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str     # distinctness | precedence | dominance | projection
+    kind: str     # precedence | dominance | projection
     detail: str
 
 
@@ -187,34 +177,26 @@ def _head_index(root: str, cats, g: Grammar) -> int | None:
     return None
 
 
-def check_local_tree(t: LocalTree, g: Grammar) -> tuple[Violation, ...]:
-    """Evaluate the four structural constraints building the mother does
-    not make; the violations are data, none when the tree passes.  Two
-    daughters of one category violate distinctness when they are one
-    sign, unless some rule over the tree is a rule*."""
-    if not t.daughters:
+def check_local_tree(root: str, cats, g: Grammar) -> tuple[Violation, ...]:
+    """Evaluate the three structural constraints building the mother
+    does not make on the local tree of `root` over the daughter
+    categories `cats`; the violations are data, none when the tree
+    passes."""
+    if not cats:
         raise UsageError("a local tree needs daughters")
-    cats = tuple(cat for cat, _ in t.daughters)
     violations = []
-    rules = g.rules_matching(cats)
-    if not rules or all(r.distinct_daughters for r in rules):
-        for (i, (cat, si)), (j, (cat_j, sj)) in itertools.combinations(enumerate(t.daughters), 2):
-            if cat == cat_j and si is not None and sj is not None and si.same_ref(sj):
-                violations.append(Violation(
-                    "distinctness", f"daughters {i + 1} and {j + 1} are the same {cat}"))
-
     for x, y in zip(cats, cats[1:]):
         if not g.lp_ok(x, y):
             violations.append(Violation("precedence", f"{x} may not precede {y}"))
 
-    legal = g.legal_daughters(t.root)
+    legal = g.legal_daughters(root)
     for cat in cats:
         if cat not in legal:
-            violations.append(Violation("dominance", f"{t.root} may not dominate {cat}"))
+            violations.append(Violation("dominance", f"{root} may not dominate {cat}"))
 
-    if all(g.projection(cat) != t.root for cat in cats):
+    if all(g.projection(cat) != root for cat in cats):
         violations.append(Violation(
-            "projection", f"{t.root} is not the projection of any daughter"))
+            "projection", f"{root} is not the projection of any daughter"))
 
     return tuple(violations)
 
@@ -537,8 +519,7 @@ def _decide(label: str, hi: int, sigs, g: Grammar) -> PhraseDecision | None:
     except InconsistencyError:
         return None
     subj, comps = (tuple(sisters[k] for k in ks) for ks in (subj, comps))
-    reasons = [v.detail for v in check_local_tree(
-        LocalTree(label, tuple((cat, None) for cat in cats)), g)]
+    reasons = [v.detail for v in check_local_tree(label, cats, g)]
     frame = g.frames.get(label)
     if frame is not None and not frame_holds(frame, cats, schema, [cats[i] for i in comps]):
         reasons.append(f"subcategorization of {label} rejected")

@@ -29,12 +29,12 @@ SHARED = "start S. rule S -> X B. rule X -> A. rule Y -> A."
 
 # Appended to grammars/toy_lex.clg: local trees its checks reject or
 # watch.  NP -> Nm Det breaks the LP order, nothing projects NP in
-# NP -> Det, and the Vb daughters of VP -> Vb Vb and of the rule*
-# VP -> Vb Vb Vb are only built as distinct signs.  Over the Vb
-# signatures, an unsaturated sister ("sleeps", "do", "dodo") or a Vb no
-# head selects has no phrase table entry.
+# NP -> Det, and the Vb daughters of VP -> Vb Vb and VP -> Vb Vb Vb
+# are only built as distinct signs.  Over the Vb signatures, an
+# unsaturated sister ("sleeps", "do", "dodo") or a Vb no head selects
+# has no phrase table entry.
 CATEGORIAL = (
-    "rule NP -> Nm Det. rule NP -> Det. rule VP -> Vb Vb. rule* VP -> Vb Vb Vb.\n"
+    "rule NP -> Nm Det. rule NP -> Det. rule VP -> Vb Vb. rule VP -> Vb Vb Vb.\n"
     'lex "rains" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subcat [].\n'
     'lex "do" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP] subcat [Vb].\n'
     'lex "dodo" Vb [synsem: [loc: [cat: [head: [maj: v]]]]] subj [NP] subcat [Vb, Vb].\n')

@@ -489,7 +489,7 @@ def _oracle_nodes(cats, g, cap: int) -> int:
         count += 1
         for va in range(len(seq)):
             for vb in range(1, len(seq) - va + 1):
-                for rule in g.rules_matching(seq[va:va + vb]):
+                for rule in g.by_rhs.get(seq[va:va + vb], ()):
                     mark = (va, rule.lhs)
                     if vb == 1 and mark not in seen:
                         stack.append((seq[:va] + (rule.lhs,) + seq[va + 1:], seen | {mark}))

@@ -128,6 +128,14 @@ def test_broken_grammar_exits_two(capsys, tmp_path):
         assert f"line {text.count(chr(10))}: fcr names unknown features" in err
 
 
+def test_a_rule_star_exits_two_on_its_line(capsys, tmp_path):
+    bad = tmp_path / "star.clg"
+    bad.write_text("start X.\nrule* X -> A A.\n")
+    rc, out, err = run(capsys, "--grammar", str(bad), "--input", "A A")
+    assert (rc, out) == (2, "")
+    assert "line 2: unknown declaration 'rule*'" in err
+
+
 def test_empty_input_exits_two(capsys):
     rc, _, err = run(capsys, "--grammar", TOY, "--input", "   ")
     assert rc == 2

@@ -43,14 +43,14 @@ def test_category_levels():
         g.category("Foo")
 
 
-def test_rules_matching_is_exact_and_in_file_order():
+def test_by_rhs_is_exact_and_in_file_order():
     g = load_grammar_file(TOY)
-    assert [str(r) for r in g.rules_matching(("Det", "Nm"))] == ["NP -> Det Nm"]
-    assert [r.lhs for r in g.rules_matching(("NP", "VP"))] == ["S"]
-    assert g.rules_matching(("Det",)) == ()
-    assert g.rules_matching(("Det", "Nm", "extra")) == ()
+    assert [str(r) for r in g.by_rhs[("Det", "Nm")]] == ["NP -> Det Nm"]
+    assert [r.lhs for r in g.by_rhs[("NP", "VP")]] == ["S"]
+    assert ("Det",) not in g.by_rhs
+    assert ("Det", "Nm", "extra") not in g.by_rhs
     g2 = load_grammar("rule A -> X Y. rule B -> X Y. start A.")
-    assert [r.lhs for r in g2.rules_matching(("X", "Y"))] == ["A", "B"]
+    assert [r.lhs for r in g2.by_rhs[("X", "Y")]] == ["A", "B"]
 
 
 def test_legal_daughters_union_of_rules_and_frame():
@@ -73,10 +73,9 @@ def test_lp_is_permissive_by_default():
     assert g.lp_ok("NP", "VP") and g.lp_ok("VP", "NP")   # undeclared
 
 
-def test_rule_star_disables_distinctness():
-    g = load_grammar("rule* X -> A A. rule X -> A B. start X.")
-    assert g.rules[0].distinct_daughters is False
-    assert g.rules[1].distinct_daughters is True
+def test_rule_star_is_refused_on_its_line():
+    with pytest.raises(GrammarError, match=r"line 2.*unknown declaration 'rule\*'"):
+        load_grammar("start X.\nrule* X -> A A.")
 
 
 def test_frames_and_projections():

@@ -20,7 +20,6 @@ from clparse.errors import GrammarError, InconsistencyError, UsageError
 from clparse.fstruct import Bool3, FeatureStructure, Ref, parse_avm
 from clparse.grammar import load_grammar, load_grammar_file, parse_fcr, template_sites
 from clparse.hpsg import (
-    LocalTree,
     Sign,
     _HeadWait,
     _cancel,
@@ -69,56 +68,21 @@ def saturated(cat):
 
 
 def test_np_det_nm_is_well_formed(toy):
-    st, fs = fresh()
-    det = entry_sign(toy, "the", fs)
-    nm = entry_sign(toy, "cat", fs)
-    assert check_local_tree(LocalTree("NP", (("Det", det), ("Nm", nm))), toy) == ()
+    assert check_local_tree("NP", ("Det", "Nm"), toy) == ()
 
 
 def test_precedence_violation(toy):
-    st, fs = fresh()
-    det = entry_sign(toy, "the", fs)
-    nm = entry_sign(toy, "cat", fs)
-    violations = check_local_tree(LocalTree("NP", (("Nm", nm), ("Det", det))), toy)
+    violations = check_local_tree("NP", ("Nm", "Det"), toy)
     assert [v.kind for v in violations] == ["precedence"]
 
 
-def test_distinctness_same_sign_twice(toy):
-    st, fs = fresh()
-    det = entry_sign(toy, "the", fs)
-    kinds = {v.kind for v in check_local_tree(LocalTree("NP", (("Det", det), ("Det", det))), toy)}
-    assert "distinctness" in kinds
-    # nothing projects NP here either
-    assert "projection" in kinds
-
-
-def test_distinctness_needs_same_reference():
-    g = load_grammar("rule X -> A A. proj A = X. start X.")
-    _, fs = fresh()
-    a1 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("A"))
-    a2 = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("A"))
-    tree = LocalTree("X", (("A", a1), ("A", a2)))
-    kinds = {v.kind for v in check_local_tree(tree, g)}
-    assert "distinctness" not in kinds
-    same = LocalTree("X", (("A", a1), ("A", a1)))
-    kinds = {v.kind for v in check_local_tree(same, g)}
-    assert "distinctness" in kinds
-
-
-def test_rule_star_opts_out_of_distinctness():
-    g = load_grammar("rule* X -> A A. proj A = X. start X.")
-    _, fs = fresh()
-    a = Sign(fs, fs.encode_node({"synsem": {"loc": {"cat": {}}}}), saturated("A"))
-    tree = LocalTree("X", (("A", a), ("A", a)))
-    kinds = {v.kind for v in check_local_tree(tree, g)}
-    assert "distinctness" not in kinds
-    # one rule* among the rules over the tree waives the check
-    mixed = load_grammar("rule* X -> A A. rule X -> A A. proj A = X. start X.")
-    assert "distinctness" not in {v.kind for v in check_local_tree(tree, mixed)}
+def test_np_over_two_dets_projects_nothing(toy):
+    # nothing projects NP here
+    assert [v.kind for v in check_local_tree("NP", ("Det", "Det"), toy)] == ["projection"]
 
 
 def test_dominance_violation(toy):
-    violations = check_local_tree(LocalTree("S", (("NP", None), ("PP", None))), toy)
+    violations = check_local_tree("S", ("NP", "PP"), toy)
     assert "dominance" in {v.kind for v in violations}
 
 
@@ -132,13 +96,13 @@ def test_valency_violation(toy):
 
 
 def test_projection_violation(toy):
-    violations = check_local_tree(LocalTree("VP", (("NP", None),)), toy)
+    violations = check_local_tree("VP", ("NP",), toy)
     assert "projection" in {v.kind for v in violations}
 
 
 def test_local_tree_needs_daughters(toy):
     with pytest.raises(UsageError):
-        check_local_tree(LocalTree("NP", ()), toy)
+        check_local_tree("NP", (), toy)
 
 
 # -- valency bookkeeping ---------------------------------------------------
@@ -1160,7 +1124,7 @@ def test_each_table_entry_is_what_building_its_phrase_decides(name):
                                 comps=[signs[i] for i in d.comps],
                                 mother_subj=mother_subj, mother_comps=mother_comps)
         assert d.mother == (label, *valency_of(Sign(fs, root, d.mother)), None)
-        reasons = [v.detail for v in check_local_tree(LocalTree(label, tuple(zip(cats, signs))), g)]
+        reasons = [v.detail for v in check_local_tree(label, cats, g)]
         if label in g.frames and not _told_verdict(
                 g, (label, cats, sigs[hi][3], tuple(cats[i] for i in d.comps))):
             reasons.append(f"subcategorization of {label} rejected")

@@ -10,7 +10,7 @@ alone, no module of the package or of its tests may import a name it
 never uses, no module of the package may read another's underscore
 name, and every class, and every class attribute, the README names
 exists, as does every feature-structure name of its "Feature
-structures" bullet."""
+structures" bullet, and its "Grammar files" example loads."""
 
 import ast
 import builtins
@@ -28,7 +28,7 @@ import pytest
 import clparse
 import counters
 from clparse import fstruct
-from clparse.grammar import load_grammar_file
+from clparse.grammar import load_grammar, load_grammar_file
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY_LEX = str(ROOT / "grammars" / "toy_lex.clg")
@@ -290,3 +290,12 @@ def test_every_name_the_feature_structures_bullet_gives_exists():
     assert {"add", "instantiate", "compile_avm", "parse_avm"} <= names
     assert not sorted(n for n in names
                       if not hasattr(fstruct.FeatureStructure, n) and not hasattr(fstruct, n))
+
+
+def test_the_readme_grammar_example_loads():
+    # the "Grammar files" code block is the language's example, so it
+    # cannot go on using a declaration the loader refuses
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Grammar files\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
+    g = load_grammar(block)
+    assert (len(g.rules), len(g.fcrs), sum(map(len, g.lexicon.values()))) == (3, 1, 1)
